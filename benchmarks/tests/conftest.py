@@ -1,0 +1,6 @@
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH_DIR), "src"))
+sys.path.insert(0, BENCH_DIR)
