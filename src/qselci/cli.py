@@ -14,7 +14,8 @@ Keys are the long flag names with either dashes or underscores.
 All randomness flows from the single ``--seed`` value: per-stage seeds are
 derived from it through numpy's SeedSequence in a fixed documented order.
 Exit codes: 0 success, 1 domain error (the error class name is printed),
-2 usage error.
+2 usage error, including an option value the library rejects with
+ValueError (printed the same way).
 """
 
 import argparse
@@ -90,12 +91,20 @@ class RunManifest:
         self.versions = _versions()
         self.timings = {}
         self.digests = {}
+        self._open_stages = []
 
     @contextmanager
     def stage(self, name):
+        """Time a stage; a stage opened inside another is recorded under
+        ``outer/inner``, so repeated inner names do not collide."""
+        self._open_stages.append(name)
+        key = "/".join(self._open_stages)
         t0 = time.perf_counter()
-        yield
-        self.timings[name] = time.perf_counter() - t0
+        try:
+            yield
+        finally:
+            self._open_stages.pop()
+        self.timings[key] = time.perf_counter() - t0
 
     def record_seed(self, name, value):
         self.seeds[name] = int(value)
@@ -708,7 +717,8 @@ def _handle_analyze(opts, manifest):
 
 def _ansatz_sampling_summary(name, circuit, params, table, opts, manifest,
                              dominant):
-    counts = _sample_once(circuit, params, table, opts, manifest)
+    with manifest.stage(name):
+        counts = _sample_once(circuit, params, table, opts, manifest)
     filtered, _rejected = symmetry_filter(counts, table.n_alpha, table.n_beta)
     top10 = [s for s, _c in counts.top(10)]
     return {
@@ -845,6 +855,10 @@ def cli_dispatch(argv):
     except QselciError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # the library's option and input validation raises ValueError
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

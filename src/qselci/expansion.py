@@ -8,13 +8,24 @@ Candidates are scored by their summed coupling weight
 ``s_mu = sum_I |H_{mu I} c_I|``; those at or above a threshold (optionally
 capped at the top k) join the set, and the enlarged projected problem is
 re-solved.  The perturbative estimate uses the same pool with
-state-specific denominators ``<mu|H|mu> - E_S``.
+state-specific denominators ``<mu|H|mu> - E_S``.  Each call evaluates the
+pool's coupling block into S once, with the batched kernel of
+:mod:`qselci.hamiltonian`, and takes the connected set, the scores and the
+PT2 numerators from it.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dets import Determinant, _bits
-from .hamiltonian import build_subspace, davidson_lowest, slater_condon
+from .hamiltonian import (
+    build_subspace,
+    coupling_elements,
+    davidson_lowest,
+    det_masks,
+    diagonal_elements,
+)
 
 DENOMINATOR_TOL = 1e-8
 
@@ -38,14 +49,9 @@ def _double_substitutions(mask, n_orbitals):
                     yield removed | (1 << virt[aa]) | (1 << virt[bb])
 
 
-def connected_set(psi, table):
-    """All sector-preserving single/double substitutions of psi's set that
-    lie outside it and couple to it through at least one nonzero element.
-
-    Returned in ascending (alpha, beta) bitmask order.
-    """
-    n = table.n_orbitals
-    in_set = set(psi.dets)
+def _substitution_pool(psi, n):
+    """Every sector-preserving single or double substitution of a member of
+    psi's set that lies outside it, in ascending (alpha, beta) order."""
     seen = set()
     for det in psi.dets:
         a, b = det.alpha, det.beta
@@ -62,35 +68,57 @@ def connected_set(psi, table):
         for a2 in alpha_singles:
             for b2 in beta_singles:
                 seen.add((a2, b2))
-    candidates = []
-    for a2, b2 in sorted(seen):
-        det = Determinant(a2, b2)
-        if det in in_set:
-            continue
-        if any(slater_condon(det, d, table) != 0.0 for d in psi.dets):
-            candidates.append(det)
-    return candidates
+    seen.difference_update((d.alpha, d.beta) for d in psi.dets)
+    return [Determinant(a, b) for a, b in sorted(seen)]
 
 
-def _coupling_terms(candidate, psi, table):
-    """Pairs (H_{mu I}, c_I) over the members of psi's set, zeros skipped."""
-    terms = []
-    for det, c in zip(psi.dets, psi.coeffs):
-        h = slater_condon(candidate, det, table)
-        if h != 0.0:
-            terms.append((h, c))
-    return terms
+def _coupling(candidates, psi, table):
+    """Nonzero H_{mu I} between candidates and psi's set as (mu, I, value)
+    arrays, ordered by mu and then by I in psi.dets order."""
+    return coupling_elements(*det_masks(candidates), *det_masks(psi.dets), table)
+
+
+def _connected_coupling(psi, table):
+    """The connected set with its coupling into psi's set, evaluated once:
+    (candidates, mu, I, value), mu indexing the returned candidates."""
+    pool = _substitution_pool(psi, table.n_orbitals)
+    rows, cols, vals = _coupling(pool, psi, table)
+    connected = np.zeros(len(pool), dtype=bool)
+    connected[rows] = True
+    renumber = np.cumsum(connected) - 1
+    candidates = [pool[k] for k in np.flatnonzero(connected)]
+    return candidates, renumber[rows], cols, vals
+
+
+def connected_set(psi, table):
+    """All sector-preserving single/double substitutions of psi's set that
+    lie outside it and couple to it through at least one nonzero element.
+
+    Returned in ascending (alpha, beta) bitmask order.
+    """
+    return _connected_coupling(psi, table)[0]
+
+
+def _coupling_sums(rows, weights, n):
+    # bincount adds each row's weights one by one in array order, which is
+    # psi.dets order within a row: the sums, and so the score ties, come out
+    # as a sequential loop over psi's set would give them.
+    return np.bincount(rows, weights=weights, minlength=n)
+
+
+def _ranked_scores(psi, candidates, rows, cols, vals):
+    weights = np.abs(vals * psi.coeffs[cols])
+    scores = _coupling_sums(rows, weights, len(candidates))
+    scored = list(zip(candidates, scores.tolist()))
+    scored.sort(key=lambda t: (-t[1], t[0].alpha, t[0].beta))
+    return scored
 
 
 def score_candidates(psi, candidates, table):
-    """Summed coupling weights s_mu, sorted descending with ascending
-    (alpha, beta) bitmask order breaking ties."""
-    scored = []
-    for mu in candidates:
-        s = sum(abs(h * c) for h, c in _coupling_terms(mu, psi, table))
-        scored.append((mu, s))
-    scored.sort(key=lambda t: (-t[1], t[0].alpha, t[0].beta))
-    return scored
+    """Summed coupling weights s_mu = sum_I |H_{mu I} c_I| of determinants
+    outside psi's set, sorted descending with ascending (alpha, beta)
+    bitmask order breaking ties."""
+    return _ranked_scores(psi, candidates, *_coupling(candidates, psi, table))
 
 
 @dataclass
@@ -117,8 +145,7 @@ def expand_and_rediagonalize(psi, table, tau, top_k=None):
     """
     if tau < 0:
         raise ValueError("threshold tau must be nonnegative")
-    candidates = connected_set(psi, table)
-    scored = score_candidates(psi, candidates, table)
+    scored = _ranked_scores(psi, *_connected_coupling(psi, table))
     selected = [(mu, s) for mu, s in scored if s >= tau]
     if top_k is not None:
         selected = selected[: int(top_k)]
@@ -148,10 +175,6 @@ class PT2Result:
     n_external: int
     n_skipped: int
 
-    @property
-    def corrected_energy_shift(self):
-        return self.delta_e
-
 
 def en_pt2(psi, table):
     """Second-order energy correction with state-specific denominators.
@@ -161,14 +184,13 @@ def en_pt2(psi, table):
     tolerance are skipped and counted rather than allowed to blow up.
     The input wavefunction is left untouched.
     """
-    candidates = connected_set(psi, table)
-    e_s = psi.energy
+    candidates, rows, cols, vals = _connected_coupling(psi, table)
+    numerators = _coupling_sums(rows, vals * psi.coeffs[cols], len(candidates))
+    e_mu = diagonal_elements(*det_masks(candidates), table) + table.core_energy
+    denominators = e_mu - psi.energy
     delta = 0.0
     skipped = 0
-    for mu in candidates:
-        numerator = sum(h * c for h, c in _coupling_terms(mu, psi, table))
-        e_mu = slater_condon(mu, mu, table) + table.core_energy
-        denom = e_mu - e_s
+    for numerator, denom in zip(numerators.tolist(), denominators.tolist()):
         if abs(denom) < DENOMINATOR_TOL:
             skipped += 1
             continue

@@ -9,6 +9,9 @@ Hamiltonian with chemist-notation two-electron integrals,
 evaluated directly from occupation bitmasks.  Sign conventions match the
 excitation-operator application order defined in :mod:`qselci.dets`; they are
 pinned by tests against a dense operator-matrix construction.
+``slater_condon`` evaluates one pair and is the reference;
+``coupling_elements`` and ``diagonal_elements`` apply the same rules to
+whole uint64 mask arrays and serve the subspace build, expansion and PT2.
 
 The subspace eigenproblem is an ordinary symmetric one (determinants are
 orthonormal).  ``davidson_lowest`` is a Davidson solver with a diagonal
@@ -23,7 +26,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .dets import Determinant, enumerate_space, excitation_between, hartree_fock
+from .dets import (  # hartree_fock is re-exported to callers of this module
+    Determinant,
+    enumerate_space,
+    excitation_between,
+    hartree_fock,
+)
 from .errors import DuplicateDeterminant, NoConvergence, TooLarge
 
 DENSE_CUTOFF = 2000
@@ -182,6 +190,204 @@ def _double_element(src, tgt, table):
     return op.phase * (direct - cross)
 
 
+# ---------------------------------------------------------------------------
+# Batched elements.  The same rules as ``slater_condon``, evaluated by numpy
+# over uint64 occupation masks a block of determinant pairs at a time.  Each
+# element is accumulated in the scalar code's order (occupied spin orbitals
+# ascending, alpha block first), so both paths give the same floats.
+# ---------------------------------------------------------------------------
+
+# Determinant pairs screened, and pairs evaluated, per numpy pass: the
+# temporaries stay at a few MB instead of growing with the square of the
+# number of determinants.
+PAIR_BLOCK = 1 << 14
+
+_ONE = np.uint64(1)
+
+
+def det_masks(dets):
+    """Alpha and beta occupation masks of a determinant list, as uint64."""
+    alpha = np.fromiter((d.alpha for d in dets), dtype=np.uint64, count=len(dets))
+    beta = np.fromiter((d.beta for d in dets), dtype=np.uint64, count=len(dets))
+    return alpha, beta
+
+
+def _dense_g(table):
+    """(pq|rs) as a dense (n, n, n, n) array, filled from the canonical keys
+    of ``table.g`` over all eight permutations."""
+    n = table.n_orbitals
+    g = np.zeros((n, n, n, n))
+    if table.g:
+        p, q, r, s = np.array(list(table.g), dtype=np.intp).T
+        values = np.fromiter(table.g.values(), dtype=float, count=len(table.g))
+        for index in (
+            (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+            (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
+        ):
+            g[index] = values
+    return g
+
+
+def _lowest(x):
+    """Index of the lowest set bit of each mask (64 where the mask is 0)."""
+    return np.bitwise_count((x & (~x + _ONE)) - _ONE).astype(np.intp)
+
+
+def _bit(k):
+    return _ONE << k.astype(np.uint64)
+
+
+def _count_below(x, k):
+    """Set bits of each mask x below index k."""
+    return np.bitwise_count(x & (_bit(k) - _ONE))
+
+
+def _occupied(masks):
+    """Walk the set bits of each mask, lowest first: yields (orbital, on)
+    per step, ``on`` marking the masks that still had a bit at that step."""
+    while masks.any():
+        on = masks != 0
+        yield np.where(on, _lowest(masks), 0), on
+        masks = masks & (masks - _ONE)
+
+
+def diagonal_elements(alpha, beta, table):
+    """<d|H|d> (no core energy) for each determinant given by its masks."""
+    h, g = table.h, _dense_g(table)
+    occ = [(p, on, s) for s, masks in enumerate((alpha, beta))
+           for p, on in _occupied(masks)]
+    e = np.zeros(len(alpha))
+    for p, on, _ in occ:
+        e = e + np.where(on, h[p, p], 0.0)
+    for k, (p, on, spin) in enumerate(occ):
+        for q, on2, spin2 in occ[k + 1:]:
+            both = on & on2
+            e = e + np.where(both, g[p, p, q, q], 0.0)
+            if spin2 == spin:
+                e = e - np.where(both, g[p, q, q, p], 0.0)
+    return e
+
+
+def _hop(src, tgt):
+    """Hole, particle, remaining occupation and sign parity of a one-orbital
+    substitution src -> tgt within one spin channel."""
+    hole = _lowest(src & ~tgt)
+    part = _lowest(tgt & ~src)
+    rest = src ^ _bit(hole)
+    return hole, part, rest, _count_below(src, hole) + _count_below(rest, part)
+
+
+def _single_values(src, tgt, other, alpha_channel, h, g):
+    """Singles within one channel; ``other`` is the source's string in the
+    other channel.  Beta operators cross the whole alpha string twice, so
+    the phase needs only the channel's own string."""
+    hole, part, rest, parity = _hop(src, tgt)
+    walks = [(rest, True), (other, False)]
+    if not alpha_channel:
+        walks.reverse()  # the alpha block comes first
+    e = h[part, hole]
+    for masks, same_spin in walks:
+        for i, on in _occupied(masks):
+            e = e + np.where(on, g[part, hole, i, i], 0.0)
+            if same_spin:
+                e = e - np.where(on, g[part, i, i, hole], 0.0)
+    return np.where(parity & 1, -e, e)
+
+
+def _same_spin_double_values(src, tgt, g):
+    holes = src & ~tgt
+    parts = tgt & ~src
+    m, m2 = _lowest(holes), _lowest(holes & (holes - _ONE))
+    a, b = _lowest(parts), _lowest(parts & (parts - _ONE))
+    # annihilate m then m2, create a then b, counting the occupied
+    # orbitals below each operator on the string as it stands
+    x1 = src ^ _bit(m)
+    x2 = x1 ^ _bit(m2)
+    parity = (_count_below(src, m) + _count_below(x1, m2) + _count_below(x2, a)
+              + _count_below(x2 | _bit(a), b))
+    e = g[a, m2, b, m] - g[a, m, b, m2]
+    return np.where(parity & 1, -e, e)
+
+
+def _opposite_spin_double_values(xa, ya, xb, yb, g):
+    m, a, _, pa = _hop(xa, ya)
+    m2, b, _, pb = _hop(xb, yb)
+    e = g[a, m, b, m2]
+    return np.where((pa + pb) & 1, -e, e)
+
+
+def _pair_values(ya, yb, xa, xb, h, g):
+    """<y|H|x> for distinct same-sector pairs at most a double apart."""
+    ra = np.bitwise_count(xa ^ ya)
+    rb = np.bitwise_count(xb ^ yb)
+    out = np.empty(len(xa))
+    k = (ra == 2) & (rb == 0)
+    out[k] = _single_values(xa[k], ya[k], xb[k], True, h, g)
+    k = (ra == 0) & (rb == 2)
+    out[k] = _single_values(xb[k], yb[k], xa[k], False, h, g)
+    k = ra == 4
+    out[k] = _same_spin_double_values(xa[k], ya[k], g)
+    k = rb == 4
+    out[k] = _same_spin_double_values(xb[k], yb[k], g)
+    k = (ra == 2) & (rb == 2)
+    out[k] = _opposite_spin_double_values(xa[k], ya[k], xb[k], yb[k], g)
+    return out
+
+
+def _near_pairs(bra_alpha, bra_beta, ket_alpha, ket_beta, upper):
+    """(i, j) index arrays of the bra/ket pairs in the same per-spin sector
+    and one or two substitutions apart, ordered by i then j.  About
+    PAIR_BLOCK pairs are screened per pass, and the survivors are yielded
+    in batches of at least PAIR_BLOCK (the last one may be smaller)."""
+    def sector(alpha, beta):  # (n_alpha, n_beta) as one integer
+        return 65 * np.bitwise_count(alpha).astype(np.intp) + np.bitwise_count(beta)
+
+    bra_sector, ket_sector = sector(bra_alpha, bra_beta), sector(ket_alpha, ket_beta)
+    start, n_bra, n_ket = 0, len(bra_alpha), len(ket_alpha)
+    found, n_found = [], 0
+    while start < n_bra:
+        first = start + 1 if upper else 0
+        stop = min(n_bra, start + max(1, PAIR_BLOCK // max(1, n_ket - first)))
+        r, c = slice(start, stop), slice(first, n_ket)
+        diff = np.bitwise_count(bra_alpha[r, None] ^ ket_alpha[None, c])
+        diff += np.bitwise_count(bra_beta[r, None] ^ ket_beta[None, c])
+        near = (diff > 0) & (diff <= 4)
+        near &= bra_sector[r, None] == ket_sector[None, c]
+        if upper:
+            near &= np.arange(first, n_ket) > np.arange(start, stop)[:, None]
+        i, j = np.nonzero(near)
+        found.append((i + start, j + first))
+        n_found += len(i)
+        start = stop
+        if n_found >= PAIR_BLOCK or start == n_bra:
+            yield (np.concatenate([i for i, _ in found]),
+                   np.concatenate([j for _, j in found]))
+            found, n_found = [], 0
+
+
+def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, table,
+                      upper=False):
+    """Nonzero off-diagonal elements <bra_i|H|ket_j> between two
+    determinant lists given by their masks.
+
+    Returns ``(i, j, values)`` arrays ordered by i, then j.  Pairs in
+    different per-spin sectors, more than a double substitution apart, or
+    equal are skipped.  ``upper`` keeps only j > i, for a list against
+    itself.  Work is done in blocks of about PAIR_BLOCK pairs.
+    """
+    h, g = table.h, _dense_g(table)
+    none = np.zeros(0, np.intp)
+    rows, cols, vals = [none], [none], [np.zeros(0)]
+    for i, j in _near_pairs(bra_alpha, bra_beta, ket_alpha, ket_beta, upper):
+        v = _pair_values(bra_alpha[i], bra_beta[i], ket_alpha[j], ket_beta[j],
+                         h, g)
+        keep = v != 0.0
+        rows.append(i[keep])
+        cols.append(j[keep])
+        vals.append(v[keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 def build_subspace(dets, table):
     """Project the Hamiltonian onto a determinant list (sparse symmetric)."""
     if len(set(dets)) != len(dets):
@@ -192,26 +398,17 @@ def build_subspace(dets, table):
             seen.add(d)
     n = table.n_orbitals
     size = len(dets)
-    alphas = np.array([d.alpha for d in dets], dtype=np.uint64)
-    betas = np.array([d.beta for d in dets], dtype=np.uint64)
-    rows, cols, vals = [], [], []
-    for i, di in enumerate(dets):
-        diff = np.bitwise_count(alphas[i:] ^ alphas[i]) + np.bitwise_count(
-            betas[i:] ^ betas[i]
-        )
-        for off in np.nonzero(diff <= 4)[0]:
-            j = i + int(off)
-            v = slater_condon(di, dets[j], table)
-            if v != 0.0 or i == j:
-                rows.append(i)
-                cols.append(j)
-                vals.append(v)
-                if i != j:
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(v)
+    alpha, beta = det_masks(dets)
+    rows, cols, vals = coupling_elements(alpha, beta, alpha, beta, table,
+                                         upper=True)
+    diag = np.arange(size)
     matrix = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(size, size), dtype=float
+        (
+            np.concatenate([diagonal_elements(alpha, beta, table), vals, vals]),
+            (np.concatenate([diag, rows, cols]), np.concatenate([diag, cols, rows])),
+        ),
+        shape=(size, size),
+        dtype=float,
     )
     return SubspaceMatrix(
         dets=list(dets),
@@ -369,7 +566,3 @@ def spectral_halfwidth(subspace, cap=SPECTRUM_CAP):
     w = scipy.linalg.eigvalsh(subspace.matrix.toarray())
     return float((w[-1] - w[0]) / 2)
 
-
-def hartree_fock_det(table):
-    """Aufbau reference determinant for an integral table's sector."""
-    return hartree_fock(table.n_orbitals, table.n_alpha, table.n_beta)

@@ -33,12 +33,13 @@ class NoiseModel:
     """Global depolarizing strength plus per-qubit readout flip rates.
 
     If ``per_gate_pg`` is given, the aggregate strength is derived from the
-    two-qubit gate count: p = 1 - (1 - p_g)^n_2q.
+    two-qubit gate count, which must then be given too:
+    p = 1 - (1 - p_g)^n_2q.
     """
 
     depolarizing_p: float = 0.0
     per_gate_pg: float = None
-    n_2q: int = 0
+    n_2q: int = None
     readout_eps0: float = 0.0
     readout_eps1: float = 0.0
 
@@ -46,6 +47,11 @@ class NoiseModel:
         if self.per_gate_pg is not None:
             if not 0.0 <= self.per_gate_pg <= 1.0:
                 raise ValueError("per-gate strength outside [0, 1]")
+            if self.n_2q is None or self.n_2q < 0:
+                raise ValueError(
+                    "a per-gate strength needs a nonnegative two-qubit gate "
+                    f"count n_2q, got {self.n_2q}"
+                )
             self.depolarizing_p = 1.0 - (1.0 - self.per_gate_pg) ** self.n_2q
         for name in ("depolarizing_p", "readout_eps0", "readout_eps1"):
             v = getattr(self, name)

@@ -6,11 +6,14 @@ blocked spin orbital s), deliberately avoiding the package's bit-twiddling
 code paths so the two implementations check each other.
 """
 
+import functools
 import itertools
 from math import comb
 
 import numpy as np
 import scipy.linalg
+
+from qselci.fcidump import IntegralTable
 
 
 def creation_matrix(s, n_spin_orbitals):
@@ -25,8 +28,23 @@ def creation_matrix(s, n_spin_orbitals):
 
 
 def dense_hamiltonian(table):
-    """Full Fock-space Hamiltonian matrix (electronic part, no core)."""
-    n = table.n_orbitals
+    """Full Fock-space Hamiltonian matrix (electronic part, no core).
+
+    Cached per table contents (orbital count, one- and two-electron
+    integrals), since tests project the same table's matrix many times; the
+    returned array is shared, so it is read-only.
+    """
+    return _dense_hamiltonian(
+        table.n_orbitals, table.h.tobytes(), tuple(sorted(table.g.items()))
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _dense_hamiltonian(n, h_bytes, g_items):
+    table = IntegralTable(
+        n_orbitals=n, n_electrons=0, h=np.frombuffer(h_bytes).reshape(n, n),
+        g=dict(g_items),
+    )
     nso = 2 * n
     dim = 1 << nso
     cre = [creation_matrix(s, nso) for s in range(nso)]
@@ -47,6 +65,7 @@ def dense_hamiltonian(table):
             H += 0.5 * v * (E[p, q] @ E[r, s])
             if q == r:
                 H -= 0.5 * v * E[p, s]
+    H.setflags(write=False)
     return H
 
 

@@ -1,0 +1,223 @@
+"""The batched matrix-element kernel against the scalar ``slater_condon``.
+
+Every path that now runs on the kernel (subspace build, connected set,
+coupling scores, EN-PT2) is compared with a loop over ``slater_condon``
+written the way those functions were before the kernel replaced it.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse
+
+import helpers
+from qselci.dets import Determinant, enumerate_space, excitation_rank
+from qselci.expansion import (
+    DENOMINATOR_TOL,
+    connected_set,
+    en_pt2,
+    expand_and_rediagonalize,
+    score_candidates,
+)
+from qselci.fcidump import IntegralTable
+from qselci.fixtures import hubbard_chain_table
+from qselci.hamiltonian import (
+    build_subspace,
+    coupling_elements,
+    davidson_lowest,
+    dense_lowest,
+    det_masks,
+    diagonal_elements,
+    slater_condon,
+)
+
+ELEMENT_TOL = 1e-12
+WIDE = 34  # orbitals, so masks and phases cross bit 32
+
+
+def _wide_table(seed=11):
+    """A seeded sparse random table on WIDE orbitals: a dense symmetric
+    one-electron matrix and 3,000 random two-electron classes."""
+    rng = np.random.default_rng(seed)
+    table = IntegralTable(n_orbitals=WIDE, n_electrons=3, ms2=1)
+    h = rng.normal(size=(WIDE, WIDE))
+    table.h = (h + h.T) / 2
+    for _ in range(3000):
+        idx = [int(i) for i in rng.integers(0, WIDE, size=4)]
+        if table.get_g(*idx) == 0.0:
+            table.set_g(*idx, float(rng.normal() * 0.5))
+    return table
+
+
+def _wide_dets():
+    """Determinants of the (2, 1) sector on WIDE orbitals around a reference
+    that occupies orbitals above 32 in both channels."""
+    ref = Determinant(alpha=(1 << 0) | (1 << 33), beta=1 << 32)
+    space = enumerate_space(WIDE, 2, 1)
+    near = [d for d in space if excitation_rank(ref, d) <= 2]
+    rng = np.random.default_rng(3)
+    picked = rng.choice(len(near), size=60, replace=False)
+    return [ref] + [near[int(i)] for i in picked if near[int(i)] != ref]
+
+
+def _shuffled(dets, seed):
+    dets = list(dets)
+    np.random.default_rng(seed).shuffle(dets)
+    return dets
+
+
+CASES = {
+    "hubbard6": lambda: (
+        hubbard_chain_table(6),
+        _shuffled(enumerate_space(6, 3, 3), 1),
+    ),
+    "dense5": lambda: (
+        helpers.random_table(5, 4, seed=21),
+        _shuffled(enumerate_space(5, 2, 2), 2),
+    ),
+    "open-shell6": lambda: (
+        helpers.random_table(6, 5, ms2=3, seed=22),
+        _shuffled(enumerate_space(6, 4, 1), 3),
+    ),
+    "wide34": lambda: (_wide_table(), _wide_dets()),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    return CASES[request.param]()
+
+
+def _scalar_subspace(dets, table):
+    n = len(dets)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        for j in range(n):
+            v = slater_condon(dets[i], dets[j], table)
+            if v != 0.0 or i == j:
+                rows.append(i)
+                cols.append(j)
+                vals.append(v)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _psi(table, dets, size=12):
+    sub = build_subspace(dets[:size], table)
+    return dense_lowest(sub)
+
+
+# -------------------------------------------------------------- elements
+
+def test_subspace_matches_scalar_elements(case):
+    table, dets = case
+    got = build_subspace(dets, table).matrix
+    expect = _scalar_subspace(dets, table)
+    assert got.nnz == expect.nnz
+    assert np.array_equal(got.indptr, expect.indptr)
+    assert np.array_equal(got.indices, expect.indices)
+    assert np.max(np.abs(got.data - expect.data)) <= ELEMENT_TOL
+    # summed in the scalar code's order, so the floats are the same
+    assert np.array_equal(got.data, expect.data)
+
+
+def test_coupling_elements_match_scalar_between_lists(case):
+    table, dets = case
+    bras, kets = dets[: len(dets) // 2], dets[len(dets) // 2:]
+    i, j, v = coupling_elements(*det_masks(bras), *det_masks(kets), table)
+    got = {(int(a), int(b)): float(x) for a, b, x in zip(i, j, v)}
+    expect = {
+        (a, b): slater_condon(bra, ket, table)
+        for a, bra in enumerate(bras)
+        for b, ket in enumerate(kets)
+        if slater_condon(bra, ket, table) != 0.0
+    }
+    assert got.keys() == expect.keys()
+    for key, value in expect.items():
+        assert abs(got[key] - value) <= ELEMENT_TOL
+    order = np.lexsort((j, i))
+    assert np.array_equal(order, np.arange(len(i)))
+
+
+def test_diagonal_elements_match_scalar(case):
+    table, dets = case
+    got = diagonal_elements(*det_masks(dets), table)
+    expect = [slater_condon(d, d, table) for d in dets]
+    assert np.max(np.abs(got - expect)) <= ELEMENT_TOL
+
+
+def test_mixed_sector_pairs_are_skipped():
+    table = helpers.random_table(4, 4, seed=23)
+    dets = [Determinant(0b0011, 0b0011), Determinant(0b0111, 0b0001),
+            Determinant(0b0101, 0b0011), Determinant(0b0011, 0b0111)]
+    got = build_subspace(dets, table).matrix
+    expect = _scalar_subspace(dets, table)
+    assert got.nnz == expect.nnz
+    assert np.max(np.abs(got.toarray() - expect.toarray())) <= ELEMENT_TOL
+
+
+# ------------------------------------------------ expansion and PT2 (scalar)
+
+def _scalar_connected_set(psi, table):
+    """Out-of-set determinants of psi's sector within a double substitution
+    of psi's set and coupled to it, by enumeration and slater_condon."""
+    d0 = psi.dets[0]
+    inside = set(psi.dets)
+    out = []
+    for mu in enumerate_space(table.n_orbitals, d0.n_alpha, d0.n_beta):
+        if mu in inside:
+            continue
+        if any(excitation_rank(mu, d) <= 2 and slater_condon(mu, d, table) != 0.0
+               for d in psi.dets):
+            out.append(mu)
+    return out
+
+
+def _scalar_scores(psi, candidates, table):
+    scored = []
+    for mu in candidates:
+        s = sum(abs(slater_condon(mu, d, table) * c)
+                for d, c in zip(psi.dets, psi.coeffs))
+        scored.append((mu, s))
+    scored.sort(key=lambda t: (-t[1], t[0].alpha, t[0].beta))
+    return scored
+
+
+def _scalar_pt2(psi, candidates, table):
+    delta, skipped = 0.0, 0
+    for mu in candidates:
+        numerator = sum(slater_condon(mu, d, table) * c
+                        for d, c in zip(psi.dets, psi.coeffs))
+        denom = slater_condon(mu, mu, table) + table.core_energy - psi.energy
+        if abs(denom) < DENOMINATOR_TOL:
+            skipped += 1
+            continue
+        delta -= numerator * numerator / denom
+    return delta, skipped
+
+
+def test_connected_set_scores_and_pt2_match_scalar(case):
+    table, dets = case
+    psi = _psi(table, dets, size=4 if table.n_orbitals == WIDE else 12)
+    candidates = connected_set(psi, table)
+    assert candidates == _scalar_connected_set(psi, table)
+
+    scored = score_candidates(psi, candidates, table)
+    expect = _scalar_scores(psi, candidates, table)
+    assert [mu for mu, _ in scored] == [mu for mu, _ in expect]
+    assert np.allclose([s for _, s in scored], [s for _, s in expect],
+                       rtol=0, atol=ELEMENT_TOL)
+
+    result = en_pt2(psi, table)
+    delta, skipped = _scalar_pt2(psi, candidates, table)
+    assert result.n_external == len(candidates)
+    assert result.n_skipped == skipped
+    assert result.delta_e == pytest.approx(delta, rel=ELEMENT_TOL, abs=ELEMENT_TOL)
+
+
+def test_expansion_adds_the_scalar_top_scores(case):
+    table, dets = case
+    psi = davidson_lowest(build_subspace(dets[:6], table))
+    step = expand_and_rediagonalize(psi, table, 0.0, top_k=5)
+    expect = _scalar_scores(psi, _scalar_connected_set(psi, table), table)[:5]
+    assert step.added == [mu for mu, _ in expect]
+    assert np.allclose(step.scores, [s for _, s in expect], rtol=0,
+                       atol=ELEMENT_TOL)

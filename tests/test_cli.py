@@ -58,6 +58,24 @@ def test_missing_input_file_is_domain_error(capsys):
     capsys.readouterr()
 
 
+BAD_OPTION_VALUES = [
+    ["sample", "--fixture", "hubbard4", "--pg", "0.001"],  # no --n2q
+    ["qsci", "--fixture", "hubbard4", "--eps0", "2"],
+    ["qsci", "--fixture", "hubbard4", "--shots", "0"],
+    ["bounds", "--n", "10", "--m", "9", "--f2q", "0.99"],  # odd, closed shell
+]
+
+
+@pytest.mark.parametrize("argv", BAD_OPTION_VALUES, ids=" ".join)
+def test_rejected_option_value_is_one_line_usage_error(capsys, argv):
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ValueError: ")
+    assert captured.out == ""
+
+
 # --------------------------------------------------------------------- results
 
 def test_fci_energy_matches_dense_reference(capsys):
@@ -244,6 +262,14 @@ def test_demo_noiseless_quality(capsys):
     assert comparison["lucj"]["dominant_in_top10"] is True
     assert result["refined_error"] <= result["qsci_error"] + 1e-12
     assert abs(result["refined_energy"] - result["oracle_energy"]) < 1e-6
+
+
+def test_demo_times_each_ansatz_separately(capsys):
+    timings = run_json(capsys, ["demo", "--shots", "2000"])["manifest"]["timings"]
+    for ansatz in ("usci", "lucj"):
+        for stage in ("simulate", "sample"):
+            assert f"sampling_comparison/{ansatz}/{stage}" in timings
+    assert "simulate" not in timings and "sample" not in timings
 
 
 def test_demo_noise_broadens_support(capsys):

@@ -40,6 +40,8 @@ def test_noise_model_range_validation():
         NoiseModel(readout_eps0=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(per_gate_pg=2.0, n_2q=10)
+    with pytest.raises(ValueError, match="n_2q"):
+        NoiseModel(per_gate_pg=0.001)
 
 
 # ------------------------------------------------------- ideal distribution
