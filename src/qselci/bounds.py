@@ -15,14 +15,16 @@ All logarithms are natural; the base cancels in the gate-budget ratio.
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import FullDepolarization, ZeroGap
+from .pipeline import derive_seeds
 
-MC_THREAD_SHARDS = 4
+# Monte-Carlo trials are split into this many blocks, each drawing from its
+# own derived stream; fixed, so a validator's value depends only on its seed.
+MC_SEED_BLOCKS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +39,6 @@ class BoundInputs:
     q_r: float = None            # exact retained ground-state weight
     lambda_h: float = None       # spectral half-width (Hartree)
     p: float = 0.0               # global depolarizing strength
-    p_g: float = None            # per-gate error rate
-    n_2q: int = None             # two-qubit gate count
     r: int = None                # retained-set size
     d: int = None                # full-space dimension 2^n
     m_shots: int = None          # measurement shots
@@ -48,7 +48,9 @@ class BoundInputs:
     k_pool: int = None           # candidate-pool size
     f_2q: float = None           # two-qubit survival fidelity
     n_orbitals: int = None       # CAS spatial orbitals
-    m_electrons: int = None      # CAS electrons
+    m_electrons: int = None      # CAS electrons (closed shell)
+    n_alpha: int = None          # CAS alpha electrons (open shell)
+    n_beta: int = None           # CAS beta electrons (open shell)
     p_hat_r: float = None        # measured cumulative weight estimate
     gap_id: float = None         # ideal boundary probability gap
 
@@ -57,11 +59,15 @@ class BoundInputs:
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("r", "d", "m_shots", "k_pool", "n_2q",
-                     "n_orbitals", "m_electrons"):
+        for name in ("r", "d", "m_shots", "k_pool", "n_orbitals",
+                     "m_electrons"):
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be a positive count, got {v}")
+        for name in ("n_alpha", "n_beta"):
+            v = getattr(self, name)
+            if v is not None and v < 0:
+                raise ValueError(f"{name} must be a nonnegative count, got {v}")
         if self.r is not None and self.d is not None and self.r > self.d:
             raise ValueError("retained-set size exceeds the space dimension")
 
@@ -93,20 +99,7 @@ class BoundReport:
                 raise ValueError(f"report bound {name} is negative: {v}")
 
     def to_json_dict(self):
-        return {
-            "truncation_bound": self.truncation_bound,
-            "epsilon_m": self.epsilon_m,
-            "q_r_lower": self.q_r_lower,
-            "energy_bound_confident": self.energy_bound_confident,
-            "selection_failure": self.selection_failure,
-            "required_shots": self.required_shots,
-            "expected_error": self.expected_error,
-            "direct_noise_bias": self.direct_noise_bias,
-            "p_u": self.p_u,
-            "n_g_max": self.n_g_max,
-            "zeta_r_assumed_zero": self.zeta_r_assumed_zero,
-            "zero_retained_weight": self.zero_retained_weight,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -303,64 +296,43 @@ def gate_budget(f_2q, n, m=None, n_alpha=None, n_beta=None):
 # Monte-Carlo validation
 # ---------------------------------------------------------------------------
 
-def _shard_counts(trials, n_shards):
-    base, extra = divmod(trials, n_shards)
-    return [base + (1 if i < extra else 0) for i in range(n_shards)]
-
-
-def _derived_seeds(seed, n):
-    ss = np.random.SeedSequence(int(seed))
-    return [int(x) for x in ss.generate_state(n, dtype=np.uint64)]
+def _seed_blocks(trials, seed):
+    """(trial count, generator) of each nonempty seed block, in block order."""
+    base, extra = divmod(trials, MC_SEED_BLOCKS)
+    blocks = []
+    for i, block_seed in enumerate(derive_seeds(seed, MC_SEED_BLOCKS)):
+        count = base + (1 if i < extra else 0)
+        if count:
+            rng = np.random.Generator(np.random.Philox(block_seed))
+            blocks.append((count, rng))
+    return blocks
 
 
 def mc_hoeffding_violation_rate(p_true, m_shots, delta, trials=10_000,
                                 seed=0):
     """Empirical fraction of binomial experiments whose mean misses p_true
-    by more than the Hoeffding radius.  Shards trials across threads with
-    independently derived counter-based streams."""
+    by more than the Hoeffding radius."""
     eps = hoeffding_epsilon(m_shots, delta)
-    shards = _shard_counts(trials, MC_THREAD_SHARDS)
-    seeds = _derived_seeds(seed, MC_THREAD_SHARDS)
-
-    def run_shard(args):
-        count, shard_seed = args
-        if count == 0:
-            return 0
-        rng = np.random.Generator(np.random.Philox(shard_seed))
+    violations = 0
+    for count, rng in _seed_blocks(trials, seed):
         means = rng.binomial(m_shots, p_true, size=count) / m_shots
-        return int(np.count_nonzero(np.abs(means - p_true) > eps))
-
-    with ThreadPoolExecutor(max_workers=MC_THREAD_SHARDS) as pool:
-        violations = sum(pool.map(run_shard, zip(shards, seeds)))
+        violations += int(np.count_nonzero(np.abs(means - p_true) > eps))
     return violations / trials
 
 
 def mc_selection_failure_rate(probs, r, m_shots, trials=1_000, seed=0):
     """Empirical rate at which m_shots multinomial draws fail to rank the
-    true top-r outcomes first.  Shards trials across threads."""
+    true top-r outcomes first."""
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size < r:
         raise ValueError("need a 1-D probability vector with at least r entries")
     order = np.argsort(-probs, kind="stable")
     true_top = set(order[:r].tolist())
-    shards = _shard_counts(trials, MC_THREAD_SHARDS)
-    seeds = _derived_seeds(seed, MC_THREAD_SHARDS)
-
-    def run_shard(args):
-        count, shard_seed = args
-        if count == 0:
-            return 0
-        rng = np.random.Generator(np.random.Philox(shard_seed))
+    failures = 0
+    for count, rng in _seed_blocks(trials, seed):
         draws = rng.multinomial(m_shots, probs, size=count)
         ranks = np.argsort(-draws, axis=1, kind="stable")[:, :r]
-        failures = 0
-        for row in ranks:
-            if set(row.tolist()) != true_top:
-                failures += 1
-        return failures
-
-    with ThreadPoolExecutor(max_workers=MC_THREAD_SHARDS) as pool:
-        failures = sum(pool.map(run_shard, zip(shards, seeds)))
+        failures += sum(set(row.tolist()) != true_top for row in ranks)
     return failures / trials
 
 
@@ -419,10 +391,10 @@ def full_report(inputs):
             report.expected_error = expected_error_bound(inputs)
     if inputs.lambda_h is not None:
         report.direct_noise_bias = direct_noise_bias(inputs.p, inputs.lambda_h)
-    if inputs.n_orbitals is not None and inputs.m_electrons is not None:
-        report.p_u = uniform_probability(inputs.n_orbitals,
-                                         inputs.m_electrons)
+    electrons = (inputs.m_electrons, inputs.n_alpha, inputs.n_beta)
+    if inputs.n_orbitals is not None and electrons != (None, None, None):
+        report.p_u = uniform_probability(inputs.n_orbitals, *electrons)
         if inputs.f_2q is not None:
             report.n_g_max = gate_budget(inputs.f_2q, inputs.n_orbitals,
-                                         inputs.m_electrons)
+                                         *electrons)
     return report

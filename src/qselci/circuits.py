@@ -17,11 +17,11 @@ order (the first gate acts on the reference first).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dets import Determinant, ExcitationOp, excitation_rank
+from .dets import Determinant, ExcitationOp, excitation_rank, full_excitation
 from .errors import EmptySelection, ShapeMismatch, ZeroRank
 
 GATE_EXCITATION = "ExcitationRotation"
@@ -187,21 +187,6 @@ def prescreen(seed, cutoff, top_m=None):
 
 # ------------------------------------------------- excitation decomposition
 
-def _full_excitation(source, target, n_orbitals):
-    """ExcitationOp of any rank between same-sector determinants."""
-    from .dets import _bits
-
-    ann = _bits(source.alpha & ~target.alpha)
-    ann += [n_orbitals + p for p in _bits(source.beta & ~target.beta)]
-    cre = _bits(target.alpha & ~source.alpha)
-    cre += [n_orbitals + p for p in _bits(target.beta & ~source.beta)]
-    op = ExcitationOp(n_orbitals, tuple(sorted(ann)), tuple(sorted(cre)), phase=1)
-    applied = op.apply_to(source)
-    got, sign = applied
-    assert got == target
-    return ExcitationOp(n_orbitals, op.annihilated, op.created, phase=sign)
-
-
 def decompose_excitation(reference, target, n_orbitals):
     """Split the reference→target excitation into rank-1/2 steps.
 
@@ -214,7 +199,7 @@ def decompose_excitation(reference, target, n_orbitals):
     rank = excitation_rank(reference, target)
     if rank == 0:
         raise ZeroRank("reference and target are identical")
-    whole = _full_excitation(reference, target, n_orbitals)
+    whole = full_excitation(reference, target, n_orbitals)
     ann, cre = whole.annihilated, whole.created
     steps = []
     current = reference

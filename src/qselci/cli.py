@@ -30,11 +30,11 @@ from contextlib import contextmanager
 import numpy as np
 import scipy
 
-from . import __version__, bounds as bounds_mod
+from . import __version__
 from .analysis import analyze
 from .bounds import BoundInputs, full_report
 from .circuits import build_lucj, build_usci, gate_counts, prescreen
-from .errors import ConfigParseError, QselciError, UnknownSubcommand
+from .errors import ConfigParseError, QselciError
 from .expansion import en_pt2, expand_and_rediagonalize
 from .fcidump import parse_fcidump, table_summary
 from .fixtures import fixture_table
@@ -42,18 +42,12 @@ from .hamiltonian import Wavefunction, fci_oracle
 from .pipeline import (
     OptimizerConfig,
     PipelineConfig,
-    derive_seeds,
+    noisy_counts,
     optimize,
     run_qsci_once,
+    stage_seeds,
 )
-from .sampling import (
-    NoiseModel,
-    apply_readout,
-    depolarize_distribution,
-    ideal_distribution,
-    sample,
-    symmetry_filter,
-)
+from .sampling import NoiseModel, symmetry_filter
 from .simulator import Statevector, apply_circuit
 
 SUBCOMMANDS = (
@@ -106,14 +100,17 @@ class RunManifest:
             self._open_stages.pop()
         self.timings[key] = time.perf_counter() - t0
 
-    def record_seed(self, name, value):
-        self.seeds[name] = int(value)
+    def record_seeds(self, master_seed):
+        """The master seed and the sampling-stage seeds derived from it."""
+        self.seeds["master"] = int(master_seed)
+        self.seeds.update(stage_seeds(master_seed))
 
-    def record_file(self, path):
-        h = hashlib.sha256()
-        with open(path, "rb") as fh:
-            h.update(fh.read())
-        self.digests[os.path.basename(path)] = h.hexdigest()
+    def write_file(self, path, text):
+        """Write an auxiliary output file and record its digest."""
+        data = text.encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        self.digests[os.path.basename(path)] = hashlib.sha256(data).hexdigest()
 
     def to_json_dict(self):
         return {
@@ -160,8 +157,6 @@ def _bool_from_text(text):
 _COMMON = [
     (("--out",), "out", str, None, "path for the JSON report (default: stdout)"),
     (("--config",), "config", str, None, "flat key=value config file"),
-    (("--threads",), "threads", int, None,
-     "thread cap for internal parallelism (default: env QSELCI_THREADS or 4)"),
 ]
 
 _TABLE_SRC = [
@@ -281,9 +276,6 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         sub = subs.add_parser(name)
-        if name == "qsci":
-            sub.add_argument("action", nargs="?", default="run",
-                             choices=["run"], help="pipeline action")
         for flags, dest, typ, _default, help_text in OPTIONS[name]:
             if typ is None:
                 sub.add_argument(*flags, dest=dest, action="store_true",
@@ -374,11 +366,15 @@ def _noise_from(opts):
     )
 
 
-def _load_wavefunction(opts):
+def _load_wavefunction(opts, table=None):
+    """The ``--in`` wavefunction, checked against ``table`` when given."""
     if not opts.get("infile"):
         raise _UsageError("--in is required")
-    with open(opts["infile"], "r", encoding="utf-8") as fh:
-        return Wavefunction.from_json(fh.read())
+    with open(opts["infile"], "rb") as fh:
+        psi = Wavefunction.from_json(fh.read())
+    if table is not None:
+        psi.check_table(table)
+    return psi
 
 
 def _wf_digest(wf, k=10):
@@ -393,10 +389,16 @@ def _wf_digest(wf, k=10):
     ]
 
 
-def _build_circuit_from_oracle(table, opts, manifest):
+def _pilot_selection(table, opts, manifest):
+    """The FCI pilot and its prescreened determinants; the first of them is
+    the reference of any circuit built from the selection."""
     with manifest.stage("reference_solution"):
         oracle = fci_oracle(table)
-    selected = prescreen(oracle, opts["cutoff"], opts.get("top_m"))
+    return oracle, prescreen(oracle, opts["cutoff"], opts.get("top_m"))
+
+
+def _build_circuit_from_oracle(table, opts, manifest):
+    oracle, selected = _pilot_selection(table, opts, manifest)
     circuit = build_usci(
         selected[0],
         selected,
@@ -428,6 +430,46 @@ def _uniform_params(circuit, angle):
     return np.full(circuit.n_params, float(angle))
 
 
+def _sample_once(circuit, params, table, opts, manifest):
+    """Raw (unfiltered) counts of one noisy sampling pass."""
+    manifest.record_seeds(opts["seed"])
+    noise = _noise_from(opts)
+    state = Statevector.from_determinant(circuit.reference, table.n_orbitals)
+    with manifest.stage("simulate"):
+        state = apply_circuit(circuit, params, state)
+    with manifest.stage("sample"):
+        return noisy_counts(state, opts["shots"], noise, opts["seed"])
+
+
+def _shot_summary(counts, table):
+    """Distinct strings and in-sector share of raw counts."""
+    filtered, _rejected = symmetry_filter(counts, table.n_alpha, table.n_beta)
+    return {
+        "n_unique_bitstrings": len(counts.counts),
+        "valid_fraction": filtered.total_shots / counts.total_shots,
+    }
+
+
+def _expand(psi, table, opts, manifest, stage):
+    """Up to ``--iters`` expansion steps, stopping at the first that adds
+    nothing; returns the final wavefunction and a record per step."""
+    steps = []
+    with manifest.stage(stage):
+        for _ in range(opts["iters"]):
+            res = expand_and_rediagonalize(
+                psi, table, opts["tau"], opts.get("top_k")
+            )
+            steps.append({
+                "energy_before": res.energy_before,
+                "energy_after": res.energy_after,
+                "n_added": res.n_added,
+            })
+            psi = res.wavefunction_after
+            if res.n_added == 0:
+                break
+    return psi, steps
+
+
 # ---------------------------------------------------------------------------
 # handlers: each returns (result dict, human-readable lines)
 # ---------------------------------------------------------------------------
@@ -451,9 +493,7 @@ def _handle_fci(opts, manifest):
         "top_weights": _wf_digest(wf),
     }
     if opts.get("save_wf"):
-        with open(opts["save_wf"], "w", encoding="utf-8") as fh:
-            fh.write(wf.to_json())
-        manifest.record_file(opts["save_wf"])
+        manifest.write_file(opts["save_wf"], wf.to_json())
     lines = [
         f"ground energy: {wf.energy:.10f} Ha over {len(wf.dets)} determinants"
     ]
@@ -474,9 +514,7 @@ def _handle_usci_build(opts, manifest):
         "gate_counts": counts,
     }
     if opts.get("save_circuit"):
-        with open(opts["save_circuit"], "w", encoding="utf-8") as fh:
-            fh.write(circuit.to_json())
-        manifest.record_file(opts["save_circuit"])
+        manifest.write_file(opts["save_circuit"], circuit.to_json())
     lines = [
         f"selected {len(selected)} determinants; "
         f"{counts['n_gates']} gates, {counts['n_params']} parameters, "
@@ -492,11 +530,6 @@ def _handle_qsci(opts, manifest):
     )
     cfg = PipelineConfig(
         shots=opts["shots"],
-        cutoff=opts["cutoff"],
-        top_m=opts.get("top_m"),
-        layers=opts.get("layers", 1),
-        degree_cap=opts.get("degree_cap"),
-        with_orbital_rotation=bool(opts.get("orbital_rotation")),
         noise=_noise_from(opts),
         optimizer=OptimizerConfig(
             max_evaluations=opts["max_evals"],
@@ -505,9 +538,7 @@ def _handle_qsci(opts, manifest):
         ),
         seed=opts["seed"],
     )
-    manifest.record_seed("master", cfg.seed)
-    for name, value in zip(("sample", "readout"), derive_seeds(cfg.seed, 2)):
-        manifest.record_seed(name, value)
+    manifest.record_seeds(cfg.seed)
     trace = None
     if opts.get("optimize") and circuit.n_params > 0:
         with manifest.stage("optimize"):
@@ -527,33 +558,12 @@ def _handle_qsci(opts, manifest):
     if trace is not None:
         result["energy_trace"] = [float(e) for e in trace]
     if opts.get("save_wf"):
-        with open(opts["save_wf"], "w", encoding="utf-8") as fh:
-            fh.write(res.wavefunction.to_json())
-        manifest.record_file(opts["save_wf"])
+        manifest.write_file(opts["save_wf"], res.wavefunction.to_json())
     lines = [
         f"sampled-subspace energy: {res.energy:.10f} Ha "
         f"({res.n_unique} determinants, {res.n_rejected} shots rejected)"
     ]
     return result, lines
-
-
-def _sample_once(circuit, params, table, opts, manifest):
-    seeds = derive_seeds(opts["seed"], 2)
-    manifest.record_seed("master", opts["seed"])
-    manifest.record_seed("sample", seeds[0])
-    manifest.record_seed("readout", seeds[1])
-    noise = _noise_from(opts)
-    state = Statevector.from_determinant(circuit.reference, table.n_orbitals)
-    with manifest.stage("simulate"):
-        state = apply_circuit(circuit, params, state)
-    dist = ideal_distribution(state)
-    if noise.depolarizing_p > 0.0:
-        dist = depolarize_distribution(dist, noise.depolarizing_p)
-    with manifest.stage("sample"):
-        counts = sample(dist, opts["shots"], seeds[0], noise=noise)
-    if noise.has_readout:
-        counts = apply_readout(counts, noise, seeds[1])
-    return counts
 
 
 def _handle_sample(opts, manifest):
@@ -564,28 +574,22 @@ def _handle_sample(opts, manifest):
         )
         params = _uniform_params(circuit, opts["init_angle"])
     elif opts["ansatz"] == "lucj":
-        with manifest.stage("reference_solution"):
-            oracle = fci_oracle(table)
-        reference = prescreen(oracle, opts["cutoff"], opts.get("top_m"))[0]
-        circuit = _illustrative_lucj(table, reference)
+        _oracle, selected = _pilot_selection(table, opts, manifest)
+        circuit = _illustrative_lucj(table, selected[0])
         params = np.zeros(0)
     else:
         raise _UsageError("--ansatz must be usci or lucj")
     counts = _sample_once(circuit, params, table, opts, manifest)
-    filtered, rejected = symmetry_filter(counts, table.n_alpha, table.n_beta)
     result = {
         "ansatz": opts["ansatz"],
         "shots": counts.total_shots,
-        "n_unique_bitstrings": len(counts.counts),
-        "valid_fraction": filtered.total_shots / counts.total_shots,
+        **_shot_summary(counts, table),
         "top": [
             {"bitstring": s, "count": c} for s, c in counts.top(opts["top"])
         ],
     }
     if opts.get("csv"):
-        with open(opts["csv"], "w", encoding="utf-8") as fh:
-            fh.write(counts.to_csv())
-        manifest.record_file(opts["csv"])
+        manifest.write_file(opts["csv"], counts.to_csv())
     lines = [
         f"{counts.total_shots} shots, {len(counts.counts)} unique strings, "
         f"valid fraction {result['valid_fraction']:.4f}"
@@ -595,30 +599,16 @@ def _handle_sample(opts, manifest):
 
 def _handle_expand(opts, manifest):
     table = _load_table(opts)
-    psi = _load_wavefunction(opts)
-    iterations = []
-    with manifest.stage("expand"):
-        for _ in range(opts["iters"]):
-            res = expand_and_rediagonalize(
-                psi, table, opts["tau"], opts.get("top_k")
-            )
-            iterations.append({
-                "energy_before": res.energy_before,
-                "energy_after": res.energy_after,
-                "n_added": res.n_added,
-            })
-            psi = res.wavefunction_after
-            if res.n_added == 0:
-                break
+    psi, iterations = _expand(
+        _load_wavefunction(opts, table), table, opts, manifest, "expand"
+    )
     result = {
         "iterations": iterations,
         "final_energy": psi.energy,
         "final_dimension": len(psi.dets),
     }
     if opts.get("save_wf"):
-        with open(opts["save_wf"], "w", encoding="utf-8") as fh:
-            fh.write(psi.to_json())
-        manifest.record_file(opts["save_wf"])
+        manifest.write_file(opts["save_wf"], psi.to_json())
     lines = [
         f"iteration {i + 1}: {it['energy_before']:.10f} -> "
         f"{it['energy_after']:.10f} Ha (+{it['n_added']} determinants)"
@@ -629,7 +619,7 @@ def _handle_expand(opts, manifest):
 
 def _handle_pt2(opts, manifest):
     table = _load_table(opts)
-    psi = _load_wavefunction(opts)
+    psi = _load_wavefunction(opts, table)
     with manifest.stage("pt2"):
         res = en_pt2(psi, table)
     result = {
@@ -660,15 +650,14 @@ def _handle_bounds(opts, manifest):
                 f"unknown preset {opts['preset']!r}; "
                 f"available: {sorted(_PRESETS)}"
             )
+        per_spin = (opts.get("n_alpha"), opts.get("n_beta")) != (None, None)
         for key, value in preset.items():
-            if opts.get(key) is None:
+            if opts.get(key) is None and not (key == "m" and per_spin):
                 opts[key] = value
     inputs = BoundInputs(
         q_r=opts.get("q_r"),
         lambda_h=opts.get("lambda_h"),
         p=opts.get("p") or 0.0,
-        p_g=opts.get("pg"),
-        n_2q=opts.get("n2q"),
         r=opts.get("r"),
         d=opts.get("d"),
         m_shots=opts.get("shots"),
@@ -679,6 +668,8 @@ def _handle_bounds(opts, manifest):
         f_2q=opts.get("f2q"),
         n_orbitals=opts.get("n"),
         m_electrons=opts.get("m"),
+        n_alpha=opts.get("n_alpha"),
+        n_beta=opts.get("n_beta"),
         p_hat_r=opts.get("p_hat_r"),
         gap_id=opts.get("gap_id"),
     )
@@ -702,11 +693,9 @@ def _handle_analyze(opts, manifest):
     result = report.to_json_dict()
     if opts.get("mi_edges"):
         edges = report.mi_edge_list(opts["mi_threshold"])
-        with open(opts["mi_edges"], "w", encoding="utf-8") as fh:
-            fh.write("i,j,weight\n")
-            for i, j, w in edges:
-                fh.write(f"{i},{j},{w:.12g}\n")
-        manifest.record_file(opts["mi_edges"])
+        manifest.write_file(opts["mi_edges"], "i,j,weight\n" + "".join(
+            f"{i},{j},{w:.12g}\n" for i, j, w in edges
+        ))
     max_s = max(result["entropies"]) if result["entropies"] else 0.0
     lines = [
         f"{len(result['entropies'])} spin orbitals, "
@@ -715,67 +704,38 @@ def _handle_analyze(opts, manifest):
     return result, lines
 
 
-def _ansatz_sampling_summary(name, circuit, params, table, opts, manifest,
-                             dominant):
-    with manifest.stage(name):
-        counts = _sample_once(circuit, params, table, opts, manifest)
-    filtered, _rejected = symmetry_filter(counts, table.n_alpha, table.n_beta)
-    top10 = [s for s, _c in counts.top(10)]
-    return {
-        "ansatz": name,
-        "n_unique_bitstrings": len(counts.counts),
-        "valid_fraction": filtered.total_shots / counts.total_shots,
-        "dominant_in_top10": dominant in top10,
-        "top10": top10,
-    }
-
-
 def _handle_demo(opts, manifest):
     table = fixture_table(opts["fixture"])
-    with manifest.stage("reference_solution"):
-        oracle = fci_oracle(table)
-    selected = prescreen(oracle, opts["cutoff"], opts.get("top_m"))
-    reference = selected[0]
+    oracle, selected, usci = _build_circuit_from_oracle(table, opts, manifest)
     dominant = max(
         zip(oracle.dets, oracle.coeffs), key=lambda t: t[1] ** 2
     )[0].to_bitstring(table.n_orbitals)
-
-    usci = build_usci(reference, selected, table.n_orbitals)
     usci_params = _uniform_params(usci, opts["init_angle"])
-    lucj = _illustrative_lucj(table, reference)
+    ansatze = {
+        "usci": (usci, usci_params),
+        "lucj": (_illustrative_lucj(table, selected[0]), np.zeros(0)),
+    }
+    comparison = {}
     with manifest.stage("sampling_comparison"):
-        comparison = {
-            "usci": _ansatz_sampling_summary(
-                "usci", usci, usci_params, table, opts, manifest, dominant
-            ),
-            "lucj": _ansatz_sampling_summary(
-                "lucj", lucj, np.zeros(0), table, opts, manifest, dominant
-            ),
-        }
+        for name, (circuit, params) in ansatze.items():
+            with manifest.stage(name):
+                counts = _sample_once(circuit, params, table, opts, manifest)
+            top10 = [s for s, _c in counts.top(10)]
+            comparison[name] = {
+                "ansatz": name,
+                **_shot_summary(counts, table),
+                "dominant_in_top10": dominant in top10,
+                "top10": top10,
+            }
 
     cfg = PipelineConfig(
-        shots=opts["shots"],
-        cutoff=opts["cutoff"],
-        top_m=opts.get("top_m"),
-        noise=_noise_from(opts),
-        seed=opts["seed"],
+        shots=opts["shots"], noise=_noise_from(opts), seed=opts["seed"]
     )
-    manifest.record_seed("master", cfg.seed)
     with manifest.stage("qsci"):
         qsci_res = run_qsci_once(usci, usci_params, table, cfg)
-    psi = qsci_res.wavefunction
-    expansion_steps = []
-    with manifest.stage("refine"):
-        for _ in range(opts["iters"]):
-            step = expand_and_rediagonalize(psi, table, opts["tau"])
-            expansion_steps.append({
-                "energy_before": step.energy_before,
-                "energy_after": step.energy_after,
-                "n_added": step.n_added,
-            })
-            psi = step.wavefunction_after
-            if step.n_added == 0:
-                break
+    psi, expansion_steps = _expand(
+        qsci_res.wavefunction, table, opts, manifest, "refine"
+    )
     result = {
         "fixture": opts["fixture"],
         "oracle_energy": oracle.energy,
@@ -823,16 +783,6 @@ HANDLERS = {
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _default_threads():
-    env = os.environ.get("QSELCI_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 4
-
-
 def cli_dispatch(argv):
     """Run one subcommand; returns the process exit code."""
     parser = build_parser()
@@ -841,14 +791,9 @@ def cli_dispatch(argv):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        handler = HANDLERS.get(args.subcommand)
-        if handler is None:
-            raise UnknownSubcommand(args.subcommand)
         opts = _effective_options(args, OPTIONS[args.subcommand])
-        threads = opts.get("threads") or _default_threads()
-        bounds_mod.MC_THREAD_SHARDS = max(1, int(threads))
         manifest = RunManifest(config=_jsonify(opts))
-        result, lines = handler(opts, manifest)
+        result, lines = HANDLERS[args.subcommand](opts, manifest)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -175,15 +175,9 @@ class ExcitationOp:
         return Determinant.from_index(x, n), sign
 
 
-def excitation_between(source, target, n_orbitals):
-    """The ExcitationOp mapping ``source`` onto ``target``.
-
-    Raises RankTooHigh when the determinants are identical or differ by more
-    than a double excitation.
-    """
-    rank = excitation_rank(source, target)
-    if rank == 0 or rank > 2:
-        raise RankTooHigh(f"rank {rank} excitation (supported: 1 or 2)")
+def full_excitation(source, target, n_orbitals):
+    """The ExcitationOp of any rank mapping ``source`` onto ``target``, two
+    determinants of one sector."""
     ann = _bits(source.alpha & ~target.alpha)
     ann += [n_orbitals + p for p in _bits(source.beta & ~target.beta)]
     cre = _bits(target.alpha & ~source.alpha)
@@ -194,3 +188,15 @@ def excitation_between(source, target, n_orbitals):
     got, sign = applied
     assert got == target
     return ExcitationOp(n_orbitals, op.annihilated, op.created, phase=sign)
+
+
+def excitation_between(source, target, n_orbitals):
+    """The ExcitationOp mapping ``source`` onto ``target``.
+
+    Raises RankTooHigh when the determinants are identical or differ by more
+    than a double excitation.
+    """
+    rank = excitation_rank(source, target)
+    if rank == 0 or rank > 2:
+        raise RankTooHigh(f"rank {rank} excitation (supported: 1 or 2)")
+    return full_excitation(source, target, n_orbitals)

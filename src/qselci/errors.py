@@ -55,6 +55,11 @@ class DuplicateDeterminant(QselciError):
     pass
 
 
+class MalformedWavefunction(QselciError):
+    """A wavefunction file is not a normalized determinant expansion, or
+    does not match the integral table it is used with."""
+
+
 class NoConvergence(QselciError):
     """Iterative eigensolver ran out of iterations.
 
@@ -100,16 +105,6 @@ class EmptySubspace(QselciError):
     pass
 
 
-# ---------------------------------------------------------------- expansion
-
-class NoCandidates(QselciError):
-    """No determinant outside the current space passes the score threshold."""
-
-
-class SmallDenominator(QselciError):
-    pass
-
-
 # ------------------------------------------------------------------- bounds
 
 class FullDepolarization(QselciError):
@@ -120,17 +115,9 @@ class ZeroGap(QselciError):
     pass
 
 
-class ZeroWeight(QselciError):
-    pass
-
-
 # --------------------------------------------------------------------- cli
 
 class UnknownFixture(QselciError):
-    pass
-
-
-class UnknownSubcommand(QselciError):
     pass
 
 

@@ -20,6 +20,7 @@ and diagonalizes it (dense below ``DENSE_CUTOFF``).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,12 @@ from .dets import (  # hartree_fock is re-exported to callers of this module
     excitation_between,
     hartree_fock,
 )
-from .errors import DuplicateDeterminant, NoConvergence, TooLarge
+from .errors import (
+    DuplicateDeterminant,
+    MalformedWavefunction,
+    NoConvergence,
+    TooLarge,
+)
 
 DENSE_CUTOFF = 2000
 SPECTRUM_CAP = 2000
@@ -104,16 +110,67 @@ class Wavefunction:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        items = sorted(data["coefficients"].items())
-        dets = [Determinant.from_bitstring(s) for s, _ in items]
-        coeffs = np.array([c for _, c in items])
-        return cls(
-            dets=dets,
-            coeffs=coeffs,
-            energy=float(data["energy"]),
-            n_orbitals=int(data["n_orbitals"]),
-        )
+        """Parse the ``to_json`` form (str or bytes); any other content
+        raises MalformedWavefunction."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise MalformedWavefunction(f"not JSON: {exc}") from None
+        if not isinstance(data, dict) or not _WF_KEYS <= data.keys():
+            raise MalformedWavefunction(
+                "expected an object with keys " + ", ".join(sorted(_WF_KEYS))
+            )
+        n, coefficients = data["n_orbitals"], data["coefficients"]
+        if type(n) is not int or n < 1:
+            raise MalformedWavefunction(
+                f"n_orbitals must be a positive integer, got {n!r}"
+            )
+        if not isinstance(coefficients, dict) or not all(
+            map(_is_finite_number, [data["energy"], *coefficients.values()])
+        ):
+            raise MalformedWavefunction(
+                "energy and coefficients must be finite numbers, the "
+                "coefficients keyed by occupation string"
+            )
+        for s in coefficients:
+            if len(s) != 2 * n or set(s) - {"0", "1"}:
+                raise MalformedWavefunction(
+                    f"{s!r} is not a {2 * n}-character occupation string"
+                )
+        items = sorted(coefficients.items())
+        try:
+            return cls(
+                dets=[Determinant.from_bitstring(s) for s, _ in items],
+                coeffs=[c for _, c in items],
+                energy=float(data["energy"]),
+                n_orbitals=n,
+            )
+        except ValueError as exc:
+            raise MalformedWavefunction(str(exc)) from None
+
+    def check_table(self, table):
+        """Raise MalformedWavefunction unless the expansion lives in the
+        table's orbitals and (n_alpha, n_beta) sector."""
+        sector = (table.n_alpha, table.n_beta)
+        if self.n_orbitals != table.n_orbitals or any(
+            (det.n_alpha, det.n_beta) != sector for det in self.dets
+        ):
+            raise MalformedWavefunction(
+                f"the wavefunction does not lie in the integral table's "
+                f"{table.n_orbitals} orbitals and (n_alpha, n_beta) sector "
+                f"{sector}"
+            )
+
+
+_WF_KEYS = {"coefficients", "energy", "n_orbitals"}
+
+
+def _is_finite_number(value):
+    """A JSON number (not a boolean) that converts to a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _spatial(s, n):

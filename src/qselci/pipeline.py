@@ -1,16 +1,17 @@
 """The hybrid sample-select-diagonalize loop and its parameter optimization.
 
-One pass (:func:`run_qsci_once`) is: apply the circuit, form the ideal
-outcome distribution, mix in global depolarizing noise, draw shots, apply
-readout flips, filter by the particle-number sector, de-duplicate the
-surviving bitstrings into determinants, project the Hamiltonian onto them,
-and solve for the lowest eigenpair.
+One pass (:func:`run_qsci_once`) is: apply the circuit, then
+(:func:`noisy_counts`) form the ideal outcome distribution, mix in global
+depolarizing noise, draw shots and apply readout flips, then filter by the
+particle-number sector, de-duplicate the surviving bitstrings into
+determinants, project the Hamiltonian onto them, and solve for the lowest
+eigenpair.
 
 All randomness derives from the config's single seed: stage seeds are drawn
-from numpy's SeedSequence(seed) in a fixed order (sampling first, readout
-second), so a run is replayable from one number.  The optimizer reuses one
-sampling seed across evaluations, making the objective deterministic, as
-trust-region derivative-free methods require.
+from numpy's SeedSequence(seed) in a fixed order (:func:`stage_seeds`:
+sampling first, readout second), so a run is replayable from one number.
+The optimizer reuses one sampling seed across evaluations, making the
+objective deterministic, as trust-region derivative-free methods require.
 """
 
 import contextlib
@@ -33,6 +34,9 @@ from .sampling import (
 )
 from .simulator import Statevector, apply_circuit
 
+OPTIMIZER_METHOD = "COBYLA"
+OPTIMIZER_INITIAL_STEP = 0.3
+
 
 def derive_seeds(master_seed, n):
     """Deterministic per-stage 64-bit seeds from one master seed."""
@@ -40,13 +44,29 @@ def derive_seeds(master_seed, n):
     return [int(x) for x in ss.generate_state(n, dtype=np.uint64)]
 
 
+def stage_seeds(master_seed):
+    """The seeds of one sampling pass by stage, in derivation order."""
+    return dict(zip(("sample", "readout"), derive_seeds(master_seed, 2)))
+
+
+def noisy_counts(state, shots, noise, master_seed):
+    """Measure a prepared state under a noise model: ideal distribution,
+    global depolarizing, ``shots`` multinomial draws, readout flips."""
+    seeds = stage_seeds(master_seed)
+    dist = ideal_distribution(state)
+    if noise.depolarizing_p > 0.0:
+        dist = depolarize_distribution(dist, noise.depolarizing_p)
+    counts = sample(dist, shots, seeds["sample"], noise=noise)
+    if noise.has_readout:
+        counts = apply_readout(counts, noise, seeds["readout"])
+    return counts
+
+
 @dataclass
 class OptimizerConfig:
-    method: str = "COBYLA"
     max_evaluations: int = 500
     energy_tol: float = 1e-8
     patience: int = 10
-    initial_step: float = 0.3
 
     def __post_init__(self):
         if self.max_evaluations < 1 or self.patience < 1:
@@ -58,20 +78,13 @@ class OptimizerConfig:
 @dataclass
 class PipelineConfig:
     shots: int = 100_000
-    cutoff: float = 0.01
-    top_m: int = None
-    layers: int = 1
-    degree_cap: int = None
-    with_orbital_rotation: bool = False
     noise: NoiseModel = field(default_factory=NoiseModel)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 2026
 
     def __post_init__(self):
-        if self.shots < 1 or self.layers < 1:
-            raise ValueError("shots and layers must be positive")
-        if self.top_m is not None and self.top_m < 1:
-            raise ValueError("top_m must be positive when set")
+        if self.shots < 1:
+            raise ValueError("shots must be positive")
 
 
 @dataclass
@@ -88,16 +101,9 @@ class QsciResult:
 
 def run_qsci_once(circuit, params, table, cfg):
     """One sampling + diagonalization pass; see module docstring for stages."""
-    seeds = derive_seeds(cfg.seed, 2)
     state = Statevector.from_determinant(circuit.reference, table.n_orbitals)
     state = apply_circuit(circuit, params, state)
-    dist = ideal_distribution(state)
-    p = cfg.noise.depolarizing_p
-    if p > 0.0:
-        dist = depolarize_distribution(dist, p)
-    counts = sample(dist, cfg.shots, seeds[0], noise=cfg.noise)
-    if cfg.noise.has_readout:
-        counts = apply_readout(counts, cfg.noise, seeds[1])
+    counts = noisy_counts(state, cfg.shots, cfg.noise, cfg.seed)
     filtered, rejected = symmetry_filter(counts, table.n_alpha, table.n_beta)
     if not filtered.counts:
         raise EmptySubspace(
@@ -184,9 +190,10 @@ def optimize(circuit, table, cfg):
             scipy.optimize.minimize(
                 objective,
                 x0,
-                method=opt.method,
+                method=OPTIMIZER_METHOD,
                 tol=opt.energy_tol,
-                options={"maxiter": opt.max_evaluations, "rhobeg": opt.initial_step},
+                options={"maxiter": opt.max_evaluations,
+                         "rhobeg": OPTIMIZER_INITIAL_STEP},
             )
     except _StopEarly:
         pass

@@ -62,15 +62,6 @@ class NoiseModel:
     def has_readout(self):
         return self.readout_eps0 > 0.0 or self.readout_eps1 > 0.0
 
-    def to_json_dict(self):
-        return {
-            "depolarizing_p": self.depolarizing_p,
-            "per_gate_pg": self.per_gate_pg,
-            "n_2q": self.n_2q,
-            "readout_eps0": self.readout_eps0,
-            "readout_eps1": self.readout_eps1,
-        }
-
 
 @dataclass
 class Distribution:

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from qselci.bounds import gate_budget, uniform_probability
 from qselci.cli import SCHEMA_PATH, cli_dispatch
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import enumerate_space
@@ -21,7 +24,7 @@ def schema():
 def saved_wavefunction(tmp_path_factory):
     path = tmp_path_factory.mktemp("wf") / "wf.json"
     code = cli_dispatch(
-        ["qsci", "run", "--fixture", "hubbard4", "--shots", "20000",
+        ["qsci", "--fixture", "hubbard4", "--shots", "20000",
          "--seed", "7", "--save-wf", str(path), "--out",
          str(path.with_suffix(".report.json"))]
     )
@@ -56,6 +59,106 @@ def test_unknown_fixture_is_domain_error(capsys):
 def test_missing_input_file_is_domain_error(capsys):
     assert cli_dispatch(["analyze", "--in", "/nonexistent/wf.json"]) == 1
     capsys.readouterr()
+
+
+MALFORMED_WAVEFUNCTIONS = {
+    "no-coefficients": '{"energy": 1.0}',
+    "not-an-object": "[1, 2]",
+    "not-json": "{not json",
+    "bad-occupation": '{"n_orbitals": 2, "energy": 0.0, '
+                      '"coefficients": {"01x1": 1.0}}',
+    "non-numeric": '{"n_orbitals": 2, "energy": 0.0, '
+                   '"coefficients": {"0101": "one"}}',
+    "unnormalized": '{"n_orbitals": 2, "energy": 0.0, '
+                    '"coefficients": {"0101": 0.5}}',
+    "wrong-length": '{"n_orbitals": 3, "energy": 0.0, '
+                    '"coefficients": {"0101": 1.0}}',
+}
+
+
+@pytest.mark.parametrize(
+    "text", MALFORMED_WAVEFUNCTIONS.values(), ids=MALFORMED_WAVEFUNCTIONS.keys()
+)
+def test_malformed_wavefunction_is_one_line_domain_error(capsys, tmp_path, text):
+    path = tmp_path / "wf.json"
+    path.write_text(text)
+    assert cli_dispatch(["analyze", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: MalformedWavefunction: ")
+    assert captured.out == ""
+
+
+OTHER_SYSTEM_WAVEFUNCTIONS = {
+    "two-orbitals": '{"n_orbitals": 2, "energy": -1.0, '
+                    '"coefficients": {"0101": 1.0}}',
+    "other-sector": '{"n_orbitals": 4, "energy": -1.0, '
+                    '"coefficients": {"11100100": 1.0}}',
+}
+
+
+@pytest.mark.parametrize("sub", ["expand", "pt2"])
+@pytest.mark.parametrize(
+    "text", OTHER_SYSTEM_WAVEFUNCTIONS.values(),
+    ids=OTHER_SYSTEM_WAVEFUNCTIONS.keys(),
+)
+def test_wavefunction_of_another_system_is_rejected(capsys, tmp_path, sub, text):
+    path = tmp_path / "wf.json"
+    path.write_text(text)
+    assert cli_dispatch([sub, "--fixture", "hubbard4", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: MalformedWavefunction: ")
+    assert captured.out == ""
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+VALID_WAVEFUNCTIONS = st.integers(1, 3).flatmap(
+    lambda n: st.fixed_dictionaries({
+        "n_orbitals": st.just(n),
+        "energy": st.floats(-10.0, 10.0),
+        "coefficients": st.lists(
+            st.text(alphabet="01", min_size=2 * n, max_size=2 * n),
+            min_size=2, max_size=2, unique=True,
+        ).map(lambda keys: dict(zip(keys, (0.6, -0.8)))),
+    })
+)
+WAVEFUNCTION_LIKE = st.fixed_dictionaries(
+    {
+        "n_orbitals": st.integers(-1, 3) | JSON_VALUES,
+        "energy": st.floats() | JSON_VALUES,
+        "coefficients": st.dictionaries(
+            st.text(alphabet="01x", max_size=6),
+            st.sampled_from([1.0, -1.0, 0.6, 0.8]) | JSON_VALUES,
+            max_size=3,
+        ) | JSON_VALUES,
+    }
+)
+
+
+FILE_CONTENTS = (
+    st.binary(max_size=60)
+    | st.text(max_size=60).map(str.encode)
+    | st.one_of(JSON_VALUES, WAVEFUNCTION_LIKE, VALID_WAVEFUNCTIONS).map(
+        lambda value: json.dumps(value).encode()
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=FILE_CONTENTS)
+def test_analyze_fuzzed_input_file_exits_cleanly(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "wf.json"
+    path.write_bytes(content)
+    out = path.with_suffix(".report.json")
+    assert cli_dispatch(["analyze", "--in", str(path), "--out", str(out)]) in (
+        0, 1, 2
+    )
 
 
 BAD_OPTION_VALUES = [
@@ -95,6 +198,19 @@ def test_bounds_reference_budget(capsys):
     assert abs(report["result"]["p_u"] - 0.0605621) < 1e-6
 
 
+def test_bounds_forwards_per_spin_counts(capsys):
+    argv = ["bounds", "--n", "10", "--n-alpha", "5", "--n-beta", "4",
+            "--f2q", "0.99"]
+    result = run_json(capsys, argv)["result"]
+    assert result["p_u"] == uniform_probability(10, n_alpha=5, n_beta=4)
+    assert result["n_g_max"] == gate_budget(0.99, 10, n_alpha=5, n_beta=4)
+    via_preset = run_json(
+        capsys, ["bounds", "--preset", "cas10-10", "--n-alpha", "5",
+                 "--n-beta", "4"]
+    )["result"]
+    assert via_preset == result
+
+
 def test_bounds_preset_matches_explicit_flags(capsys):
     via_preset = run_json(capsys, ["bounds", "--preset", "cas10-10"])
     explicit = run_json(
@@ -109,7 +225,7 @@ SCHEMA_RUNS = [
     ["fcidump-info", "--fixture", "hubbard4"],
     ["fci", "--fixture", "hubbard4"],
     ["usci-build", "--fixture", "hubbard4", "--top-m", "4"],
-    ["qsci", "run", "--fixture", "hubbard4", "--shots", "2000"],
+    ["qsci", "--fixture", "hubbard4", "--shots", "2000"],
     ["sample", "--fixture", "hubbard4", "--shots", "1000"],
     ["bounds", "--n", "10", "--m", "10", "--f2q", "0.99"],
     ["demo", "--shots", "2000"],
@@ -140,7 +256,7 @@ def test_config_file_values_apply(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("shots = 3000\nseed=5\n# a comment\n\ncutoff = 0.02\n")
     report = run_json(
-        capsys, ["qsci", "run", "--fixture", "hubbard4", "--config", str(cfg)]
+        capsys, ["qsci", "--fixture", "hubbard4", "--config", str(cfg)]
     )
     config = report["manifest"]["config"]
     assert config["shots"] == 3000
@@ -152,7 +268,7 @@ def test_config_unknown_key_reports_line(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("shots = 3000\nbogus_key = 7\n")
     code = cli_dispatch(
-        ["qsci", "run", "--fixture", "hubbard4", "--config", str(cfg)]
+        ["qsci", "--fixture", "hubbard4", "--config", str(cfg)]
     )
     err = capsys.readouterr().err
     assert code == 1
@@ -164,7 +280,7 @@ def test_config_bad_value_reports_line_and_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("shots = banana\n")
     code = cli_dispatch(
-        ["qsci", "run", "--fixture", "hubbard4", "--config", str(cfg)]
+        ["qsci", "--fixture", "hubbard4", "--config", str(cfg)]
     )
     err = capsys.readouterr().err
     assert code == 1
@@ -177,7 +293,7 @@ def test_flags_override_config_file(capsys, tmp_path):
     cfg.write_text("shots = 3000\nseed = 5\n")
     report = run_json(
         capsys,
-        ["qsci", "run", "--fixture", "hubbard4", "--config", str(cfg),
+        ["qsci", "--fixture", "hubbard4", "--config", str(cfg),
          "--shots", "800"],
     )
     config = report["manifest"]["config"]
@@ -188,7 +304,7 @@ def test_flags_override_config_file(capsys, tmp_path):
 # -------------------------------------------------------------- reproducibility
 
 def test_reports_identical_modulo_timings(capsys):
-    argv = ["qsci", "run", "--fixture", "hubbard4", "--shots", "5000",
+    argv = ["qsci", "--fixture", "hubbard4", "--shots", "5000",
             "--seed", "9"]
     a = run_json(capsys, argv)
     b = run_json(capsys, argv)

@@ -184,7 +184,3 @@ def test_config_validation():
         OptimizerConfig(energy_tol=0.0)
     with pytest.raises(ValueError):
         PipelineConfig(shots=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(layers=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(top_m=0)
