@@ -21,6 +21,7 @@ from qselci.circuits import (
     jordan_wigner,
     prescreen,
 )
+from qselci.dets import bitstring_of_index
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import build_subspace, enumerate_space, fci_oracle
 from qselci.sampling import ideal_distribution
@@ -60,11 +61,12 @@ state = Statevector.from_determinant(reference, table.n_orbitals)
 prepared = apply_circuit(circuit, np.full(circuit.n_params, 0.2), state)
 print("norm preserved:", abs(np.linalg.norm(prepared.amps) - 1.0) < 1e-12)
 
-# The outcome distribution lists one bitstring per determinant with
-# squared-amplitude probability.
+# The outcome distribution lists one basis index per determinant with
+# squared-amplitude probability; its text form is the occupation string.
 dist = ideal_distribution(prepared)
-top = sorted(dist.probs.items(), key=lambda kv: -kv[1])[:3]
-print("top outcomes:", [(s, round(p, 4)) for s, p in top])
+top = np.argsort(-dist.probs, kind="stable")[:3]
+print("top outcomes:", [(bitstring_of_index(i, 8), round(p, 4)) for i, p in
+                        zip(dist.index[top].tolist(), dist.probs[top].tolist())])
 
 # The energy expectation of the prepared state sits between the ground
 # energy and the reference diagonal.

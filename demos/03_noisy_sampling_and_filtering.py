@@ -43,15 +43,16 @@ print("aggregate depolarizing strength:", round(model.depolarizing_p, 5))
 # Depolarizing mixing rescales every listed probability the same way,
 # so the ranking of outcomes survives — only the contrast shrinks.
 noisy = depolarize_distribution(ideal, model.depolarizing_p)
-best = max(ideal.probs, key=ideal.probs.get)
+best = int(np.argmax(ideal.probs))
 print("top outcome probability, ideal vs noisy:",
-      round(ideal.probs[best], 4), "->", round(noisy.probs[best], 4))
+      round(float(ideal.probs[best]), 4), "->",
+      round(float(noisy.probs[best]), 4))
 
 # Sampling is a seeded multinomial draw; the residual uniform mass
 # materializes as random bitstrings outside the listed support.
 shots = 50_000
 counts = sample(noisy, shots, seed=11)
-print("unique strings sampled:", len(counts.counts))
+print("unique strings sampled:", counts.index.size)
 
 # Readout error then flips bits of the recorded strings.
 flipped = apply_readout(counts, model, seed=12)

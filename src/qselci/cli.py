@@ -301,7 +301,7 @@ def parse_config_file(path, option_rows):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config file: {exc}") from None
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -445,7 +445,7 @@ def _shot_summary(counts, table):
     """Distinct strings and in-sector share of raw counts."""
     filtered, _rejected = symmetry_filter(counts, table.n_alpha, table.n_beta)
     return {
-        "n_unique_bitstrings": len(counts.counts),
+        "n_unique_bitstrings": counts.index.size,
         "valid_fraction": filtered.total_shots / counts.total_shots,
     }
 
@@ -591,7 +591,7 @@ def _handle_sample(opts, manifest):
     if opts.get("csv"):
         manifest.write_file(opts["csv"], counts.to_csv())
     lines = [
-        f"{counts.total_shots} shots, {len(counts.counts)} unique strings, "
+        f"{counts.total_shots} shots, {counts.index.size} unique strings, "
         f"valid fraction {result['valid_fraction']:.4f}"
     ]
     return result, lines

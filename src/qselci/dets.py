@@ -65,16 +65,22 @@ class Determinant:
 
     def to_bitstring(self, n_orbitals):
         """Text form: 2n chars, alpha block then beta block, orbital 0 first."""
-        idx = self.to_index(n_orbitals)
-        return "".join("1" if (idx >> s) & 1 else "0" for s in range(2 * n_orbitals))
+        return bitstring_of_index(self.to_index(n_orbitals), 2 * n_orbitals)
 
     @classmethod
     def from_bitstring(cls, s):
         if len(s) % 2 or set(s) - {"0", "1"}:
             raise ValueError(f"not a spin-blocked occupation string: {s!r}")
-        n = len(s) // 2
-        idx = sum(1 << i for i, c in enumerate(s) if c == "1")
-        return cls.from_index(idx, n)
+        return cls.from_index(index_of_bitstring(s), len(s) // 2)
+
+
+def bitstring_of_index(index, n_qubits):
+    """The text form of a basis index: character k is bit k (qubit k)."""
+    return format(index, f"0{n_qubits}b")[::-1]
+
+
+def index_of_bitstring(s):
+    return int(s[::-1], 2)
 
 
 def _bits(mask):

@@ -39,6 +39,10 @@ class EmptyInput(FcidumpError):
     pass
 
 
+class UndecodableInput(FcidumpError):
+    """The integral file is not text in the expected encoding."""
+
+
 # ------------------------------------------------------------- determinants
 
 class RankTooHigh(QselciError):

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, IndexOutOfRange, MalformedHeader, NonNumericValue
+from .errors import (
+    EmptyInput,
+    IndexOutOfRange,
+    MalformedHeader,
+    NonNumericValue,
+    UndecodableInput,
+)
 
 DUPLICATE_TOL = 1e-10
 
@@ -166,14 +172,15 @@ def parse_fcidump(source):
 
 
 def _as_text(source):
-    if isinstance(source, bytes):
-        return source.decode("ascii")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("ascii")
-    return data
+    try:
+        data = source if isinstance(source, (bytes, str)) else source.read()
+        return data.decode("ascii") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        line_no = exc.object[:exc.start].count(b"\n") + 1
+        raise UndecodableInput(
+            f"byte {exc.object[exc.start]:#04x} is not {exc.encoding} text",
+            line_no=line_no,
+        ) from None
 
 
 def _parse_header(lines):

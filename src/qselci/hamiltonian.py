@@ -83,15 +83,8 @@ class Wavefunction:
         if len(self.coeffs) != len(self.dets):
             raise ValueError("coefficient/determinant length mismatch")
         norm = float(np.sum(self.coeffs**2))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not np.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"coefficients not normalized: sum of squares {norm}")
-
-    def weight(self, det):
-        try:
-            i = self.dets.index(det)
-        except ValueError:
-            return 0.0
-        return float(self.coeffs[i] ** 2)
 
     def to_json(self):
         coeffs = {

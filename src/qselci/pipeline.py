@@ -3,7 +3,7 @@
 One pass (:func:`run_qsci_once`) is: apply the circuit, then
 (:func:`noisy_counts`) form the ideal outcome distribution, mix in global
 depolarizing noise, draw shots and apply readout flips, then filter by the
-particle-number sector, de-duplicate the surviving bitstrings into
+particle-number sector, de-duplicate the surviving outcomes into
 determinants, project the Hamiltonian onto them, and solve for the lowest
 eigenpair.
 
@@ -105,7 +105,7 @@ def run_qsci_once(circuit, params, table, cfg):
     state = apply_circuit(circuit, params, state)
     counts = noisy_counts(state, cfg.shots, cfg.noise, cfg.seed)
     filtered, rejected = symmetry_filter(counts, table.n_alpha, table.n_beta)
-    if not filtered.counts:
+    if not filtered.index.size:
         raise EmptySubspace(
             "no sampled bitstring survived the symmetry filter "
             "(noise-dominated sampling)"

@@ -5,27 +5,21 @@ outcome *distribution* (where it is analytically exact), readout flips act
 per *shot*.  All randomness uses numpy's Philox counter-based generator with
 the seed recorded in the returned counts.
 
-Bitstring text form: character k is qubit k (blocked spin-orbital order),
-i.e. bit k of the amplitude index.
+Outcomes are int64 basis indices (bit k = qubit k, blocked spin-orbital
+order).  Text bitstrings (character k = qubit k) appear only in the
+``SampleCounts.counts`` view, ``top`` and ``to_csv``.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
-from .dets import Determinant
+from .dets import Determinant, bitstring_of_index
 from .errors import EmptyPool
 
 PRUNE_TOL = 1e-16
-
-
-def bitstring_of_index(idx, n_qubits):
-    return format(idx, f"0{n_qubits}b")[::-1]
-
-
-def index_of_bitstring(s):
-    return int(s[::-1], 2)
+READOUT_BLOCK = 1 << 14  # shots per readout pass; bounds the uniforms held at once
 
 
 @dataclass
@@ -65,75 +59,100 @@ class NoiseModel:
 
 @dataclass
 class Distribution:
-    """Outcome probabilities over listed bitstrings plus a uniform floor.
+    """Outcome probabilities over listed basis indices plus a uniform floor.
 
-    Every string not in ``probs`` carries exactly ``unlisted_floor``
-    probability; ``residual_mass`` is the total over all unlisted strings.
+    ``index`` holds distinct basis indices and ``probs`` their
+    probabilities.  Every unlisted index carries exactly ``unlisted_floor``
+    probability; ``residual_mass`` is the total over all unlisted indices.
     """
 
-    probs: dict
+    index: np.ndarray
+    probs: np.ndarray
     n_qubits: int
     residual_mass: float = 0.0
     unlisted_floor: float = 0.0
 
-    def probability_of(self, bitstring):
-        return self.probs.get(bitstring, self.unlisted_floor)
-
-    def cumulative(self, bitstrings):
-        return float(sum(self.probability_of(s) for s in set(bitstrings)))
+    def cumulative(self, index):
+        """Total probability of a set of basis indices."""
+        index = np.unique(index)
+        listed = np.isin(self.index, index)
+        n_unlisted = index.size - np.count_nonzero(listed)
+        return float(self.probs[listed].sum() + self.unlisted_floor * n_unlisted)
 
     def total(self):
-        return float(sum(self.probs.values()) + self.residual_mass)
+        return float(self.probs.sum() + self.residual_mass)
 
 
 @dataclass
 class SampleCounts:
-    counts: dict
-    total_shots: int
+    """Shot counts over distinct basis indices: ``shots[i]`` shots landed
+    on ``index[i]``."""
+
+    index: np.ndarray
+    shots: np.ndarray
+    n_qubits: int
     seed: int
     noise: NoiseModel = None
 
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.total_shots:
-            raise ValueError("counts do not sum to total_shots")
+    @property
+    def total_shots(self):
+        return int(self.shots.sum())
+
+    @property
+    def counts(self):
+        """Read-only ``{bitstring: count}`` view."""
+        return MappingProxyType(dict(self._text(slice(None))))
 
     def top(self, k):
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        return self._text(self._ranked()[:k])
 
     def to_csv(self):
-        lines = ["bitstring,count"]
-        for s, c in sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            lines.append(f"{s},{c}")
-        return "\n".join(lines) + "\n"
+        rows = [f"{s},{c}\n" for s, c in self._text(self._ranked())]
+        return "bitstring,count\n" + "".join(rows)
+
+    def _ranked(self):
+        """Positions by descending count, then ascending bitstring."""
+        return _lex_order(self.index, self.n_qubits, -self.shots)
+
+    def _text(self, positions):
+        return [
+            (bitstring_of_index(i, self.n_qubits), c)
+            for i, c in zip(
+                self.index[positions].tolist(), self.shots[positions].tolist()
+            )
+        ]
+
+
+def _lex_order(index, n_qubits, *first):
+    """Positions sorting basis indices as their bitstrings sort (qubit 0
+    most significant), after the keys ``first`` when given."""
+    keys = [(index >> k) & 1 for k in range(n_qubits - 1, -1, -1)]
+    return np.lexsort(keys + list(first))
 
 
 def ideal_distribution(state):
     """Born probabilities |amp|^2, pruned below 1e-16."""
     p = np.abs(state.amps) ** 2
-    keep = np.nonzero(p > PRUNE_TOL)[0]
-    probs = {
-        bitstring_of_index(int(i), state.n_qubits): float(p[i]) for i in keep
-    }
-    return Distribution(probs=probs, n_qubits=state.n_qubits)
+    keep = np.flatnonzero(p > PRUNE_TOL)
+    return Distribution(index=keep, probs=p[keep], n_qubits=state.n_qubits)
 
 
 def depolarize_distribution(dist, p):
     """Mix with the maximally mixed distribution at strength p.
 
     Listed entries become (1-p) p_i + p/2^n; the uniform floor for unlisted
-    strings is tracked exactly so cumulative sums over arbitrary string sets
+    indices is tracked exactly so cumulative sums over arbitrary index sets
     remain exact.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing strength outside [0, 1]")
     d = 1 << dist.n_qubits
     floor = p / d + (1.0 - p) * dist.unlisted_floor
-    probs = {s: (1.0 - p) * q + p / d for s, q in dist.probs.items()}
-    residual = floor * (d - len(probs))
     return Distribution(
-        probs=probs,
+        index=dist.index,
+        probs=(1.0 - p) * dist.probs + p / d,
         n_qubits=dist.n_qubits,
-        residual_mass=residual,
+        residual_mass=floor * (d - dist.index.size),
         unlisted_floor=floor,
     )
 
@@ -145,106 +164,84 @@ def _rng(seed):
 def sample(dist, shots, seed, noise=None):
     """Multinomial draw over the distribution, deterministic per seed.
 
+    Listed outcomes are the multinomial's categories in bitstring order.
     Shots landing in the unlisted residual materialize as uniform random
-    bitstrings outside the listed support (rejection sampling).
+    indices outside the listed support (rejection sampling).
     """
     if shots < 1:
         raise ValueError("at least one shot required")
     rng = _rng(seed)
-    strings = sorted(dist.probs)
-    pvals = np.array([dist.probs[s] for s in strings] + [dist.residual_mass])
-    pvals = np.clip(pvals, 0.0, None)
+    order = _lex_order(dist.index, dist.n_qubits)
+    pvals = np.clip(np.append(dist.probs[order], dist.residual_mass), 0.0, None)
     total = pvals.sum()
     if total <= 0:
         raise ValueError("distribution has no probability mass")
     pvals /= total
     drawn = rng.multinomial(shots, pvals)
-    counts = Counter()
-    for s, c in zip(strings, drawn[:-1]):
-        if c:
-            counts[s] = int(c)
-    n_residual = int(drawn[-1])
-    if n_residual:
-        support = set(strings)
-        d = 1 << dist.n_qubits
-        needed = n_residual
-        while needed > 0:
-            batch = rng.integers(0, d, size=max(16, 2 * needed))
-            for idx in batch:
-                s = bitstring_of_index(int(idx), dist.n_qubits)
-                if s not in support:
-                    counts[s] += 1
-                    needed -= 1
-                    if needed == 0:
-                        break
-    return SampleCounts(
-        counts=dict(counts), total_shots=shots, seed=int(seed), noise=noise
-    )
+    outcomes = [np.repeat(dist.index[order], drawn[:-1])]
+    needed = int(drawn[-1])
+    while needed > 0:
+        batch = rng.integers(0, 1 << dist.n_qubits, size=max(16, 2 * needed))
+        outcomes.append(batch[~np.isin(batch, dist.index)][:needed])
+        needed -= outcomes[-1].size
+    return _tally(np.concatenate(outcomes), dist.n_qubits, seed, noise)
 
 
 def apply_readout(sc, model, seed):
-    """Flip each measured bit independently: 0→1 with eps0, 1→0 with eps1."""
-    eps0, eps1 = model.readout_eps0, model.readout_eps1
-    if eps0 == 0.0 and eps1 == 0.0:
-        return SampleCounts(
-            counts=dict(sc.counts),
-            total_shots=sc.total_shots,
-            seed=int(seed),
-            noise=model,
-        )
+    """Flip each measured bit independently: 0→1 with eps0, 1→0 with eps1.
+
+    Shots are read out in bitstring order, one row of uniforms per shot,
+    READOUT_BLOCK shots at a time.
+    """
+    if not model.has_readout:
+        return replace(sc, seed=int(seed), noise=model)
     rng = _rng(seed)
-    out = Counter()
-    for s, c in sorted(sc.counts.items()):
-        bits = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
-        u = rng.random(size=(c, bits.size))
-        flip = np.where(bits[None, :] == 0, u < eps0, u < eps1)
-        flipped = np.where(flip, 1 - bits[None, :], bits[None, :])
-        for row in flipped:
-            out["".join("1" if b else "0" for b in row)] += 1
-    return SampleCounts(
-        counts=dict(out), total_shots=sc.total_shots, seed=int(seed), noise=model
-    )
+    order = _lex_order(sc.index, sc.n_qubits)
+    read = np.repeat(sc.index[order], sc.shots[order])
+    qubits = np.arange(sc.n_qubits)
+    for start in range(0, read.size, READOUT_BLOCK):
+        block = read[start:start + READOUT_BLOCK]
+        u = rng.random(size=(block.size, sc.n_qubits))
+        ones = (block[:, None] >> qubits) & 1
+        flips = u < np.where(ones, model.readout_eps1, model.readout_eps0)
+        block ^= (flips << qubits).sum(axis=1)
+    return _tally(read, sc.n_qubits, seed, model)
+
+
+def _tally(outcomes, n_qubits, seed, noise):
+    index, shots = np.unique(outcomes, return_counts=True)
+    return SampleCounts(index, shots, n_qubits, int(seed), noise)
 
 
 def symmetry_filter(sc, n_alpha, n_beta):
-    """Keep strings whose alpha/beta block popcounts match the target sector.
+    """Keep outcomes whose alpha/beta block popcounts match the target
+    sector.
 
     Returns (filtered counts, rejected shot count).
     """
-    kept = {}
-    rejected = 0
-    for s, c in sc.counts.items():
-        half = len(s) // 2
-        if s[:half].count("1") == n_alpha and s[half:].count("1") == n_beta:
-            kept[s] = c
-        else:
-            rejected += c
-    filtered = SampleCounts(
-        counts=kept,
-        total_shots=sc.total_shots - rejected,
-        seed=sc.seed,
-        noise=sc.noise,
+    half = sc.n_qubits // 2
+    keep = (np.bitwise_count(sc.index & ((1 << half) - 1)) == n_alpha) & (
+        np.bitwise_count(sc.index >> half) == n_beta
     )
-    return filtered, rejected
+    filtered = replace(sc, index=sc.index[keep], shots=sc.shots[keep])
+    return filtered, int(sc.shots[~keep].sum())
 
 
 def counts_to_determinants(sc, n_orbitals):
-    """Unique determinants of a counts map, descending frequency then
-    ascending bitmask (deterministic)."""
-    items = sorted(sc.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [Determinant.from_bitstring(s) for s, _ in items]
+    """Unique determinants by descending count, then ascending bitstring."""
+    index = sc.index[sc._ranked()].tolist()
+    return [Determinant.from_index(i, n_orbitals) for i in index]
 
 
 def spin_factorized_combine(alpha_pool, beta_pool, cap=None):
     """Combine per-spin determinant pools in the product space.
 
-    Pools are sequences of Determinants (the relevant spin's mask is used;
-    repeats encode observed frequency) or {mask: frequency} dicts.  Pairs are
-    ranked by descending frequency product, tie-broken by ascending masks,
-    and truncated to ``cap``.
+    Pools are ``{mask: frequency}`` mappings.  Pairs are ranked by
+    descending frequency product, tie-broken by ascending masks, and
+    truncated to ``cap``.
     """
-    a_freq = _pool_frequencies(alpha_pool, "alpha")
-    b_freq = _pool_frequencies(beta_pool, "beta")
+    a_freq = {int(k): float(v) for k, v in alpha_pool.items()}
+    b_freq = {int(k): float(v) for k, v in beta_pool.items()}
     if not a_freq or not b_freq:
         raise EmptyPool("both spin pools must be non-empty")
     pairs = [
@@ -256,13 +253,3 @@ def spin_factorized_combine(alpha_pool, beta_pool, cap=None):
     if cap is not None:
         pairs = pairs[:cap]
     return [Determinant(alpha=a, beta=b) for _, a, b in pairs]
-
-
-def _pool_frequencies(pool, channel):
-    if isinstance(pool, dict):
-        return {int(k): float(v) for k, v in pool.items()}
-    freq = Counter()
-    for entry in pool:
-        mask = getattr(entry, channel) if isinstance(entry, Determinant) else int(entry)
-        freq[mask] += 1
-    return dict(freq)

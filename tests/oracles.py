@@ -8,11 +8,14 @@ code paths so the two implementations check each other.
 
 import functools
 import itertools
+from collections import Counter
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 import scipy.linalg
 
+from qselci.dets import Determinant, bitstring_of_index
 from qselci.fcidump import IntegralTable
 
 
@@ -163,3 +166,148 @@ def brute_force_sector(n_orbitals, n_alpha, n_beta):
 
 def sector_count(n_orbitals, n_alpha, n_beta):
     return comb(n_orbitals, n_alpha) * comb(n_orbitals, n_beta)
+
+
+# ------------------------------------------- text-keyed sampling reference
+#
+# The sampling stage as it was written over {bitstring: value} dicts, one
+# Python step per string and per shot.  The array implementation in
+# qselci.sampling must reproduce it shot for shot from the same seeds.
+
+
+@dataclass
+class Distribution:
+    probs: dict
+    n_qubits: int
+    residual_mass: float = 0.0
+    unlisted_floor: float = 0.0
+
+
+@dataclass
+class SampleCounts:
+    counts: dict
+    total_shots: int
+    seed: int
+    noise: object = None
+
+    def __post_init__(self):
+        if sum(self.counts.values()) != self.total_shots:
+            raise ValueError("counts do not sum to total_shots")
+
+    def top(self, k):
+        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+    def to_csv(self):
+        lines = ["bitstring,count"]
+        for s, c in sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0])):
+            lines.append(f"{s},{c}")
+        return "\n".join(lines) + "\n"
+
+
+def ideal_distribution(state):
+    p = np.abs(state.amps) ** 2
+    keep = np.nonzero(p > 1e-16)[0]
+    probs = {
+        bitstring_of_index(int(i), state.n_qubits): float(p[i]) for i in keep
+    }
+    return Distribution(probs=probs, n_qubits=state.n_qubits)
+
+
+def depolarize_distribution(dist, p):
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("depolarizing strength outside [0, 1]")
+    d = 1 << dist.n_qubits
+    floor = p / d + (1.0 - p) * dist.unlisted_floor
+    probs = {s: (1.0 - p) * q + p / d for s, q in dist.probs.items()}
+    residual = floor * (d - len(probs))
+    return Distribution(
+        probs=probs,
+        n_qubits=dist.n_qubits,
+        residual_mass=residual,
+        unlisted_floor=floor,
+    )
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.Philox(int(seed)))
+
+
+def sample(dist, shots, seed, noise=None):
+    if shots < 1:
+        raise ValueError("at least one shot required")
+    rng = _rng(seed)
+    strings = sorted(dist.probs)
+    pvals = np.array([dist.probs[s] for s in strings] + [dist.residual_mass])
+    pvals = np.clip(pvals, 0.0, None)
+    total = pvals.sum()
+    if total <= 0:
+        raise ValueError("distribution has no probability mass")
+    pvals /= total
+    drawn = rng.multinomial(shots, pvals)
+    counts = Counter()
+    for s, c in zip(strings, drawn[:-1]):
+        if c:
+            counts[s] = int(c)
+    n_residual = int(drawn[-1])
+    if n_residual:
+        support = set(strings)
+        d = 1 << dist.n_qubits
+        needed = n_residual
+        while needed > 0:
+            batch = rng.integers(0, d, size=max(16, 2 * needed))
+            for idx in batch:
+                s = bitstring_of_index(int(idx), dist.n_qubits)
+                if s not in support:
+                    counts[s] += 1
+                    needed -= 1
+                    if needed == 0:
+                        break
+    return SampleCounts(
+        counts=dict(counts), total_shots=shots, seed=int(seed), noise=noise
+    )
+
+
+def apply_readout(sc, model, seed):
+    eps0, eps1 = model.readout_eps0, model.readout_eps1
+    if eps0 == 0.0 and eps1 == 0.0:
+        return SampleCounts(
+            counts=dict(sc.counts),
+            total_shots=sc.total_shots,
+            seed=int(seed),
+            noise=model,
+        )
+    rng = _rng(seed)
+    out = Counter()
+    for s, c in sorted(sc.counts.items()):
+        bits = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
+        u = rng.random(size=(c, bits.size))
+        flip = np.where(bits[None, :] == 0, u < eps0, u < eps1)
+        flipped = np.where(flip, 1 - bits[None, :], bits[None, :])
+        for row in flipped:
+            out["".join("1" if b else "0" for b in row)] += 1
+    return SampleCounts(
+        counts=dict(out), total_shots=sc.total_shots, seed=int(seed), noise=model
+    )
+
+
+def symmetry_filter(sc, n_alpha, n_beta):
+    kept = {}
+    rejected = 0
+    for s, c in sc.counts.items():
+        half = len(s) // 2
+        if s[:half].count("1") == n_alpha and s[half:].count("1") == n_beta:
+            kept[s] = c
+        else:
+            rejected += c
+    filtered = SampleCounts(
+        counts=kept,
+        total_shots=sc.total_shots - rejected,
+        seed=sc.seed,
+        noise=sc.noise,
+    )
+    return filtered, rejected
+
+
+def counts_to_determinants(sc, n_orbitals):
+    items = sorted(sc.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [Determinant.from_bitstring(s) for s, _ in items]

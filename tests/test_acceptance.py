@@ -27,7 +27,7 @@ from qselci.bounds import (
     uniform_probability,
 )
 from qselci.circuits import build_lucj, build_usci, jordan_wigner, prescreen
-from qselci.dets import ExcitationOp
+from qselci.dets import ExcitationOp, bitstring_of_index
 from qselci.expansion import connected_set, en_pt2, expand_and_rediagonalize
 from qselci.fixtures import hubbard_chain_table, two_orbital_table
 from qselci.hamiltonian import (
@@ -42,7 +42,6 @@ from qselci.hamiltonian import (
 from qselci.pipeline import NoiseModel, PipelineConfig, run_qsci_once
 from qselci.sampling import (
     Distribution,
-    bitstring_of_index,
     depolarize_distribution,
     ideal_distribution,
     sample,
@@ -157,23 +156,15 @@ def test_08_noise_model_laws():
         idx = rng.choice(1 << n, size=support, replace=False)
         w = rng.random(support)
         w /= w.sum()
-        dist = Distribution(
-            probs={
-                bitstring_of_index(int(i), n): float(v)
-                for i, v in zip(idx, w)
-            },
-            n_qubits=n,
-        )
+        dist = Distribution(index=idx, probs=w, n_qubits=n)
         p = float(rng.uniform(0.01, 0.99))
         noisy = depolarize_distribution(dist, p)
-        clean_order = sorted(dist.probs, key=lambda s: (-dist.probs[s], s))
-        noisy_order = sorted(noisy.probs, key=lambda s: (-noisy.probs[s], s))
+        text = [bitstring_of_index(i, n) for i in idx.tolist()]
+        clean_order = [s for _, s in sorted(zip(-dist.probs, text))]
+        noisy_order = [s for _, s in sorted(zip(-noisy.probs, text))]
         assert clean_order == noisy_order
         r_size = int(rng.integers(1, (1 << n) + 1))
-        r_set = [
-            bitstring_of_index(int(i), n)
-            for i in rng.choice(1 << n, size=r_size, replace=False)
-        ]
+        r_set = rng.choice(1 << n, size=r_size, replace=False)
         mixed = (1.0 - p) * dist.cumulative(r_set) + p * r_size / (1 << n)
         assert abs(noisy.cumulative(r_set) - mixed) < 1e-12
 

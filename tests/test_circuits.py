@@ -63,7 +63,8 @@ def test_prescreen_top_m_on_fixture():
     oracle = fci_oracle(table)
     kept = prescreen(oracle, 0.0, top_m=7)
     assert len(kept) == 7
-    mags = [abs(oracle.weight(d)) for d in kept]
+    coeffs = dict(zip(oracle.dets, oracle.coeffs))
+    mags = [coeffs[d] ** 2 for d in kept]
     assert mags == sorted(mags, reverse=True)
     # reproducible: same call gives the identical list
     assert kept == prescreen(oracle, 0.0, top_m=7)

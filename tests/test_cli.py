@@ -90,6 +90,33 @@ def test_malformed_wavefunction_is_one_line_domain_error(capsys, tmp_path, text)
     assert captured.out == ""
 
 
+NON_TEXT_INPUTS = {
+    "fcidump": (["fcidump-info", "--fcidump"],
+                b"&FCI NORB=2,NELEC=2,\n&END\n 1.0 1 1 0 0 \xff\n",
+                "error: UndecodableInput: line 3: "),
+    "fcidump-header": (["fcidump-info", "--fcidump"], b"\xff&FCI\n",
+                       "error: UndecodableInput: line 1: "),
+    "config": (["qsci", "--fixture", "hubbard4", "--config"],
+               b"shots = 100\n\xff\n", "error: ConfigParseError: "),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, content, prefix", NON_TEXT_INPUTS.values(), ids=NON_TEXT_INPUTS.keys()
+)
+def test_non_text_input_file_is_one_line_domain_error(
+    capsys, tmp_path, argv, content, prefix
+):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert cli_dispatch([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(prefix)
+    assert captured.out == ""
+
+
 OTHER_SYSTEM_WAVEFUNCTIONS = {
     "two-orbitals": '{"n_orbitals": 2, "energy": -1.0, '
                     '"coefficients": {"0101": 1.0}}',

@@ -9,6 +9,7 @@ from qselci.errors import (
     IndexOutOfRange,
     MalformedHeader,
     NonNumericValue,
+    UndecodableInput,
 )
 from qselci.fcidump import (
     IntegralTable,
@@ -51,6 +52,14 @@ def test_parse_accepts_bytes_and_streams():
     t3 = parse_fcidump(io.BytesIO(SAMPLE.encode("ascii")))
     for t in (t1, t2, t3):
         assert t.n_orbitals == 2 and t.get_h(0, 0) == pytest.approx(-1.2524)
+
+
+def test_non_ascii_bytes_raise_domain_error():
+    data = SAMPLE.encode("ascii") + b"\xff\n"
+    line_no = SAMPLE.count("\n") + 1
+    for source in (data, io.BytesIO(data)):
+        with pytest.raises(UndecodableInput, match=f"line {line_no}: "):
+            parse_fcidump(source)
 
 
 def test_fortran_d_exponents():

@@ -216,6 +216,16 @@ def test_wavefunction_normalization_enforced():
         Wavefunction(dets=dets, coeffs=np.ones(4), energy=0.0, n_orbitals=2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_wavefunction_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        Wavefunction(dets=[Determinant(1, 1)], coeffs=[bad], energy=0.0,
+                     n_orbitals=1)
+    with pytest.raises(ValueError, match="not normalized"):
+        Wavefunction(dets=enumerate_space(2, 1, 1)[:2], coeffs=[1.0, bad],
+                     energy=0.0, n_orbitals=2)
+
+
 def test_wavefunction_json_roundtrip():
     table = two_orbital_table()
     wf = fci_oracle(table)

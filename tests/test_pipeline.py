@@ -101,10 +101,11 @@ def test_sampling_error_shrinks_with_shots(hubbard):
 
     def tv_distance(shots):
         counts = sample(dist, shots, seed=7)
-        emp = {s: c / shots for s, c in counts.counts.items()}
-        keys = set(emp) | set(dist.probs)
+        emp = dict(zip(counts.index.tolist(), counts.shots / shots))
+        probs = dict(zip(dist.index.tolist(), dist.probs))
+        keys = set(emp) | set(probs)
         return 0.5 * sum(
-            abs(emp.get(k, 0.0) - dist.probs.get(k, 0.0)) for k in keys
+            abs(emp.get(k, 0.0) - probs.get(k, 0.0)) for k in keys
         )
 
     coarse = tv_distance(1_000)

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qselci.circuits import build_usci, prescreen
-from qselci.dets import Determinant
+from qselci.dets import Determinant, bitstring_of_index, index_of_bitstring
 from qselci.errors import EmptyPool
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import fci_oracle
@@ -13,16 +14,30 @@ from qselci.sampling import (
     NoiseModel,
     SampleCounts,
     apply_readout,
-    bitstring_of_index,
     counts_to_determinants,
     depolarize_distribution,
     ideal_distribution,
-    index_of_bitstring,
     sample,
     spin_factorized_combine,
     symmetry_filter,
 )
 from qselci.simulator import Statevector, apply_circuit
+
+
+def _counts(text_counts, n_qubits, seed):
+    """SampleCounts over the indices of ``{bitstring: count}``."""
+    return SampleCounts(
+        index=np.array([index_of_bitstring(s) for s in text_counts]),
+        shots=np.array(list(text_counts.values())),
+        n_qubits=n_qubits,
+        seed=seed,
+    )
+
+
+def _ranking(dist):
+    """Listed bitstrings by descending probability, then ascending text."""
+    text = [bitstring_of_index(i, dist.n_qubits) for i in dist.index.tolist()]
+    return [s for _, s in sorted(zip(-dist.probs, text))]
 
 
 # -------------------------------------------------------------- noise model
@@ -50,14 +65,15 @@ def test_ideal_distribution_basis_state():
     sv = Statevector.from_determinant(Determinant(0b01, 0b10), 2)
     dist = ideal_distribution(sv)
     assert len(dist.probs) == 1
-    assert abs(dist.probs["1001"] - 1.0) < 1e-15
+    assert dist.index.tolist() == [index_of_bitstring("1001")]
+    assert abs(dist.probs[0] - 1.0) < 1e-15
 
 
 def test_ideal_distribution_uniform_two_qubit():
     amps = np.full(4, 0.5, dtype=complex)
     dist = ideal_distribution(Statevector(amps=amps, n_qubits=2))
     assert len(dist.probs) == 4
-    assert all(abs(p - 0.25) < 1e-15 for p in dist.probs.values())
+    assert all(abs(p - 0.25) < 1e-15 for p in dist.probs)
 
 
 def test_ideal_distribution_matches_squared_amplitudes():
@@ -68,8 +84,7 @@ def test_ideal_distribution_matches_squared_amplitudes():
     sv = Statevector.from_determinant(selected[0], 4)
     out = apply_circuit(circuit, np.full(circuit.n_params, 0.3), sv)
     dist = ideal_distribution(out)
-    for s, p in dist.probs.items():
-        idx = index_of_bitstring(s)
+    for idx, p in zip(dist.index, dist.probs):
         assert abs(p - abs(out.amps[idx]) ** 2) < 1e-14
     assert abs(dist.total() - 1.0) < 1e-10
 
@@ -80,19 +95,18 @@ def _random_distribution(rng, n_qubits, support):
     idx = rng.choice(1 << n_qubits, size=support, replace=False)
     w = rng.random(support)
     w /= w.sum()
-    probs = {bitstring_of_index(int(i), n_qubits): float(p)
-             for i, p in zip(idx, w)}
-    return Distribution(probs=probs, n_qubits=n_qubits)
+    return Distribution(index=idx, probs=w, n_qubits=n_qubits)
 
 
 def test_depolarize_zero_and_full():
     rng = np.random.default_rng(0)
     dist = _random_distribution(rng, 4, 5)
     same = depolarize_distribution(dist, 0.0)
-    assert same.probs == dist.probs
+    assert np.array_equal(same.index, dist.index)
+    assert np.array_equal(same.probs, dist.probs)
     assert same.residual_mass == 0.0
     flat = depolarize_distribution(dist, 1.0)
-    for p in flat.probs.values():
+    for p in flat.probs:
         assert abs(p - 1 / 16) < 1e-15
     assert abs(flat.unlisted_floor - 1 / 16) < 1e-15
     assert abs(flat.total() - 1.0) < 1e-12
@@ -106,9 +120,7 @@ def test_depolarize_preserves_ordering_100_random():
         dist = _random_distribution(rng, n, support)
         p = float(rng.uniform(0.01, 0.99))
         noisy = depolarize_distribution(dist, p)
-        order_id = sorted(dist.probs, key=lambda s: (-dist.probs[s], s))
-        order_noisy = sorted(noisy.probs, key=lambda s: (-noisy.probs[s], s))
-        assert order_id == order_noisy
+        assert _ranking(dist) == _ranking(noisy)
 
 
 def test_depolarize_cumulative_identity():
@@ -121,8 +133,7 @@ def test_depolarize_cumulative_identity():
         p = float(rng.uniform(0.0, 1.0))
         noisy = depolarize_distribution(dist, p)
         r_size = int(rng.integers(1, (1 << n) + 1))
-        r_idx = rng.choice(1 << n, size=r_size, replace=False)
-        r_set = [bitstring_of_index(int(i), n) for i in r_idx]
+        r_set = rng.choice(1 << n, size=r_size, replace=False)
         lhs = noisy.cumulative(r_set)
         rhs = (1.0 - p) * dist.cumulative(r_set) + p * r_size / (1 << n)
         assert abs(lhs - rhs) < 1e-12
@@ -131,14 +142,19 @@ def test_depolarize_cumulative_identity():
 # ----------------------------------------------------------------- sampling
 
 def test_sample_point_distribution():
-    dist = Distribution(probs={"0101": 1.0}, n_qubits=4)
+    dist = Distribution(
+        index=np.array([index_of_bitstring("0101")]), probs=np.ones(1),
+        n_qubits=4,
+    )
     counts = sample(dist, 1000, seed=3)
     assert counts.counts == {"0101": 1000}
     assert counts.total_shots == 1000
 
 
 def test_sample_fair_coin_statistics():
-    dist = Distribution(probs={"0": 0.5, "1": 0.5}, n_qubits=1)
+    dist = Distribution(
+        index=np.array([0, 1]), probs=np.array([0.5, 0.5]), n_qubits=1
+    )
     counts = sample(dist, 10 ** 6, seed=4)
     sigma = 500.0
     assert abs(counts.counts["0"] - 5 * 10 ** 5) < 3 * sigma
@@ -156,7 +172,7 @@ def test_sample_deterministic_per_seed():
 
 
 def test_sample_residual_materializes_unlisted_strings():
-    dist = Distribution(probs={"00": 0.5}, n_qubits=2,
+    dist = Distribution(index=np.array([0]), probs=np.array([0.5]), n_qubits=2,
                         residual_mass=0.5, unlisted_floor=0.5 / 3)
     counts = sample(dist, 20000, seed=6)
     unlisted = {s: c for s, c in counts.counts.items() if s != "00"}
@@ -164,22 +180,17 @@ def test_sample_residual_materializes_unlisted_strings():
     assert set(unlisted) <= {"10", "01", "11"}
 
 
-def test_sample_counts_invariant():
-    with pytest.raises(ValueError):
-        SampleCounts(counts={"0": 2}, total_shots=3, seed=0)
-
-
 # ------------------------------------------------------------------ readout
 
 def test_readout_zero_eps_unchanged():
-    sc = SampleCounts(counts={"0101": 7, "0011": 3}, total_shots=10, seed=1)
+    sc = _counts({"0101": 7, "0011": 3}, 4, seed=1)
     model = NoiseModel()
     out = apply_readout(sc, model, seed=2)
     assert out.counts == sc.counts
 
 
 def test_readout_eps_one_inverts_every_bit():
-    sc = SampleCounts(counts={"0101": 7, "0011": 3}, total_shots=10, seed=1)
+    sc = _counts({"0101": 7, "0011": 3}, 4, seed=1)
     model = NoiseModel(readout_eps0=1.0, readout_eps1=1.0)
     out = apply_readout(sc, model, seed=2)
     assert out.counts == {"1010": 7, "1100": 3}
@@ -188,7 +199,7 @@ def test_readout_eps_one_inverts_every_bit():
 
 def test_readout_flip_statistics():
     shots = 10 ** 6
-    sc = SampleCounts(counts={"0": shots}, total_shots=shots, seed=1)
+    sc = _counts({"0": shots}, 1, seed=1)
     model = NoiseModel(readout_eps0=0.1)
     out = apply_readout(sc, model, seed=7)
     frac = out.counts.get("1", 0) / shots
@@ -225,27 +236,22 @@ def test_filter_uniform_strings_matches_sector_probability():
     assert abs(frac - p_u) < 3 * sigma
     # and the filter agrees with the popcount tally on a subsample
     sub = 20000
-    counts = {}
-    for idx in draws[:sub]:
-        s = bitstring_of_index(int(idx), 20)
-        counts[s] = counts.get(s, 0) + 1
-    sc = SampleCounts(counts=counts, total_shots=sub, seed=42)
+    index, shots_at = np.unique(draws[:sub].astype(np.int64), return_counts=True)
+    sc = SampleCounts(index=index, shots=shots_at, n_qubits=20, seed=42)
     filtered, rejected = symmetry_filter(sc, 5, 5)
     assert filtered.total_shots == int(np.count_nonzero(hits[:sub]))
     assert filtered.total_shots + rejected == sub
 
 
 def test_filter_rejects_wrong_sector():
-    sc = SampleCounts(counts={"0000000000": 5}, total_shots=5, seed=0)
+    sc = _counts({"0000000000": 5}, 10, seed=0)
     filtered, rejected = symmetry_filter(sc, 5, 5)
     assert rejected == 5
     assert filtered.counts == {}
 
 
 def test_counts_to_determinants_ordering():
-    sc = SampleCounts(
-        counts={"1010": 5, "0110": 9, "0101": 5}, total_shots=19, seed=0
-    )
+    sc = _counts({"1010": 5, "0110": 9, "0101": 5}, 4, seed=0)
     dets = counts_to_determinants(sc, 2)
     assert dets[0] == Determinant.from_bitstring("0110")
     assert dets[1:] == [Determinant.from_bitstring("0101"),
@@ -257,7 +263,7 @@ def test_counts_to_determinants_ordering():
 def test_combine_product_count():
     alpha = [0b0011, 0b0101, 0b0110]
     beta = [0b0011, 0b0101, 0b0110, 0b1001]
-    combined = spin_factorized_combine(alpha, beta)
+    combined = spin_factorized_combine(Counter(alpha), Counter(beta))
     assert len(combined) == 12
     assert len(set(combined)) == 12
 
@@ -277,7 +283,7 @@ def test_combine_cap_keeps_highest_frequency_products():
 
 def test_combine_empty_pool():
     with pytest.raises(EmptyPool):
-        spin_factorized_combine([], [0b0011])
+        spin_factorized_combine(Counter(), Counter([0b0011]))
 
 
 def test_combine_recovers_top_fixture_determinant():

@@ -131,11 +131,12 @@ def test_norm_preserved_on_random_circuits():
     table = hubbard_chain_table()
     oracle = fci_oracle(table)
     space = enumerate_space(4, 2, 2)
+    coeffs = dict(zip(oracle.dets, oracle.coeffs))
     for _ in range(100):
         pick = rng.choice(len(space), size=5, replace=False)
         selected = [oracle.dets[i] for i in sorted(pick)]
         ranked = sorted(selected,
-                        key=lambda d: (-abs(oracle.weight(d)) ** 0.5,
+                        key=lambda d: (-(coeffs[d] ** 2) ** 0.5,
                                        d.alpha, d.beta))
         circuit = build_usci(ranked[0], ranked, 4)
         params = rng.uniform(-2, 2, size=circuit.n_params)
