@@ -102,43 +102,6 @@ class Circuit:
             indent=1,
         )
 
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        n_orb = int(data["n_orbitals"])
-        gates = []
-        for entry in data["gates"]:
-            exc = None
-            if "excitation" in entry:
-                e = entry["excitation"]
-                exc = ExcitationOp(
-                    n_orbitals=n_orb,
-                    annihilated=tuple(e["annihilated"]),
-                    created=tuple(e["created"]),
-                    phase=int(e["phase"]),
-                )
-            kappa = np.array(entry["kappa"]) if "kappa" in entry else None
-            gates.append(
-                Gate(
-                    kind=entry["kind"],
-                    qubits=tuple(entry["qubits"]),
-                    param_slot=entry["param_slot"],
-                    excitation=exc,
-                    angle=entry.get("angle"),
-                    kappa=kappa,
-                    inverse=entry.get("inverse", False),
-                    layer=entry.get("layer", 0),
-                )
-            )
-        return cls(
-            n_qubits=int(data["n_qubits"]),
-            gates=gates,
-            n_params=int(data["n_params"]),
-            layers=int(data["layers"]),
-            reference=Determinant.from_bitstring(data["reference"]),
-            n_orbitals=n_orb,
-        )
-
 
 def gate_counts(circuit):
     """Summary in the shape of a resource table: per-kind counts, parameter
@@ -173,6 +136,8 @@ def prescreen(seed, cutoff, top_m=None):
     below ``cutoff`` dropped; at most ``top_m`` kept.  The first determinant
     is the reference of any circuit built from the selection.
     """
+    if top_m is not None and top_m < 0:
+        raise ValueError(f"top_m must be nonnegative, got {top_m}")
     ranked = sorted(
         zip(seed.dets, seed.coeffs),
         key=lambda dc: (-abs(dc[1]), dc[0].alpha, dc[0].beta),
@@ -241,6 +206,10 @@ def build_usci(
     it are skipped.  Blocks are structurally identical but carry independent
     parameter slots.
     """
+    if layers < 1:
+        raise ValueError(f"layers must be at least 1, got {layers}")
+    if degree_cap is not None and degree_cap < 0:
+        raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
     if not selected:
         raise EmptySelection("empty determinant selection")
     if selected[0] != reference:

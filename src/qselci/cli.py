@@ -453,6 +453,8 @@ def _shot_summary(counts, table):
 def _expand(psi, table, opts, manifest, stage):
     """Up to ``--iters`` expansion steps, stopping at the first that adds
     nothing; returns the final wavefunction and a record per step."""
+    if opts["iters"] < 0:
+        raise ValueError(f"iters must be nonnegative, got {opts['iters']}")
     steps = []
     with manifest.stage(stage):
         for _ in range(opts["iters"]):

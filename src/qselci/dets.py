@@ -5,7 +5,9 @@ Conventions used throughout the package:
 
 * A determinant stores one integer bitmask per spin channel; bit ``p`` of
   ``alpha`` (``beta``) set means spatial orbital ``p`` holds an alpha (beta)
-  electron.  Masks are plain Python ints, valid for up to 64 orbitals.
+  electron.  Masks are plain Python ints of any width; the batched
+  matrix-element kernel packs them into uint64, so it takes at most 64
+  orbitals.
 * Spin orbitals are indexed in blocked order: alpha orbitals occupy indices
   ``0 .. n-1`` and beta orbitals ``n .. 2n-1`` for ``n`` spatial orbitals.
   This same index is the qubit index after the fermion-to-qubit mapping and
@@ -19,10 +21,15 @@ Conventions used throughout the package:
   ascending spin-orbital order first, then creations in ascending order.
   ``ExcitationOp.phase`` is the sign that makes ``phase * string |source> =
   +|target>``.
+* ``string_sign`` is the one place that sign rule is written; the scalar
+  excitation algebra, the circuit simulator and the batched matrix-element
+  kernel all take their signs from it.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .errors import RankTooHigh, TooLarge
 
@@ -43,12 +50,6 @@ class Determinant:
     @property
     def n_beta(self):
         return self.beta.bit_count()
-
-    def occupied_alpha(self):
-        return _bits(self.alpha)
-
-    def occupied_beta(self):
-        return _bits(self.beta)
 
     def occupied_spin_orbitals(self, n_orbitals):
         """Occupied blocked spin-orbital indices, ascending."""
@@ -125,6 +126,36 @@ def _mask(orbitals):
     return m
 
 
+def string_sign(x, annihilated, created):
+    """Sign an operator string picks up on occupation ``x``: annihilate
+    the ``annihilated`` spin orbitals, then create the ``created`` ones,
+    each in the order given, every operator crossing the occupied spin
+    orbitals below it.  Valid wherever the string does not destroy ``x``.
+
+    Closed form (-1)**(popcount(x & mask) + const): ``mask`` XORs the
+    operators' below-masks, and ``const`` counts, for each operator, the
+    earlier operators below it.  Each of those has flipped one bit under
+    it by the time it acts, which shifts its count by one either way, so
+    mod 2 the correction does not depend on ``x``; only its parity,
+    ``odd``, is kept.
+
+    ``x`` is either a Python int of any width with int orbitals, giving +1
+    or -1, or a uint64 array with int orbitals or arrays of per-element
+    orbitals, giving an int8 array of +1 and -1.
+    """
+    wide = not isinstance(x, np.ndarray)
+    one = 1 if wide else np.uint64(1)
+    ops = (*annihilated, *created)
+    mask, odd = 0, False
+    for i, k in enumerate(ops):
+        mask ^= (one << (k if wide else np.asarray(k, dtype=np.uint64))) - one
+        for j in ops[:i]:
+            odd ^= j < k
+    if wide:
+        return -1 if ((x & mask).bit_count() ^ odd) & 1 else 1
+    return 1 - 2 * ((np.bitwise_count(x & mask) ^ odd) & 1).astype(np.int8)
+
+
 def excitation_rank(d1, d2):
     """Number of orbital substitutions between two same-sector determinants."""
     return ((d1.alpha ^ d2.alpha).bit_count() + (d1.beta ^ d2.beta).bit_count()) // 2
@@ -145,19 +176,15 @@ class ExcitationOp:
     phase: int
 
     def __post_init__(self):
-        if set(self.annihilated) & set(self.created):
+        orbitals = self.annihilated + self.created
+        if len(set(orbitals)) != len(orbitals):
             raise ValueError(
-                "annihilated and created spin orbitals must be disjoint"
+                "annihilated and created spin orbitals must be distinct"
             )
 
     @property
     def rank(self):
         return len(self.annihilated)
-
-    def spins(self):
-        """'a' or 'b' per annihilated+created index (blocked ordering)."""
-        n = self.n_orbitals
-        return tuple("a" if s < n else "b" for s in self.annihilated + self.created)
 
     def apply_to(self, det):
         """Apply ``phase * string`` to a determinant.
@@ -167,18 +194,11 @@ class ExcitationOp:
         """
         n = self.n_orbitals
         x = det.to_index(n)
-        sign = self.phase
-        for s in self.annihilated:
-            if not (x >> s) & 1:
-                return None
-            sign *= -1 if ((x & ((1 << s) - 1)).bit_count() & 1) else 1
-            x ^= 1 << s
-        for s in self.created:
-            if (x >> s) & 1:
-                return None
-            sign *= -1 if ((x & ((1 << s) - 1)).bit_count() & 1) else 1
-            x |= 1 << s
-        return Determinant.from_index(x, n), sign
+        holes, particles = _mask(self.annihilated), _mask(self.created)
+        if x & (holes | particles) != holes:
+            return None
+        sign = self.phase * string_sign(x, self.annihilated, self.created)
+        return Determinant.from_index(x ^ holes ^ particles, n), sign
 
 
 def full_excitation(source, target, n_orbitals):
@@ -188,12 +208,8 @@ def full_excitation(source, target, n_orbitals):
     ann += [n_orbitals + p for p in _bits(source.beta & ~target.beta)]
     cre = _bits(target.alpha & ~source.alpha)
     cre += [n_orbitals + p for p in _bits(target.beta & ~source.beta)]
-    op = ExcitationOp(n_orbitals, tuple(sorted(ann)), tuple(sorted(cre)), phase=1)
-    applied = op.apply_to(source)
-    assert applied is not None
-    got, sign = applied
-    assert got == target
-    return ExcitationOp(n_orbitals, op.annihilated, op.created, phase=sign)
+    phase = string_sign(source.to_index(n_orbitals), ann, cre)
+    return ExcitationOp(n_orbitals, tuple(ann), tuple(cre), phase=phase)
 
 
 def excitation_between(source, target, n_orbitals):

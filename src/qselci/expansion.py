@@ -15,10 +15,11 @@ PT2 numerators from it.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, product, repeat
 
 import numpy as np
 
-from .dets import Determinant, _bits
+from .dets import Determinant
 from .hamiltonian import (
     build_subspace,
     coupling_elements,
@@ -30,23 +31,14 @@ from .hamiltonian import (
 DENOMINATOR_TOL = 1e-8
 
 
-def _single_substitutions(mask, n_orbitals):
-    occ = _bits(mask)
-    virt = [p for p in range(n_orbitals) if not (mask >> p) & 1]
-    for i in occ:
-        for a in virt:
-            yield (mask ^ (1 << i)) | (1 << a)
-
-
-def _double_substitutions(mask, n_orbitals):
-    occ = _bits(mask)
-    virt = [p for p in range(n_orbitals) if not (mask >> p) & 1]
-    for ii in range(len(occ)):
-        for jj in range(ii + 1, len(occ)):
-            removed = mask ^ (1 << occ[ii]) ^ (1 << occ[jj])
-            for aa in range(len(virt)):
-                for bb in range(aa + 1, len(virt)):
-                    yield removed | (1 << virt[aa]) | (1 << virt[bb])
+def _substitutions(mask, n_orbitals, rank):
+    """Every mask reached from ``mask`` by moving ``rank`` of its electrons
+    into empty orbitals."""
+    occupied = [1 << p for p in range(n_orbitals) if (mask >> p) & 1]
+    empty = [1 << p for p in range(n_orbitals) if not (mask >> p) & 1]
+    removed = [mask ^ sum(holes) for holes in combinations(occupied, rank)]
+    added = [sum(particles) for particles in combinations(empty, rank)]
+    return [r | a for r in removed for a in added]
 
 
 def _substitution_pool(psi, n):
@@ -55,19 +47,13 @@ def _substitution_pool(psi, n):
     seen = set()
     for det in psi.dets:
         a, b = det.alpha, det.beta
-        alpha_singles = list(_single_substitutions(a, n))
-        beta_singles = list(_single_substitutions(b, n))
-        for a2 in alpha_singles:
-            seen.add((a2, b))
-        for b2 in beta_singles:
-            seen.add((a, b2))
-        for a2 in _double_substitutions(a, n):
-            seen.add((a2, b))
-        for b2 in _double_substitutions(b, n):
-            seen.add((a, b2))
-        for a2 in alpha_singles:
-            for b2 in beta_singles:
-                seen.add((a2, b2))
+        alpha_singles = _substitutions(a, n, 1)
+        beta_singles = _substitutions(b, n, 1)
+        seen.update(zip(alpha_singles, repeat(b)))
+        seen.update(zip(repeat(a), beta_singles))
+        seen.update(zip(_substitutions(a, n, 2), repeat(b)))
+        seen.update(zip(repeat(a), _substitutions(b, n, 2)))
+        seen.update(product(alpha_singles, beta_singles))
     seen.difference_update((d.alpha, d.beta) for d in psi.dets)
     return [Determinant(a, b) for a, b in sorted(seen)]
 
@@ -145,6 +131,8 @@ def expand_and_rediagonalize(psi, table, tau, top_k=None):
     """
     if tau < 0:
         raise ValueError("threshold tau must be nonnegative")
+    if top_k is not None and top_k < 0:
+        raise ValueError(f"top_k must be nonnegative, got {top_k}")
     scored = _ranked_scores(psi, *_connected_coupling(psi, table))
     selected = [(mu, s) for mu, s in scored if s >= tau]
     if top_k is not None:

@@ -6,12 +6,12 @@ Hamiltonian with chemist-notation two-electron integrals,
 
     H = sum_pq h_pq E_pq + 1/2 sum_pqrs (pq|rs) [E_pq E_rs - delta_qr E_ps],
 
-evaluated directly from occupation bitmasks.  Sign conventions match the
-excitation-operator application order defined in :mod:`qselci.dets`; they are
-pinned by tests against a dense operator-matrix construction.
+evaluated directly from occupation bitmasks.
 ``slater_condon`` evaluates one pair and is the reference;
 ``coupling_elements`` and ``diagonal_elements`` apply the same rules to
 whole uint64 mask arrays and serve the subspace build, expansion and PT2.
+Both take their signs from :func:`qselci.dets.string_sign`, which tests pin
+against a dense operator-matrix construction.
 
 The subspace eigenproblem is an ordinary symmetric one (determinants are
 orthonormal).  ``davidson_lowest`` is a Davidson solver with a diagonal
@@ -32,6 +32,7 @@ from .dets import (  # hartree_fock is re-exported to callers of this module
     enumerate_space,
     excitation_between,
     hartree_fock,
+    string_sign,
 )
 from .errors import (
     DuplicateDeterminant,
@@ -43,6 +44,15 @@ from .errors import (
 DENSE_CUTOFF = 2000
 SPECTRUM_CAP = 2000
 NORM_TOL = 1e-10
+
+# Davidson: residual norm at convergence, iteration budget, basis size at
+# which it restarts, Ritz vectors kept across a restart, and the floor on
+# preconditioner denominators.
+DAVIDSON_TOL = 1e-8
+DAVIDSON_MAX_ITER = 300
+DAVIDSON_MAX_BASIS = 30
+DAVIDSON_RESTART_KEEP = 2
+DAVIDSON_LEVEL_SHIFT = 1e-8
 
 
 @dataclass
@@ -61,9 +71,6 @@ class SubspaceMatrix:
     @property
     def dim(self):
         return len(self.dets)
-
-    def diagonal(self):
-        return self.matrix.diagonal()
 
 
 @dataclass
@@ -256,9 +263,21 @@ _ONE = np.uint64(1)
 
 
 def det_masks(dets):
-    """Alpha and beta occupation masks of a determinant list, as uint64."""
-    alpha = np.fromiter((d.alpha for d in dets), dtype=np.uint64, count=len(dets))
-    beta = np.fromiter((d.beta for d in dets), dtype=np.uint64, count=len(dets))
+    """Alpha and beta occupation masks of a determinant list, as uint64.
+
+    Raises TooLarge when an occupied orbital lies past the 64 orbitals a
+    uint64 mask holds.
+    """
+    try:
+        alpha = np.fromiter((d.alpha for d in dets), dtype=np.uint64,
+                            count=len(dets))
+        beta = np.fromiter((d.beta for d in dets), dtype=np.uint64,
+                           count=len(dets))
+    except OverflowError:
+        raise TooLarge(
+            "a determinant occupies an orbital past the 64-orbital limit of "
+            "the uint64 matrix-element kernel"
+        ) from None
     return alpha, beta
 
 
@@ -281,15 +300,6 @@ def _dense_g(table):
 def _lowest(x):
     """Index of the lowest set bit of each mask (64 where the mask is 0)."""
     return np.bitwise_count((x & (~x + _ONE)) - _ONE).astype(np.intp)
-
-
-def _bit(k):
-    return _ONE << k.astype(np.uint64)
-
-
-def _count_below(x, k):
-    """Set bits of each mask x below index k."""
-    return np.bitwise_count(x & (_bit(k) - _ONE))
 
 
 def _occupied(masks):
@@ -319,20 +329,19 @@ def diagonal_elements(alpha, beta, table):
 
 
 def _hop(src, tgt):
-    """Hole, particle, remaining occupation and sign parity of a one-orbital
-    substitution src -> tgt within one spin channel."""
+    """Hole, particle and sign of a one-orbital substitution src -> tgt
+    within one spin channel."""
     hole = _lowest(src & ~tgt)
     part = _lowest(tgt & ~src)
-    rest = src ^ _bit(hole)
-    return hole, part, rest, _count_below(src, hole) + _count_below(rest, part)
+    return hole, part, string_sign(src, (hole,), (part,))
 
 
 def _single_values(src, tgt, other, alpha_channel, h, g):
     """Singles within one channel; ``other`` is the source's string in the
     other channel.  Beta operators cross the whole alpha string twice, so
     the phase needs only the channel's own string."""
-    hole, part, rest, parity = _hop(src, tgt)
-    walks = [(rest, True), (other, False)]
+    hole, part, sign = _hop(src, tgt)
+    walks = [(src & tgt, True), (other, False)]
     if not alpha_channel:
         walks.reverse()  # the alpha block comes first
     e = h[part, hole]
@@ -341,7 +350,7 @@ def _single_values(src, tgt, other, alpha_channel, h, g):
             e = e + np.where(on, g[part, hole, i, i], 0.0)
             if same_spin:
                 e = e - np.where(on, g[part, i, i, hole], 0.0)
-    return np.where(parity & 1, -e, e)
+    return sign * e
 
 
 def _same_spin_double_values(src, tgt, g):
@@ -349,21 +358,13 @@ def _same_spin_double_values(src, tgt, g):
     parts = tgt & ~src
     m, m2 = _lowest(holes), _lowest(holes & (holes - _ONE))
     a, b = _lowest(parts), _lowest(parts & (parts - _ONE))
-    # annihilate m then m2, create a then b, counting the occupied
-    # orbitals below each operator on the string as it stands
-    x1 = src ^ _bit(m)
-    x2 = x1 ^ _bit(m2)
-    parity = (_count_below(src, m) + _count_below(x1, m2) + _count_below(x2, a)
-              + _count_below(x2 | _bit(a), b))
-    e = g[a, m2, b, m] - g[a, m, b, m2]
-    return np.where(parity & 1, -e, e)
+    return string_sign(src, (m, m2), (a, b)) * (g[a, m2, b, m] - g[a, m, b, m2])
 
 
 def _opposite_spin_double_values(xa, ya, xb, yb, g):
-    m, a, _, pa = _hop(xa, ya)
-    m2, b, _, pb = _hop(xb, yb)
-    e = g[a, m, b, m2]
-    return np.where((pa + pb) & 1, -e, e)
+    m, a, sign_a = _hop(xa, ya)
+    m2, b, sign_b = _hop(xb, yb)
+    return sign_a * sign_b * g[a, m, b, m2]
 
 
 def _pair_values(ya, yb, xa, xb, h, g):
@@ -486,33 +487,20 @@ def dense_lowest(subspace):
     )
 
 
-def davidson_lowest(
-    subspace,
-    tol=1e-8,
-    max_iter=300,
-    max_subspace=30,
-    level_shift=1e-8,
-    n_restart_keep=2,
-):
+def davidson_lowest(subspace):
     """Lowest eigenpair by the Davidson method with a diagonal preconditioner.
 
     Deterministic: the starting vector is the unit vector on the smallest
     diagonal element, stalled search directions fall back to coordinate
     vectors in ascending-diagonal order, and the returned eigenvector sign is
     fixed so its largest-magnitude component is positive.  Raises
-    NoConvergence (carrying the best iterate) after ``max_iter`` iterations.
+    NoConvergence (carrying the best iterate) after ``DAVIDSON_MAX_ITER``
+    iterations.
     """
     A = subspace.matrix
     dim = subspace.dim
     if dim == 0:
         raise ValueError("empty subspace")
-    if dim == 1:
-        return Wavefunction(
-            dets=subspace.dets,
-            coeffs=np.array([1.0]),
-            energy=float(A[0, 0]) + subspace.core_energy,
-            n_orbitals=subspace.n_orbitals,
-        )
     diag = A.diagonal()
     order = np.argsort(diag, kind="stable")
     v0 = np.zeros(dim)
@@ -520,9 +508,9 @@ def davidson_lowest(
     V = [v0]
     W = [A @ v0]
     theta, x = float(diag[order[0]]), v0
-    max_subspace = min(max_subspace, dim)
+    max_basis = min(DAVIDSON_MAX_BASIS, dim)
 
-    for _ in range(max_iter):
+    for _ in range(DAVIDSON_MAX_ITER):
         Vm = np.column_stack(V)
         Wm = np.column_stack(W)
         T = Vm.T @ Wm
@@ -532,23 +520,18 @@ def davidson_lowest(
         s = evecs[:, 0]
         x = Vm @ s
         r = Wm @ s - theta * x
-        if np.linalg.norm(r) < tol:
+        # converged, or the basis spans the whole space and the Ritz pair
+        # is the eigenpair
+        if np.linalg.norm(r) < DAVIDSON_TOL or len(V) == dim:
             return Wavefunction(
                 dets=subspace.dets,
                 coeffs=_canonical_sign(x / np.linalg.norm(x)),
                 energy=theta + subspace.core_energy,
                 n_orbitals=subspace.n_orbitals,
             )
-        if len(V) == dim:
-            # Exact subspace reached; the Ritz pair is the eigenpair.
-            return Wavefunction(
-                dets=subspace.dets,
-                coeffs=_canonical_sign(x / np.linalg.norm(x)),
-                energy=theta + subspace.core_energy,
-                n_orbitals=subspace.n_orbitals,
-            )
-        if len(V) >= max_subspace:
-            kept = [Vm @ evecs[:, k] for k in range(min(n_restart_keep, len(V)))]
+        if len(V) >= max_basis:
+            kept = [Vm @ evecs[:, k]
+                    for k in range(min(DAVIDSON_RESTART_KEEP, len(V)))]
             V, W = [], []
             for vec in kept:
                 vec = _orthonormalize(vec, V)
@@ -556,8 +539,9 @@ def davidson_lowest(
                     V.append(vec)
                     W.append(A @ vec)
         denom = theta - diag
-        small = np.abs(denom) < level_shift
-        denom = np.where(small, np.where(denom >= 0, level_shift, -level_shift), denom)
+        shift = DAVIDSON_LEVEL_SHIFT
+        denom = np.where(np.abs(denom) < shift,
+                         np.where(denom >= 0, shift, -shift), denom)
         z = _orthonormalize(r / denom, V)
         if z is None:
             z = _fallback_direction(V, order)
@@ -567,10 +551,11 @@ def davidson_lowest(
         W.append(A @ z)
 
     raise NoConvergence(
-        f"Davidson did not reach |r| < {tol} in {max_iter} iterations",
+        f"Davidson did not reach |r| < {DAVIDSON_TOL} in {DAVIDSON_MAX_ITER} "
+        "iterations",
         energy=theta + subspace.core_energy,
         vector=_canonical_sign(x / np.linalg.norm(x)),
-        iterations=max_iter,
+        iterations=DAVIDSON_MAX_ITER,
     )
 
 

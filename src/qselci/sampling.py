@@ -104,6 +104,8 @@ class SampleCounts:
         return MappingProxyType(dict(self._text(slice(None))))
 
     def top(self, k):
+        if k < 0:
+            raise ValueError(f"top count must be nonnegative, got {k}")
         return self._text(self._ranked()[:k])
 
     def to_csv(self):

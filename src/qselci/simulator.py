@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .circuits import GATE_BASIS, GATE_EXCITATION, GATE_JASTROW, GATE_ORBITAL
-from .dets import ExcitationOp
+from .dets import ExcitationOp, string_sign
 from .errors import ParamCountMismatch, TooManyQubits
 
 MAX_QUBITS = 24
@@ -94,37 +94,12 @@ def _rotate(amps, indices, op, theta):
     if src.size == 0:
         return
     tgt = src ^ both
-    phase_mask, const = _parity_masks(op)
-    par = (np.bitwise_count(src & phase_mask) + const) & np.uint64(1)
-    sign = op.phase * (1.0 - 2.0 * par.astype(float))
+    sign = op.phase * string_sign(src, op.annihilated, op.created)
     c, s = np.cos(theta), np.sin(theta)
     a_src = amps[src]
     a_tgt = amps[tgt]
     amps[tgt] = c * a_tgt + sign * s * a_src
     amps[src] = c * a_src - sign * s * a_tgt
-
-
-def _parity_masks(op):
-    """Fixed XOR mask and constant so the string's sign on source state x is
-    op.phase * (-1)^(popcount(x & mask) + const).
-
-    Derivation: applying annihilations (ascending) then creations (ascending)
-    accumulates popcount(current & below(k)) per step; expressing each count
-    against the original x leaves per-step integer corrections for bits
-    already toggled below k, which are state-independent.
-    """
-    mask = 0
-    const = 0
-    placed = []  # (position, +1 created / -1 annihilated)
-    for s in op.annihilated:
-        mask ^= (1 << s) - 1
-        const += sum(1 for pos, _ in placed if pos < s)
-        placed.append((s, -1))
-    for s in op.created:
-        mask ^= (1 << s) - 1
-        const += sum(1 for pos, _ in placed if pos < s)
-        placed.append((s, +1))
-    return np.uint64(mask), np.uint64(const & 1)
 
 
 def _jastrow_phase(amps, indices, qubits, angle):

@@ -7,7 +7,6 @@ from qselci.circuits import (
     GATE_EXCITATION,
     GATE_JASTROW,
     GATE_ORBITAL,
-    Circuit,
     build_lucj,
     build_usci,
     decompose_excitation,
@@ -263,23 +262,7 @@ def test_jw_exponential_matches_dense_fermionic_rotation(ann, cre, n_orb):
     assert np.max(np.abs(from_pauli - from_fermion)) < 1e-10
 
 
-# ------------------------------------------------------------ serialization
-
-def test_circuit_json_round_trip():
-    table = hubbard_chain_table()
-    oracle = fci_oracle(table)
-    selected = prescreen(oracle, 0.0, top_m=5)
-    circuit = build_usci(selected[0], selected, 4, layers=2)
-    clone = Circuit.from_json(circuit.to_json())
-    assert clone.n_qubits == circuit.n_qubits
-    assert clone.n_params == circuit.n_params
-    assert len(clone.gates) == len(circuit.gates)
-    for a, b in zip(clone.gates, circuit.gates):
-        assert a.kind == b.kind
-        assert a.qubits == b.qubits
-        assert a.param_slot == b.param_slot
-    assert clone.to_json() == circuit.to_json()
-
+# ------------------------------------------------------------- gate counts
 
 def test_gate_counts_fields():
     table = hubbard_chain_table()

@@ -188,6 +188,18 @@ def test_analyze_fuzzed_input_file_exits_cleanly(tmp_path_factory, content):
     )
 
 
+def test_more_than_64_orbitals_is_one_line_domain_error(capsys, tmp_path):
+    path = tmp_path / "wide.fcidump"
+    path.write_text("&FCI NORB=66,NELEC=2,MS2=0,\n&END\n"
+                    "-1.0 1 1 0 0\n-0.5 66 66 0 0\n0.0 0 0 0 0\n")
+    assert cli_dispatch(["fci", "--fcidump", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: TooLarge: ")
+    assert captured.out == ""
+
+
 BAD_OPTION_VALUES = [
     ["sample", "--fixture", "hubbard4", "--pg", "0.001"],  # no --n2q
     ["qsci", "--fixture", "hubbard4", "--eps0", "2"],
@@ -198,6 +210,31 @@ BAD_OPTION_VALUES = [
 
 @pytest.mark.parametrize("argv", BAD_OPTION_VALUES, ids=" ".join)
 def test_rejected_option_value_is_one_line_usage_error(capsys, argv):
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ValueError: ")
+    assert captured.out == ""
+
+
+# Negative counts, which list slicing and range() would silently accept.
+NEGATIVE_COUNTS = [
+    ["sample", "--fixture", "hubbard4", "--shots", "2000", "--top", "-1"],
+    ["usci-build", "--fixture", "hubbard4", "--top-m", "-1"],
+    ["usci-build", "--fixture", "hubbard4", "--layers", "-1"],
+    ["usci-build", "--fixture", "hubbard4", "--layers", "0"],
+    ["usci-build", "--fixture", "hubbard4", "--degree-cap", "-1"],
+    ["expand", "--fixture", "hubbard4", "--top-k", "-1"],
+    ["expand", "--fixture", "hubbard4", "--iters", "-2"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_COUNTS, ids=" ".join)
+def test_negative_count_is_one_line_usage_error(capsys, saved_wavefunction,
+                                                argv):
+    if argv[0] == "expand":
+        argv = argv + ["--in", str(saved_wavefunction)]
     assert cli_dispatch(argv) == 2
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()

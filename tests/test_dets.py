@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qselci.dets import (
     excitation_between,
     excitation_rank,
     hartree_fock,
+    string_sign,
 )
 from qselci.errors import RankTooHigh, TooLarge
 
@@ -72,8 +74,11 @@ def test_bitstring_roundtrip_random():
 
 def _rank_oracle(d1, d2):
     """Set-difference count, written independently of the XOR formula."""
-    a1, a2 = set(d1.occupied_alpha()), set(d2.occupied_alpha())
-    b1, b2 = set(d1.occupied_beta()), set(d2.occupied_beta())
+    def occupied(mask):
+        return {p for p in range(mask.bit_length()) if (mask >> p) & 1}
+
+    a1, a2 = occupied(d1.alpha), occupied(d2.alpha)
+    b1, b2 = occupied(d1.beta), occupied(d2.beta)
     return len(a1 - a2) + len(b1 - b2)
 
 
@@ -116,9 +121,6 @@ def test_excitation_apply_roundtrip():
         op = excitation_between(src, tgt, 5)
         got, sign = op.apply_to(src)
         assert got == tgt and sign == 1
-        assert op.spins() == tuple(
-            "a" if s < 5 else "b" for s in op.annihilated + op.created
-        )
 
 
 def test_phase_against_dense_operator_oracle():
@@ -152,3 +154,82 @@ def test_apply_to_destroys_invalid_targets():
     assert op.apply_to(Determinant(alpha=0b110, beta=0)) is None
     # creating onto an occupied orbital
     assert op.apply_to(Determinant(alpha=0b101, beta=0)) is None
+
+
+def test_repeated_orbital_is_rejected():
+    for annihilated, created in [((0, 0), (1, 2)), ((0,), (1, 1)), ((0,), (0,))]:
+        with pytest.raises(ValueError):
+            ExcitationOp(n_orbitals=3, annihilated=annihilated,
+                         created=created, phase=1)
+
+
+def _strings(n_spin_orbitals):
+    """Every string of up to two annihilations, then up to two creations on
+    other spin orbitals, each group in ascending and in descending order."""
+    orbitals = range(n_spin_orbitals)
+    for n_ann in range(3):
+        for ann in combinations(orbitals, n_ann):
+            rest = [k for k in orbitals if k not in ann]
+            for n_cre in range(3):
+                for cre in combinations(rest, n_cre):
+                    yield ann, cre
+                    if n_ann == 2 or n_cre == 2:
+                        yield ann[::-1], cre[::-1]
+
+
+def test_string_sign_matches_dense_operator_oracle():
+    nso = 6
+    cre_ops = [oracles.creation_matrix(s, nso) for s in range(nso)]
+    occupations = np.arange(1 << nso, dtype=np.uint64)
+    for ann, cre in _strings(nso):
+        string = np.eye(1 << nso)
+        for s in ann:
+            string = cre_ops[s].T @ string
+        for s in cre:
+            string = cre_ops[s] @ string
+        alive = np.flatnonzero(np.abs(string).sum(axis=0))
+        vector_signs = string_sign(occupations, ann, cre)
+        for x in alive.tolist():
+            target = x ^ sum(1 << s for s in ann + cre)
+            expect = string[target, x]
+            assert string_sign(x, ann, cre) == expect
+            assert vector_signs[x] == expect
+
+
+def _loop_sign(x, annihilated, created):
+    """The sign applied one operator at a time: each crosses the occupied
+    spin orbitals below it on the string as it stands."""
+    sign = 1
+    for k in (*annihilated, *created):
+        if bin(x & ((1 << k) - 1)).count("1") % 2:
+            sign = -sign
+        x ^= 1 << k
+    return sign
+
+
+def _random_string(rng, x, width, n_ann, n_cre):
+    occupied = [k for k in range(width) if (x >> k) & 1]
+    empty = [k for k in range(width) if not (x >> k) & 1]
+    ann = rng.choice(occupied, size=n_ann, replace=False).tolist()
+    cre = rng.choice(empty, size=n_cre, replace=False).tolist()
+    return tuple(ann), tuple(cre)
+
+
+@pytest.mark.parametrize("n_ann, n_cre", [(1, 1), (2, 2), (2, 1), (0, 2)])
+def test_string_sign_matches_operator_loop(n_ann, n_cre):
+    rng = np.random.default_rng(17 + 10 * n_ann + n_cre)
+    for width in (65, 100, 200):  # Python ints wider than 64 bits
+        for _ in range(100):
+            x = int.from_bytes(rng.bytes(width // 8 + 1), "little")
+            x &= (1 << width) - 1
+            ann, cre = _random_string(rng, x, width, n_ann, n_cre)
+            assert string_sign(x, ann, cre) == _loop_sign(x, ann, cre)
+    # uint64 arrays with orbitals per element, bit 63 included
+    xs = [int.from_bytes(rng.bytes(8), "little") for _ in range(400)]
+    strings = [_random_string(rng, x, 64, n_ann, n_cre) for x in xs]
+    ann = [np.array([a[k] for a, _ in strings], dtype=np.intp)
+           for k in range(n_ann)]
+    cre = [np.array([c[k] for _, c in strings], dtype=np.intp)
+           for k in range(n_cre)]
+    got = string_sign(np.array(xs, dtype=np.uint64), ann, cre)
+    assert got.tolist() == [_loop_sign(x, *s) for x, s in zip(xs, strings)]

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from qselci import hamiltonian
 from qselci.dets import Determinant, enumerate_space, excitation_rank, hartree_fock
 from qselci.errors import DuplicateDeterminant, NoConvergence, TooLarge
 from qselci.fcidump import IntegralTable
@@ -148,12 +149,13 @@ def test_davidson_core_energy_offset():
     assert wf.energy == pytest.approx(1.5, abs=1e-12)
 
 
-def test_davidson_no_convergence_carries_best_iterate():
+def test_davidson_no_convergence_carries_best_iterate(monkeypatch):
     rng = np.random.default_rng(42)
     mat = rng.normal(size=(100, 100))
     mat = (mat + mat.T) / 2
+    monkeypatch.setattr(hamiltonian, "DAVIDSON_MAX_ITER", 2)
     with pytest.raises(NoConvergence) as err:
-        davidson_lowest(_matrix_subspace(mat), max_iter=2)
+        davidson_lowest(_matrix_subspace(mat))
     exact = scipy.linalg.eigvalsh(mat)[0]
     assert err.value.energy is not None
     assert err.value.energy >= exact - 1e-10  # variational iterate
@@ -197,6 +199,13 @@ def test_fci_oracle_cap():
     table = IntegralTable(n_orbitals=10, n_electrons=10)
     with pytest.raises(TooLarge):
         fci_oracle(table, cap=10**4)
+
+
+def test_build_subspace_past_64_orbitals_is_too_large():
+    table = IntegralTable(n_orbitals=66, n_electrons=2)
+    dets = [Determinant(alpha=1, beta=1), Determinant(alpha=1 << 65, beta=1)]
+    with pytest.raises(TooLarge, match="64-orbital"):
+        build_subspace(dets, table)
 
 
 def test_spectral_halfwidth():
