@@ -34,6 +34,8 @@ import numpy as np
 from .errors import RankTooHigh, TooLarge
 
 ENUMERATION_CAP = 10**7
+# _BELOW[k]: the uint64 mask of the bits below bit k, for k = 0 .. 64
+_BELOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
 
 
 @dataclass(frozen=True, order=True)
@@ -114,9 +116,15 @@ def enumerate_space(n_orbitals, n_alpha, n_beta, cap=ENUMERATION_CAP):
             f"sector ({n_alpha},{n_beta}) in {n_orbitals} orbitals has "
             f"{count} determinants, above the cap {cap}"
         )
-    alphas = sorted(_mask(c) for c in combinations(range(n_orbitals), n_alpha))
-    betas = sorted(_mask(c) for c in combinations(range(n_orbitals), n_beta))
+    alphas = occupation_strings(n_orbitals, n_alpha)
+    betas = occupation_strings(n_orbitals, n_beta)
     return [Determinant(a, b) for a in alphas for b in betas]
+
+
+def occupation_strings(n_orbitals, n_electrons):
+    """Every ``n_orbitals``-bit mask with ``n_electrons`` bits set,
+    ascending."""
+    return sorted(_mask(c) for c in combinations(range(n_orbitals), n_electrons))
 
 
 def _mask(orbitals):
@@ -144,11 +152,10 @@ def string_sign(x, annihilated, created):
     orbitals, giving an int8 array of +1 and -1.
     """
     wide = not isinstance(x, np.ndarray)
-    one = 1 if wide else np.uint64(1)
     ops = (*annihilated, *created)
     mask, odd = 0, False
     for i, k in enumerate(ops):
-        mask ^= (one << (k if wide else np.asarray(k, dtype=np.uint64))) - one
+        mask ^= (1 << k) - 1 if wide else _BELOW[k]
         for j in ops[:i]:
             odd ^= j < k
     if wide:

@@ -92,7 +92,7 @@ class ShapeMismatch(QselciError):
 
 
 class TooManyQubits(QselciError):
-    pass
+    """A statevector would pass the amplitude cap or the 62-qubit limit."""
 
 
 class ParamCountMismatch(QselciError):

@@ -56,7 +56,7 @@ def noisy_counts(state, shots, noise, master_seed):
     dist = ideal_distribution(state)
     if noise.depolarizing_p > 0.0:
         dist = depolarize_distribution(dist, noise.depolarizing_p)
-    counts = sample(dist, shots, seeds["sample"], noise=noise)
+    counts = sample(dist, shots, seeds["sample"])
     if noise.has_readout:
         counts = apply_readout(counts, noise, seeds["readout"])
     return counts

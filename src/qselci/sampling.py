@@ -2,8 +2,8 @@
 
 Noise placement follows the models exactly: global depolarizing acts on the
 outcome *distribution* (where it is analytically exact), readout flips act
-per *shot*.  All randomness uses numpy's Philox counter-based generator with
-the seed recorded in the returned counts.
+per *shot*.  All randomness uses numpy's Philox counter-based generator,
+seeded by the caller.
 
 Outcomes are int64 basis indices (bit k = qubit k, blocked spin-orbital
 order).  Text bitstrings (character k = qubit k) appear only in the
@@ -91,8 +91,6 @@ class SampleCounts:
     index: np.ndarray
     shots: np.ndarray
     n_qubits: int
-    seed: int
-    noise: NoiseModel = None
 
     @property
     def total_shots(self):
@@ -133,10 +131,15 @@ def _lex_order(index, n_qubits, *first):
 
 
 def ideal_distribution(state):
-    """Born probabilities |amp|^2, pruned below 1e-16."""
+    """Born probabilities |amp|^2 of the listed basis states, pruned below
+    1e-16."""
     p = np.abs(state.amps) ** 2
     keep = np.flatnonzero(p > PRUNE_TOL)
-    return Distribution(index=keep, probs=p[keep], n_qubits=state.n_qubits)
+    return Distribution(
+        index=state.index[keep].astype(np.int64),
+        probs=p[keep],
+        n_qubits=state.n_qubits,
+    )
 
 
 def depolarize_distribution(dist, p):
@@ -168,7 +171,9 @@ def sample(dist, shots, seed, noise=None):
 
     Listed outcomes are the multinomial's categories in bitstring order.
     Shots landing in the unlisted residual materialize as uniform random
-    indices outside the listed support (rejection sampling).
+    indices outside the listed support (rejection sampling).  ``noise`` is
+    accepted and not read: the distribution already carries the
+    depolarizing part, and readout flips are :func:`apply_readout`'s.
     """
     if shots < 1:
         raise ValueError("at least one shot required")
@@ -186,7 +191,7 @@ def sample(dist, shots, seed, noise=None):
         batch = rng.integers(0, 1 << dist.n_qubits, size=max(16, 2 * needed))
         outcomes.append(batch[~np.isin(batch, dist.index)][:needed])
         needed -= outcomes[-1].size
-    return _tally(np.concatenate(outcomes), dist.n_qubits, seed, noise)
+    return _tally(np.concatenate(outcomes), dist.n_qubits)
 
 
 def apply_readout(sc, model, seed):
@@ -196,7 +201,7 @@ def apply_readout(sc, model, seed):
     READOUT_BLOCK shots at a time.
     """
     if not model.has_readout:
-        return replace(sc, seed=int(seed), noise=model)
+        return sc
     rng = _rng(seed)
     order = _lex_order(sc.index, sc.n_qubits)
     read = np.repeat(sc.index[order], sc.shots[order])
@@ -207,12 +212,12 @@ def apply_readout(sc, model, seed):
         ones = (block[:, None] >> qubits) & 1
         flips = u < np.where(ones, model.readout_eps1, model.readout_eps0)
         block ^= (flips << qubits).sum(axis=1)
-    return _tally(read, sc.n_qubits, seed, model)
+    return _tally(read, sc.n_qubits)
 
 
-def _tally(outcomes, n_qubits, seed, noise):
+def _tally(outcomes, n_qubits):
     index, shots = np.unique(outcomes, return_counts=True)
-    return SampleCounts(index, shots, n_qubits, int(seed), noise)
+    return SampleCounts(index, shots, n_qubits)
 
 
 def symmetry_filter(sc, n_alpha, n_beta):

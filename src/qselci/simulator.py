@@ -1,59 +1,91 @@
 """Exact statevector simulation of ansatz circuits.
 
-Amplitude index convention: bit s of the index is the occupation of blocked
-spin orbital s, so ``Determinant.to_index`` is the basis index directly.
+Amplitude index convention: bit s of a basis index is the occupation of
+blocked spin orbital s, so ``Determinant.to_index`` is the basis index
+directly.
+
+A ``Statevector`` holds amplitudes on a sorted array of basis indices.
+Every gate kind keeps the electron count of each spin channel, so a state
+prepared from a determinant lists only that determinant's (n_alpha,
+n_beta) sector, C(n, n_alpha) * C(n, n_beta) basis states; a state given
+as a full amplitude vector lists the whole 2^n register.  Gates touch the
+listed amplitudes only, so each costs O(sector), not O(2^n).
 
 Excitation rotations exp(theta (tau - tau^dag)) are applied analytically:
-the register splits into (source, partner) amplitude pairs related by the
+the listed amplitudes split into (source, partner) pairs related by the
 excitation's occupation change, each rotated by a 2x2 Givens block whose
 sign is the fermionic parity of the operator string on that source state.
-This is exact exponentiation at O(2^n) per gate.  Single-particle basis
-rotations are compiled to a chain of adjacent Givens rotations plus
-number phases via QR elimination of the orthogonal rotation matrix.
+Single-particle basis rotations are compiled to a chain of adjacent Givens
+rotations plus number phases via QR elimination of the orthogonal rotation
+matrix.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import scipy.linalg
 
 from .circuits import GATE_BASIS, GATE_EXCITATION, GATE_JASTROW, GATE_ORBITAL
-from .dets import ExcitationOp, string_sign
+from .dets import ExcitationOp, occupation_strings, string_sign
 from .errors import ParamCountMismatch, TooManyQubits
 
-MAX_QUBITS = 24
-NORM_TOL = 1e-10
+MAX_AMPLITUDES = 1 << 24
+MAX_QUBITS = 62  # sampling holds basis indices as int64
+
+
+def _check_size(n_qubits, n_amplitudes):
+    if n_qubits > MAX_QUBITS:
+        raise TooManyQubits(
+            f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit limit"
+        )
+    if n_amplitudes > MAX_AMPLITUDES:
+        raise TooManyQubits(
+            f"{n_amplitudes} amplitudes on {n_qubits} qubits exceeds the "
+            f"{MAX_AMPLITUDES} cap"
+        )
 
 
 @dataclass
 class Statevector:
+    """``amps[i]`` is the amplitude of basis state ``index[i]``.
+
+    ``index`` is sorted and distinct; left out, it is the whole 2^n
+    register and ``amps`` is a full amplitude vector.
+    """
+
     amps: np.ndarray
     n_qubits: int
+    index: np.ndarray = None
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=complex)
-        if self.amps.shape != (1 << self.n_qubits,):
-            raise ValueError("amplitude array length must be 2^n_qubits")
+        if self.index is None:
+            _check_size(self.n_qubits, 1 << self.n_qubits)
+            self.index = np.arange(1 << self.n_qubits, dtype=np.uint64)
+        self.index = np.asarray(self.index, dtype=np.uint64)
+        if self.amps.shape != self.index.shape:
+            raise ValueError("need one amplitude per listed basis index")
 
     @classmethod
     def from_determinant(cls, det, n_orbitals):
+        """The basis state ``det``, listed on its (n_alpha, n_beta) sector."""
         n_qubits = 2 * n_orbitals
-        if n_qubits > MAX_QUBITS:
-            raise TooManyQubits(f"{n_qubits} qubits exceeds the {MAX_QUBITS} cap")
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[det.to_index(n_orbitals)] = 1.0
-        return cls(amps=amps, n_qubits=n_qubits)
-
-    def norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
+        _check_size(
+            n_qubits,
+            comb(n_orbitals, det.n_alpha) * comb(n_orbitals, det.n_beta),
+        )
+        alpha = np.array(occupation_strings(n_orbitals, det.n_alpha), dtype=np.uint64)
+        beta = np.array(occupation_strings(n_orbitals, det.n_beta), dtype=np.uint64)
+        index = ((beta[:, None] << np.uint64(n_orbitals)) | alpha).ravel()
+        amps = np.zeros(index.size, dtype=complex)
+        amps[np.searchsorted(index, det.to_index(n_orbitals))] = 1.0
+        return cls(amps=amps, n_qubits=n_qubits, index=index)
 
 
 def apply_circuit(circuit, params, state):
-    """Apply a circuit's gates in order to a statevector (returns a copy)."""
-    if circuit.n_qubits > MAX_QUBITS:
-        raise TooManyQubits(
-            f"{circuit.n_qubits} qubits exceeds the {MAX_QUBITS} cap"
-        )
+    """Apply a circuit's gates in order to a statevector (returns a copy
+    listed on the same basis states)."""
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.n_params,):
         raise ParamCountMismatch(
@@ -62,55 +94,59 @@ def apply_circuit(circuit, params, state):
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("statevector register size differs from circuit")
     amps = state.amps.copy()
-    indices = np.arange(1 << circuit.n_qubits, dtype=np.uint64)
+    index = state.index
     n = circuit.n_orbitals
     for gate in circuit.gates:
         if gate.kind == GATE_EXCITATION:
-            _rotate(amps, indices, gate.excitation, float(params[gate.param_slot]))
+            _rotate(amps, index, gate.excitation, float(params[gate.param_slot]))
         elif gate.kind == GATE_ORBITAL:
             theta = float(params[gate.param_slot])
             q, p = gate.qubits[0], gate.qubits[1]  # spatial pair (q < p)
             for off in (0, n):
                 op = ExcitationOp(n, (q + off,), (p + off,), phase=1)
-                _rotate(amps, indices, op, theta)
+                _rotate(amps, index, op, theta)
         elif gate.kind == GATE_JASTROW:
-            _jastrow_phase(amps, indices, gate.qubits, gate.angle)
+            _jastrow_phase(amps, index, gate.qubits, gate.angle)
         elif gate.kind == GATE_BASIS:
             sign = -1.0 if gate.inverse else 1.0
-            _basis_rotation(amps, indices, sign * gate.kappa, n)
+            _basis_rotation(amps, index, sign * gate.kappa, n)
         else:
             raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return Statevector(amps=amps, n_qubits=circuit.n_qubits)
+    return Statevector(amps=amps, n_qubits=circuit.n_qubits, index=index)
 
 
-def _rotate(amps, indices, op, theta):
+def _rotate(amps, index, op, theta):
     """In-place exp(theta (tau - tau^dag)) via paired-amplitude Givens."""
     if theta == 0.0:
         return
     ann_mask = np.uint64(sum(1 << s for s in op.annihilated))
     cre_mask = np.uint64(sum(1 << s for s in op.created))
     both = ann_mask | cre_mask
-    src = indices[(indices & both) == ann_mask]
-    if src.size == 0:
+    src_at = np.flatnonzero((index & both) == ann_mask)
+    if src_at.size == 0:
         return
+    src = index[src_at]
     tgt = src ^ both
+    tgt_at = np.searchsorted(index, tgt)
+    if not np.array_equal(index.take(tgt_at, mode="clip"), tgt):
+        raise ValueError("excitation leaves the statevector's listed basis states")
     sign = op.phase * string_sign(src, op.annihilated, op.created)
     c, s = np.cos(theta), np.sin(theta)
-    a_src = amps[src]
-    a_tgt = amps[tgt]
-    amps[tgt] = c * a_tgt + sign * s * a_src
-    amps[src] = c * a_src - sign * s * a_tgt
+    a_src = amps[src_at]
+    a_tgt = amps[tgt_at]
+    amps[tgt_at] = c * a_tgt + sign * s * a_src
+    amps[src_at] = c * a_src - sign * s * a_tgt
 
 
-def _jastrow_phase(amps, indices, qubits, angle):
+def _jastrow_phase(amps, index, qubits, angle):
     mask = np.uint64(0)
     for q in set(qubits):
         mask |= np.uint64(1 << q)
-    sel = (indices & mask) == mask
+    sel = (index & mask) == mask
     amps[sel] *= np.exp(1j * angle)
 
 
-def _basis_rotation(amps, indices, kappa, n_orbitals):
+def _basis_rotation(amps, index, kappa, n_orbitals):
     """Apply the Fock-space image of Q = expm(kappa) on both spin channels."""
     kappa = np.asarray(kappa, dtype=float)
     if np.abs(kappa).max() == 0.0:
@@ -123,13 +159,13 @@ def _basis_rotation(amps, indices, kappa, n_orbitals):
         if sign < 0:
             for off in (0, n_orbitals):
                 bit = np.uint64(1 << (i + off))
-                amps[(indices & bit) == bit] *= -1.0
+                amps[(index & bit) == bit] *= -1.0
     # Gamma(R(theta)) = exp(theta (a+_i a_j - a+_j a_i)); each factor here is
     # the transpose R^T, hence the negated angle.
     for i, j, theta in reversed(rotations):
         for off in (0, n_orbitals):
             op = ExcitationOp(n_orbitals, (j + off,), (i + off,), phase=1)
-            _rotate(amps, indices, op, -theta)
+            _rotate(amps, index, op, -theta)
 
 
 def _givens_decompose(Q):
@@ -159,8 +195,11 @@ def _givens_decompose(Q):
 
 
 def expectation_energy(state, subspace):
-    """<psi|H|psi> over a subspace matrix whose determinants index the
-    statevector (diagnostic helper)."""
-    idx = [d.to_index(subspace.n_orbitals) for d in subspace.dets]
-    vec = state.amps[idx]
+    """<psi|H|psi> over a subspace matrix's determinants; a determinant the
+    state does not list has amplitude 0 (diagnostic helper)."""
+    idx = np.array(
+        [d.to_index(subspace.n_orbitals) for d in subspace.dets], dtype=np.uint64
+    )
+    at = np.minimum(np.searchsorted(state.index, idx), state.index.size - 1)
+    vec = np.where(state.index[at] == idx, state.amps[at], 0.0)
     return float(np.real(np.conj(vec) @ (subspace.matrix @ vec))) + subspace.core_energy

@@ -27,3 +27,11 @@ def random_table(n_orbitals, n_electrons, ms2=0, seed=0, with_core=True):
             seen.add(key)
             table.set_g(*key, float(rng.normal() * 0.5))
     return table
+
+
+def full_register(state):
+    """A statevector's amplitudes scattered into a zero vector over all
+    2^n basis states."""
+    amps = np.zeros(1 << state.n_qubits, dtype=complex)
+    amps[state.index] = state.amps
+    return amps

@@ -18,6 +18,8 @@ import scipy.linalg
 from qselci.dets import Determinant, bitstring_of_index
 from qselci.fcidump import IntegralTable
 
+import helpers
+
 
 def creation_matrix(s, n_spin_orbitals):
     """Dense matrix of the creation operator on spin orbital s."""
@@ -205,7 +207,7 @@ class SampleCounts:
 
 
 def ideal_distribution(state):
-    p = np.abs(state.amps) ** 2
+    p = np.abs(helpers.full_register(state)) ** 2
     keep = np.nonzero(p > 1e-16)[0]
     probs = {
         bitstring_of_index(int(i), state.n_qubits): float(p[i]) for i in keep

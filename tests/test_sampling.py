@@ -23,14 +23,15 @@ from qselci.sampling import (
 )
 from qselci.simulator import Statevector, apply_circuit
 
+import helpers
 
-def _counts(text_counts, n_qubits, seed):
+
+def _counts(text_counts, n_qubits):
     """SampleCounts over the indices of ``{bitstring: count}``."""
     return SampleCounts(
         index=np.array([index_of_bitstring(s) for s in text_counts]),
         shots=np.array(list(text_counts.values())),
         n_qubits=n_qubits,
-        seed=seed,
     )
 
 
@@ -84,8 +85,9 @@ def test_ideal_distribution_matches_squared_amplitudes():
     sv = Statevector.from_determinant(selected[0], 4)
     out = apply_circuit(circuit, np.full(circuit.n_params, 0.3), sv)
     dist = ideal_distribution(out)
+    amps = helpers.full_register(out)
     for idx, p in zip(dist.index, dist.probs):
-        assert abs(p - abs(out.amps[idx]) ** 2) < 1e-14
+        assert abs(p - abs(amps[idx]) ** 2) < 1e-14
     assert abs(dist.total() - 1.0) < 1e-10
 
 
@@ -183,14 +185,14 @@ def test_sample_residual_materializes_unlisted_strings():
 # ------------------------------------------------------------------ readout
 
 def test_readout_zero_eps_unchanged():
-    sc = _counts({"0101": 7, "0011": 3}, 4, seed=1)
+    sc = _counts({"0101": 7, "0011": 3}, 4)
     model = NoiseModel()
     out = apply_readout(sc, model, seed=2)
     assert out.counts == sc.counts
 
 
 def test_readout_eps_one_inverts_every_bit():
-    sc = _counts({"0101": 7, "0011": 3}, 4, seed=1)
+    sc = _counts({"0101": 7, "0011": 3}, 4)
     model = NoiseModel(readout_eps0=1.0, readout_eps1=1.0)
     out = apply_readout(sc, model, seed=2)
     assert out.counts == {"1010": 7, "1100": 3}
@@ -199,7 +201,7 @@ def test_readout_eps_one_inverts_every_bit():
 
 def test_readout_flip_statistics():
     shots = 10 ** 6
-    sc = _counts({"0": shots}, 1, seed=1)
+    sc = _counts({"0": shots}, 1)
     model = NoiseModel(readout_eps0=0.1)
     out = apply_readout(sc, model, seed=7)
     frac = out.counts.get("1", 0) / shots
@@ -237,21 +239,21 @@ def test_filter_uniform_strings_matches_sector_probability():
     # and the filter agrees with the popcount tally on a subsample
     sub = 20000
     index, shots_at = np.unique(draws[:sub].astype(np.int64), return_counts=True)
-    sc = SampleCounts(index=index, shots=shots_at, n_qubits=20, seed=42)
+    sc = SampleCounts(index=index, shots=shots_at, n_qubits=20)
     filtered, rejected = symmetry_filter(sc, 5, 5)
     assert filtered.total_shots == int(np.count_nonzero(hits[:sub]))
     assert filtered.total_shots + rejected == sub
 
 
 def test_filter_rejects_wrong_sector():
-    sc = _counts({"0000000000": 5}, 10, seed=0)
+    sc = _counts({"0000000000": 5}, 10)
     filtered, rejected = symmetry_filter(sc, 5, 5)
     assert rejected == 5
     assert filtered.counts == {}
 
 
 def test_counts_to_determinants_ordering():
-    sc = _counts({"1010": 5, "0110": 9, "0101": 5}, 4, seed=0)
+    sc = _counts({"1010": 5, "0110": 9, "0101": 5}, 4)
     dets = counts_to_determinants(sc, 2)
     assert dets[0] == Determinant.from_bitstring("0110")
     assert dets[1:] == [Determinant.from_bitstring("0101"),

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,14 @@ from qselci.dets import Determinant, ExcitationOp, enumerate_space, hartree_fock
 from qselci.errors import ParamCountMismatch, TooManyQubits
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import Wavefunction, build_subspace, fci_oracle
-from qselci.simulator import Statevector, apply_circuit, expectation_energy
+from qselci.simulator import (
+    MAX_AMPLITUDES,
+    Statevector,
+    apply_circuit,
+    expectation_energy,
+)
 
+import helpers
 import oracles
 
 
@@ -47,14 +56,45 @@ def _random_excitation(rng, n_orbitals):
 def test_from_determinant_layout():
     det = Determinant(0b01, 0b10)        # alpha orbital 0, beta orbital 1
     sv = Statevector.from_determinant(det, 2)
-    assert sv.amps.shape == (16,)
-    assert sv.amps[det.to_index(2)] == 1.0
-    assert np.count_nonzero(sv.amps) == 1
+    amps = helpers.full_register(sv)
+    assert amps.shape == (16,)
+    assert amps[det.to_index(2)] == 1.0
+    assert np.count_nonzero(amps) == 1
 
 
 def test_qubit_cap_enforced():
+    # the cap counts amplitudes, not qubits: 26 qubits, 13 x 13 sector
+    assert Statevector.from_determinant(Determinant(1, 1), 13).amps.size == 169
     with pytest.raises(TooManyQubits):
-        Statevector.from_determinant(Determinant(1, 1), 13)  # 26 qubits
+        Statevector(np.zeros(1), 26)  # a full 26-qubit register
+    # basis indices are int64 in sampling: 64 qubits is past the limit
+    with pytest.raises(TooManyQubits):
+        Statevector.from_determinant(Determinant(1, 1), 32)
+
+
+def test_sector_above_amplitude_cap_raises_before_allocating():
+    assert math.comb(26, 13) ** 2 > MAX_AMPLITUDES
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyQubits):
+            Statevector.from_determinant(hartree_fock(26, 13, 13), 26)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_24_qubit_sector_runs_a_double_excitation():
+    ref = hartree_fock(12, 6, 6)
+    sv = Statevector.from_determinant(ref, 12)
+    assert sv.amps.size == math.comb(12, 6) ** 2 == 853_776
+    op = ExcitationOp(n_orbitals=12, annihilated=(5, 17), created=(6, 18),
+                      phase=1)
+    out = apply_circuit(_excitation_circuit(op, 24), [0.3], sv)
+    moved = Determinant(0b1011111, 0b1011111)
+    at = np.searchsorted(out.index, [ref.to_index(12), moved.to_index(12)])
+    assert np.count_nonzero(out.amps) == 2
+    assert np.max(np.abs(np.abs(out.amps[at]) - [np.cos(0.3), np.sin(0.3)])) < 1e-12
 
 
 def test_param_count_mismatch():
@@ -81,13 +121,23 @@ def test_half_pi_swaps_basis_states():
     # alpha 0 -> alpha 1 on one spatial orbital pair: |10> -> |01>
     op = ExcitationOp(n_orbitals=1, annihilated=(0,), created=(1,), phase=1)
     circuit = _excitation_circuit(op, 2)
-    sv = Statevector.from_determinant(Determinant.from_bitstring("10"), 1)
+    # the gate moves an electron between spin channels, out of the
+    # determinant's sector, so it runs on the whole register
+    one_hot = Statevector.from_determinant(Determinant.from_bitstring("10"), 1)
+    sv = Statevector(helpers.full_register(one_hot), 2)
     out = apply_circuit(circuit, [np.pi / 2], sv)
     target = Determinant.from_bitstring("01").to_index(1)
     assert abs(abs(out.amps[target]) - 1.0) < 1e-12
     dense = oracles.dense_excitation_rotation(op, np.pi / 2)
     expected = dense @ sv.amps
     assert np.max(np.abs(out.amps - expected)) < 1e-12
+
+
+def test_gate_leaving_the_sector_is_rejected():
+    op = ExcitationOp(n_orbitals=1, annihilated=(0,), created=(1,), phase=1)
+    sv = Statevector.from_determinant(Determinant.from_bitstring("10"), 1)
+    with pytest.raises(ValueError, match="listed basis states"):
+        apply_circuit(_excitation_circuit(op, 2), [np.pi / 2], sv)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -124,6 +174,44 @@ def test_gate_unitarity_numerically():
     del rng
 
 
+# ------------------------------------- sector listing against full register
+
+def _random_usci(rng, n_orbitals, n_alpha, n_beta):
+    space = enumerate_space(n_orbitals, n_alpha, n_beta)
+    pick = rng.choice(len(space), size=min(6, len(space)), replace=False)
+    selected = [space[i] for i in pick]
+    circuit = build_usci(selected[0], selected, n_orbitals, layers=2,
+                         with_orbital_rotation=True)
+    return circuit, rng.uniform(-2, 2, size=circuit.n_params)
+
+
+def _random_lucj(rng, n_orbitals, n_alpha, n_beta):
+    K = rng.normal(size=(n_orbitals, n_orbitals))
+    J = rng.normal(size=(2 * n_orbitals, 2 * n_orbitals))
+    ref = hartree_fock(n_orbitals, n_alpha, n_beta)
+    return build_lucj(K - K.T, J + J.T, ref), np.zeros(0)
+
+
+@pytest.mark.parametrize("build", [_random_usci, _random_lucj])
+@pytest.mark.parametrize(
+    "n_orbitals, n_alpha, n_beta",
+    [(4, 2, 2), (4, 3, 1), (5, 2, 3), (5, 1, 0), (6, 3, 3), (6, 4, 2)],
+)
+def test_sector_state_matches_full_register_bitwise(build, n_orbitals,
+                                                    n_alpha, n_beta):
+    rng = np.random.default_rng(100 * n_orbitals + 10 * n_alpha + n_beta)
+    circuit, params = build(rng, n_orbitals, n_alpha, n_beta)
+    sector = Statevector.from_determinant(circuit.reference, n_orbitals)
+    full = Statevector(helpers.full_register(sector), 2 * n_orbitals)
+    assert sector.amps.size == (math.comb(n_orbitals, n_alpha)
+                                * math.comb(n_orbitals, n_beta))
+    out = apply_circuit(circuit, params, sector)
+    assert np.array_equal(out.index, sector.index)
+    assert np.array_equal(
+        helpers.full_register(out), apply_circuit(circuit, params, full).amps
+    )
+
+
 # ------------------------------------------------------ property invariants
 
 def test_norm_preserved_on_random_circuits():
@@ -142,7 +230,7 @@ def test_norm_preserved_on_random_circuits():
         params = rng.uniform(-2, 2, size=circuit.n_params)
         sv = Statevector.from_determinant(ranked[0], 4)
         out = apply_circuit(circuit, params, sv)
-        assert abs(out.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
 
 
 def test_particle_number_conserved():
@@ -154,7 +242,7 @@ def test_particle_number_conserved():
     params = rng.uniform(-1, 1, size=circuit.n_params)
     sv = Statevector.from_determinant(selected[0], 4)
     out = apply_circuit(circuit, params, sv)
-    support = np.nonzero(np.abs(out.amps) > 1e-12)[0]
+    support = np.nonzero(np.abs(helpers.full_register(out)) > 1e-12)[0]
     for idx in support:
         det = Determinant.from_index(int(idx), 4)
         assert det.n_alpha == 2 and det.n_beta == 2
@@ -216,12 +304,12 @@ def test_lucj_jastrow_phase_on_occupied_pair():
     sv = Statevector.from_determinant(ref, n)
     out = apply_circuit(circuit, [], sv)
     idx = ref.to_index(n)
-    assert abs(out.amps[idx] - np.exp(0.7j)) < 1e-12
+    assert abs(helpers.full_register(out)[idx] - np.exp(0.7j)) < 1e-12
     # a determinant missing one of the pair picks up no phase
     other = Determinant(0b10, 0b01)  # alpha orbital 1, beta orbital 0
     sv2 = Statevector.from_determinant(other, n)
     out2 = apply_circuit(circuit, [], sv2)
-    assert abs(out2.amps[other.to_index(n)] - 1.0) < 1e-12
+    assert abs(helpers.full_register(out2)[other.to_index(n)] - 1.0) < 1e-12
 
 
 def test_basis_rotation_matches_dense_orbital_rotation():
