@@ -7,12 +7,23 @@ contributions.  Everything is in natural-log units (nats); the single
 spin-orbital entropy is therefore capped at ln 2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .dets import excitation_rank
+
+
+def _xlogx(x):
+    """x ln x per element, with 0 ln 0 = 0 (scipy.special.xlogy(x, x)).
+
+    math.log rather than np.log: numpy's vectorized log can differ from
+    the C library's in the last bit.  The arrays here are a few entries
+    per spin orbital.
+    """
+    values = [0.0 if v == 0 else v * math.log(v) for v in np.ravel(x).tolist()]
+    return np.array(values).reshape(np.shape(x))
 
 
 def _occupation_matrix(psi):
@@ -27,7 +38,7 @@ def _occupation_matrix(psi):
 
 
 def _binary_entropy(p):
-    return float(-(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)))
+    return float(-(_xlogx(p) + _xlogx(1.0 - p)))
 
 
 def orbital_entropies(psi):
@@ -41,7 +52,7 @@ def orbital_entropies(psi):
     occ = _occupation_matrix(psi)
     p = occ.T @ weights
     p = np.clip(p, 0.0, 1.0)
-    s = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
+    s = -(_xlogx(p) + _xlogx(1.0 - p))
     return p, np.asarray(s, dtype=float)
 
 
@@ -70,7 +81,7 @@ def mutual_information(psi):
                 p11[i, j],                       # 11
             ])
             joint = np.clip(joint, 0.0, 1.0)
-            s_ij = float(-np.sum(xlogy(joint, joint)))
+            s_ij = float(-np.sum(_xlogx(joint)))
             value = s_i + _binary_entropy(p[j]) - s_ij
             if -1e-12 < value < 0.0:
                 value = 0.0

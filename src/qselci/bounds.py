@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FullDepolarization, ZeroGap
-from .pipeline import derive_seeds
+from .sampling import derive_seeds
 
 # Monte-Carlo trials are split into this many blocks, each drawing from its
 # own derived stream; fixed, so a validator's value depends only on its seed.
@@ -68,6 +68,17 @@ class BoundInputs:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be a nonnegative count, got {v}")
+        # an empty sector has no uniform-hit probability to budget against
+        n = self.n_orbitals
+        if n is not None:
+            for name, cap in (("m_electrons", 2 * n), ("n_alpha", n),
+                              ("n_beta", n)):
+                v = getattr(self, name)
+                if v is not None and v > cap:
+                    raise ValueError(
+                        f"{name}={v} exceeds the {cap} spin orbitals it can "
+                        f"occupy in n_orbitals={n}"
+                    )
         if self.r is not None and self.d is not None and self.r > self.d:
             raise ValueError("retained-set size exceeds the space dimension")
 

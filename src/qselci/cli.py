@@ -16,6 +16,11 @@ derived from it through numpy's SeedSequence in a fixed documented order.
 Exit codes: 0 success, 1 domain error (the error class name is printed),
 2 usage error, including an option value the library rejects with
 ValueError (printed the same way).
+
+Start-up is most of a small run, so each handler imports the qselci modules
+it calls when it runs, and those modules import scipy's submodules inside
+the functions that call them: ``bounds`` or ``analyze`` never loads the
+eigensolvers, and only ``qsci --optimize`` loads the optimizer.
 """
 
 import argparse
@@ -31,24 +36,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import analyze
-from .bounds import BoundInputs, full_report
-from .circuits import build_lucj, build_usci, gate_counts, prescreen
 from .errors import ConfigParseError, QselciError
-from .expansion import en_pt2, expand_and_rediagonalize
-from .fcidump import parse_fcidump, table_summary
-from .fixtures import fixture_table
-from .hamiltonian import Wavefunction, fci_oracle
-from .pipeline import (
-    OptimizerConfig,
-    PipelineConfig,
-    noisy_counts,
-    optimize,
-    run_qsci_once,
-    stage_seeds,
-)
-from .sampling import NoiseModel, symmetry_filter
-from .simulator import Statevector, apply_circuit
 
 SUBCOMMANDS = (
     "fcidump-info", "fci", "usci-build", "qsci", "sample",
@@ -102,6 +90,8 @@ class RunManifest:
 
     def record_seeds(self, master_seed):
         """The master seed and the sampling-stage seeds derived from it."""
+        from .sampling import stage_seeds
+
         self.seeds["master"] = int(master_seed)
         self.seeds.update(stage_seeds(master_seed))
 
@@ -346,6 +336,9 @@ def _effective_options(args, option_rows):
 # ---------------------------------------------------------------------------
 
 def _load_table(opts):
+    from .fcidump import parse_fcidump
+    from .fixtures import fixture_table
+
     if opts.get("fcidump") and opts.get("fixture"):
         raise _UsageError("give either --fcidump or --fixture, not both")
     if opts.get("fcidump"):
@@ -357,6 +350,8 @@ def _load_table(opts):
 
 
 def _noise_from(opts):
+    from .sampling import NoiseModel
+
     return NoiseModel(
         depolarizing_p=opts.get("depol_p", 0.0) or 0.0,
         per_gate_pg=opts.get("pg"),
@@ -368,6 +363,8 @@ def _noise_from(opts):
 
 def _load_wavefunction(opts, table=None):
     """The ``--in`` wavefunction, checked against ``table`` when given."""
+    from .hamiltonian import Wavefunction
+
     if not opts.get("infile"):
         raise _UsageError("--in is required")
     with open(opts["infile"], "rb") as fh:
@@ -392,12 +389,17 @@ def _wf_digest(wf, k=10):
 def _pilot_selection(table, opts, manifest):
     """The FCI pilot and its prescreened determinants; the first of them is
     the reference of any circuit built from the selection."""
+    from .circuits import prescreen
+    from .hamiltonian import fci_oracle
+
     with manifest.stage("reference_solution"):
         oracle = fci_oracle(table)
     return oracle, prescreen(oracle, opts["cutoff"], opts.get("top_m"))
 
 
 def _build_circuit_from_oracle(table, opts, manifest):
+    from .circuits import build_usci
+
     oracle, selected = _pilot_selection(table, opts, manifest)
     circuit = build_usci(
         selected[0],
@@ -413,6 +415,8 @@ def _build_circuit_from_oracle(table, opts, manifest):
 def _illustrative_lucj(table, reference):
     """Fixed, documented cluster-Jastrow parameters for the comparison
     baseline: nearest-neighbor one-body mixing plus a short-range phase."""
+    from .circuits import build_lucj
+
     n = table.n_orbitals
     K = np.zeros((n, n))
     for p in range(n - 1):
@@ -432,6 +436,9 @@ def _uniform_params(circuit, angle):
 
 def _sample_once(circuit, params, table, opts, manifest):
     """Raw (unfiltered) counts of one noisy sampling pass."""
+    from .pipeline import noisy_counts
+    from .simulator import Statevector, apply_circuit
+
     manifest.record_seeds(opts["seed"])
     noise = _noise_from(opts)
     state = Statevector.from_determinant(circuit.reference, table.n_orbitals)
@@ -443,6 +450,8 @@ def _sample_once(circuit, params, table, opts, manifest):
 
 def _shot_summary(counts, table):
     """Distinct strings and in-sector share of raw counts."""
+    from .sampling import symmetry_filter
+
     filtered, _rejected = symmetry_filter(counts, table.n_alpha, table.n_beta)
     return {
         "n_unique_bitstrings": counts.index.size,
@@ -453,6 +462,8 @@ def _shot_summary(counts, table):
 def _expand(psi, table, opts, manifest, stage):
     """Up to ``--iters`` expansion steps, stopping at the first that adds
     nothing; returns the final wavefunction and a record per step."""
+    from .expansion import expand_and_rediagonalize
+
     if opts["iters"] < 0:
         raise ValueError(f"iters must be nonnegative, got {opts['iters']}")
     steps = []
@@ -477,6 +488,8 @@ def _expand(psi, table, opts, manifest, stage):
 # ---------------------------------------------------------------------------
 
 def _handle_fcidump_info(opts, manifest):
+    from .fcidump import table_summary
+
     with manifest.stage("parse"):
         table = _load_table(opts)
     result = table_summary(table)
@@ -485,6 +498,8 @@ def _handle_fcidump_info(opts, manifest):
 
 
 def _handle_fci(opts, manifest):
+    from .hamiltonian import fci_oracle
+
     table = _load_table(opts)
     with manifest.stage("diagonalize"):
         wf = fci_oracle(table, cap=opts["cap"])
@@ -503,6 +518,8 @@ def _handle_fci(opts, manifest):
 
 
 def _handle_usci_build(opts, manifest):
+    from .circuits import gate_counts
+
     table = _load_table(opts)
     with manifest.stage("build"):
         oracle, selected, circuit = _build_circuit_from_oracle(
@@ -526,6 +543,8 @@ def _handle_usci_build(opts, manifest):
 
 
 def _handle_qsci(opts, manifest):
+    from .pipeline import OptimizerConfig, PipelineConfig, optimize, run_qsci_once
+
     table = _load_table(opts)
     oracle, selected, circuit = _build_circuit_from_oracle(
         table, opts, manifest
@@ -620,6 +639,8 @@ def _handle_expand(opts, manifest):
 
 
 def _handle_pt2(opts, manifest):
+    from .expansion import en_pt2
+
     table = _load_table(opts)
     psi = _load_wavefunction(opts, table)
     with manifest.stage("pt2"):
@@ -645,6 +666,8 @@ _PRESETS = {
 
 
 def _handle_bounds(opts, manifest):
+    from .bounds import BoundInputs, full_report
+
     if opts.get("preset"):
         preset = _PRESETS.get(opts["preset"])
         if preset is None:
@@ -689,6 +712,8 @@ def _handle_bounds(opts, manifest):
 
 
 def _handle_analyze(opts, manifest):
+    from .analysis import analyze
+
     psi = _load_wavefunction(opts)
     with manifest.stage("analyze"):
         report = analyze(psi)
@@ -707,6 +732,9 @@ def _handle_analyze(opts, manifest):
 
 
 def _handle_demo(opts, manifest):
+    from .fixtures import fixture_table
+    from .pipeline import PipelineConfig, run_qsci_once
+
     table = fixture_table(opts["fixture"])
     oracle, selected, usci = _build_circuit_from_oracle(table, opts, manifest)
     dominant = max(
@@ -794,6 +822,10 @@ def cli_dispatch(argv):
         return int(exc.code) if exc.code else 0
     try:
         opts = _effective_options(args, OPTIONS[args.subcommand])
+        if not math.isfinite(opts.get("init_angle", 0.0)):
+            raise ValueError(
+                f"--init-angle must be finite, got {opts['init_angle']}"
+            )
         manifest = RunManifest(config=_jsonify(opts))
         result, lines = HANDLERS[args.subcommand](opts, manifest)
     except _UsageError as exc:

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .dets import (  # hartree_fock is re-exported to callers of this module
     Determinant,
@@ -64,7 +62,7 @@ class SubspaceMatrix:
     """
 
     dets: list
-    matrix: scipy.sparse.csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
     core_energy: float
     n_orbitals: int
 
@@ -441,6 +439,8 @@ def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, table,
 
 def build_subspace(dets, table):
     """Project the Hamiltonian onto a determinant list (sparse symmetric)."""
+    import scipy.sparse
+
     if len(set(dets)) != len(dets):
         seen = set()
         for d in dets:
@@ -476,6 +476,8 @@ def _canonical_sign(vec):
 
 def dense_lowest(subspace):
     """Dense reference diagonalization (full eigensolve, lowest state)."""
+    import scipy.linalg
+
     dense = subspace.matrix.toarray()
     w, v = scipy.linalg.eigh(dense)
     vec = _canonical_sign(v[:, 0])
@@ -497,6 +499,8 @@ def davidson_lowest(subspace):
     NoConvergence (carrying the best iterate) after ``DAVIDSON_MAX_ITER``
     iterations.
     """
+    import scipy.linalg
+
     A = subspace.matrix
     dim = subspace.dim
     if dim == 0:
@@ -594,6 +598,8 @@ def fci_oracle(table, cap=10**7):
 
 def spectral_halfwidth(subspace, cap=SPECTRUM_CAP):
     """(E_max - E_min) / 2 of a subspace matrix (core shift cancels)."""
+    import scipy.linalg
+
     if subspace.dim > cap:
         raise TooLarge(
             f"dense spectrum of dimension {subspace.dim} above cap {cap}"

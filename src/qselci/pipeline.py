@@ -8,8 +8,9 @@ determinants, project the Hamiltonian onto them, and solve for the lowest
 eigenpair.
 
 All randomness derives from the config's single seed: stage seeds are drawn
-from numpy's SeedSequence(seed) in a fixed order (:func:`stage_seeds`:
-sampling first, readout second), so a run is replayable from one number.
+from numpy's SeedSequence(seed) in a fixed order
+(:func:`qselci.sampling.stage_seeds`: sampling first, readout second), so a
+run is replayable from one number.
 The optimizer reuses one sampling seed across evaluations, making the
 objective deterministic, as trust-region derivative-free methods require.
 """
@@ -19,34 +20,24 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import EmptySubspace
 from .hamiltonian import build_subspace, davidson_lowest
-from .sampling import (
+from .sampling import (  # derive_seeds is re-exported to callers of this module
     NoiseModel,
     apply_readout,
     counts_to_determinants,
     depolarize_distribution,
+    derive_seeds,
     ideal_distribution,
     sample,
+    stage_seeds,
     symmetry_filter,
 )
 from .simulator import Statevector, apply_circuit
 
 OPTIMIZER_METHOD = "COBYLA"
 OPTIMIZER_INITIAL_STEP = 0.3
-
-
-def derive_seeds(master_seed, n):
-    """Deterministic per-stage 64-bit seeds from one master seed."""
-    ss = np.random.SeedSequence(int(master_seed))
-    return [int(x) for x in ss.generate_state(n, dtype=np.uint64)]
-
-
-def stage_seeds(master_seed):
-    """The seeds of one sampling pass by stage, in derivation order."""
-    return dict(zip(("sample", "readout"), derive_seeds(master_seed, 2)))
 
 
 def noisy_counts(state, shots, noise, master_seed):
@@ -157,6 +148,8 @@ def optimize(circuit, table, cfg):
     best energy has not improved by more than the tolerance over a patience
     window of evaluations, or when the evaluation budget is exhausted.
     """
+    import scipy.optimize
+
     opt = cfg.optimizer
     state = {
         "best_energy": np.inf,

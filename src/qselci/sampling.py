@@ -3,7 +3,8 @@
 Noise placement follows the models exactly: global depolarizing acts on the
 outcome *distribution* (where it is analytically exact), readout flips act
 per *shot*.  All randomness uses numpy's Philox counter-based generator,
-seeded by the caller.
+seeded by the caller; :func:`stage_seeds` derives the seeds of one
+sampling pass from a master seed (sampling first, readout second).
 
 Outcomes are int64 basis indices (bit k = qubit k, blocked spin-orbital
 order).  Text bitstrings (character k = qubit k) appear only in the
@@ -160,6 +161,17 @@ def depolarize_distribution(dist, p):
         residual_mass=floor * (d - dist.index.size),
         unlisted_floor=floor,
     )
+
+
+def derive_seeds(master_seed, n):
+    """Deterministic per-stage 64-bit seeds from one master seed."""
+    ss = np.random.SeedSequence(int(master_seed))
+    return [int(x) for x in ss.generate_state(n, dtype=np.uint64)]
+
+
+def stage_seeds(master_seed):
+    """The seeds of one sampling pass by stage, in derivation order."""
+    return dict(zip(("sample", "readout"), derive_seeds(master_seed, 2)))
 
 
 def _rng(seed):

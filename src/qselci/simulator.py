@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from .circuits import GATE_BASIS, GATE_EXCITATION, GATE_JASTROW, GATE_ORBITAL
 from .dets import ExcitationOp, occupation_strings, string_sign
@@ -148,10 +147,12 @@ def _jastrow_phase(amps, index, qubits, angle):
 
 def _basis_rotation(amps, index, kappa, n_orbitals):
     """Apply the Fock-space image of Q = expm(kappa) on both spin channels."""
+    from scipy.linalg import expm
+
     kappa = np.asarray(kappa, dtype=float)
     if np.abs(kappa).max() == 0.0:
         return
-    Q = scipy.linalg.expm(kappa)
+    Q = expm(kappa)
     rotations, diag = _givens_decompose(Q)
     # Q = R_1^T ... R_m^T D, so apply D first, then the transposed plane
     # rotations in reverse elimination order.

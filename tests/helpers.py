@@ -1,6 +1,11 @@
-"""Small shared helpers for building randomized test inputs."""
+"""Small shared helpers: randomized test inputs, full-register views of
+sector states, and fresh interpreters on the source tree."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -35,3 +40,20 @@ def full_register(state):
     amps = np.zeros(1 << state.n_qubits, dtype=complex)
     amps[state.index] = state.amps
     return amps
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(args):
+    """Run a fresh interpreter with ``src`` first on its import path;
+    returns the completed process with text output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=300,
+    )

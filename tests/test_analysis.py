@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
+from qselci import analysis
 from qselci.analysis import (
     analyze,
     excitation_rank,
@@ -12,7 +15,7 @@ from qselci.analysis import (
 )
 from qselci.dets import Determinant
 from qselci.expansion import connected_set, expand_and_rediagonalize
-from qselci.fixtures import hubbard_chain_table
+from qselci.fixtures import FIXTURES, hubbard_chain_table
 from qselci.hamiltonian import (
     Wavefunction,
     build_subspace,
@@ -222,3 +225,28 @@ def test_report_serialization_and_edges(hubbard_state):
     top = report.mi.max()
     strong = report.mi_edge_list(threshold=top * 0.99)
     assert 1 <= len(strong) < len(edges)
+
+
+# -------------------------------------------------- x ln x without scipy.special
+
+def test_xlogx_is_bitwise_scipy_xlogy():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([
+        rng.random(50_000),
+        rng.random(1_000) ** 40,  # spread over many decades below 1
+        [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 0.5, np.nan],
+    ])
+    got, want = analysis._xlogx(x), xlogy(x, x)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    assert analysis._xlogx(np.float64(0.25)) == xlogy(0.25, 0.25)
+    assert analysis._xlogx(np.zeros((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_analyze_reports_match_the_scipy_xlogy_form(monkeypatch, name):
+    psi = fci_oracle(FIXTURES[name]())
+    report = json.dumps(analyze(psi).to_json_dict())
+    monkeypatch.setattr(analysis, "_xlogx", lambda x: xlogy(x, x))
+    assert report == json.dumps(analyze(psi).to_json_dict())

@@ -337,3 +337,21 @@ def test_input_validation():
         BoundReport(selection_failure=1.5)
     with pytest.raises(ValueError):
         BoundReport(truncation_bound=-0.1)
+
+
+@pytest.mark.parametrize("electrons", [
+    {"m_electrons": 22},
+    {"n_alpha": 11, "n_beta": 5},
+    {"n_alpha": 5, "n_beta": 11},
+])
+def test_inputs_reject_more_electrons_than_spin_orbitals(electrons):
+    with pytest.raises(ValueError, match="exceeds"):
+        BoundInputs(n_orbitals=10, f_2q=0.99, **electrons)
+
+
+def test_inputs_accept_a_full_sector():
+    report = full_report(BoundInputs(n_orbitals=10, m_electrons=20, f_2q=0.99))
+    assert report.p_u == pytest.approx(2.0 ** -20, rel=1e-12)
+    report = full_report(BoundInputs(n_orbitals=10, n_alpha=10, n_beta=0,
+                                     f_2q=0.99))
+    assert report.p_u == pytest.approx(2.0 ** -20, rel=1e-12)

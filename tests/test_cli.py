@@ -205,6 +205,10 @@ BAD_OPTION_VALUES = [
     ["qsci", "--fixture", "hubbard4", "--eps0", "2"],
     ["qsci", "--fixture", "hubbard4", "--shots", "0"],
     ["bounds", "--n", "10", "--m", "9", "--f2q", "0.99"],  # odd, closed shell
+    # more electrons than spin orbitals: an empty sector, whose infinite
+    # log-probability once overflowed the gate budget
+    ["bounds", "--n", "10", "--m", "30", "--f2q", "0.99"],
+    ["bounds", "--n", "10", "--n-alpha", "5", "--n-beta", "11", "--f2q", "0.99"],
 ]
 
 
@@ -215,6 +219,19 @@ def test_rejected_option_value_is_one_line_usage_error(capsys, argv):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ValueError: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sub, angle", [
+    ("qsci", "nan"), ("sample", "inf"), ("demo", "-inf"),
+])
+def test_non_finite_init_angle_is_named_usage_error(capsys, sub, angle):
+    argv = [sub, "--fixture", "hubbard4", f"--init-angle={angle}"]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: ValueError: --init-angle must be finite, got {angle}\n"
+    )
     assert captured.out == ""
 
 

@@ -1,13 +1,9 @@
 """Each narrated demo script runs to completion in a fresh interpreter."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 
@@ -17,14 +13,6 @@ def test_all_six_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs_cleanly(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=300,
-    )
+    proc = run_python([str(demo)])
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr

@@ -1,0 +1,119 @@
+"""The import contract: each subcommand loads only the scipy it calls.
+
+Start-up dominates a small run, and the first scipy submodule imported
+costs more than a whole ``bounds`` evaluation, so the library imports
+scipy's submodules inside the functions that call them.  The subprocess
+tests check what a fresh interpreter has loaded after each run; the AST
+test keeps a module-level submodule import from coming back.
+"""
+
+import ast
+import json
+
+import pytest
+
+from helpers import ROOT, run_python
+from qselci.cli import cli_dispatch
+from qselci.fcidump import serialize_fcidump
+from qselci.fixtures import hubbard_chain_table
+
+SRC = ROOT / "src" / "qselci"
+
+# Eigensolvers, sparse matrices, the optimizer, special functions, and the
+# array-API shim the first of them pulls in (numpy.f2py, numpy.testing, ...).
+HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.special",
+         "scipy._lib._array_api")
+
+# Runs the CLI in-process, then prints the loaded module names as JSON on
+# the last line of stdout.  With no arguments it only imports the CLI.
+PROBE = (
+    "import json, sys\n"
+    "from qselci.cli import cli_dispatch\n"
+    "code = cli_dispatch(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+)
+
+
+def loaded_modules(argv):
+    proc = run_python(["-c", PROBE, *argv])
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["code"] == 0, proc.stderr
+    return set(probe["modules"])
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A sampled (not FCI) wavefunction of hubbard4 and an FCIDUMP file."""
+    root = tmp_path_factory.mktemp("imports")
+    wf, fcidump = root / "wf.json", root / "h4.fcidump"
+    assert cli_dispatch(
+        ["qsci", "--fixture", "hubbard4", "--shots", "2000", "--seed", "3",
+         "--save-wf", str(wf), "--out", str(root / "qsci.json")]
+    ) == 0
+    fcidump.write_text(serialize_fcidump(hubbard_chain_table()))
+    return {"wf": str(wf), "fcidump": str(fcidump), "out": str(root / "r.json")}
+
+
+LIGHT_RUNS = {
+    "import": [],
+    "bounds": ["bounds", "--preset", "cas10-10"],
+    "analyze": ["analyze", "--in", "{wf}"],
+    "pt2": ["pt2", "--fixture", "hubbard4", "--in", "{wf}"],
+    "fcidump-info": ["fcidump-info", "--fcidump", "{fcidump}"],
+}
+
+
+@pytest.mark.parametrize("argv", LIGHT_RUNS.values(), ids=LIGHT_RUNS.keys())
+def test_light_subcommands_load_no_heavy_scipy(inputs, argv):
+    argv = [a.format(**inputs) for a in argv]
+    if argv:
+        argv += ["--out", inputs["out"]]
+    assert loaded_modules(argv).isdisjoint(HEAVY)
+
+
+def test_qsci_without_optimize_loads_no_optimizer(inputs):
+    modules = loaded_modules(
+        ["qsci", "--fixture", "hubbard4", "--shots", "2000",
+         "--out", inputs["out"]]
+    )
+    assert "scipy.sparse" in modules  # the probe sees what a run loads
+    assert modules.isdisjoint(("scipy.optimize", "scipy.special"))
+
+
+def _module_level_scipy_imports(tree):
+    """(line, text) of each scipy import that runs when the module loads,
+    that is, outside any function body, other than a bare ``import scipy``."""
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.startswith("scipy.")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            node.module == "scipy" or node.module.startswith("scipy.")
+        ):
+            found.append((node.lineno, f"from {node.module} import ..."))
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_submodule_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _module_level_scipy_imports(tree) == []
+
+
+def test_guard_sees_nested_module_level_imports():
+    tree = ast.parse(
+        "import scipy\n"
+        "try:\n    import scipy.sparse\nexcept ImportError:\n    pass\n"
+        "class A:\n    from scipy.linalg import eigh\n"
+        "def f():\n    import scipy.optimize\n"
+    )
+    assert sorted(_module_level_scipy_imports(tree)) == [
+        (3, "import scipy.sparse"), (7, "from scipy.linalg import ..."),
+    ]
