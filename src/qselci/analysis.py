@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dets import excitation_rank
+from .dets import Determinant, excitation_rank  # excitation_rank is re-exported
 
 
 def _xlogx(x):
@@ -28,13 +28,9 @@ def _xlogx(x):
 
 def _occupation_matrix(psi):
     """Rows = determinants, columns = 2n spin orbitals, entries in {0,1}."""
-    n = psi.n_orbitals
-    occ = np.zeros((len(psi.dets), 2 * n), dtype=float)
-    for k, det in enumerate(psi.dets):
-        for i in range(n):
-            occ[k, i] = (det.alpha >> i) & 1
-            occ[k, n + i] = (det.beta >> i) & 1
-    return occ
+    orbitals = np.arange(psi.n_orbitals, dtype=np.uint64)
+    bits = (psi.masks[:, :, None] >> orbitals) & np.uint64(1)
+    return bits.reshape(len(psi.masks), -1).astype(float)
 
 
 def _binary_entropy(p):
@@ -95,12 +91,10 @@ def rank_histogram(psi, reference):
     Returns an array indexed by rank, covering 0 through the highest rank
     present.
     """
-    ranks = [excitation_rank(reference, det) for det in psi.dets]
-    weights = np.asarray(psi.coeffs, dtype=float) ** 2
-    hist = np.zeros(max(ranks) + 1)
-    for r, w in zip(ranks, weights):
-        hist[r] += w
-    return hist
+    ref = np.array([reference.alpha, reference.beta], dtype=np.uint64)
+    ranks = np.bitwise_count(psi.masks ^ ref).sum(axis=1) // 2
+    # bincount adds each rank's weights in determinant order, as a loop would
+    return np.bincount(ranks, weights=np.asarray(psi.coeffs, dtype=float) ** 2)
 
 
 @dataclass
@@ -135,9 +129,7 @@ def analyze(psi, reference=None):
     """Full diagnostic pass; the reference for the rank histogram defaults
     to the determinant with the largest weight."""
     if reference is None:
-        reference = max(
-            zip(psi.dets, psi.coeffs), key=lambda t: t[1] ** 2
-        )[0]
+        reference = Determinant(*psi.masks[np.argmax(psi.coeffs ** 2)].tolist())
     p, s = orbital_entropies(psi)
     return AnalysisReport(
         occupations=p,

@@ -156,13 +156,7 @@ def noisy_cumulative(p_r_id, p, r, d):
 def invert_weight(p_tilde_r, p, r, d, zeta_r=0.0):
     """Recover the ideal cumulative weight from the noisy one, minus the
     mismatch allowance, clamped to [0, 1]."""
-    if p >= 1.0:
-        raise FullDepolarization(
-            "depolarizing strength 1 destroys all signal; weight inversion "
-            "is undefined"
-        )
-    value = (p_tilde_r - p * r / d) / (1.0 - p) - zeta_r
-    return min(1.0, max(0.0, value))
+    return confident_weight_lower(p_tilde_r, 0.0, p, r, d, zeta_r)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +294,8 @@ def gate_budget(f_2q, n, m=None, n_alpha=None, n_beta=None):
     if not 0.0 < f_2q < 1.0:
         raise ValueError("two-qubit fidelity must lie strictly in (0, 1)")
     log_pu = log_uniform_probability(n, m, n_alpha, n_beta)
+    if log_pu == -math.inf:
+        raise ValueError("the particle-number sector is empty")
     return int(math.floor(log_pu / math.log(f_2q)))
 
 

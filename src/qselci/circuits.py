@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dets import Determinant, ExcitationOp, excitation_rank, full_excitation
+from .dets import (Determinant, ExcitationOp, determinants, excitation_rank,
+                   full_excitation)
 from .errors import EmptySelection, ShapeMismatch, ZeroRank
 
 GATE_EXCITATION = "ExcitationRotation"
@@ -138,16 +139,12 @@ def prescreen(seed, cutoff, top_m=None):
     """
     if top_m is not None and top_m < 0:
         raise ValueError(f"top_m must be nonnegative, got {top_m}")
-    ranked = sorted(
-        zip(seed.dets, seed.coeffs),
-        key=lambda dc: (-abs(dc[1]), dc[0].alpha, dc[0].beta),
-    )
-    kept = [d for d, c in ranked if abs(c) >= cutoff]
-    if top_m is not None:
-        kept = kept[:top_m]
-    if not kept:
+    masks, size = seed.masks, np.abs(seed.coeffs)
+    ranked = np.lexsort((masks[:, 1], masks[:, 0], -size))
+    kept = ranked[size[ranked] >= cutoff][:top_m]
+    if not kept.size:
         raise EmptySelection(f"no amplitude at or above cutoff {cutoff}")
-    return kept
+    return determinants(masks[kept])
 
 
 # ------------------------------------------------- excitation decomposition

@@ -375,14 +375,13 @@ def _load_wavefunction(opts, table=None):
 
 
 def _wf_digest(wf, k=10):
-    pairs = sorted(
-        zip(wf.dets, wf.coeffs), key=lambda t: (-(t[1] ** 2), t[0].alpha,
-                                                t[0].beta)
-    )[:k]
+    from .dets import determinants
+
+    weights = wf.coeffs ** 2
+    top = np.lexsort((wf.masks[:, 1], wf.masks[:, 0], -weights))[:k]
     return [
-        {"determinant": det.to_bitstring(wf.n_orbitals),
-         "weight": float(c * c)}
-        for det, c in pairs
+        {"determinant": det.to_bitstring(wf.n_orbitals), "weight": float(w)}
+        for det, w in zip(determinants(wf.masks[top]), weights[top])
     ]
 
 
@@ -505,14 +504,14 @@ def _handle_fci(opts, manifest):
         wf = fci_oracle(table, cap=opts["cap"])
     result = {
         "energy": wf.energy,
-        "dimension": len(wf.dets),
+        "dimension": len(wf.masks),
         "core_energy": table.core_energy,
         "top_weights": _wf_digest(wf),
     }
     if opts.get("save_wf"):
         manifest.write_file(opts["save_wf"], wf.to_json())
     lines = [
-        f"ground energy: {wf.energy:.10f} Ha over {len(wf.dets)} determinants"
+        f"ground energy: {wf.energy:.10f} Ha over {len(wf.masks)} determinants"
     ]
     return result, lines
 
@@ -626,7 +625,7 @@ def _handle_expand(opts, manifest):
     result = {
         "iterations": iterations,
         "final_energy": psi.energy,
-        "final_dimension": len(psi.dets),
+        "final_dimension": len(psi.masks),
     }
     if opts.get("save_wf"):
         manifest.write_file(opts["save_wf"], psi.to_json())
@@ -737,9 +736,7 @@ def _handle_demo(opts, manifest):
 
     table = fixture_table(opts["fixture"])
     oracle, selected, usci = _build_circuit_from_oracle(table, opts, manifest)
-    dominant = max(
-        zip(oracle.dets, oracle.coeffs), key=lambda t: t[1] ** 2
-    )[0].to_bitstring(table.n_orbitals)
+    dominant = selected[0].to_bitstring(table.n_orbitals)  # largest |c|
     usci_params = _uniform_params(usci, opts["init_angle"])
     ansatze = {
         "usci": (usci, usci_params),
@@ -822,10 +819,9 @@ def cli_dispatch(argv):
         return int(exc.code) if exc.code else 0
     try:
         opts = _effective_options(args, OPTIONS[args.subcommand])
-        if not math.isfinite(opts.get("init_angle", 0.0)):
-            raise ValueError(
-                f"--init-angle must be finite, got {opts['init_angle']}"
-            )
+        for flags, dest, typ, _d, _h in OPTIONS[args.subcommand]:
+            if typ is float and not math.isfinite(opts[dest] or 0.0):
+                raise ValueError(f"{flags[0]} must be finite, got {opts[dest]}")
         manifest = RunManifest(config=_jsonify(opts))
         result, lines = HANDLERS[args.subcommand](opts, manifest)
     except _UsageError as exc:

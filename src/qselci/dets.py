@@ -5,9 +5,10 @@ Conventions used throughout the package:
 
 * A determinant stores one integer bitmask per spin channel; bit ``p`` of
   ``alpha`` (``beta``) set means spatial orbital ``p`` holds an alpha (beta)
-  electron.  Masks are plain Python ints of any width; the batched
-  matrix-element kernel packs them into uint64, so it takes at most 64
-  orbitals.
+  electron.  ``Determinant`` holds one as plain Python ints of any width.
+  A set of determinants is an (N, 2) uint64 array of ``[alpha, beta]``
+  mask rows, so it takes at most 64 orbitals; ``det_masks`` and
+  ``determinants`` convert between the two forms.
 * Spin orbitals are indexed in blocked order: alpha orbitals occupy indices
   ``0 .. n-1`` and beta orbitals ``n .. 2n-1`` for ``n`` spatial orbitals.
   This same index is the qubit index after the fermion-to-qubit mapping and
@@ -102,9 +103,37 @@ def hartree_fock(n_orbitals, n_alpha, n_beta):
     return Determinant(alpha=(1 << n_alpha) - 1, beta=(1 << n_beta) - 1)
 
 
-def enumerate_space(n_orbitals, n_alpha, n_beta, cap=ENUMERATION_CAP):
-    """All determinants of the (n_alpha, n_beta) sector, in ascending
-    ``(alpha, beta)`` bitmask order.
+def det_masks(dets):
+    """The (N, 2) uint64 ``[alpha, beta]`` mask rows of a determinant list;
+    mask rows pass through unchanged.
+
+    Raises TooLarge when an occupied orbital lies past the 64 orbitals a
+    uint64 mask holds.
+    """
+    if isinstance(dets, np.ndarray):
+        return dets
+    return np.column_stack([_uint64([d.alpha for d in dets]),
+                            _uint64([d.beta for d in dets])])
+
+
+def _uint64(masks):
+    try:
+        return np.fromiter(masks, np.uint64, len(masks))
+    except OverflowError:
+        raise TooLarge(
+            "a determinant occupies an orbital past the 64-orbital limit of "
+            "uint64 determinant masks"
+        ) from None
+
+
+def determinants(masks):
+    """The Determinant list of (N, 2) mask rows."""
+    return list(map(Determinant, *masks.T.tolist()))
+
+
+def sector_masks(n_orbitals, n_alpha, n_beta, cap=ENUMERATION_CAP):
+    """Mask rows of the whole (n_alpha, n_beta) sector, in ascending
+    ``(alpha, beta)`` order.
 
     Raises TooLarge if the exact count C(n,na)*C(n,nb) exceeds ``cap``.
     """
@@ -116,9 +145,15 @@ def enumerate_space(n_orbitals, n_alpha, n_beta, cap=ENUMERATION_CAP):
             f"sector ({n_alpha},{n_beta}) in {n_orbitals} orbitals has "
             f"{count} determinants, above the cap {cap}"
         )
-    alphas = occupation_strings(n_orbitals, n_alpha)
-    betas = occupation_strings(n_orbitals, n_beta)
-    return [Determinant(a, b) for a in alphas for b in betas]
+    alphas, betas = (_uint64(occupation_strings(n_orbitals, k))
+                     for k in (n_alpha, n_beta))
+    return np.column_stack([np.repeat(alphas, len(betas)),
+                            np.tile(betas, len(alphas))])
+
+
+def enumerate_space(n_orbitals, n_alpha, n_beta, cap=ENUMERATION_CAP):
+    """``sector_masks`` as a Determinant list."""
+    return determinants(sector_masks(n_orbitals, n_alpha, n_beta, cap))
 
 
 def occupation_strings(n_orbitals, n_electrons):

@@ -11,7 +11,8 @@ re-solved.  The perturbative estimate uses the same pool with
 state-specific denominators ``<mu|H|mu> - E_S``.  Each call evaluates the
 pool's coupling block into S once, with the batched kernel of
 :mod:`qselci.hamiltonian`, and takes the connected set, the scores and the
-PT2 numerators from it.
+PT2 numerators from it.  The pool and candidates are (N, 2) uint64 mask
+rows; the public functions return Determinant lists.
 """
 
 from dataclasses import dataclass
@@ -19,12 +20,11 @@ from itertools import combinations, product, repeat
 
 import numpy as np
 
-from .dets import Determinant
+from .dets import det_masks, determinants
 from .hamiltonian import (
     build_subspace,
     coupling_elements,
     davidson_lowest,
-    det_masks,
     diagonal_elements,
 )
 
@@ -42,11 +42,12 @@ def _substitutions(mask, n_orbitals, rank):
 
 
 def _substitution_pool(psi, n):
-    """Every sector-preserving single or double substitution of a member of
-    psi's set that lies outside it, in ascending (alpha, beta) order."""
+    """Mask rows of every sector-preserving single or double substitution of
+    a member of psi's set that lies outside it, in ascending (alpha, beta)
+    order."""
     seen = set()
-    for det in psi.dets:
-        a, b = det.alpha, det.beta
+    members = list(map(tuple, psi.masks.tolist()))
+    for a, b in members:
         alpha_singles = _substitutions(a, n, 1)
         beta_singles = _substitutions(b, n, 1)
         seen.update(zip(alpha_singles, repeat(b)))
@@ -54,14 +55,14 @@ def _substitution_pool(psi, n):
         seen.update(zip(_substitutions(a, n, 2), repeat(b)))
         seen.update(zip(repeat(a), _substitutions(b, n, 2)))
         seen.update(product(alpha_singles, beta_singles))
-    seen.difference_update((d.alpha, d.beta) for d in psi.dets)
-    return [Determinant(a, b) for a, b in sorted(seen)]
+    seen.difference_update(members)
+    return np.array(sorted(seen), dtype=np.uint64).reshape(-1, 2)
 
 
 def _coupling(candidates, psi, table):
-    """Nonzero H_{mu I} between candidates and psi's set as (mu, I, value)
-    arrays, ordered by mu and then by I in psi.dets order."""
-    return coupling_elements(*det_masks(candidates), *det_masks(psi.dets), table)
+    """Nonzero H_{mu I} between candidate mask rows and psi's set as
+    (mu, I, value) arrays, ordered by mu and then by I in psi.masks order."""
+    return coupling_elements(*candidates.T, *psi.masks.T, table)
 
 
 def _connected_coupling(psi, table):
@@ -69,11 +70,8 @@ def _connected_coupling(psi, table):
     (candidates, mu, I, value), mu indexing the returned candidates."""
     pool = _substitution_pool(psi, table.n_orbitals)
     rows, cols, vals = _coupling(pool, psi, table)
-    connected = np.zeros(len(pool), dtype=bool)
-    connected[rows] = True
-    renumber = np.cumsum(connected) - 1
-    candidates = [pool[k] for k in np.flatnonzero(connected)]
-    return candidates, renumber[rows], cols, vals
+    connected, mu = np.unique(rows, return_inverse=True)
+    return pool[connected], mu, cols, vals
 
 
 def connected_set(psi, table):
@@ -82,29 +80,31 @@ def connected_set(psi, table):
 
     Returned in ascending (alpha, beta) bitmask order.
     """
-    return _connected_coupling(psi, table)[0]
+    return determinants(_connected_coupling(psi, table)[0])
 
 
 def _coupling_sums(rows, weights, n):
     # bincount adds each row's weights one by one in array order, which is
-    # psi.dets order within a row: the sums, and so the score ties, come out
+    # psi.masks order within a row: the sums, and so the score ties, come out
     # as a sequential loop over psi's set would give them.
     return np.bincount(rows, weights=weights, minlength=n)
 
 
 def _ranked_scores(psi, candidates, rows, cols, vals):
+    """Candidate mask rows and their scores, best first."""
     weights = np.abs(vals * psi.coeffs[cols])
     scores = _coupling_sums(rows, weights, len(candidates))
-    scored = list(zip(candidates, scores.tolist()))
-    scored.sort(key=lambda t: (-t[1], t[0].alpha, t[0].beta))
-    return scored
+    order = np.lexsort((candidates[:, 1], candidates[:, 0], -scores))
+    return candidates[order], scores[order]
 
 
 def score_candidates(psi, candidates, table):
     """Summed coupling weights s_mu = sum_I |H_{mu I} c_I| of determinants
-    outside psi's set, sorted descending with ascending (alpha, beta)
-    bitmask order breaking ties."""
-    return _ranked_scores(psi, candidates, *_coupling(candidates, psi, table))
+    outside psi's set, as (determinant, score) pairs sorted descending with
+    ascending (alpha, beta) bitmask order breaking ties."""
+    masks = det_masks(candidates)
+    ranked, scores = _ranked_scores(psi, masks, *_coupling(masks, psi, table))
+    return list(zip(determinants(ranked), scores.tolist()))
 
 
 @dataclass
@@ -129,28 +129,22 @@ def expand_and_rediagonalize(psi, table, tau, top_k=None):
     an empty ``added`` list.  The re-solved energy can only stay equal or
     go down, because the old set is a subset of the new one.
     """
-    if tau < 0:
-        raise ValueError("threshold tau must be nonnegative")
+    if not tau >= 0:
+        raise ValueError(f"threshold tau must be nonnegative, got {tau}")
     if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be nonnegative, got {top_k}")
-    scored = _ranked_scores(psi, *_connected_coupling(psi, table))
-    selected = [(mu, s) for mu, s in scored if s >= tau]
+    ranked, scores = _ranked_scores(psi, *_connected_coupling(psi, table))
+    # scores descend, so the qualifying candidates lead
+    n_selected = int(np.count_nonzero(scores >= tau))
     if top_k is not None:
-        selected = selected[: int(top_k)]
-    if not selected:
-        return ExpansionResult(
-            added=[],
-            scores=[],
-            energy_before=psi.energy,
-            energy_after=psi.energy,
-            wavefunction_after=psi,
-        )
-    new_dets = list(psi.dets) + [mu for mu, _ in selected]
-    subspace = build_subspace(new_dets, table)
-    wf = davidson_lowest(subspace)
+        n_selected = min(n_selected, int(top_k))
+    added = ranked[:n_selected]
+    wf = psi
+    if n_selected:
+        wf = davidson_lowest(build_subspace(np.concatenate([psi.masks, added]), table))
     return ExpansionResult(
-        added=[mu for mu, _ in selected],
-        scores=[s for _, s in selected],
+        added=determinants(added),
+        scores=scores[:n_selected].tolist(),
         energy_before=psi.energy,
         energy_after=wf.energy,
         wavefunction_after=wf,
@@ -174,7 +168,7 @@ def en_pt2(psi, table):
     """
     candidates, rows, cols, vals = _connected_coupling(psi, table)
     numerators = _coupling_sums(rows, vals * psi.coeffs[cols], len(candidates))
-    e_mu = diagonal_elements(*det_masks(candidates), table) + table.core_energy
+    e_mu = diagonal_elements(*candidates.T, table) + table.core_energy
     denominators = e_mu - psi.energy
     delta = 0.0
     skipped = 0

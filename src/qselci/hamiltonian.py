@@ -25,11 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dets import (  # hartree_fock is re-exported to callers of this module
+# det_masks, enumerate_space and hartree_fock are re-exported to callers
+from .dets import (
     Determinant,
+    det_masks,
+    determinants,
     enumerate_space,
     excitation_between,
     hartree_fock,
+    sector_masks,
     string_sign,
 )
 from .errors import (
@@ -55,41 +59,50 @@ DAVIDSON_LEVEL_SHIFT = 1e-8
 
 @dataclass
 class SubspaceMatrix:
-    """Electronic Hamiltonian projected onto a determinant list.
+    """Electronic Hamiltonian projected onto determinant mask rows.
 
     ``matrix`` excludes the core energy, which is carried separately so the
     projection is independent of constant shifts.
     """
 
-    dets: list
+    masks: np.ndarray
     matrix: "scipy.sparse.csr_matrix"
     core_energy: float
     n_orbitals: int
 
     @property
     def dim(self):
-        return len(self.dets)
+        return len(self.masks)
 
 
 @dataclass
 class Wavefunction:
-    """A normalized expansion over determinants with its variational energy.
+    """A normalized expansion over determinant mask rows with its
+    variational energy.
 
     ``energy`` includes the core offset.
     """
 
-    dets: list
+    masks: np.ndarray
     coeffs: np.ndarray
     energy: float
     n_orbitals: int
 
     def __post_init__(self):
+        if self.n_orbitals > 64:
+            raise TooLarge(f"{self.n_orbitals} orbitals is past the 64-orbital "
+                           "limit of uint64 determinant masks")
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if len(self.coeffs) != len(self.dets):
+        if len(self.coeffs) != len(self.masks):
             raise ValueError("coefficient/determinant length mismatch")
         norm = float(np.sum(self.coeffs**2))
         if not np.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"coefficients not normalized: sum of squares {norm}")
+
+    @property
+    def dets(self):
+        """The determinants as a list, built on each access."""
+        return determinants(self.masks)
 
     def to_json(self):
         coeffs = {
@@ -138,7 +151,8 @@ class Wavefunction:
         items = sorted(coefficients.items())
         try:
             return cls(
-                dets=[Determinant.from_bitstring(s) for s, _ in items],
+                masks=det_masks(
+                    [Determinant.from_bitstring(s) for s, _ in items]),
                 coeffs=[c for _, c in items],
                 energy=float(data["energy"]),
                 n_orbitals=n,
@@ -150,8 +164,8 @@ class Wavefunction:
         """Raise MalformedWavefunction unless the expansion lives in the
         table's orbitals and (n_alpha, n_beta) sector."""
         sector = (table.n_alpha, table.n_beta)
-        if self.n_orbitals != table.n_orbitals or any(
-            (det.n_alpha, det.n_beta) != sector for det in self.dets
+        if self.n_orbitals != table.n_orbitals or np.any(
+            np.bitwise_count(self.masks) != sector
         ):
             raise MalformedWavefunction(
                 f"the wavefunction does not lie in the integral table's "
@@ -258,25 +272,6 @@ def _double_element(src, tgt, table):
 PAIR_BLOCK = 1 << 14
 
 _ONE = np.uint64(1)
-
-
-def det_masks(dets):
-    """Alpha and beta occupation masks of a determinant list, as uint64.
-
-    Raises TooLarge when an occupied orbital lies past the 64 orbitals a
-    uint64 mask holds.
-    """
-    try:
-        alpha = np.fromiter((d.alpha for d in dets), dtype=np.uint64,
-                            count=len(dets))
-        beta = np.fromiter((d.beta for d in dets), dtype=np.uint64,
-                           count=len(dets))
-    except OverflowError:
-        raise TooLarge(
-            "a determinant occupies an orbital past the 64-orbital limit of "
-            "the uint64 matrix-element kernel"
-        ) from None
-    return alpha, beta
 
 
 def _dense_g(table):
@@ -438,18 +433,18 @@ def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, table,
 
 
 def build_subspace(dets, table):
-    """Project the Hamiltonian onto a determinant list (sparse symmetric)."""
+    """Project the Hamiltonian onto a determinant list or (N, 2) mask rows
+    (sparse symmetric)."""
     import scipy.sparse
 
-    if len(set(dets)) != len(dets):
-        seen = set()
-        for d in dets:
-            if d in seen:
-                raise DuplicateDeterminant(f"{d} appears more than once")
-            seen.add(d)
-    n = table.n_orbitals
-    size = len(dets)
-    alpha, beta = det_masks(dets)
+    masks = det_masks(dets)
+    alpha, beta = masks.T
+    order = np.lexsort((beta, alpha))
+    same = np.flatnonzero(np.all(masks[order[1:]] == masks[order[:-1]], axis=1))
+    if same.size:
+        twice = Determinant(*masks[order[same[0]]].tolist())
+        raise DuplicateDeterminant(f"{twice} appears more than once")
+    size = len(masks)
     rows, cols, vals = coupling_elements(alpha, beta, alpha, beta, table,
                                          upper=True)
     diag = np.arange(size)
@@ -462,10 +457,10 @@ def build_subspace(dets, table):
         dtype=float,
     )
     return SubspaceMatrix(
-        dets=list(dets),
+        masks=masks,
         matrix=matrix,
         core_energy=table.core_energy,
-        n_orbitals=n,
+        n_orbitals=table.n_orbitals,
     )
 
 
@@ -482,7 +477,7 @@ def dense_lowest(subspace):
     w, v = scipy.linalg.eigh(dense)
     vec = _canonical_sign(v[:, 0])
     return Wavefunction(
-        dets=subspace.dets,
+        masks=subspace.masks,
         coeffs=vec,
         energy=float(w[0]) + subspace.core_energy,
         n_orbitals=subspace.n_orbitals,
@@ -528,7 +523,7 @@ def davidson_lowest(subspace):
         # is the eigenpair
         if np.linalg.norm(r) < DAVIDSON_TOL or len(V) == dim:
             return Wavefunction(
-                dets=subspace.dets,
+                masks=subspace.masks,
                 coeffs=_canonical_sign(x / np.linalg.norm(x)),
                 energy=theta + subspace.core_energy,
                 n_orbitals=subspace.n_orbitals,
@@ -589,8 +584,10 @@ def fci_oracle(table, cap=10**7):
     Dense diagonalization below DENSE_CUTOFF determinants, Davidson above.
     Raises TooLarge when the sector exceeds ``cap``.
     """
-    dets = enumerate_space(table.n_orbitals, table.n_alpha, table.n_beta, cap=cap)
-    subspace = build_subspace(dets, table)
+    subspace = build_subspace(
+        sector_masks(table.n_orbitals, table.n_alpha, table.n_beta, cap=cap),
+        table,
+    )
     if subspace.dim <= DENSE_CUTOFF:
         return dense_lowest(subspace)
     return davidson_lowest(subspace)

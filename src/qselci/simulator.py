@@ -198,9 +198,8 @@ def _givens_decompose(Q):
 def expectation_energy(state, subspace):
     """<psi|H|psi> over a subspace matrix's determinants; a determinant the
     state does not list has amplitude 0 (diagnostic helper)."""
-    idx = np.array(
-        [d.to_index(subspace.n_orbitals) for d in subspace.dets], dtype=np.uint64
-    )
+    alpha, beta = subspace.masks.T
+    idx = alpha | (beta << np.uint64(subspace.n_orbitals))
     at = np.minimum(np.searchsorted(state.index, idx), state.index.size - 1)
     vec = np.where(state.index[at] == idx, state.amps[at], 0.0)
     return float(np.real(np.conj(vec) @ (subspace.matrix @ vec))) + subspace.core_energy

@@ -13,7 +13,7 @@ from qselci.analysis import (
     orbital_entropies,
     rank_histogram,
 )
-from qselci.dets import Determinant
+from qselci.dets import Determinant, det_masks
 from qselci.expansion import connected_set, expand_and_rediagonalize
 from qselci.fixtures import FIXTURES, hubbard_chain_table
 from qselci.hamiltonian import (
@@ -43,7 +43,7 @@ def hubbard_state():
 
 def test_single_determinant_carries_no_entropy():
     psi = Wavefunction(
-        dets=[Determinant(0b0011, 0b0011)], coeffs=[1.0],
+        masks=det_masks([Determinant(0b0011, 0b0011)]), coeffs=[1.0],
         energy=0.0, n_orbitals=4,
     )
     occupations, entropies = orbital_entropies(psi)
@@ -55,7 +55,7 @@ def test_single_determinant_carries_no_entropy():
 def test_shared_particle_pair_is_maximally_correlated():
     inv = 1.0 / math.sqrt(2.0)
     psi = Wavefunction(
-        dets=[Determinant(0b01, 0), Determinant(0b10, 0)],
+        masks=det_masks([Determinant(0b01, 0), Determinant(0b10, 0)]),
         coeffs=[inv, inv], energy=0.0, n_orbitals=2,
     )
     occupations, entropies = orbital_entropies(psi)
@@ -76,7 +76,8 @@ def test_independent_spin_channels_share_no_information():
         for b, wb in ((0b01, 1 - p_b), (0b10, p_b)):
             dets.append(Determinant(a, b))
             coeffs.append(math.sqrt(wa * wb))
-    psi = Wavefunction(dets=dets, coeffs=coeffs, energy=0.0, n_orbitals=2)
+    psi = Wavefunction(masks=det_masks(dets), coeffs=coeffs, energy=0.0,
+                       n_orbitals=2)
     mi = mutual_information(psi)
     for i in range(2):          # alpha spin orbitals
         for j in range(2, 4):   # beta spin orbitals
@@ -200,7 +201,7 @@ def test_analyze_invariant_under_determinant_order(hubbard_state):
     rng = np.random.default_rng(3)
     perm = rng.permutation(len(psi.dets))
     shuffled = Wavefunction(
-        dets=[psi.dets[i] for i in perm],
+        masks=det_masks([psi.dets[i] for i in perm]),
         coeffs=np.asarray(psi.coeffs)[perm],
         energy=psi.energy,
         n_orbitals=psi.n_orbitals,

@@ -2,7 +2,9 @@
 
 Every path that now runs on the kernel (subspace build, connected set,
 coupling scores, EN-PT2) is compared with a loop over ``slater_condon``
-written the way those functions were before the kernel replaced it.
+written the way those functions were before the kernel replaced it.  The
+last section pins the (N, 2) uint64 mask-row form of determinant sets
+against the Determinant-list form.
 """
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 import scipy.sparse
 
 import helpers
-from qselci.dets import Determinant, enumerate_space, excitation_rank
+from qselci.dets import (Determinant, determinants, enumerate_space,
+                         excitation_rank, sector_masks)
+from qselci.errors import DuplicateDeterminant
 from qselci.expansion import (
     DENOMINATOR_TOL,
     connected_set,
@@ -21,12 +25,14 @@ from qselci.expansion import (
 from qselci.fcidump import IntegralTable
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import (
+    Wavefunction,
     build_subspace,
     coupling_elements,
     davidson_lowest,
     dense_lowest,
     det_masks,
     diagonal_elements,
+    fci_oracle,
     slater_condon,
 )
 
@@ -122,7 +128,7 @@ def test_subspace_matches_scalar_elements(case):
 def test_coupling_elements_match_scalar_between_lists(case):
     table, dets = case
     bras, kets = dets[: len(dets) // 2], dets[len(dets) // 2:]
-    i, j, v = coupling_elements(*det_masks(bras), *det_masks(kets), table)
+    i, j, v = coupling_elements(*det_masks(bras).T, *det_masks(kets).T, table)
     got = {(int(a), int(b)): float(x) for a, b, x in zip(i, j, v)}
     expect = {
         (a, b): slater_condon(bra, ket, table)
@@ -139,7 +145,7 @@ def test_coupling_elements_match_scalar_between_lists(case):
 
 def test_diagonal_elements_match_scalar(case):
     table, dets = case
-    got = diagonal_elements(*det_masks(dets), table)
+    got = diagonal_elements(*det_masks(dets).T, table)
     expect = [slater_condon(d, d, table) for d in dets]
     assert np.max(np.abs(got - expect)) <= ELEMENT_TOL
 
@@ -221,3 +227,57 @@ def test_expansion_adds_the_scalar_top_scores(case):
     assert step.added == [mu for mu, _ in expect]
     assert np.allclose(step.scores, [s for _, s in expect], rtol=0,
                        atol=ELEMENT_TOL)
+
+
+# -------------------------------------------------------------- mask rows
+
+def test_subspace_from_mask_rows_is_bitwise_the_list_build(case):
+    table, dets = case
+    from_list = build_subspace(dets, table)
+    from_masks = build_subspace(det_masks(dets), table)
+    assert np.array_equal(from_masks.masks, from_list.masks)
+    assert from_masks.masks.dtype == np.uint64
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(from_masks.matrix, name),
+                              getattr(from_list.matrix, name))
+
+
+def test_masks_apart_past_bit_31_are_not_duplicates():
+    # alpha | beta << 34 would map both onto one 64-bit key
+    dets = [Determinant(1, 1 << 31), Determinant(1, 1 << 32)]
+    assert build_subspace(dets, _wide_table()).dim == 2
+
+
+def test_repeated_mask_rows_are_duplicates():
+    masks = np.array([[3, 5], [5, 3], [3, 6], [5, 3]], dtype=np.uint64)
+    with pytest.raises(DuplicateDeterminant, match="alpha=5, beta=3"):
+        build_subspace(masks, helpers.random_table(4, 4, seed=23))
+
+
+def test_json_round_trip_keeps_mask_rows():
+    dets = _wide_dets()[:5]
+    coeffs = np.linspace(1.0, 2.0, len(dets))
+    psi = Wavefunction(masks=det_masks(dets), coeffs=coeffs / np.linalg.norm(coeffs),
+                       energy=-1.5, n_orbitals=WIDE)
+    back = Wavefunction.from_json(psi.to_json())
+    order = np.argsort([d.to_bitstring(WIDE) for d in dets])  # file order
+    assert back.masks.dtype == np.uint64
+    assert np.array_equal(back.masks, psi.masks[order])
+    assert np.array_equal(back.coeffs, psi.coeffs[order])
+
+
+def test_mask_row_paths_build_no_determinant(monkeypatch):
+    table = hubbard_chain_table(6)
+    masks = sector_masks(6, 3, 3)[::3]
+    expect = en_pt2(dense_lowest(build_subspace(determinants(masks), table)),
+                    table)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a Determinant was built")
+
+    monkeypatch.setattr(Determinant, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        Determinant(1, 1)
+    psi = dense_lowest(build_subspace(masks, table))
+    assert en_pt2(psi, table) == expect
+    assert fci_oracle(table).energy < psi.energy

@@ -258,6 +258,13 @@ def test_gate_budget_validation():
         uniform_probability(10, 10, n_alpha=5, n_beta=5)
 
 
+@pytest.mark.parametrize("counts", [{"m": 30}, {"n_alpha": 11, "n_beta": 1}])
+def test_gate_budget_rejects_an_empty_sector(counts):
+    # log P_u is -inf there, which once overflowed int()
+    with pytest.raises(ValueError, match="empty"):
+        gate_budget(0.99, 10, **counts)
+
+
 # ------------------------------------------------------- Monte-Carlo validation
 
 @pytest.mark.parametrize("delta", [0.01, 0.05, 0.2])

@@ -14,7 +14,7 @@ from qselci.circuits import (
     jordan_wigner,
     prescreen,
 )
-from qselci.dets import Determinant, ExcitationOp, hartree_fock
+from qselci.dets import Determinant, ExcitationOp, det_masks, hartree_fock
 from qselci.errors import EmptySelection, ShapeMismatch, ZeroRank
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import Wavefunction, fci_oracle
@@ -25,7 +25,7 @@ import oracles
 def _wf(dets, coeffs, n):
     coeffs = np.asarray(coeffs, dtype=float)
     coeffs = coeffs / np.linalg.norm(coeffs)
-    return Wavefunction(dets=list(dets), coeffs=coeffs, energy=0.0,
+    return Wavefunction(masks=det_masks(list(dets)), coeffs=coeffs, energy=0.0,
                         n_orbitals=n)
 
 

@@ -188,6 +188,20 @@ def test_analyze_fuzzed_input_file_exits_cleanly(tmp_path_factory, content):
     )
 
 
+def test_wavefunction_past_64_orbitals_is_one_line_domain_error(capsys, tmp_path):
+    # occupies orbital 0 only, yet 65 orbitals do not fit uint64 masks
+    path = tmp_path / "wide.json"
+    one = "1" + "0" * 64
+    path.write_text(json.dumps({"n_orbitals": 65, "energy": -1.0,
+                                "coefficients": {one + one: 1.0}}))
+    assert cli_dispatch(["analyze", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: TooLarge: ")
+    assert captured.out == ""
+
+
 def test_more_than_64_orbitals_is_one_line_domain_error(capsys, tmp_path):
     path = tmp_path / "wide.fcidump"
     path.write_text("&FCI NORB=66,NELEC=2,MS2=0,\n&END\n"
@@ -209,11 +223,26 @@ BAD_OPTION_VALUES = [
     # log-probability once overflowed the gate budget
     ["bounds", "--n", "10", "--m", "30", "--f2q", "0.99"],
     ["bounds", "--n", "10", "--n-alpha", "5", "--n-beta", "11", "--f2q", "0.99"],
+    # non-finite floats, which once ran to a meaningless exit 0
+    ["bounds", "--lambda-h", "nan", "--q-r", "0.5"],
+    ["expand", "--fixture", "hubbard4", "--in", "WF", "--tau", "nan"],
+    ["analyze", "--in", "WF", "--mi-threshold", "nan", "--mi-edges", "F"],
+    ["expand", "--fixture", "hubbard4", "--in", "WF", "--config", "tau = inf"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_OPTION_VALUES, ids=" ".join)
-def test_rejected_option_value_is_one_line_usage_error(capsys, argv):
+def test_rejected_option_value_is_one_line_usage_error(
+    capsys, monkeypatch, tmp_path, saved_wavefunction, argv
+):
+    # "WF" stands for a saved wavefunction, and the argument after --config
+    # for the text of the config file; files land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    argv = [str(saved_wavefunction) if a == "WF" else a for a in argv]
+    if "--config" in argv:
+        k = argv.index("--config") + 1
+        Path("run.cfg").write_text(argv[k] + "\n")
+        argv[k] = "run.cfg"
     assert cli_dispatch(argv) == 2
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()

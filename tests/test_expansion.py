@@ -114,6 +114,14 @@ def test_negative_threshold_rejected(hubbard):
         expand_and_rediagonalize(psi, table, -0.1)
 
 
+def test_nan_threshold_rejected(hubbard):
+    # every score >= nan is false, so a NaN threshold would add nothing
+    table, _ = hubbard
+    psi = _single_det_state(hartree_fock(4, 2, 2), table)
+    with pytest.raises(ValueError, match="nan"):
+        expand_and_rediagonalize(psi, table, math.nan)
+
+
 def test_one_iteration_matches_connected_space_diagonalization(hubbard):
     table, _ = hubbard
     hf = hartree_fock(4, 2, 2)

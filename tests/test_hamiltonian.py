@@ -4,7 +4,8 @@ import scipy.linalg
 import scipy.sparse
 
 from qselci import hamiltonian
-from qselci.dets import Determinant, enumerate_space, excitation_rank, hartree_fock
+from qselci.dets import (Determinant, det_masks, enumerate_space,
+                         excitation_rank, hartree_fock)
 from qselci.errors import DuplicateDeterminant, NoConvergence, TooLarge
 from qselci.fcidump import IntegralTable
 from qselci.fixtures import hubbard_chain_table, two_orbital_table
@@ -110,7 +111,7 @@ def _matrix_subspace(mat, core=0.0):
     n = mat.shape[0]
     dets = [Determinant(alpha=i, beta=0) for i in range(n)]
     return SubspaceMatrix(
-        dets=dets,
+        masks=det_masks(dets),
         matrix=scipy.sparse.csr_matrix(mat),
         core_energy=core,
         n_orbitals=max(1, n.bit_length()),
@@ -210,8 +211,9 @@ def test_build_subspace_past_64_orbitals_is_too_large():
 
 def test_spectral_halfwidth():
     table = hubbard_chain_table()
-    sub = build_subspace(enumerate_space(4, 2, 2), table)
-    w = scipy.linalg.eigvalsh(oracles.project_hamiltonian(table, sub.dets))
+    dets = enumerate_space(4, 2, 2)
+    sub = build_subspace(dets, table)
+    w = scipy.linalg.eigvalsh(oracles.project_hamiltonian(table, dets))
     assert spectral_halfwidth(sub) == pytest.approx((w[-1] - w[0]) / 2, abs=1e-10)
     with pytest.raises(TooLarge):
         spectral_halfwidth(sub, cap=10)
@@ -222,16 +224,17 @@ def test_spectral_halfwidth():
 def test_wavefunction_normalization_enforced():
     dets = enumerate_space(2, 1, 1)
     with pytest.raises(ValueError):
-        Wavefunction(dets=dets, coeffs=np.ones(4), energy=0.0, n_orbitals=2)
+        Wavefunction(masks=det_masks(dets), coeffs=np.ones(4), energy=0.0,
+                     n_orbitals=2)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_wavefunction_rejects_non_finite_coefficients(bad):
     with pytest.raises(ValueError, match="not normalized"):
-        Wavefunction(dets=[Determinant(1, 1)], coeffs=[bad], energy=0.0,
+        Wavefunction(masks=det_masks([Determinant(1, 1)]), coeffs=[bad], energy=0.0,
                      n_orbitals=1)
     with pytest.raises(ValueError, match="not normalized"):
-        Wavefunction(dets=enumerate_space(2, 1, 1)[:2], coeffs=[1.0, bad],
+        Wavefunction(masks=det_masks(enumerate_space(2, 1, 1)[:2]), coeffs=[1.0, bad],
                      energy=0.0, n_orbitals=2)
 
 
