@@ -155,33 +155,21 @@ def decompose_excitation(reference, target, n_orbitals):
     Annihilated and created spin orbitals are matched in ascending-index
     order; the lowest pairs are grouped into doubles first, so rank 3 gives
     [double, single], rank 4 [double, double], rank 5 [double, double,
-    single].  Each step's phase is computed on the intermediate determinant
-    it actually acts on, so replaying the steps maps reference to target.
+    single].  Each step is the full excitation between consecutive
+    intermediate determinants, so its phase is computed on the determinant
+    it acts on and replaying the steps maps reference to target.
     """
     rank = excitation_rank(reference, target)
     if rank == 0:
         raise ZeroRank("reference and target are identical")
     whole = full_excitation(reference, target, n_orbitals)
     ann, cre = whole.annihilated, whole.created
-    steps = []
-    current = reference
-    pos = 0
-    while pos < rank:
-        width = 2 if rank - pos >= 2 else 1
-        step = ExcitationOp(
-            n_orbitals,
-            ann[pos:pos + width],
-            cre[pos:pos + width],
-            phase=1,
-        )
-        nxt, sign = step.apply_to(current)
-        steps.append(
-            ExcitationOp(n_orbitals, step.annihilated, step.created, phase=sign)
-        )
-        current = nxt
-        pos += width
-    assert current == target
-    return steps
+    index = reference.to_index(n_orbitals)
+    chain = [reference]
+    for pos in range(0, rank, 2):
+        index ^= sum(1 << s for s in ann[pos:pos + 2] + cre[pos:pos + 2])
+        chain.append(Determinant.from_index(index, n_orbitals))
+    return [full_excitation(a, b, n_orbitals) for a, b in zip(chain, chain[1:])]
 
 
 # --------------------------------------------------------- circuit builders
@@ -301,58 +289,38 @@ def build_lucj(K, J, reference):
 
 # ------------------------------------------------------------ qubit mapping
 
-_PAULI_PRODUCT = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
-
-
-def _string_product(terms_a, terms_b, n_qubits):
-    """Multiply two Pauli-sum operators given as {string: coeff} maps."""
-    out = {}
-    for sa, ca in terms_a.items():
-        for sb, cb in terms_b.items():
-            coeff = ca * cb
-            chars = []
-            for k in range(n_qubits):
-                ph, ch = _PAULI_PRODUCT[sa[k], sb[k]]
-                coeff *= ph
-                chars.append(ch)
-            key = "".join(chars)
-            out[key] = out.get(key, 0.0) + coeff
-    return {s: c for s, c in out.items() if abs(c) > 1e-15}
-
-
-def _ladder_terms(index, creation, n_qubits):
-    """a (or a^dag) at a spin-orbital index as a 2-term Pauli sum with its
-    Z chain on lower qubits: a = Z_chain (X + iY)/2, a^dag = Z_chain (X - iY)/2."""
-    base = ["Z"] * index + ["I"] * (n_qubits - index)
-    x_str = base.copy()
-    x_str[index] = "X"
-    y_str = base.copy()
-    y_str[index] = "Y"
-    sign = -0.5j if creation else 0.5j
-    return {"".join(x_str): 0.5, "".join(y_str): sign}
-
-
 def jordan_wigner(op, n_qubits):
     """Pauli expansion of the anti-Hermitian generator tau - tau^dag.
 
     Returns a list of (coefficient, label-string) pairs sorted by label;
     coefficients are purely imaginary (i times a real number).  Character k
     of a label is the Pauli acting on qubit k.
+
+    Terms are multiplied in the symplectic form c X^x Z^z with bitmasks
+    x, z: (x1, z1)(x2, z2) = (-1)^popcount(z1 & x2) (x1 ^ x2, z1 ^ z2), and
+    a_s / a^dag_s = Z_{<s} X_s (1 -/+ Z_s) / 2.  tau has real c, and
+    (X^x Z^z)^dag = (-1)^popcount(x & z) X^x Z^z, so tau - tau^dag keeps the
+    terms with an odd popcount(x & z), at 2c.  Per qubit XZ = -iY, so a
+    kept term's label coefficient is 2c (-i)^popcount(x & z).
     """
-    factors = [_ladder_terms(s, True, n_qubits) for s in reversed(op.created)]
-    factors += [_ladder_terms(s, False, n_qubits) for s in reversed(op.annihilated)]
-    product = {"I" * n_qubits: complex(op.phase)}
-    for f in factors:
-        product = _string_product(product, f, n_qubits)
+    if any(s >= n_qubits for s in op.annihilated + op.created):
+        raise ValueError(f"excitation acts on a qubit outside {n_qubits} qubits")
+    factors = [(s, 0.5) for s in reversed(op.created)]
+    factors += [(s, -0.5) for s in reversed(op.annihilated)]
+    # The orbitals are distinct, so no two of the products share (x, z).
+    product = [(0, 0, float(op.phase))]
+    for s, z_coeff in factors:
+        bit = 1 << s
+        product = [(x ^ bit, z ^ z_factor, (-c if z & bit else c) * f)
+                   for x, z, c in product
+                   for z_factor, f in ((bit - 1, 0.5), ((bit << 1) - 1, z_coeff))]
     terms = []
-    for label, coeff in product.items():
-        anti = coeff - np.conj(coeff)  # tau - tau^dag keeps 2i * Im
-        if abs(anti) > 1e-15:
+    for x, z, c in product:
+        y = (x & z).bit_count()
+        if y % 2 and c:
+            label = "".join("IXZY"[(x >> k & 1) | (z >> k & 1) << 1]
+                            for k in range(n_qubits))
+            anti = np.complex128(complex(0, 2 * c if y % 4 == 3 else -2 * c))
             terms.append((anti, label))
     terms.sort(key=lambda t: t[1])
     return terms

@@ -59,17 +59,11 @@ def _substitution_pool(psi, n):
     return np.array(sorted(seen), dtype=np.uint64).reshape(-1, 2)
 
 
-def _coupling(candidates, psi, table):
-    """Nonzero H_{mu I} between candidate mask rows and psi's set as
-    (mu, I, value) arrays, ordered by mu and then by I in psi.masks order."""
-    return coupling_elements(*candidates.T, *psi.masks.T, table)
-
-
 def _connected_coupling(psi, table):
     """The connected set with its coupling into psi's set, evaluated once:
     (candidates, mu, I, value), mu indexing the returned candidates."""
     pool = _substitution_pool(psi, table.n_orbitals)
-    rows, cols, vals = _coupling(pool, psi, table)
+    rows, cols, vals = coupling_elements(*pool.T, *psi.masks.T, table)
     connected, mu = np.unique(rows, return_inverse=True)
     return pool[connected], mu, cols, vals
 
@@ -103,7 +97,8 @@ def score_candidates(psi, candidates, table):
     outside psi's set, as (determinant, score) pairs sorted descending with
     ascending (alpha, beta) bitmask order breaking ties."""
     masks = det_masks(candidates)
-    ranked, scores = _ranked_scores(psi, masks, *_coupling(masks, psi, table))
+    coupling = coupling_elements(*masks.T, *psi.masks.T, table)
+    ranked, scores = _ranked_scores(psi, masks, *coupling)
     return list(zip(determinants(ranked), scores.tolist()))
 
 

@@ -70,8 +70,11 @@ class Distribution:
     index: np.ndarray
     probs: np.ndarray
     n_qubits: int
-    residual_mass: float = 0.0
     unlisted_floor: float = 0.0
+
+    @property
+    def residual_mass(self):
+        return self.unlisted_floor * ((1 << self.n_qubits) - self.index.size)
 
     def cumulative(self, index):
         """Total probability of a set of basis indices."""
@@ -158,7 +161,6 @@ def depolarize_distribution(dist, p):
         index=dist.index,
         probs=(1.0 - p) * dist.probs + p / d,
         n_qubits=dist.n_qubits,
-        residual_mass=floor * (d - dist.index.size),
         unlisted_floor=floor,
     )
 

@@ -198,6 +198,11 @@ def _givens_decompose(Q):
 def expectation_energy(state, subspace):
     """<psi|H|psi> over a subspace matrix's determinants; a determinant the
     state does not list has amplitude 0 (diagnostic helper)."""
+    if state.n_qubits != 2 * subspace.n_orbitals or state.n_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"a {state.n_qubits}-qubit state against {subspace.n_orbitals} "
+            f"orbitals: need 2 * n_orbitals qubits, at most {MAX_QUBITS}"
+        )
     alpha, beta = subspace.masks.T
     idx = alpha | (beta << np.uint64(subspace.n_orbitals))
     at = np.minimum(np.searchsorted(state.index, idx), state.index.size - 1)

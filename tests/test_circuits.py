@@ -249,6 +249,8 @@ def test_jw_double_has_eight_weight4_strings():
     ((0,), (2,), 2),
     ((0, 2), (1, 3), 2),
     ((1,), (3,), 2),
+    ((0, 1, 4), (2, 3, 5), 3),
+    ((0, 3, 5), (1, 2, 4), 3),
 ])
 def test_jw_exponential_matches_dense_fermionic_rotation(ann, cre, n_orb):
     op = ExcitationOp(n_orbitals=n_orb, annihilated=ann, created=cre, phase=1)
@@ -260,6 +262,13 @@ def test_jw_exponential_matches_dense_fermionic_rotation(ann, cre, n_orb):
     from_pauli = scipy.linalg.expm(theta * generator)
     from_fermion = oracles.dense_excitation_rotation(op, theta)
     assert np.max(np.abs(from_pauli - from_fermion)) < 1e-10
+
+
+def test_jw_rejects_qubit_outside_register():
+    op = ExcitationOp(n_orbitals=2, annihilated=(0,), created=(3,), phase=1)
+    assert len(jordan_wigner(op, 4)) == 2
+    with pytest.raises(ValueError, match="outside 3 qubits"):
+        jordan_wigner(op, 3)
 
 
 # ------------------------------------------------------------- gate counts

@@ -4,7 +4,9 @@ Start-up dominates a small run, and the first scipy submodule imported
 costs more than a whole ``bounds`` evaluation, so the library imports
 scipy's submodules inside the functions that call them.  The subprocess
 tests check what a fresh interpreter has loaded after each run; the AST
-test keeps a module-level submodule import from coming back.
+test keeps a module-level submodule import from coming back.  A second AST
+walk fails on a module-level private helper that nothing in the package
+reads.
 """
 
 import ast
@@ -117,3 +119,44 @@ def test_guard_sees_nested_module_level_imports():
     assert sorted(_module_level_scipy_imports(tree)) == [
         (3, "import scipy.sparse"), (7, "from scipy.linalg import ..."),
     ]
+
+
+def _unread_private_names(sources):
+    """Module-level private functions, classes and constants of the given
+    ``{module name: source}`` map that no code outside their own definition
+    reads, as sorted ``module.name`` strings."""
+    defined, read = [], {}
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n, stmt) for n in names
+                        if n.startswith("_") and not n.endswith("__")]
+            for node in ast.walk(stmt):
+                name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                        or isinstance(node, ast.alias) and node.name)
+                if name:
+                    read.setdefault(name, []).append(stmt)
+    return sorted(f"{module}.{name}" for module, name, stmt in defined
+                  if not any(s is not stmt for s in read.get(name, [])))
+
+
+def test_no_unread_private_helper():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    assert _unread_private_names(sources) == []
+
+
+def test_guard_sees_unread_private_helpers():
+    sources = {
+        "a": "_TABLE = {}\n"
+             "def _product(x):\n    return _TABLE, _product(x)\n"
+             "def _used():\n    pass\n"
+             "class _Alone:\n    pass\n",
+        "b": "from .a import _used\n",
+    }
+    assert _unread_private_names(sources) == ["a._Alone", "a._product"]

@@ -175,7 +175,7 @@ def test_sample_deterministic_per_seed():
 
 def test_sample_residual_materializes_unlisted_strings():
     dist = Distribution(index=np.array([0]), probs=np.array([0.5]), n_qubits=2,
-                        residual_mass=0.5, unlisted_floor=0.5 / 3)
+                        unlisted_floor=0.5 / 3)
     counts = sample(dist, 20000, seed=6)
     unlisted = {s: c for s, c in counts.counts.items() if s != "00"}
     assert sum(unlisted.values()) > 0

@@ -15,7 +15,12 @@ from qselci.circuits import (
 from qselci.dets import Determinant, ExcitationOp, enumerate_space, hartree_fock
 from qselci.errors import ParamCountMismatch, TooManyQubits
 from qselci.fixtures import hubbard_chain_table
-from qselci.hamiltonian import Wavefunction, build_subspace, fci_oracle
+from qselci.hamiltonian import (
+    SubspaceMatrix,
+    Wavefunction,
+    build_subspace,
+    fci_oracle,
+)
 from qselci.simulator import (
     MAX_AMPLITUDES,
     Statevector,
@@ -347,3 +352,19 @@ def test_expectation_energy_matches_oracle():
         amps[det.to_index(4)] = c
     sv = Statevector(amps=amps, n_qubits=8)
     assert abs(expectation_energy(sv, subspace) - oracle.energy) < 1e-10
+
+
+def test_expectation_energy_rejects_register_mismatch():
+    subspace = build_subspace(enumerate_space(6, 3, 3), hubbard_chain_table(6))
+    state = Statevector.from_determinant(hartree_fock(4, 2, 2), 4)
+    with pytest.raises(ValueError, match="2 \\* n_orbitals"):
+        expectation_energy(state, subspace)
+
+
+def test_expectation_energy_rejects_past_the_uint64_index():
+    # 33 orbitals: beta << 33 would wrap in the packed uint64 basis index
+    subspace = SubspaceMatrix(masks=np.array([[1, 1 << 32]], dtype=np.uint64),
+                              matrix=None, core_energy=0.0, n_orbitals=33)
+    state = Statevector(amps=[1.0], n_qubits=66, index=[3])
+    with pytest.raises(ValueError, match="at most 62"):
+        expectation_energy(state, subspace)
