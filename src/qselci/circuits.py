@@ -159,6 +159,8 @@ def decompose_excitation(reference, target, n_orbitals):
     intermediate determinants, so its phase is computed on the determinant
     it acts on and replaying the steps maps reference to target.
     """
+    if (target.n_alpha, target.n_beta) != (reference.n_alpha, reference.n_beta):
+        raise ValueError("target is not in the reference's (n_alpha, n_beta) sector")
     rank = excitation_rank(reference, target)
     if rank == 0:
         raise ZeroRank("reference and target are identical")

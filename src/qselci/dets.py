@@ -223,6 +223,8 @@ class ExcitationOp:
             raise ValueError(
                 "annihilated and created spin orbitals must be distinct"
             )
+        if len(self.annihilated) != len(self.created):
+            raise ValueError("annihilated and created counts must be equal")
 
     @property
     def rank(self):

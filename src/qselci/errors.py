@@ -8,19 +8,19 @@ input line.
 
 
 class QselciError(Exception):
-    """Base class for all domain errors raised by qselci."""
+    """Base class for all domain errors; a ``line_no`` prefixes ``line N: ``."""
+
+    def __init__(self, message="", line_no=None):
+        self.line_no = line_no
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
 
 
 # ---------------------------------------------------------------- integrals
 
 class FcidumpError(QselciError):
     """Base for integral-file parse errors; carries a line number."""
-
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
 
 
 class MalformedHeader(FcidumpError):
@@ -127,9 +127,3 @@ class UnknownFixture(QselciError):
 
 class ConfigParseError(QselciError):
     """Bad key-value config file; carries the offending line number."""
-
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no

@@ -2,8 +2,9 @@
 
 The file starts with an ``&FCI`` namelist header carrying at least NORB and
 NELEC (MS2 defaults to 0; ORBSYM and ISYM are accepted and ignored), closed
-by ``&END`` or ``/``.  Each body line is ``value i j k l`` with 1-based
-orbital indices:
+by ``&END`` or ``/``; NELEC and MS2 must name an (n_alpha, n_beta) sector
+that fits in NORB orbitals.  Each body line is ``value i j k l`` with a
+finite value and 1-based orbital indices:
 
 * ``i=j=k=l=0``      core / nuclear-repulsion energy
 * ``k=l=0``          one-electron integral h(i,j)
@@ -15,6 +16,7 @@ records must agree within 1e-10 (the last write wins, with a warning).
 """
 
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,6 +45,12 @@ class IntegralTable:
     g: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        in_range = all(0 <= n <= self.n_orbitals for n in (self.n_alpha, self.n_beta))
+        if (self.n_electrons + self.ms2) % 2 or not in_range:
+            raise ValueError(
+                f"no determinant has NELEC={self.n_electrons} and "
+                f"MS2={self.ms2} in {self.n_orbitals} orbitals"
+            )
         if self.h is None:
             self.h = np.zeros((self.n_orbitals, self.n_orbitals))
         self.h = np.asarray(self.h, dtype=float)
@@ -100,19 +108,18 @@ def parse_fcidump(source):
     if not text.strip():
         raise EmptyInput("no content", line_no=1)
 
-    header_fields, body_start = _parse_header(lines)
-    try:
-        n_orb = int(header_fields["NORB"])
-        n_elec = int(header_fields["NELEC"])
-    except KeyError as missing:
-        raise MalformedHeader(f"header missing {missing}", line_no=1) from None
-    ms2 = int(header_fields.get("MS2", 0))
+    fields, header_end = _parse_header(lines)
+    n_orb = _header_int(fields, "NORB")
+    n_elec = _header_int(fields, "NELEC")
+    ms2 = _header_int(fields, "MS2", default=0)
     if n_orb <= 0:
         raise MalformedHeader(f"NORB={n_orb} must be positive", line_no=1)
-
-    table = IntegralTable(n_orbitals=n_orb, n_electrons=n_elec, ms2=ms2)
+    try:
+        table = IntegralTable(n_orbitals=n_orb, n_electrons=n_elec, ms2=ms2)
+    except ValueError as exc:
+        raise MalformedHeader(str(exc), line_no=1) from None
     seen_h = {}
-    for line_no, raw in enumerate(lines[body_start:], start=body_start + 1):
+    for line_no, raw in enumerate(lines[header_end:], start=header_end + 1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -124,9 +131,9 @@ def parse_fcidump(source):
         try:
             value = float(parts[0].replace("D", "E").replace("d", "e"))
         except ValueError:
-            raise NonNumericValue(
-                f"bad value field {parts[0]!r}", line_no=line_no
-            ) from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise NonNumericValue(f"bad value field {parts[0]!r}", line_no=line_no)
         try:
             i, j, k, l = (int(x) for x in parts[1:])
         except ValueError:
@@ -184,66 +191,53 @@ def _as_text(source):
 
 
 def _parse_header(lines):
-    """Collect the &FCI ... &END namelist (possibly spanning lines)."""
+    """The &FCI namelist as ``{KEY: [value tokens]}``, and its closing line.
+
+    ``=`` and ``,`` separate tokens; the first token, and each token with a
+    letter that does not read as a number, starts a key.  The header ends on
+    the first line holding ``&END`` or ``/``, cut at ``&END`` if both.
+    """
     if not lines or not lines[0].lstrip().upper().startswith("&FCI"):
         raise MalformedHeader("file does not begin with &FCI", line_no=1)
-    collected = []
-    end_line = None
+    fields, key = {}, None
     for line_no, raw in enumerate(lines, start=1):
-        content = raw.strip()
-        if line_no == 1:
-            content = content[len("&FCI"):]
-        upper = content.upper()
-        for terminator in ("&END", "/"):
-            pos = upper.find(terminator)
-            if pos >= 0:
-                collected.append(content[:pos])
-                end_line = line_no
-                break
-        if end_line is not None:
-            break
-        collected.append(content)
-    if end_line is None:
-        raise MalformedHeader("header never closed by &END or /", line_no=len(lines))
-
-    fields = {}
-    blob = " ".join(collected).replace("=", " = ")
-    tokens = blob.replace(",", " ").split()
-    key = None
-    for tok in tokens:
-        if tok == "=":
-            continue
-        next_is_value = key is not None
-        if not next_is_value:
-            key = tok.upper()
-        else:
-            # ORBSYM takes a list; keep appending values until the next key
-            # (a token containing letters).
-            if any(c.isalpha() for c in tok) and not _looks_numeric(tok):
+        content = raw.strip()[len("&FCI") if line_no == 1 else 0:]
+        ends = [pos for pos in map(content.upper().find, ("&END", "/")) if pos >= 0]
+        content = content[:ends[0] if ends else None]
+        for tok in content.replace("=", " ").replace(",", " ").split():
+            if key is None or _is_key(tok):
                 key = tok.upper()
-                continue
-            fields.setdefault(key, []).append(tok)
-    flat = {}
-    for k, vals in fields.items():
-        flat[k] = vals[0] if len(vals) == 1 else vals
-    for required in ("NORB", "NELEC"):
-        if required in flat and isinstance(flat[required], list):
-            raise MalformedHeader(f"{required} given multiple values", line_no=1)
-    for k in ("NORB", "NELEC", "MS2"):
-        if k in flat:
-            try:
-                int(flat[k])
-            except (TypeError, ValueError):
-                raise MalformedHeader(f"{k}={flat[k]!r} is not an integer", line_no=1)
-    return flat, end_line
+                fields.setdefault(key, [])
+            else:
+                fields[key].append(tok)
+        if ends:
+            return fields, line_no
+    raise MalformedHeader("header never closed by &END or /", line_no=len(lines))
 
 
-def _looks_numeric(tok):
+def _header_int(fields, key, default=None):
+    """The one integer value of header ``key``; ``default`` if it is absent."""
+    if key not in fields and default is None:
+        raise MalformedHeader(f"header missing {key!r}", line_no=1)
+    values = fields.get(key, [default])
+    if len(values) != 1:
+        fault = "given multiple values" if values else "has no value"
+        raise MalformedHeader(f"{key} {fault}", line_no=1)
+    try:
+        return int(values[0])
+    except ValueError:
+        raise MalformedHeader(
+            f"{key}={values[0]!r} is not an integer", line_no=1
+        ) from None
+
+
+def _is_key(tok):
+    """A token with a letter that does not read as a number."""
     try:
         float(tok.replace("D", "E").replace("d", "e"))
-        return True
-    except ValueError:
         return False
+    except ValueError:
+        return any(c.isalpha() for c in tok)
 
 
 def serialize_fcidump(table):

@@ -17,10 +17,11 @@ from types import MappingProxyType
 import numpy as np
 
 from .dets import Determinant, bitstring_of_index
-from .errors import EmptyPool
+from .errors import EmptyPool, TooLarge
 
 PRUNE_TOL = 1e-16
 READOUT_BLOCK = 1 << 14  # shots per readout pass; bounds the uniforms held at once
+MAX_SHOTS = 1 << 26  # about 26 B of peak memory per shot, 1.75 GB at the cap
 
 
 @dataclass
@@ -188,9 +189,12 @@ def sample(dist, shots, seed, noise=None):
     indices outside the listed support (rejection sampling).  ``noise`` is
     accepted and not read: the distribution already carries the
     depolarizing part, and readout flips are :func:`apply_readout`'s.
+    More than MAX_SHOTS shots raise TooLarge before any is drawn.
     """
     if shots < 1:
         raise ValueError("at least one shot required")
+    if shots > MAX_SHOTS:
+        raise TooLarge(f"{shots} shots exceed the cap of {MAX_SHOTS}")
     rng = _rng(seed)
     order = _lex_order(dist.index, dist.n_qubits)
     pvals = np.clip(np.append(dist.probs[order], dist.residual_mass), 0.0, None)

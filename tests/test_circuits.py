@@ -77,6 +77,14 @@ def test_decompose_zero_rank_rejected():
         decompose_excitation(d, d, 4)
 
 
+def test_decompose_other_sector_rejected():
+    # a step creating electrons it never annihilates, or a rank-0 verdict on
+    # a target that merely holds one electron more
+    for target in (Determinant(7, 1), Determinant(3, 1)):
+        with pytest.raises(ValueError, match="n_alpha, n_beta"):
+            decompose_excitation(Determinant(1, 1), target, 3)
+
+
 def test_decompose_rank_slicing():
     ref = Determinant(0b000111, 0b000111)
     cases = {

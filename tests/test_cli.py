@@ -90,21 +90,46 @@ def test_malformed_wavefunction_is_one_line_domain_error(capsys, tmp_path, text)
     assert captured.out == ""
 
 
-NON_TEXT_INPUTS = {
+def _fcidump_header(fields):
+    return f"&FCI {fields},\n&END\n 1.0 1 1 0 0\n".encode("ascii")
+
+
+# Input files that fail as one domain error: not text, or (for FCIDUMP) a
+# header naming no determinant or a key without a value, or a body value
+# that is not a finite number.
+BAD_INPUT_FILES = {
     "fcidump": (["fcidump-info", "--fcidump"],
                 b"&FCI NORB=2,NELEC=2,\n&END\n 1.0 1 1 0 0 \xff\n",
                 "error: UndecodableInput: line 3: "),
     "fcidump-header": (["fcidump-info", "--fcidump"], b"\xff&FCI\n",
                        "error: UndecodableInput: line 1: "),
+    "fcidump-odd-electrons": (["fcidump-info", "--fcidump"],
+                              _fcidump_header("NORB=2,NELEC=3,MS2=0"),
+                              "error: MalformedHeader: line 1: "),
+    "fcidump-too-many-electrons": (["fcidump-info", "--fcidump"],
+                                   _fcidump_header("NORB=2,NELEC=6"),
+                                   "error: MalformedHeader: line 1: "),
+    "fcidump-ms2-past-norb": (["fcidump-info", "--fcidump"],
+                              _fcidump_header("NORB=2,NELEC=2,MS2=4"),
+                              "error: MalformedHeader: line 1: "),
+    "fcidump-negative-electrons": (["fcidump-info", "--fcidump"],
+                                   _fcidump_header("NORB=2,NELEC=-2"),
+                                   "error: MalformedHeader: line 1: "),
+    "fcidump-key-without-value": (["fcidump-info", "--fcidump"],
+                                  _fcidump_header("NORB=2,NELEC=2,MS2=two"),
+                                  "error: MalformedHeader: line 1: "),
+    "fcidump-nan-integral": (["fcidump-info", "--fcidump"],
+                             b"&FCI NORB=2,NELEC=2,\n&END\n nan 1 1 0 0\n",
+                             "error: NonNumericValue: line 3: "),
     "config": (["qsci", "--fixture", "hubbard4", "--config"],
                b"shots = 100\n\xff\n", "error: ConfigParseError: "),
 }
 
 
 @pytest.mark.parametrize(
-    "argv, content, prefix", NON_TEXT_INPUTS.values(), ids=NON_TEXT_INPUTS.keys()
+    "argv, content, prefix", BAD_INPUT_FILES.values(), ids=BAD_INPUT_FILES.keys()
 )
-def test_non_text_input_file_is_one_line_domain_error(
+def test_bad_input_file_is_one_line_domain_error(
     capsys, tmp_path, argv, content, prefix
 ):
     path = tmp_path / "input"
@@ -207,6 +232,17 @@ def test_more_than_64_orbitals_is_one_line_domain_error(capsys, tmp_path):
     path.write_text("&FCI NORB=66,NELEC=2,MS2=0,\n&END\n"
                     "-1.0 1 1 0 0\n-0.5 66 66 0 0\n0.0 0 0 0 0\n")
     assert cli_dispatch(["fci", "--fcidump", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: TooLarge: ")
+    assert captured.out == ""
+
+
+def test_shots_past_the_cap_are_one_line_domain_error(capsys):
+    # numpy would be asked for terabytes of outcomes without the cap
+    argv = ["sample", "--fixture", "hubbard4", "--shots", "1000000000000"]
+    assert cli_dispatch(argv) == 1
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1

@@ -157,7 +157,10 @@ def test_apply_to_destroys_invalid_targets():
 
 
 def test_repeated_orbital_is_rejected():
-    for annihilated, created in [((0, 0), (1, 2)), ((0,), (1, 1)), ((0,), (0,))]:
+    # the last string is not repeated but unbalanced: it creates an electron
+    for annihilated, created in [
+        ((0, 0), (1, 2)), ((0,), (1, 1)), ((0,), (0,)), ((0,), (1, 2)),
+    ]:
         with pytest.raises(ValueError):
             ExcitationOp(n_orbitals=3, annihilated=annihilated,
                          created=created, phase=1)

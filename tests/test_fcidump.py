@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qselci.errors import (
     EmptyInput,
@@ -97,6 +99,25 @@ def test_missing_norb_is_malformed():
         parse_fcidump("not an integral file\n")
     with pytest.raises(MalformedHeader):
         parse_fcidump("&FCI NORB=2,NELEC=2\n 0.0 0 0 0 0\n")  # never closed
+
+
+@pytest.mark.parametrize("fields", [
+    "NORB=2,NELEC=2,MS2=two",  # "two" reads as the next key, not a value
+    "NORB=2,NELEC=2,MS2=",
+    "NORB=,NELEC=2",
+])
+def test_header_key_without_value_is_malformed(fields):
+    with pytest.raises(MalformedHeader, match="line 1: .* has no value") as err:
+        parse_fcidump(f"&FCI {fields} &END\n 0.0 0 0 0 0\n")
+    assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1.0D+999"])
+def test_non_finite_value_reports_line(value):
+    text = f"&FCI NORB=2,NELEC=2 &END\n 1.0 1 1 0 0\n {value} 2 2 0 0\n"
+    with pytest.raises(NonNumericValue) as err:
+        parse_fcidump(text)
+    assert err.value.line_no == 3
 
 
 def test_nonnumeric_value_reports_line():
@@ -214,3 +235,51 @@ def test_summary_counts():
     assert info["n_orbitals"] == 2
     assert info["n_two_electron_classes"] == 4
     assert info["n_one_electron"] == 2  # two diagonal h entries
+
+
+def _any_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c.lower()
+                              for c, u in zip(word, upper))
+    )
+
+
+@st.composite
+def valid_headers(draw):
+    """A header in the accepted grammar and its (NORB, NELEC, MS2)."""
+    n_orb = draw(st.integers(1, 8))
+    n_alpha, n_beta = draw(st.integers(0, n_orb)), draw(st.integers(0, n_orb))
+    ms2 = n_alpha - n_beta
+    fields = [("NORB", [n_orb]), ("NELEC", [n_alpha + n_beta])]
+    if ms2 or draw(st.booleans()):
+        fields.append(("MS2", [ms2]))
+    if draw(st.booleans()):
+        fields.append(("ORBSYM", draw(st.lists(st.integers(1, 8), min_size=n_orb,
+                                               max_size=n_orb))))
+    if draw(st.booleans()):
+        fields.append(("ISYM", [draw(st.integers(1, 8))]))
+    space = st.sampled_from(["", " ", "  "])
+    parts = [draw(_any_case("&FCI")) + draw(st.sampled_from([" ", "  ", "\n "]))]
+    for key, values in draw(st.permutations(fields)):
+        assign = draw(space) + "=" + draw(space)
+        comma = draw(st.sampled_from([",", ", ", " , ", " "]))
+        parts.append(draw(_any_case(key)) + assign + comma.join(map(str, values)))
+        parts.append(draw(st.sampled_from([",", ", ", " ", ",\n ", "\n "])))
+    parts.append(draw(st.sampled_from([draw(_any_case("&END")), "/"])))
+    return "".join(parts) + "\n", (n_orb, n_alpha + n_beta, ms2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=valid_headers(), seed=st.integers(0, 2 ** 16))
+def test_valid_headers_parse_and_round_trip(header, seed):
+    text, (n_orb, n_elec, ms2) = header
+    table = parse_fcidump(text + " 0.5 1 1 0 0\n 0.25 1 1 1 1\n 1.5 0 0 0 0\n")
+    assert (table.n_orbitals, table.n_electrons, table.ms2) == (n_orb, n_elec, ms2)
+    assert table.get_h(0, 0) == 0.5 and table.get_g(0, 0, 0, 0) == 0.25
+    assert table.core_energy == 1.5
+    table = helpers.random_table(n_orb, n_elec, ms2=ms2, seed=seed)
+    back = parse_fcidump(serialize_fcidump(table))
+    assert (back.n_orbitals, back.n_electrons, back.ms2) == (n_orb, n_elec, ms2)
+    assert back.core_energy == table.core_energy
+    assert np.array_equal(back.h, table.h)
+    assert back.g == table.g

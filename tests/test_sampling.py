@@ -4,9 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qselci import sampling
 from qselci.circuits import build_usci, prescreen
 from qselci.dets import Determinant, bitstring_of_index, index_of_bitstring
-from qselci.errors import EmptyPool
+from qselci.errors import EmptyPool, TooLarge
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import fci_oracle
 from qselci.sampling import (
@@ -180,6 +181,12 @@ def test_sample_residual_materializes_unlisted_strings():
     unlisted = {s: c for s, c in counts.counts.items() if s != "00"}
     assert sum(unlisted.values()) > 0
     assert set(unlisted) <= {"10", "01", "11"}
+
+
+def test_sample_past_the_shot_cap_raises_before_drawing():
+    dist = Distribution(index=np.array([0]), probs=np.ones(1), n_qubits=1)
+    with pytest.raises(TooLarge):
+        sample(dist, sampling.MAX_SHOTS + 1, seed=1)
 
 
 # ------------------------------------------------------------------ readout
