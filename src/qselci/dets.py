@@ -22,9 +22,9 @@ Conventions used throughout the package:
   ascending spin-orbital order first, then creations in ascending order.
   ``ExcitationOp.phase`` is the sign that makes ``phase * string |source> =
   +|target>``.
-* ``string_sign`` is the one place that sign rule is written; the scalar
-  excitation algebra, the circuit simulator and the batched matrix-element
-  kernel all take their signs from it.
+* ``string_sign`` is the one place that sign rule is written; the
+  excitation algebra, the circuit simulator and the matrix-element kernel
+  all take their signs from it.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import RankTooHigh, TooLarge
+from .errors import TooLarge
 
 ENUMERATION_CAP = 10**7
 # _BELOW[k]: the uint64 mask of the bits below bit k, for k = 0 .. 64
@@ -53,10 +53,6 @@ class Determinant:
     @property
     def n_beta(self):
         return self.beta.bit_count()
-
-    def occupied_spin_orbitals(self, n_orbitals):
-        """Occupied blocked spin-orbital indices, ascending."""
-        return _bits(self.alpha) + [n_orbitals + p for p in _bits(self.beta)]
 
     def to_index(self, n_orbitals):
         """Basis index: bit s of the index = occupation of spin orbital s."""
@@ -255,14 +251,3 @@ def full_excitation(source, target, n_orbitals):
     phase = string_sign(source.to_index(n_orbitals), ann, cre)
     return ExcitationOp(n_orbitals, tuple(ann), tuple(cre), phase=phase)
 
-
-def excitation_between(source, target, n_orbitals):
-    """The ExcitationOp mapping ``source`` onto ``target``.
-
-    Raises RankTooHigh when the determinants are identical or differ by more
-    than a double excitation.
-    """
-    rank = excitation_rank(source, target)
-    if rank == 0 or rank > 2:
-        raise RankTooHigh(f"rank {rank} excitation (supported: 1 or 2)")
-    return full_excitation(source, target, n_orbitals)

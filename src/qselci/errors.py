@@ -45,10 +45,6 @@ class UndecodableInput(FcidumpError):
 
 # ------------------------------------------------------------- determinants
 
-class RankTooHigh(QselciError):
-    """Two determinants differ by more than a double excitation (or not at all)."""
-
-
 class TooLarge(QselciError):
     """A requested space or matrix exceeds the configured size cap."""
 

@@ -2,9 +2,10 @@
 
 The file starts with an ``&FCI`` namelist header carrying at least NORB and
 NELEC (MS2 defaults to 0; ORBSYM and ISYM are accepted and ignored), closed
-by ``&END`` or ``/``; NELEC and MS2 must name an (n_alpha, n_beta) sector
-that fits in NORB orbitals.  Each body line is ``value i j k l`` with a
-finite value and 1-based orbital indices:
+by ``&END`` or ``/``; NORB is at most 64, the orbitals a uint64
+determinant mask holds, and NELEC and MS2 must name an (n_alpha, n_beta)
+sector that fits in NORB orbitals.  Each body line is ``value i j k l``
+with a finite value and 1-based orbital indices:
 
 * ``i=j=k=l=0``      core / nuclear-repulsion energy
 * ``k=l=0``          one-electron integral h(i,j)
@@ -17,6 +18,7 @@ records must agree within 1e-10 (the last write wins, with a warning).
 
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     MalformedHeader,
     NonNumericValue,
+    TooLarge,
     UndecodableInput,
 )
 
@@ -114,6 +117,9 @@ def parse_fcidump(source):
     ms2 = _header_int(fields, "MS2", default=0)
     if n_orb <= 0:
         raise MalformedHeader(f"NORB={n_orb} must be positive", line_no=1)
+    if n_orb > 64:
+        raise TooLarge(f"NORB={n_orb} is past the 64-orbital limit of uint64 "
+                       "determinant masks", line_no=1)
     try:
         table = IntegralTable(n_orbitals=n_orb, n_electrons=n_elec, ms2=ms2)
     except ValueError as exc:
@@ -202,15 +208,15 @@ def _parse_header(lines):
     fields, key = {}, None
     for line_no, raw in enumerate(lines, start=1):
         content = raw.strip()[len("&FCI") if line_no == 1 else 0:]
-        ends = [pos for pos in map(content.upper().find, ("&END", "/")) if pos >= 0]
-        content = content[:ends[0] if ends else None]
+        end = re.search("&END", content, re.IGNORECASE) or re.search("/", content)
+        content = content[:end.start() if end else None]
         for tok in content.replace("=", " ").replace(",", " ").split():
             if key is None or _is_key(tok):
                 key = tok.upper()
                 fields.setdefault(key, [])
             else:
                 fields[key].append(tok)
-        if ends:
+        if end:
             return fields, line_no
     raise MalformedHeader("header never closed by &END or /", line_no=len(lines))
 

@@ -6,12 +6,12 @@ Hamiltonian with chemist-notation two-electron integrals,
 
     H = sum_pq h_pq E_pq + 1/2 sum_pqrs (pq|rs) [E_pq E_rs - delta_qr E_ps],
 
-evaluated directly from occupation bitmasks.
-``slater_condon`` evaluates one pair and is the reference;
-``coupling_elements`` and ``diagonal_elements`` apply the same rules to
-whole uint64 mask arrays and serve the subspace build, expansion and PT2.
-Both take their signs from :func:`qselci.dets.string_sign`, which tests pin
-against a dense operator-matrix construction.
+evaluated directly from occupation bitmasks.  One kernel,
+``coupling_elements`` and ``diagonal_elements``, applies the rules to whole
+uint64 mask arrays and serves the subspace build, expansion and PT2;
+``slater_condon`` is that kernel on one pair.  It takes its signs from
+:func:`qselci.dets.string_sign`, and tests pin it against a scalar
+per-pair reference and a dense operator-matrix construction.
 
 The subspace eigenproblem is an ordinary symmetric one (determinants are
 orthonormal).  ``davidson_lowest`` is a Davidson solver with a diagonal
@@ -31,7 +31,6 @@ from .dets import (
     det_masks,
     determinants,
     enumerate_space,
-    excitation_between,
     hartree_fock,
     sector_masks,
     string_sign,
@@ -185,85 +184,12 @@ def _is_finite_number(value):
         return False
 
 
-def _spatial(s, n):
-    return s if s < n else s - n
-
-
-def _spin(s, n):
-    return 0 if s < n else 1
-
-
-def slater_condon(d1, d2, table):
-    """Matrix element <d1|H|d2> (electronic part, no core energy).
-
-    Zero when the determinants live in different per-spin particle sectors or
-    differ by more than a double excitation.
-    """
-    if (
-        d1.alpha.bit_count() != d2.alpha.bit_count()
-        or d1.beta.bit_count() != d2.beta.bit_count()
-    ):
-        return 0.0
-    diff = (d1.alpha ^ d2.alpha).bit_count() + (d1.beta ^ d2.beta).bit_count()
-    if diff == 0:
-        return _diagonal_element(d1, table)
-    if diff == 2:
-        return _single_element(d2, d1, table)
-    if diff == 4:
-        return _double_element(d2, d1, table)
-    return 0.0
-
-
-def _diagonal_element(d, table):
-    n = table.n_orbitals
-    occ = d.occupied_spin_orbitals(n)
-    e = 0.0
-    for i in occ:
-        e += table.h[_spatial(i, n), _spatial(i, n)]
-    for a, i in enumerate(occ):
-        pi, si = _spatial(i, n), _spin(i, n)
-        for j in occ[a + 1:]:
-            pj, sj = _spatial(j, n), _spin(j, n)
-            e += table.get_g(pi, pi, pj, pj)
-            if si == sj:
-                e -= table.get_g(pi, pj, pj, pi)
-    return e
-
-
-def _single_element(src, tgt, table):
-    n = table.n_orbitals
-    op = excitation_between(src, tgt, n)
-    (m,), (a,) = op.annihilated, op.created
-    pa, pm = _spatial(a, n), _spatial(m, n)
-    e = table.h[pa, pm]
-    sa = _spin(a, n)
-    for i in src.occupied_spin_orbitals(n):
-        if i == m:
-            continue
-        pi = _spatial(i, n)
-        e += table.get_g(pa, pm, pi, pi)
-        if _spin(i, n) == sa:
-            e -= table.get_g(pa, pi, pi, pm)
-    return op.phase * e
-
-
-def _double_element(src, tgt, table):
-    n = table.n_orbitals
-    op = excitation_between(src, tgt, n)
-    (m, m2), (a, b) = op.annihilated, op.created
-    sa, sb = _spin(a, n), _spin(b, n)
-    sm, sm2 = _spin(m, n), _spin(m2, n)
-    pa, pb, pm, pm2 = (_spatial(x, n) for x in (a, b, m, m2))
-    direct = table.get_g(pa, pm2, pb, pm) if (sa == sm2 and sb == sm) else 0.0
-    cross = table.get_g(pa, pm, pb, pm2) if (sa == sm and sb == sm2) else 0.0
-    return op.phase * (direct - cross)
-
-
 # ---------------------------------------------------------------------------
-# Batched elements.  The same rules as ``slater_condon``, evaluated by numpy
-# over uint64 occupation masks a block of determinant pairs at a time.  Each
-# element is accumulated in the scalar code's order (occupied spin orbitals
-# ascending, alpha block first), so both paths give the same floats.
+# Matrix elements, evaluated by numpy over uint64 occupation masks a block
+# of determinant pairs at a time.  Each element is accumulated over the
+# occupied spin orbitals in ascending order, alpha block first, the order
+# the per-pair reference in tests/oracles.py sums in, so both give the same
+# floats.
 # ---------------------------------------------------------------------------
 
 # Determinant pairs screened, and pairs evaluated, per numpy pass: the
@@ -430,6 +356,21 @@ def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, table,
         cols.append(j[keep])
         vals.append(v[keep])
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def slater_condon(d1, d2, table):
+    """Matrix element <d1|H|d2> (electronic part, no core energy) of two
+    Determinants, by the batched kernel on one pair.
+
+    Zero when the determinants live in different per-spin particle sectors or
+    differ by more than a double excitation.
+    """
+    alpha, beta = det_masks([d1, d2]).T
+    if d1 == d2:
+        return float(diagonal_elements(alpha[:1], beta[:1], table)[0])
+    _, _, value = coupling_elements(alpha[:1], beta[:1], alpha[1:], beta[1:],
+                                    table)
+    return float(value[0]) if len(value) else 0.0
 
 
 def build_subspace(dets, table):

@@ -1,9 +1,11 @@
 """Independent brute-force references used across the test suite.
 
-Everything here is built from dense operator matrices over the full
-2^(2n)-dimensional occupation basis (basis index bit s = occupation of
+The operator references are built from dense operator matrices over the
+full 2^(2n)-dimensional occupation basis (basis index bit s = occupation of
 blocked spin orbital s), deliberately avoiding the package's bit-twiddling
-code paths so the two implementations check each other.
+code paths so the two implementations check each other.  The per-pair
+Slater-Condon rules and the text-keyed sampling stage are the scalar forms
+of the package's vectorized kernels, which are pinned against them.
 """
 
 import functools
@@ -15,7 +17,7 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
-from qselci.dets import Determinant, bitstring_of_index
+from qselci.dets import Determinant, bitstring_of_index, full_excitation
 from qselci.fcidump import IntegralTable
 
 import helpers
@@ -168,6 +170,93 @@ def brute_force_sector(n_orbitals, n_alpha, n_beta):
 
 def sector_count(n_orbitals, n_alpha, n_beta):
     return comb(n_orbitals, n_alpha) * comb(n_orbitals, n_beta)
+
+
+# ------------------------------------------ per-pair Slater-Condon reference
+#
+# The Slater-Condon rules as scalar Python over one determinant pair, with
+# phases from ``full_excitation``.  The batched kernel in qselci.hamiltonian
+# accumulates each element in the same order, so the two give equal floats.
+
+
+def _occupied_spin_orbitals(d, n):
+    """Occupied blocked spin-orbital indices of a determinant, ascending."""
+    return ([p for p in range(n) if (d.alpha >> p) & 1]
+            + [n + p for p in range(n) if (d.beta >> p) & 1])
+
+
+def _spatial(s, n):
+    return s if s < n else s - n
+
+
+def _spin(s, n):
+    return 0 if s < n else 1
+
+
+def slater_condon(d1, d2, table):
+    """Matrix element <d1|H|d2> (electronic part, no core energy).
+
+    Zero when the determinants live in different per-spin particle sectors or
+    differ by more than a double excitation.
+    """
+    if (
+        d1.alpha.bit_count() != d2.alpha.bit_count()
+        or d1.beta.bit_count() != d2.beta.bit_count()
+    ):
+        return 0.0
+    diff = (d1.alpha ^ d2.alpha).bit_count() + (d1.beta ^ d2.beta).bit_count()
+    if diff == 0:
+        return _diagonal_element(d1, table)
+    if diff == 2:
+        return _single_element(d2, d1, table)
+    if diff == 4:
+        return _double_element(d2, d1, table)
+    return 0.0
+
+
+def _diagonal_element(d, table):
+    n = table.n_orbitals
+    occ = _occupied_spin_orbitals(d, n)
+    e = 0.0
+    for i in occ:
+        e += table.h[_spatial(i, n), _spatial(i, n)]
+    for a, i in enumerate(occ):
+        pi, si = _spatial(i, n), _spin(i, n)
+        for j in occ[a + 1:]:
+            pj, sj = _spatial(j, n), _spin(j, n)
+            e += table.get_g(pi, pi, pj, pj)
+            if si == sj:
+                e -= table.get_g(pi, pj, pj, pi)
+    return e
+
+
+def _single_element(src, tgt, table):
+    n = table.n_orbitals
+    op = full_excitation(src, tgt, n)
+    (m,), (a,) = op.annihilated, op.created
+    pa, pm = _spatial(a, n), _spatial(m, n)
+    e = table.h[pa, pm]
+    sa = _spin(a, n)
+    for i in _occupied_spin_orbitals(src, n):
+        if i == m:
+            continue
+        pi = _spatial(i, n)
+        e += table.get_g(pa, pm, pi, pi)
+        if _spin(i, n) == sa:
+            e -= table.get_g(pa, pi, pi, pm)
+    return op.phase * e
+
+
+def _double_element(src, tgt, table):
+    n = table.n_orbitals
+    op = full_excitation(src, tgt, n)
+    (m, m2), (a, b) = op.annihilated, op.created
+    sa, sb = _spin(a, n), _spin(b, n)
+    sm, sm2 = _spin(m, n), _spin(m2, n)
+    pa, pb, pm, pm2 = (_spatial(x, n) for x in (a, b, m, m2))
+    direct = table.get_g(pa, pm2, pb, pm) if (sa == sm2 and sb == sm) else 0.0
+    cross = table.get_g(pa, pm, pb, pm2) if (sa == sm and sb == sm2) else 0.0
+    return op.phase * (direct - cross)
 
 
 # ------------------------------------------- text-keyed sampling reference

@@ -1,10 +1,11 @@
-"""The batched matrix-element kernel against the scalar ``slater_condon``.
+"""The batched matrix-element kernel against the scalar per-pair rules in
+``oracles.slater_condon``.
 
-Every path that now runs on the kernel (subspace build, connected set,
-coupling scores, EN-PT2) is compared with a loop over ``slater_condon``
-written the way those functions were before the kernel replaced it.  The
-last section pins the (N, 2) uint64 mask-row form of determinant sets
-against the Determinant-list form.
+Every path that runs on the kernel (subspace build, connected set, coupling
+scores, EN-PT2, the public per-pair ``slater_condon``) is compared with a
+loop over the oracle written the way those functions were before the
+kernel replaced it.  The last section pins the (N, 2) uint64 mask-row form
+of determinant sets against the Determinant-list form.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import scipy.sparse
 
 import helpers
+from oracles import slater_condon as scalar_element
 from qselci.dets import (Determinant, determinants, enumerate_space,
                          excitation_rank, sector_masks)
 from qselci.errors import DuplicateDeterminant
@@ -98,7 +100,7 @@ def _scalar_subspace(dets, table):
     rows, cols, vals = [], [], []
     for i in range(n):
         for j in range(n):
-            v = slater_condon(dets[i], dets[j], table)
+            v = scalar_element(dets[i], dets[j], table)
             if v != 0.0 or i == j:
                 rows.append(i)
                 cols.append(j)
@@ -131,10 +133,10 @@ def test_coupling_elements_match_scalar_between_lists(case):
     i, j, v = coupling_elements(*det_masks(bras).T, *det_masks(kets).T, table)
     got = {(int(a), int(b)): float(x) for a, b, x in zip(i, j, v)}
     expect = {
-        (a, b): slater_condon(bra, ket, table)
+        (a, b): scalar_element(bra, ket, table)
         for a, bra in enumerate(bras)
         for b, ket in enumerate(kets)
-        if slater_condon(bra, ket, table) != 0.0
+        if scalar_element(bra, ket, table) != 0.0
     }
     assert got.keys() == expect.keys()
     for key, value in expect.items():
@@ -146,8 +148,39 @@ def test_coupling_elements_match_scalar_between_lists(case):
 def test_diagonal_elements_match_scalar(case):
     table, dets = case
     got = diagonal_elements(*det_masks(dets).T, table)
-    expect = [slater_condon(d, d, table) for d in dets]
+    expect = [scalar_element(d, d, table) for d in dets]
     assert np.max(np.abs(got - expect)) <= ELEMENT_TOL
+
+
+def _pin_pairs(dets, seed, size=500):
+    """About ``size`` seeded (bra, ket) pairs spread evenly over every
+    excitation rank the list holds, and over pairs whose ket has one beta
+    electron more or less (another sector)."""
+    rng = np.random.default_rng(seed)
+    alpha, beta = det_masks(dets).T
+    rank = (np.bitwise_count(alpha[:, None] ^ alpha)
+            + np.bitwise_count(beta[:, None] ^ beta)) // 2
+    strata = [np.argwhere(rank == r) for r in range(int(rank.max()) + 1)]
+    per = size // (len(strata) + 1)
+    pairs = [(dets[i], dets[j]) for stratum in strata
+             for i, j in stratum[rng.permutation(len(stratum))[:per]]]
+    for i, j in rng.integers(0, len(dets), size=(per, 2)):
+        ket = dets[j]
+        pairs.append((dets[i], Determinant(ket.alpha, ket.beta ^ 1)))
+    return pairs
+
+
+def test_public_slater_condon_is_bitwise_the_scalar_rules(case):
+    table, dets = case
+    pairs = _pin_pairs(dets, seed=table.n_orbitals)
+    ranks = {excitation_rank(bra, ket) for bra, ket in pairs}
+    assert {0, 1, 2, 3} <= ranks
+    for bra, ket in pairs:
+        got = slater_condon(bra, ket, table)
+        assert got == scalar_element(bra, ket, table)
+        if (bra.n_beta != ket.n_beta or bra.n_alpha != ket.n_alpha
+                or excitation_rank(bra, ket) > 2):
+            assert got == 0.0
 
 
 def test_mixed_sector_pairs_are_skipped():
@@ -164,14 +197,14 @@ def test_mixed_sector_pairs_are_skipped():
 
 def _scalar_connected_set(psi, table):
     """Out-of-set determinants of psi's sector within a double substitution
-    of psi's set and coupled to it, by enumeration and slater_condon."""
+    of psi's set and coupled to it, by enumeration and the scalar rules."""
     d0 = psi.dets[0]
     inside = set(psi.dets)
     out = []
     for mu in enumerate_space(table.n_orbitals, d0.n_alpha, d0.n_beta):
         if mu in inside:
             continue
-        if any(excitation_rank(mu, d) <= 2 and slater_condon(mu, d, table) != 0.0
+        if any(excitation_rank(mu, d) <= 2 and scalar_element(mu, d, table) != 0.0
                for d in psi.dets):
             out.append(mu)
     return out
@@ -180,7 +213,7 @@ def _scalar_connected_set(psi, table):
 def _scalar_scores(psi, candidates, table):
     scored = []
     for mu in candidates:
-        s = sum(abs(slater_condon(mu, d, table) * c)
+        s = sum(abs(scalar_element(mu, d, table) * c)
                 for d, c in zip(psi.dets, psi.coeffs))
         scored.append((mu, s))
     scored.sort(key=lambda t: (-t[1], t[0].alpha, t[0].beta))
@@ -190,9 +223,9 @@ def _scalar_scores(psi, candidates, table):
 def _scalar_pt2(psi, candidates, table):
     delta, skipped = 0.0, 0
     for mu in candidates:
-        numerator = sum(slater_condon(mu, d, table) * c
+        numerator = sum(scalar_element(mu, d, table) * c
                         for d, c in zip(psi.dets, psi.coeffs))
-        denom = slater_condon(mu, mu, table) + table.core_energy - psi.energy
+        denom = scalar_element(mu, mu, table) + table.core_energy - psi.energy
         if abs(denom) < DENOMINATOR_TOL:
             skipped += 1
             continue

@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from qselci.errors import (
     IndexOutOfRange,
     MalformedHeader,
     NonNumericValue,
+    TooLarge,
     UndecodableInput,
 )
 from qselci.fcidump import (
     IntegralTable,
+    _parse_header,
     parse_fcidump,
     serialize_fcidump,
     table_summary,
@@ -81,6 +84,30 @@ def test_single_line_header_with_slash():
     text = "&FCI NORB=2, NELEC=2, MS2=0 /\n 1.0 1 1 0 0\n"
     t = parse_fcidump(text)
     assert t.get_h(0, 0) == 1.0
+
+
+@pytest.mark.parametrize("header", [
+    "&FCI NORB=2,ISYM=\u00df,NELEC=2 /",  # "\u00df".upper() is "SS"
+    "&FCI NORB=2,NELEC=2,ISYM=\u00df\u00df\u00df\u00df\u00df &END",
+])
+def test_header_is_cut_at_its_terminator_past_non_ascii_text(header):
+    fields, _ = _parse_header([header])
+    tokens = {tok for key, values in fields.items() for tok in [key, *values]}
+    assert not tokens & {"&END", "/"}
+    t = parse_fcidump(header + "\n 1.0 1 1 0 0\n")
+    assert (t.n_orbitals, t.n_electrons) == (2, 2)
+    assert t.get_h(0, 0) == 1.0
+
+
+def test_norb_past_the_mask_limit_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="line 1: .*64-orbital limit"):
+            parse_fcidump("&FCI NORB=100000,NELEC=2 &END\n 0.0 0 0 0 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_empty_input():

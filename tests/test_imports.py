@@ -6,10 +6,12 @@ scipy's submodules inside the functions that call them.  The subprocess
 tests check what a fresh interpreter has loaded after each run; the AST
 test keeps a module-level submodule import from coming back.  A second AST
 walk fails on a module-level private helper that nothing in the package
-reads.
+reads.  A third reads the benchmark tracer's table of wrapped functions, so
+removing a name it binds fails here rather than in a traced bench run.
 """
 
 import ast
+import importlib
 import json
 
 import pytest
@@ -160,3 +162,26 @@ def test_guard_sees_unread_private_helpers():
         "b": "from .a import _used\n",
     }
     assert _unread_private_names(sources) == ["a._Alone", "a._product"]
+
+
+def _tracer_bindings(text):
+    """The (module, attribute) pairs listed in the WRAPPED and COUNTED_ONLY
+    tables of the benchmark tracer's source."""
+    pairs = []
+    for stmt in ast.parse(text).body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("WRAPPED", "COUNTED_ONLY")
+            for t in stmt.targets
+        ):
+            pairs += [(row.elts[0].value, row.elts[1].value)
+                      for row in stmt.value.elts]
+    return pairs
+
+
+def test_benchmark_tracer_bindings_resolve():
+    text = (ROOT / "benchmarks" / "spans.py").read_text(encoding="utf-8")
+    pairs = _tracer_bindings(text)
+    assert ("hamiltonian", "slater_condon") in pairs
+    missing = [f"qselci.{module}.{attr}" for module, attr in pairs
+               if not hasattr(importlib.import_module(f"qselci.{module}"), attr)]
+    assert missing == []
