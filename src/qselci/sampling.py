@@ -8,7 +8,10 @@ sampling pass from a master seed (sampling first, readout second).
 
 Outcomes are int64 basis indices (bit k = qubit k, blocked spin-orbital
 order).  Text bitstrings (character k = qubit k) appear only in the
-``SampleCounts.counts`` view, ``top`` and ``to_csv``.
+``SampleCounts.counts`` view, ``top`` and ``to_csv``.  Where an order
+follows the bitstrings (qubit 0 most significant), it is computed as the
+numeric order of the bit-reversed index.  Readout unpacks each shot's bits,
+draws one uniform per bit, and packs the flips into one XOR mask per shot.
 """
 
 from dataclasses import dataclass, replace
@@ -128,11 +131,29 @@ class SampleCounts:
         ]
 
 
+# _BIT_REVERSED[b] is byte b with its eight bits in reverse order
+_BIT_REVERSED = np.array(
+    [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
+)
+
+
 def _lex_order(index, n_qubits, *first):
-    """Positions sorting basis indices as their bitstrings sort (qubit 0
-    most significant), after the keys ``first`` when given."""
-    keys = [(index >> k) & 1 for k in range(n_qubits - 1, -1, -1)]
-    return np.lexsort(keys + list(first))
+    """Positions sorting distinct basis indices as their bitstrings sort
+    (qubit 0 most significant), after the keys ``first`` when given, the
+    last key primary (as ``np.lexsort`` ranks keys).
+
+    Bitstring order is numeric order of the bit-reversed index: reverse
+    the bits of each little-endian byte, read the bytes back big-endian,
+    and shift the n_qubits reversed bits down.
+    """
+    raw = np.ascontiguousarray(index, dtype="<u8").view(np.uint8)
+    rev = _BIT_REVERSED.take(raw).view(">u8").astype(np.uint64)
+    # distinct keys have one order, so the fastest sort finds it; each key
+    # of ``first`` then reorders stably on top
+    order = np.argsort(rev >> np.uint64(64 - n_qubits))
+    for key in first:
+        order = order[np.argsort(key[order], kind="stable")]
+    return order
 
 
 def ideal_distribution(state):
@@ -203,13 +224,24 @@ def sample(dist, shots, seed, noise=None):
         raise ValueError("distribution has no probability mass")
     pvals /= total
     drawn = rng.multinomial(shots, pvals)
-    outcomes = [np.repeat(dist.index[order], drawn[:-1])]
+    # sorted listed indices behind a -1 floor: listed[searchsorted - 1] is
+    # the largest one at or below each draw
+    listed = np.concatenate([[-1], np.sort(dist.index)])
+    outside = [np.zeros(0, dtype=np.int64)]
     needed = int(drawn[-1])
     while needed > 0:
         batch = rng.integers(0, 1 << dist.n_qubits, size=max(16, 2 * needed))
-        outcomes.append(batch[~np.isin(batch, dist.index)][:needed])
-        needed -= outcomes[-1].size
-    return _tally(np.concatenate(outcomes), dist.n_qubits)
+        below = listed[np.searchsorted(listed, batch, side="right") - 1]
+        outside.append(batch[below != batch][:needed])
+        needed -= outside[-1].size
+    # Listed outcomes are tallied by the draw itself; only the unlisted
+    # ones, which no listed index can equal, need counting.
+    out_index, out_shots = np.unique(np.concatenate(outside), return_counts=True)
+    hit = np.flatnonzero(drawn[:-1])
+    index = np.concatenate([dist.index[order[hit]], out_index])
+    counts = np.concatenate([drawn[hit], out_shots])
+    by_index = np.argsort(index)
+    return SampleCounts(index[by_index], counts[by_index], dist.n_qubits)
 
 
 def apply_readout(sc, model, seed):
@@ -221,21 +253,22 @@ def apply_readout(sc, model, seed):
     if not model.has_readout:
         return sc
     rng = _rng(seed)
-    order = _lex_order(sc.index, sc.n_qubits)
-    read = np.repeat(sc.index[order], sc.shots[order])
-    qubits = np.arange(sc.n_qubits)
+    n = sc.n_qubits
+    order = _lex_order(sc.index, n)
+    read = np.repeat(sc.index[order], sc.shots[order]).astype("<i8", copy=False)
     for start in range(0, read.size, READOUT_BLOCK):
         block = read[start:start + READOUT_BLOCK]
-        u = rng.random(size=(block.size, sc.n_qubits))
-        ones = (block[:, None] >> qubits) & 1
-        flips = u < np.where(ones, model.readout_eps1, model.readout_eps0)
-        block ^= (flips << qubits).sum(axis=1)
-    return _tally(read, sc.n_qubits)
-
-
-def _tally(outcomes, n_qubits):
-    index, shots = np.unique(outcomes, return_counts=True)
-    return SampleCounts(index, shots, n_qubits)
+        u = rng.random(size=(block.size, n))
+        # one row of 64 bits per shot, column k = qubit k
+        bits = np.unpackbits(block.view(np.uint8), bitorder="little")
+        ones = bits.reshape(-1, 64)[:, :n].view(bool)
+        flips = np.zeros((block.size, 64), dtype=bool)
+        # u < eps1 on ones and u < eps0 on zeros, with no per-bit threshold
+        flipped = np.less(u, model.readout_eps1, out=flips[:, :n])
+        flipped &= ones
+        flipped |= (u < model.readout_eps0) & ~ones
+        block ^= np.packbits(flips, bitorder="little").view("<i8")
+    return SampleCounts(*np.unique(read, return_counts=True), n)
 
 
 def symmetry_filter(sc, n_alpha, n_beta):
@@ -254,8 +287,10 @@ def symmetry_filter(sc, n_alpha, n_beta):
 
 def counts_to_determinants(sc, n_orbitals):
     """Unique determinants by descending count, then ascending bitstring."""
-    index = sc.index[sc._ranked()].tolist()
-    return [Determinant.from_index(i, n_orbitals) for i in index]
+    index = sc.index[sc._ranked()].astype(np.uint64)
+    mask = np.uint64((1 << n_orbitals) - 1)
+    alpha, beta = index & mask, (index >> np.uint64(n_orbitals)) & mask
+    return list(map(Determinant, alpha.tolist(), beta.tolist()))
 
 
 def spin_factorized_combine(alpha_pool, beta_pool, cap=None):

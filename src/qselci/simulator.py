@@ -15,6 +15,10 @@ Excitation rotations exp(theta (tau - tau^dag)) are applied analytically:
 the listed amplitudes split into (source, partner) pairs related by the
 excitation's occupation change, each rotated by a 2x2 Givens block whose
 sign is the fermionic parity of the operator string on that source state.
+Pairs are matched by mask class: sources hold the annihilated orbitals and
+not the created ones, partners the reverse, and the k-th listed source
+pairs with the k-th listed partner.  A gate whose source or partner is not
+listed raises ValueError.
 Single-particle basis rotations are compiled to a chain of adjacent Givens
 rotations plus number phases via QR elimination of the orthogonal rotation
 matrix.
@@ -49,8 +53,9 @@ def _check_size(n_qubits, n_amplitudes):
 class Statevector:
     """``amps[i]`` is the amplitude of basis state ``index[i]``.
 
-    ``index`` is sorted and distinct; left out, it is the whole 2^n
-    register and ``amps`` is a full amplitude vector.
+    ``index`` must be strictly increasing and below 2^n_qubits (ValueError
+    otherwise); left out, it is the whole 2^n register and ``amps`` is a
+    full amplitude vector.
     """
 
     amps: np.ndarray
@@ -65,6 +70,13 @@ class Statevector:
         self.index = np.asarray(self.index, dtype=np.uint64)
         if self.amps.shape != self.index.shape:
             raise ValueError("need one amplitude per listed basis index")
+        if np.any(self.index[1:] <= self.index[:-1]):
+            raise ValueError("listed basis indices must be strictly increasing")
+        if self.index.size and int(self.index[-1]) >> self.n_qubits:
+            raise ValueError(
+                f"basis index {int(self.index[-1])} is outside the "
+                f"{self.n_qubits}-qubit register"
+            )
 
     @classmethod
     def from_determinant(cls, det, n_orbitals):
@@ -121,13 +133,14 @@ def _rotate(amps, index, op, theta):
     ann_mask = np.uint64(sum(1 << s for s in op.annihilated))
     cre_mask = np.uint64(sum(1 << s for s in op.created))
     both = ann_mask | cre_mask
-    src_at = np.flatnonzero((index & both) == ann_mask)
-    if src_at.size == 0:
-        return
+    # On the sources' mask class, x -> x ^ both adds one constant, so in the
+    # sorted index the k-th source pairs with the k-th target; the check
+    # below also catches a target listed without its source.
+    in_class = index & both
+    src_at = np.flatnonzero(in_class == ann_mask)
+    tgt_at = np.flatnonzero(in_class == cre_mask)
     src = index[src_at]
-    tgt = src ^ both
-    tgt_at = np.searchsorted(index, tgt)
-    if not np.array_equal(index.take(tgt_at, mode="clip"), tgt):
+    if src_at.size != tgt_at.size or not np.array_equal(index[tgt_at], src ^ both):
         raise ValueError("excitation leaves the statevector's listed basis states")
     sign = op.phase * string_sign(src, op.annihilated, op.created)
     c, s = np.cos(theta), np.sin(theta)

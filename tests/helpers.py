@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from qselci.circuits import build_usci
+from qselci.dets import Determinant, hartree_fock, sector_masks
 from qselci.fcidump import IntegralTable
 
 
@@ -32,6 +34,21 @@ def random_table(n_orbitals, n_electrons, ms2=0, seed=0, with_core=True):
             seen.add(key)
             table.set_g(*key, float(rng.normal() * 0.5))
     return table
+
+
+def hf_pick_usci(n_orbitals, n_alpha, n_beta, n_pick, seed):
+    """The benchmark's sampling circuit shape: Hartree-Fock plus a seeded
+    pick of ``n_pick`` of its in-sector singles and doubles, at the CLI's
+    uniform angle 0.15.  Returns (circuit, params)."""
+    hf = hartree_fock(n_orbitals, n_alpha, n_beta)
+    masks = sector_masks(n_orbitals, n_alpha, n_beta)
+    moved = (np.bitwise_count(masks[:, 0] ^ np.uint64(hf.alpha))
+             + np.bitwise_count(masks[:, 1] ^ np.uint64(hf.beta)))
+    pool = masks[(moved == 2) | (moved == 4)]
+    pick = np.random.default_rng(seed).choice(len(pool), n_pick, replace=False)
+    selected = [hf] + [Determinant(int(a), int(b)) for a, b in pool[pick]]
+    circuit = build_usci(hf, selected, n_orbitals)
+    return circuit, np.full(circuit.n_params, 0.15)
 
 
 def full_register(state):

@@ -5,7 +5,10 @@ full 2^(2n)-dimensional occupation basis (basis index bit s = occupation of
 blocked spin orbital s), deliberately avoiding the package's bit-twiddling
 code paths so the two implementations check each other.  The per-pair
 Slater-Condon rules and the text-keyed sampling stage are the scalar forms
-of the package's vectorized kernels, which are pinned against them.
+of the package's vectorized kernels, which are pinned against them.  The
+one-bit-per-key bitstring sort and the searchsorted gate pairing are the
+array paths the package's byte-table sort and mask-class pairing replaced,
+kept here as their references.
 """
 
 import functools
@@ -17,7 +20,12 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
-from qselci.dets import Determinant, bitstring_of_index, full_excitation
+from qselci.dets import (
+    Determinant,
+    bitstring_of_index,
+    full_excitation,
+    string_sign,
+)
 from qselci.fcidump import IntegralTable
 
 import helpers
@@ -402,3 +410,41 @@ def symmetry_filter(sc, n_alpha, n_beta):
 def counts_to_determinants(sc, n_orbitals):
     items = sorted(sc.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [Determinant.from_bitstring(s) for s, _ in items]
+
+
+# ------------------------------------------ replaced array-path references
+#
+# The package's first array forms of the bitstring sort and of the gate
+# pairing, bodies as they were.  The faster forms in qselci.sampling and
+# qselci.simulator must give the same positions and the same amplitudes
+# bit for bit.
+
+
+def lex_order(index, n_qubits, *first):
+    """Positions sorting basis indices as their bitstrings sort (qubit 0
+    most significant), after the keys ``first`` when given."""
+    keys = [(index >> k) & 1 for k in range(n_qubits - 1, -1, -1)]
+    return np.lexsort(keys + list(first))
+
+
+def rotate(amps, index, op, theta):
+    """In-place exp(theta (tau - tau^dag)) via paired-amplitude Givens."""
+    if theta == 0.0:
+        return
+    ann_mask = np.uint64(sum(1 << s for s in op.annihilated))
+    cre_mask = np.uint64(sum(1 << s for s in op.created))
+    both = ann_mask | cre_mask
+    src_at = np.flatnonzero((index & both) == ann_mask)
+    if src_at.size == 0:
+        return
+    src = index[src_at]
+    tgt = src ^ both
+    tgt_at = np.searchsorted(index, tgt)
+    if not np.array_equal(index.take(tgt_at, mode="clip"), tgt):
+        raise ValueError("excitation leaves the statevector's listed basis states")
+    sign = op.phase * string_sign(src, op.annihilated, op.created)
+    c, s = np.cos(theta), np.sin(theta)
+    a_src = amps[src_at]
+    a_tgt = amps[tgt_at]
+    amps[tgt_at] = c * a_tgt + sign * s * a_src
+    amps[src_at] = c * a_src - sign * s * a_tgt

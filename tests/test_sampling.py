@@ -25,6 +25,7 @@ from qselci.sampling import (
 from qselci.simulator import Statevector, apply_circuit
 
 import helpers
+import oracles
 
 
 def _counts(text_counts, n_qubits):
@@ -187,6 +188,20 @@ def test_sample_past_the_shot_cap_raises_before_drawing():
     dist = Distribution(index=np.array([0]), probs=np.ones(1), n_qubits=1)
     with pytest.raises(TooLarge):
         sample(dist, sampling.MAX_SHOTS + 1, seed=1)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 7, 8, 9, 20, 33, 62])
+def test_byte_table_order_matches_per_bit_lexsort(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    size = min(1 << n_qubits, 500)
+    index = np.unique(rng.integers(0, 1 << n_qubits, size=4 * size))
+    index = rng.permutation(index)[:size]
+    shots = rng.integers(1, 4, size=index.size)  # ties on the first key
+    for first in ((), (-shots,)):
+        expected = oracles.lex_order(index, n_qubits, *first)
+        for idx in (index, index.astype(">i8")):
+            assert np.array_equal(sampling._lex_order(idx, n_qubits, *first),
+                                  expected)
 
 
 # ------------------------------------------------------------------ readout

@@ -1,9 +1,12 @@
 """The array sampling path against the text-keyed reference in
 ``oracles``: same seeds, same shots, same reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import helpers
 import oracles
 from qselci import sampling
 from qselci.circuits import build_usci, prescreen
@@ -32,12 +35,24 @@ def _random_state(n_qubits, support, seed):
     return Statevector(amps=amps / np.linalg.norm(amps), n_qubits=n_qubits)
 
 
+def _sector_state(n_orbitals, n_alpha, n_beta, n_pick, seed):
+    circuit, params = helpers.hf_pick_usci(n_orbitals, n_alpha, n_beta,
+                                           n_pick, seed)
+    state = Statevector.from_determinant(circuit.reference, n_orbitals)
+    return apply_circuit(circuit, params, state)
+
+
+# name -> (state factory, (n_alpha, n_beta) the filter keeps).  The sector
+# states run indices past 4 bytes and widths that are not whole bytes.
 STATES = {
-    "two-orbital": lambda: _usci_state(two_orbital_table(), 0.0),
-    "hubbard4": lambda: _usci_state(hubbard_chain_table(), 0.01),
-    "random-10q": lambda: _random_state(10, 60, 1),
-    "random-16q": lambda: _random_state(16, 400, 2),
+    "two-orbital": (lambda: _usci_state(two_orbital_table(), 0.0), (1, 1)),
+    "hubbard4": (lambda: _usci_state(hubbard_chain_table(), 0.01), (2, 2)),
+    "random-10q": (lambda: _random_state(10, 60, 1), (2, 2)),
+    "random-16q": (lambda: _random_state(16, 400, 2), (4, 4)),
+    "sector-20q": (lambda: _sector_state(10, 5, 5, 200, 5), (5, 5)),
+    "sector-34q": (lambda: _sector_state(17, 1, 1, 6, 3), (1, 1)),
 }
+FULL_REGISTER_QUBITS = 20  # widest state oracles.ideal_distribution expands
 
 NOISE = {
     "off": NoiseModel(),
@@ -50,6 +65,17 @@ NOISE = {
 }
 
 
+def _listed_reference(state):
+    """oracles.ideal_distribution for a register too wide to expand: the
+    same pruned Born probabilities, one listed amplitude at a time."""
+    probs = {}
+    for i, a in zip(state.index.tolist(), state.amps.tolist()):
+        p = abs(a) * abs(a)
+        if p > 1e-16:
+            probs[bitstring_of_index(i, state.n_qubits)] = p
+    return oracles.Distribution(probs=probs, n_qubits=state.n_qubits)
+
+
 def _text_probs(dist):
     return {
         bitstring_of_index(i, dist.n_qubits): p
@@ -60,15 +86,15 @@ def _text_probs(dist):
 @pytest.mark.parametrize("noise_name", sorted(NOISE))
 @pytest.mark.parametrize("state_name", sorted(STATES))
 def test_array_sampling_matches_text_reference(state_name, noise_name):
-    state, noise = STATES[state_name](), NOISE[noise_name]
+    build, (n_alpha, n_beta) = STATES[state_name]
+    state, noise = build(), NOISE[noise_name]
     n_orbitals = state.n_qubits // 2
-    n_alpha = n_beta = n_orbitals // 2
     dist = sampling.depolarize_distribution(
         sampling.ideal_distribution(state), noise.depolarizing_p
     )
-    ref_dist = oracles.depolarize_distribution(
-        oracles.ideal_distribution(state), noise.depolarizing_p
-    )
+    ideal = (oracles.ideal_distribution if state.n_qubits <= FULL_REGISTER_QUBITS
+             else _listed_reference)
+    ref_dist = oracles.depolarize_distribution(ideal(state), noise.depolarizing_p)
     assert _text_probs(dist) == ref_dist.probs
     assert dist.residual_mass == ref_dist.residual_mass
     assert dist.unlisted_floor == ref_dist.unlisted_floor
@@ -76,9 +102,16 @@ def test_array_sampling_matches_text_reference(state_name, noise_name):
         counts = sampling.sample(dist, SHOTS, seed, noise=noise)
         ref = oracles.sample(ref_dist, SHOTS, seed, noise=noise)
         assert counts.counts == ref.counts
+        assert counts.index.dtype == counts.shots.dtype == np.int64
+        assert np.all(counts.index[1:] > counts.index[:-1])
+        swapped = replace(counts, index=counts.index.astype(">i8"))
         counts = sampling.apply_readout(counts, noise, seed + 1)
         ref = oracles.apply_readout(ref, noise, seed + 1)
         assert counts.counts == ref.counts
+        assert counts.index.dtype == counts.shots.dtype == np.int64
+        swapped = sampling.apply_readout(swapped, noise, seed + 1)
+        assert np.array_equal(swapped.index, counts.index)
+        assert np.array_equal(swapped.shots, counts.shots)
         assert counts.total_shots == ref.total_shots == SHOTS
         assert counts.top(10) == ref.top(10)
         assert counts.to_csv() == ref.to_csv()

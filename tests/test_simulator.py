@@ -1,9 +1,11 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qselci import simulator
 from qselci.circuits import (
     GATE_EXCITATION,
     Circuit,
@@ -145,6 +147,22 @@ def test_gate_leaving_the_sector_is_rejected():
         apply_circuit(_excitation_circuit(op, 2), [np.pi / 2], sv)
 
 
+@pytest.mark.parametrize("listed", [0b0010, 0b0001], ids=["target", "source"])
+def test_gate_partner_missing_from_the_listing_is_rejected(listed):
+    # a0 -> a1 pairs 0b0001 with 0b0010; only one of the two is listed
+    op = ExcitationOp(n_orbitals=2, annihilated=(0,), created=(1,), phase=1)
+    sv = Statevector(amps=[1.0], n_qubits=4, index=[listed])
+    with pytest.raises(ValueError, match="listed basis states"):
+        apply_circuit(_excitation_circuit(op, 4), [0.3], sv)
+
+
+@pytest.mark.parametrize("index", [[2, 1], [1, 1], [1, 9]],
+                         ids=["unsorted", "repeated", "outside"])
+def test_statevector_rejects_a_bad_index(index):
+    with pytest.raises(ValueError, match="strictly increasing|outside"):
+        Statevector(amps=np.full(2, 0.5 ** 0.5), n_qubits=2, index=index)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_excitation_rotation_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -215,6 +233,43 @@ def test_sector_state_matches_full_register_bitwise(build, n_orbitals,
     assert np.array_equal(
         helpers.full_register(out), apply_circuit(circuit, params, full).amps
     )
+
+
+# ------------------------------------- mask pairing against searchsorted
+
+def _hubbard8_usci():
+    """The 8-site, 4-electron Hubbard circuit of ``qselci qsci``."""
+    selected = prescreen(fci_oracle(hubbard_chain_table(8, n_electrons=4)), 0.01)
+    circuit = build_usci(selected[0], selected, 8)
+    return circuit, np.full(circuit.n_params, 0.15)
+
+
+def _seeded(build, n_orbitals, n_alpha, n_beta):
+    rng = np.random.default_rng(100 * n_orbitals + 10 * n_alpha + n_beta)
+    return build(rng, n_orbitals, n_alpha, n_beta)
+
+
+PINNED_CIRCUITS = {
+    **{f"hf-pick-20q-{seed}": functools.partial(
+        helpers.hf_pick_usci, 10, 5, 5, 200, seed)
+       for seed in (5, 11, 21)},
+    "hubbard8": _hubbard8_usci,
+    **{f"{build.__name__[8:]}-{n}-{a}-{b}": functools.partial(
+        _seeded, build, n, a, b)
+       for build in (_random_usci, _random_lucj)
+       for n, a, b in [(5, 2, 3), (6, 3, 3), (7, 3, 2)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CIRCUITS))
+def test_mask_pairing_matches_searchsorted_pairing_bitwise(name, monkeypatch):
+    circuit, params = PINNED_CIRCUITS[name]()
+    sv = Statevector.from_determinant(circuit.reference, circuit.n_orbitals)
+    out = apply_circuit(circuit, params, sv)
+    monkeypatch.setattr(simulator, "_rotate", oracles.rotate)
+    ref = apply_circuit(circuit, params, sv)
+    assert np.array_equal(out.index, ref.index)
+    assert out.amps.tobytes() == ref.amps.tobytes()
 
 
 # ------------------------------------------------------ property invariants
