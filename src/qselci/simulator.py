@@ -8,22 +8,30 @@ A ``Statevector`` holds amplitudes on a sorted array of basis indices.
 Every gate kind keeps the electron count of each spin channel, so a state
 prepared from a determinant lists only that determinant's (n_alpha,
 n_beta) sector, C(n, n_alpha) * C(n, n_beta) basis states; a state given
-as a full amplitude vector lists the whole 2^n register.  Gates touch the
-listed amplitudes only, so each costs O(sector), not O(2^n).
+as a full amplitude vector lists the whole 2^n register.  Both listings
+are products ``B << n | A`` of sorted alpha strings A and beta strings B
+in beta-major order (the string factorization of FCI), and
+``apply_circuit`` rejects a listing that is not.
 
 Excitation rotations exp(theta (tau - tau^dag)) are applied analytically:
 the listed amplitudes split into (source, partner) pairs related by the
 excitation's occupation change, each rotated by a 2x2 Givens block whose
 sign is the fermionic parity of the operator string on that source state.
-Pairs are matched by mask class: sources hold the annihilated orbitals and
-not the created ones, partners the reverse, and the k-th listed source
-pairs with the k-th listed partner.  A gate whose source or partner is not
-listed raises ValueError.
+Pairs are found per spin channel: the gate's alpha part splits the alpha
+strings into mask classes, sources holding its annihilated orbitals and
+not its created ones and partners the reverse, the k-th source pairing
+with the k-th partner; the beta part does the same on the beta strings,
+and a gate's pairs are the products of the two channels' pairs.  Channel
+pairings are kept for the whole call and a gate's pairing for as long as
+a later gate repeats its excitation, so a gate costs O(its pairs) after
+O(strings) to pair each channel part once.  A gate whose source or partner
+is not listed raises ValueError.
 Single-particle basis rotations are compiled to a chain of adjacent Givens
 rotations plus number phases via QR elimination of the orthogonal rotation
 matrix.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -53,9 +61,9 @@ def _check_size(n_qubits, n_amplitudes):
 class Statevector:
     """``amps[i]`` is the amplitude of basis state ``index[i]``.
 
-    ``index`` must be strictly increasing and below 2^n_qubits (ValueError
-    otherwise); left out, it is the whole 2^n register and ``amps`` is a
-    full amplitude vector.
+    ``index`` must be non-empty, strictly increasing and below 2^n_qubits
+    (ValueError otherwise); left out, it is the whole 2^n register and
+    ``amps`` is a full amplitude vector.
     """
 
     amps: np.ndarray
@@ -70,9 +78,11 @@ class Statevector:
         self.index = np.asarray(self.index, dtype=np.uint64)
         if self.amps.shape != self.index.shape:
             raise ValueError("need one amplitude per listed basis index")
+        if self.index.size == 0:
+            raise ValueError("a statevector lists at least one basis state")
         if np.any(self.index[1:] <= self.index[:-1]):
             raise ValueError("listed basis indices must be strictly increasing")
-        if self.index.size and int(self.index[-1]) >> self.n_qubits:
+        if int(self.index[-1]) >> self.n_qubits:
             raise ValueError(
                 f"basis index {int(self.index[-1])} is outside the "
                 f"{self.n_qubits}-qubit register"
@@ -80,7 +90,12 @@ class Statevector:
 
     @classmethod
     def from_determinant(cls, det, n_orbitals):
-        """The basis state ``det``, listed on its (n_alpha, n_beta) sector."""
+        """The basis state ``det``, listed on its (n_alpha, n_beta) sector
+        (ValueError if it occupies an orbital at or past ``n_orbitals``)."""
+        if (det.alpha | det.beta) >> n_orbitals:
+            raise ValueError(
+                f"{det} occupies an orbital past the {n_orbitals} orbitals"
+            )
         n_qubits = 2 * n_orbitals
         _check_size(
             n_qubits,
@@ -96,7 +111,8 @@ class Statevector:
 
 def apply_circuit(circuit, params, state):
     """Apply a circuit's gates in order to a statevector (returns a copy
-    listed on the same basis states)."""
+    listed on the same basis states).  The listing must be a product of
+    alpha and beta strings (ValueError otherwise)."""
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.n_params,):
         raise ParamCountMismatch(
@@ -104,82 +120,173 @@ def apply_circuit(circuit, params, state):
         )
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("statevector register size differs from circuit")
+    steps = _steps(circuit, params)
+    pairings = _Pairings(state.index, circuit.n_orbitals, steps)
     amps = state.amps.copy()
     index = state.index
-    n = circuit.n_orbitals
-    for gate in circuit.gates:
-        if gate.kind == GATE_EXCITATION:
-            _rotate(amps, index, gate.excitation, float(params[gate.param_slot]))
-        elif gate.kind == GATE_ORBITAL:
-            theta = float(params[gate.param_slot])
-            q, p = gate.qubits[0], gate.qubits[1]  # spatial pair (q < p)
-            for off in (0, n):
-                op = ExcitationOp(n, (q + off,), (p + off,), phase=1)
-                _rotate(amps, index, op, theta)
-        elif gate.kind == GATE_JASTROW:
-            _jastrow_phase(amps, index, gate.qubits, gate.angle)
-        elif gate.kind == GATE_BASIS:
-            sign = -1.0 if gate.inverse else 1.0
-            _basis_rotation(amps, index, sign * gate.kappa, n)
+    for op, arg in steps:
+        if isinstance(op, ExcitationOp):
+            _rotate(amps, pairings, op, arg)
         else:
-            raise ValueError(f"unknown gate kind {gate.kind!r}")
+            amps[(index & op) == op] *= arg
     return Statevector(amps=amps, n_qubits=circuit.n_qubits, index=index)
 
 
-def _rotate(amps, index, op, theta):
+def _steps(circuit, params):
+    """The circuit as primitive steps in order: ``(op, theta)`` applies
+    exp(theta (tau - tau^dag)) for the ExcitationOp ``op``; ``(mask,
+    factor)`` multiplies the amplitudes of the basis states holding every
+    bit of ``mask`` by ``factor``."""
+    n = circuit.n_orbitals
+    steps = []
+    for gate in circuit.gates:
+        if gate.kind == GATE_EXCITATION:
+            steps.append((gate.excitation, float(params[gate.param_slot])))
+        elif gate.kind == GATE_ORBITAL:
+            theta = float(params[gate.param_slot])
+            q, p = gate.qubits[0], gate.qubits[1]  # spatial pair (q < p)
+            steps += [(ExcitationOp(n, (q + off,), (p + off,), phase=1), theta)
+                      for off in (0, n)]
+        elif gate.kind == GATE_JASTROW:
+            mask = np.uint64(sum(1 << q for q in set(gate.qubits)))
+            steps.append((mask, np.exp(1j * gate.angle)))
+        elif gate.kind == GATE_BASIS:
+            sign = -1.0 if gate.inverse else 1.0
+            steps += _basis_rotation(sign * gate.kappa, n)
+        else:
+            raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return steps
+
+
+def _rotate(amps, pairings, op, theta):
     """In-place exp(theta (tau - tau^dag)) via paired-amplitude Givens."""
     if theta == 0.0:
         return
-    ann_mask = np.uint64(sum(1 << s for s in op.annihilated))
-    cre_mask = np.uint64(sum(1 << s for s in op.created))
-    both = ann_mask | cre_mask
-    # On the sources' mask class, x -> x ^ both adds one constant, so in the
-    # sorted index the k-th source pairs with the k-th target; the check
-    # below also catches a target listed without its source.
-    in_class = index & both
-    src_at = np.flatnonzero(in_class == ann_mask)
-    tgt_at = np.flatnonzero(in_class == cre_mask)
-    src = index[src_at]
-    if src_at.size != tgt_at.size or not np.array_equal(index[tgt_at], src ^ both):
-        raise ValueError("excitation leaves the statevector's listed basis states")
-    sign = op.phase * string_sign(src, op.annihilated, op.created)
+    src_at, tgt_at, sign = pairings.take(op)
     c, s = np.cos(theta), np.sin(theta)
     a_src = amps[src_at]
     a_tgt = amps[tgt_at]
-    amps[tgt_at] = c * a_tgt + sign * s * a_src
-    amps[src_at] = c * a_src - sign * s * a_tgt
+    sign_s = sign * s
+    amps[tgt_at] = c * a_tgt + sign_s * a_src
+    amps[src_at] = c * a_src - sign_s * a_tgt
 
 
-def _jastrow_phase(amps, index, qubits, angle):
-    mask = np.uint64(0)
-    for q in set(qubits):
-        mask |= np.uint64(1 << q)
-    sel = (index & mask) == mask
-    amps[sel] *= np.exp(1j * angle)
+class _Pairings:
+    """Gate pairs on a listing ``index = B << n | A`` (beta-major), found
+    per spin channel among the strings A and B.
+
+    A channel pairing is kept for the whole call; a gate's pairing only
+    while a later rotation of ``steps`` (by a nonzero angle) repeats its
+    ``(annihilated, created)`` key.
+    """
+
+    def __init__(self, index, n_orbitals, steps):
+        self.n = n_orbitals
+        self.alpha, self.beta = _factor(index, n_orbitals)
+        self.uses = Counter((op.annihilated, op.created) for op, theta in steps
+                            if isinstance(op, ExcitationOp) and theta != 0.0)
+        self.kept = {}
+        self.channels = {}
+
+    def take(self, op):
+        """``(src_at, tgt_at, sign)`` of ``op`` in the flat listing."""
+        key = (op.annihilated, op.created)
+        pairs = self.kept.pop(key, None)
+        if pairs is None:
+            pairs = self._pair(*key)
+        self.uses[key] -= 1
+        if self.uses[key]:
+            self.kept[key] = pairs
+        src_at, tgt_at, sign = pairs
+        return src_at, tgt_at, sign if op.phase == 1 else -sign
+
+    def _channel(self, which, strings, ann, cre):
+        key = (which, ann, cre)
+        if key not in self.channels:
+            self.channels[key] = _channel_pairs(strings, ann, cre)
+        return self.channels[key]
+
+    def _pair(self, annihilated, created):
+        """The pairs and string signs (before ``phase``) of one key."""
+        n, alpha, beta = self.n, self.alpha, self.beta
+        ann = sum(1 << s for s in annihilated)
+        cre = sum(1 << s for s in created)
+        low = (1 << n) - 1
+        sa, ta, ok_a = self._channel(0, alpha, ann & low, cre & low)
+        sb, tb, ok_b = self._channel(1, beta, ann >> n, cre >> n)
+        # A channel check may fail where its partner channel lists no
+        # source and no target; then the gate has no pairs at all.
+        if not (ok_a and ok_b) and (sa.size * sb.size or ta.size * tb.size):
+            raise ValueError(
+                "excitation leaves the statevector's listed basis states"
+            )
+        # string_sign's closed form (-1)**(popcount(x & mask) + odd) splits
+        # over the disjoint bits of x = B << n | A:
+        # sign(x) = sign(A) * sign(B << n) * sign(0).
+        sign_a = string_sign(alpha[sa], annihilated, created)
+        sign_b = string_sign(beta[sb] << np.uint64(n), annihilated, created)
+        sign = (string_sign(0, annihilated, created)
+                * (sign_b[:, None] * sign_a).ravel())
+        src_at = ((sb * alpha.size)[:, None] + sa).ravel()
+        tgt_at = ((tb * alpha.size)[:, None] + ta).ravel()
+        return src_at, tgt_at, sign
 
 
-def _basis_rotation(amps, index, kappa, n_orbitals):
-    """Apply the Fock-space image of Q = expm(kappa) on both spin channels."""
+def _factor(index, n_orbitals):
+    """The sorted alpha and beta strings A, B with ``index`` equal to
+    ``B << n | A`` in beta-major order (ValueError if it is no product)."""
+    n = np.uint64(n_orbitals)
+    width = int(np.searchsorted(index, ((index[0] >> n) + np.uint64(1)) << n))
+    alpha = index[:width] & ((np.uint64(1) << n) - np.uint64(1))
+    beta = index[::width] >> n
+    if index.size % width or not np.array_equal(
+        index.reshape(-1, width), (beta[:, None] << n) | alpha
+    ):
+        raise ValueError(
+            "listed basis states are not a product of alpha and beta strings"
+        )
+    return alpha, beta
+
+
+def _channel_pairs(strings, ann, cre):
+    """Positions of the strings holding ``ann`` and not ``cre`` (sources)
+    and of those holding ``cre`` and not ``ann`` (targets), plus whether
+    the k-th target is the k-th source's partner ``source ^ ann ^ cre``.
+
+    On the sources' mask class x -> x ^ both adds one constant, so in the
+    sorted strings the k-th source pairs with the k-th target; the check
+    also catches a target listed without its source.
+    """
+    ann, cre = np.uint64(ann), np.uint64(cre)
+    both = ann | cre
+    in_class = strings & both
+    src = np.flatnonzero(in_class == ann)
+    tgt = np.flatnonzero(in_class == cre)
+    ok = src.size == tgt.size and np.array_equal(strings[tgt], strings[src] ^ both)
+    return src, tgt, ok
+
+
+def _basis_rotation(kappa, n_orbitals):
+    """Steps applying the Fock-space image of Q = expm(kappa) on both spin
+    channels."""
     from scipy.linalg import expm
 
     kappa = np.asarray(kappa, dtype=float)
     if np.abs(kappa).max() == 0.0:
-        return
+        return []
     Q = expm(kappa)
     rotations, diag = _givens_decompose(Q)
     # Q = R_1^T ... R_m^T D, so apply D first, then the transposed plane
     # rotations in reverse elimination order.
-    for i, sign in enumerate(diag):
-        if sign < 0:
-            for off in (0, n_orbitals):
-                bit = np.uint64(1 << (i + off))
-                amps[(index & bit) == bit] *= -1.0
+    steps = [(np.uint64(1 << (i + off)), -1.0)
+             for i, sign in enumerate(diag) if sign < 0
+             for off in (0, n_orbitals)]
     # Gamma(R(theta)) = exp(theta (a+_i a_j - a+_j a_i)); each factor here is
     # the transpose R^T, hence the negated angle.
-    for i, j, theta in reversed(rotations):
-        for off in (0, n_orbitals):
-            op = ExcitationOp(n_orbitals, (j + off,), (i + off,), phase=1)
-            _rotate(amps, index, op, -theta)
+    steps += [(ExcitationOp(n_orbitals, (j + off,), (i + off,), phase=1), -theta)
+              for i, j, theta in reversed(rotations)
+              for off in (0, n_orbitals)]
+    return steps
 
 
 def _givens_decompose(Q):

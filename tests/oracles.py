@@ -6,9 +6,9 @@ blocked spin orbital s), deliberately avoiding the package's bit-twiddling
 code paths so the two implementations check each other.  The per-pair
 Slater-Condon rules and the text-keyed sampling stage are the scalar forms
 of the package's vectorized kernels, which are pinned against them.  The
-one-bit-per-key bitstring sort and the searchsorted gate pairing are the
-array paths the package's byte-table sort and mask-class pairing replaced,
-kept here as their references.
+one-bit-per-key bitstring sort, the searchsorted gate pairing and the
+flat mask-class gate pairing are the array paths the package's byte-table
+sort and per-spin-channel pairing replaced, kept here as their references.
 """
 
 import functools
@@ -20,13 +20,21 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
+from qselci.circuits import (
+    GATE_BASIS,
+    GATE_EXCITATION,
+    GATE_JASTROW,
+    GATE_ORBITAL,
+)
 from qselci.dets import (
     Determinant,
+    ExcitationOp,
     bitstring_of_index,
     full_excitation,
     string_sign,
 )
 from qselci.fcidump import IntegralTable
+from qselci.simulator import _givens_decompose
 
 import helpers
 
@@ -414,10 +422,11 @@ def counts_to_determinants(sc, n_orbitals):
 
 # ------------------------------------------ replaced array-path references
 #
-# The package's first array forms of the bitstring sort and of the gate
-# pairing, bodies as they were.  The faster forms in qselci.sampling and
-# qselci.simulator must give the same positions and the same amplitudes
-# bit for bit.
+# The package's earlier array forms of the bitstring sort and of the gate
+# pairing, bodies as they were: the gate loop scanned the whole flat
+# listing per gate, first pairing by searchsorted, then by mask class.  The
+# faster forms in qselci.sampling and qselci.simulator must give the same
+# positions and the same amplitudes bit for bit.
 
 
 def lex_order(index, n_qubits, *first):
@@ -427,7 +436,7 @@ def lex_order(index, n_qubits, *first):
     return np.lexsort(keys + list(first))
 
 
-def rotate(amps, index, op, theta):
+def searchsorted_rotate(amps, index, op, theta):
     """In-place exp(theta (tau - tau^dag)) via paired-amplitude Givens."""
     if theta == 0.0:
         return
@@ -448,3 +457,83 @@ def rotate(amps, index, op, theta):
     a_tgt = amps[tgt_at]
     amps[tgt_at] = c * a_tgt + sign * s * a_src
     amps[src_at] = c * a_src - sign * s * a_tgt
+
+
+def mask_rotate(amps, index, op, theta):
+    """In-place exp(theta (tau - tau^dag)) via paired-amplitude Givens."""
+    if theta == 0.0:
+        return
+    ann_mask = np.uint64(sum(1 << s for s in op.annihilated))
+    cre_mask = np.uint64(sum(1 << s for s in op.created))
+    both = ann_mask | cre_mask
+    # On the sources' mask class, x -> x ^ both adds one constant, so in the
+    # sorted index the k-th source pairs with the k-th target; the check
+    # below also catches a target listed without its source.
+    in_class = index & both
+    src_at = np.flatnonzero(in_class == ann_mask)
+    tgt_at = np.flatnonzero(in_class == cre_mask)
+    src = index[src_at]
+    if src_at.size != tgt_at.size or not np.array_equal(index[tgt_at], src ^ both):
+        raise ValueError("excitation leaves the statevector's listed basis states")
+    sign = op.phase * string_sign(src, op.annihilated, op.created)
+    c, s = np.cos(theta), np.sin(theta)
+    a_src = amps[src_at]
+    a_tgt = amps[tgt_at]
+    amps[tgt_at] = c * a_tgt + sign * s * a_src
+    amps[src_at] = c * a_src - sign * s * a_tgt
+
+
+def flat_apply_circuit(circuit, params, state, rotate=mask_rotate):
+    """The gate loop that finds each gate's pairs by scanning the whole
+    flat listing with ``rotate``; returns the new amplitudes."""
+    params = np.asarray(params, dtype=float)
+    amps = state.amps.copy()
+    index = state.index
+    n = circuit.n_orbitals
+    for gate in circuit.gates:
+        if gate.kind == GATE_EXCITATION:
+            rotate(amps, index, gate.excitation, float(params[gate.param_slot]))
+        elif gate.kind == GATE_ORBITAL:
+            theta = float(params[gate.param_slot])
+            q, p = gate.qubits[0], gate.qubits[1]  # spatial pair (q < p)
+            for off in (0, n):
+                op = ExcitationOp(n, (q + off,), (p + off,), phase=1)
+                rotate(amps, index, op, theta)
+        elif gate.kind == GATE_JASTROW:
+            _jastrow_phase(amps, index, gate.qubits, gate.angle)
+        elif gate.kind == GATE_BASIS:
+            sign = -1.0 if gate.inverse else 1.0
+            _basis_rotation(amps, index, sign * gate.kappa, n, rotate)
+        else:
+            raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return amps
+
+
+def _jastrow_phase(amps, index, qubits, angle):
+    mask = np.uint64(0)
+    for q in set(qubits):
+        mask |= np.uint64(1 << q)
+    sel = (index & mask) == mask
+    amps[sel] *= np.exp(1j * angle)
+
+
+def _basis_rotation(amps, index, kappa, n_orbitals, rotate):
+    """Apply the Fock-space image of Q = expm(kappa) on both spin channels."""
+    kappa = np.asarray(kappa, dtype=float)
+    if np.abs(kappa).max() == 0.0:
+        return
+    Q = scipy.linalg.expm(kappa)
+    rotations, diag = _givens_decompose(Q)
+    # Q = R_1^T ... R_m^T D, so apply D first, then the transposed plane
+    # rotations in reverse elimination order.
+    for i, sign in enumerate(diag):
+        if sign < 0:
+            for off in (0, n_orbitals):
+                bit = np.uint64(1 << (i + off))
+                amps[(index & bit) == bit] *= -1.0
+    # Gamma(R(theta)) = exp(theta (a+_i a_j - a+_j a_i)); each factor here is
+    # the transpose R^T, hence the negated angle.
+    for i, j, theta in reversed(rotations):
+        for off in (0, n_orbitals):
+            op = ExcitationOp(n_orbitals, (j + off,), (i + off,), phase=1)
+            rotate(amps, index, op, -theta)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import tracemalloc
@@ -156,11 +157,42 @@ def test_gate_partner_missing_from_the_listing_is_rejected(listed):
         apply_circuit(_excitation_circuit(op, 4), [0.3], sv)
 
 
+def test_gate_with_no_listed_source_or_target_is_a_no_op():
+    # a0 -> b0 on the vacuum: the alpha part finds no source and the beta
+    # part no target, so no pair is listed and nothing moves
+    op = ExcitationOp(n_orbitals=2, annihilated=(0,), created=(2,), phase=1)
+    sv = Statevector.from_determinant(Determinant(0, 0), 2)
+    out = apply_circuit(_excitation_circuit(op, 4), [0.3], sv)
+    assert out.amps.tobytes() == sv.amps.tobytes()
+
+
 @pytest.mark.parametrize("index", [[2, 1], [1, 1], [1, 9]],
                          ids=["unsorted", "repeated", "outside"])
 def test_statevector_rejects_a_bad_index(index):
     with pytest.raises(ValueError, match="strictly increasing|outside"):
         Statevector(amps=np.full(2, 0.5 ** 0.5), n_qubits=2, index=index)
+
+
+def test_statevector_rejects_an_empty_index():
+    with pytest.raises(ValueError, match="at least one"):
+        Statevector(amps=np.zeros(0), n_qubits=8, index=[])
+
+
+def test_from_determinant_rejects_an_orbital_past_the_register():
+    # alpha orbital 4 of 4 would land on beta orbital 0's bit
+    with pytest.raises(ValueError, match="past the 4 orbitals"):
+        Statevector.from_determinant(Determinant(0b10000, 0b1), 4)
+    with pytest.raises(ValueError, match="past the 4 orbitals"):
+        Statevector.from_determinant(Determinant(0b1, 0b10000), 4)
+
+
+def test_listing_that_is_no_string_product_is_rejected():
+    # alpha 01 with beta 01, alpha 10 with beta 10: the cross terms are missing
+    op = ExcitationOp(n_orbitals=2, annihilated=(0,), created=(1,), phase=1)
+    sv = Statevector(amps=np.full(2, 0.5 ** 0.5), n_qubits=4,
+                     index=[0b0101, 0b1010])
+    with pytest.raises(ValueError, match="product of alpha and beta"):
+        apply_circuit(_excitation_circuit(op, 4), [0.3], sv)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -235,7 +267,7 @@ def test_sector_state_matches_full_register_bitwise(build, n_orbitals,
     )
 
 
-# ------------------------------------- mask pairing against searchsorted
+# ------------------------------ channel pairing against the flat-index paths
 
 def _hubbard8_usci():
     """The 8-site, 4-electron Hubbard circuit of ``qselci qsci``."""
@@ -262,14 +294,72 @@ PINNED_CIRCUITS = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CIRCUITS))
-def test_mask_pairing_matches_searchsorted_pairing_bitwise(name, monkeypatch):
+def test_mask_pairing_matches_searchsorted_pairing_bitwise(name):
     circuit, params = PINNED_CIRCUITS[name]()
     sv = Statevector.from_determinant(circuit.reference, circuit.n_orbitals)
     out = apply_circuit(circuit, params, sv)
-    monkeypatch.setattr(simulator, "_rotate", oracles.rotate)
-    ref = apply_circuit(circuit, params, sv)
-    assert np.array_equal(out.index, ref.index)
-    assert out.amps.tobytes() == ref.amps.tobytes()
+    ref = oracles.flat_apply_circuit(circuit, params, sv,
+                                     rotate=oracles.searchsorted_rotate)
+    assert np.array_equal(out.index, sv.index)
+    assert out.amps.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("angles", ["uniform", "random"])
+@pytest.mark.parametrize("listing", ["sector", "register"])
+@pytest.mark.parametrize("name", sorted(PINNED_CIRCUITS))
+def test_channel_pairing_matches_flat_mask_pairing_bitwise(name, listing,
+                                                           angles):
+    circuit, _ = PINNED_CIRCUITS[name]()
+    if angles == "uniform":
+        params = np.full(circuit.n_params, 0.15)
+    else:
+        params = np.random.default_rng(7).uniform(-2, 2, circuit.n_params)
+    sv = Statevector.from_determinant(circuit.reference, circuit.n_orbitals)
+    if listing == "register":
+        sv = Statevector(helpers.full_register(sv), circuit.n_qubits)
+    out = apply_circuit(circuit, params, sv)
+    ref = oracles.flat_apply_circuit(circuit, params, sv)
+    assert np.array_equal(out.index, sv.index)
+    assert out.amps.tobytes() == ref.tobytes()
+
+
+def test_repeated_excitations_reuse_their_pairings(monkeypatch):
+    # 1,008 gates from 159 distinct excitations over 28 strings per channel
+    circuit, params = _hubbard8_usci()
+    assert len(circuit.gates) == 1008
+    assert len({(g.excitation.annihilated, g.excitation.created)
+                for g in circuit.gates}) == 159
+    gate_builds, channel_builds = [], []
+
+    def count(calls, build):
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+        return counted
+
+    monkeypatch.setattr(simulator._Pairings, "_pair",
+                        count(gate_builds, simulator._Pairings._pair))
+    monkeypatch.setattr(simulator, "_channel_pairs",
+                        count(channel_builds, simulator._channel_pairs))
+    sv = Statevector.from_determinant(circuit.reference, 8)
+    apply_circuit(circuit, params, sv)
+    assert len(gate_builds) <= 159
+    per_channel = collections.Counter(id(strings)
+                                      for strings, _, _ in channel_builds)
+    assert len(per_channel) == 2
+    assert max(per_channel.values()) <= 26
+
+
+def test_pairings_are_dropped_after_their_last_use():
+    circuit, params = PINNED_CIRCUITS["hf-pick-20q-5"]()
+    sv = Statevector.from_determinant(circuit.reference, circuit.n_orbitals)
+    tracemalloc.start()
+    try:
+        apply_circuit(circuit, params, sv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 # ------------------------------------------------------ property invariants
