@@ -21,7 +21,6 @@ from qselci.sampling import (
     depolarize_distribution,
     ideal_distribution,
     sample,
-    spin_factorized_combine,
     symmetry_filter,
 )
 from qselci.simulator import Statevector, apply_circuit
@@ -72,14 +71,3 @@ clean_counts = sample(ideal, shots, seed=11)
 _, clean_rejected = symmetry_filter(clean_counts, 2, 2)
 print("rejected without noise:", clean_rejected)
 
-# When alpha and beta registers are sampled separately (halving the
-# qubit count), per-spin pools recombine in the product space, ranked
-# by frequency product.
-alpha_pool = {det.alpha: int(c) for det, c in
-              zip(dets, range(len(dets), 0, -1))}
-beta_pool = {det.beta: int(c) for det, c in
-             zip(dets, range(len(dets), 0, -1))}
-combined = spin_factorized_combine(alpha_pool, beta_pool, cap=10)
-print("top recombined pairs:", len(combined))
-print("heaviest recombined determinant:",
-      bin(combined[0].alpha), bin(combined[0].beta))

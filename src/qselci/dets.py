@@ -83,6 +83,17 @@ def index_of_bitstring(s):
     return int(s[::-1], 2)
 
 
+def basis_indices(index, n_qubits):
+    """``index`` as a uint64 array of basis indices of an ``n_qubits``
+    register (ValueError if one is at or past 2^n_qubits; a negative int
+    wraps past it)."""
+    index = np.asarray(index).astype(np.uint64, copy=False)
+    if index.size and int(index.max()) >> n_qubits:
+        raise ValueError(f"basis index {int(index.max())} is outside the "
+                         f"{n_qubits}-qubit register")
+    return index
+
+
 def _bits(mask):
     out = []
     while mask:

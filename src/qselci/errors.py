@@ -88,7 +88,7 @@ class ShapeMismatch(QselciError):
 
 
 class TooManyQubits(QselciError):
-    """A statevector would pass the amplitude cap or the 62-qubit limit."""
+    """A statevector would pass the amplitude cap or the 64-qubit limit."""
 
 
 class ParamCountMismatch(QselciError):
@@ -96,10 +96,6 @@ class ParamCountMismatch(QselciError):
 
 
 # ----------------------------------------------------------------- sampling
-
-class EmptyPool(QselciError):
-    pass
-
 
 class EmptySubspace(QselciError):
     pass

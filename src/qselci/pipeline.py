@@ -44,13 +44,9 @@ def noisy_counts(state, shots, noise, master_seed):
     """Measure a prepared state under a noise model: ideal distribution,
     global depolarizing, ``shots`` multinomial draws, readout flips."""
     seeds = stage_seeds(master_seed)
-    dist = ideal_distribution(state)
-    if noise.depolarizing_p > 0.0:
-        dist = depolarize_distribution(dist, noise.depolarizing_p)
+    dist = depolarize_distribution(ideal_distribution(state), noise.depolarizing_p)
     counts = sample(dist, shots, seeds["sample"])
-    if noise.has_readout:
-        counts = apply_readout(counts, noise, seeds["readout"])
-    return counts
+    return apply_readout(counts, noise, seeds["readout"])
 
 
 @dataclass

@@ -6,8 +6,9 @@ per *shot*.  All randomness uses numpy's Philox counter-based generator,
 seeded by the caller; :func:`stage_seeds` derives the seeds of one
 sampling pass from a master seed (sampling first, readout second).
 
-Outcomes are int64 basis indices (bit k = qubit k, blocked spin-orbital
-order).  Text bitstrings (character k = qubit k) appear only in the
+Outcomes are uint64 basis indices (bit k = qubit k, blocked spin-orbital
+order), the statevector's own index type, so up to 64 qubits.  Text
+bitstrings (character k = qubit k) appear only in the
 ``SampleCounts.counts`` view, ``top`` and ``to_csv``.  Where an order
 follows the bitstrings (qubit 0 most significant), it is computed as the
 numeric order of the bit-reversed index.  Readout unpacks each shot's bits,
@@ -19,8 +20,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dets import Determinant, bitstring_of_index
-from .errors import EmptyPool, TooLarge
+from .dets import Determinant, basis_indices, bitstring_of_index
+from .errors import TooLarge
 
 PRUNE_TOL = 1e-16
 READOUT_BLOCK = 1 << 14  # shots per readout pass; bounds the uniforms held at once
@@ -69,6 +70,7 @@ class Distribution:
     ``index`` holds distinct basis indices and ``probs`` their
     probabilities.  Every unlisted index carries exactly ``unlisted_floor``
     probability; ``residual_mass`` is the total over all unlisted indices.
+    ``index`` is held as uint64 (ValueError if outside the register).
     """
 
     index: np.ndarray
@@ -76,13 +78,16 @@ class Distribution:
     n_qubits: int
     unlisted_floor: float = 0.0
 
+    def __post_init__(self):
+        self.index = basis_indices(self.index, self.n_qubits)
+
     @property
     def residual_mass(self):
         return self.unlisted_floor * ((1 << self.n_qubits) - self.index.size)
 
     def cumulative(self, index):
         """Total probability of a set of basis indices."""
-        index = np.unique(index)
+        index = np.unique(basis_indices(index, self.n_qubits))
         listed = np.isin(self.index, index)
         n_unlisted = index.size - np.count_nonzero(listed)
         return float(self.probs[listed].sum() + self.unlisted_floor * n_unlisted)
@@ -94,11 +99,15 @@ class Distribution:
 @dataclass
 class SampleCounts:
     """Shot counts over distinct basis indices: ``shots[i]`` shots landed
-    on ``index[i]``."""
+    on ``index[i]``.  ``index`` is held as uint64 (ValueError if outside
+    the register)."""
 
     index: np.ndarray
     shots: np.ndarray
     n_qubits: int
+
+    def __post_init__(self):
+        self.index = basis_indices(self.index, self.n_qubits)
 
     @property
     def total_shots(self):
@@ -162,7 +171,7 @@ def ideal_distribution(state):
     p = np.abs(state.amps) ** 2
     keep = np.flatnonzero(p > PRUNE_TOL)
     return Distribution(
-        index=state.index[keep].astype(np.int64),
+        index=state.index[keep],
         probs=p[keep],
         n_qubits=state.n_qubits,
     )
@@ -224,15 +233,16 @@ def sample(dist, shots, seed, noise=None):
         raise ValueError("distribution has no probability mass")
     pvals /= total
     drawn = rng.multinomial(shots, pvals)
-    # sorted listed indices behind a -1 floor: listed[searchsorted - 1] is
-    # the largest one at or below each draw
-    listed = np.concatenate([[-1], np.sort(dist.index)])
-    outside = [np.zeros(0, dtype=np.int64)]
+    listed = np.sort(dist.index)
+    outside = [np.zeros(0, dtype=np.uint64)]
     needed = int(drawn[-1])
     while needed > 0:
-        batch = rng.integers(0, 1 << dist.n_qubits, size=max(16, 2 * needed))
-        below = listed[np.searchsorted(listed, batch, side="right") - 1]
-        outside.append(batch[below != batch][:needed])
+        batch = rng.integers(0, 1 << dist.n_qubits, size=max(16, 2 * needed),
+                             dtype=np.uint64)
+        if listed.size:
+            at = np.minimum(np.searchsorted(listed, batch), listed.size - 1)
+            batch = batch[listed[at] != batch]
+        outside.append(batch[:needed])
         needed -= outside[-1].size
     # Listed outcomes are tallied by the draw itself; only the unlisted
     # ones, which no listed index can equal, need counting.
@@ -255,7 +265,7 @@ def apply_readout(sc, model, seed):
     rng = _rng(seed)
     n = sc.n_qubits
     order = _lex_order(sc.index, n)
-    read = np.repeat(sc.index[order], sc.shots[order]).astype("<i8", copy=False)
+    read = np.repeat(sc.index[order], sc.shots[order]).astype("<u8", copy=False)
     for start in range(0, read.size, READOUT_BLOCK):
         block = read[start:start + READOUT_BLOCK]
         u = rng.random(size=(block.size, n))
@@ -267,7 +277,7 @@ def apply_readout(sc, model, seed):
         flipped = np.less(u, model.readout_eps1, out=flips[:, :n])
         flipped &= ones
         flipped |= (u < model.readout_eps0) & ~ones
-        block ^= np.packbits(flips, bitorder="little").view("<i8")
+        block ^= np.packbits(flips, bitorder="little").view("<u8")
     return SampleCounts(*np.unique(read, return_counts=True), n)
 
 
@@ -286,30 +296,12 @@ def symmetry_filter(sc, n_alpha, n_beta):
 
 
 def counts_to_determinants(sc, n_orbitals):
-    """Unique determinants by descending count, then ascending bitstring."""
-    index = sc.index[sc._ranked()].astype(np.uint64)
-    mask = np.uint64((1 << n_orbitals) - 1)
-    alpha, beta = index & mask, (index >> np.uint64(n_orbitals)) & mask
+    """Unique determinants by descending count, then ascending bitstring
+    (ValueError unless the counts span 2 * n_orbitals qubits)."""
+    if 2 * n_orbitals != sc.n_qubits:
+        raise ValueError(f"{sc.n_qubits}-qubit counts do not hold "
+                         f"{n_orbitals}-orbital determinants")
+    index = sc.index[sc._ranked()]
+    alpha = index & np.uint64((1 << n_orbitals) - 1)
+    beta = index >> np.uint64(n_orbitals)
     return list(map(Determinant, alpha.tolist(), beta.tolist()))
-
-
-def spin_factorized_combine(alpha_pool, beta_pool, cap=None):
-    """Combine per-spin determinant pools in the product space.
-
-    Pools are ``{mask: frequency}`` mappings.  Pairs are ranked by
-    descending frequency product, tie-broken by ascending masks, and
-    truncated to ``cap``.
-    """
-    a_freq = {int(k): float(v) for k, v in alpha_pool.items()}
-    b_freq = {int(k): float(v) for k, v in beta_pool.items()}
-    if not a_freq or not b_freq:
-        raise EmptyPool("both spin pools must be non-empty")
-    pairs = [
-        (fa * fb, a, b)
-        for a, fa in a_freq.items()
-        for b, fb in b_freq.items()
-    ]
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-    if cap is not None:
-        pairs = pairs[:cap]
-    return [Determinant(alpha=a, beta=b) for _, a, b in pairs]

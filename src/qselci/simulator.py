@@ -38,11 +38,11 @@ from math import comb
 import numpy as np
 
 from .circuits import GATE_BASIS, GATE_EXCITATION, GATE_JASTROW, GATE_ORBITAL
-from .dets import ExcitationOp, occupation_strings, string_sign
+from .dets import ExcitationOp, basis_indices, occupation_strings, string_sign
 from .errors import ParamCountMismatch, TooManyQubits
 
 MAX_AMPLITUDES = 1 << 24
-MAX_QUBITS = 62  # sampling holds basis indices as int64
+MAX_QUBITS = 64  # the width of a uint64 basis index
 
 
 def _check_size(n_qubits, n_amplitudes):
@@ -75,18 +75,13 @@ class Statevector:
         if self.index is None:
             _check_size(self.n_qubits, 1 << self.n_qubits)
             self.index = np.arange(1 << self.n_qubits, dtype=np.uint64)
-        self.index = np.asarray(self.index, dtype=np.uint64)
+        self.index = basis_indices(self.index, self.n_qubits)
         if self.amps.shape != self.index.shape:
             raise ValueError("need one amplitude per listed basis index")
         if self.index.size == 0:
             raise ValueError("a statevector lists at least one basis state")
         if np.any(self.index[1:] <= self.index[:-1]):
             raise ValueError("listed basis indices must be strictly increasing")
-        if int(self.index[-1]) >> self.n_qubits:
-            raise ValueError(
-                f"basis index {int(self.index[-1])} is outside the "
-                f"{self.n_qubits}-qubit register"
-            )
 
     @classmethod
     def from_determinant(cls, det, n_orbitals):
@@ -220,13 +215,8 @@ class _Pairings:
             raise ValueError(
                 "excitation leaves the statevector's listed basis states"
             )
-        # string_sign's closed form (-1)**(popcount(x & mask) + odd) splits
-        # over the disjoint bits of x = B << n | A:
-        # sign(x) = sign(A) * sign(B << n) * sign(0).
-        sign_a = string_sign(alpha[sa], annihilated, created)
-        sign_b = string_sign(beta[sb] << np.uint64(n), annihilated, created)
-        sign = (string_sign(0, annihilated, created)
-                * (sign_b[:, None] * sign_a).ravel())
+        sources = ((beta[sb] << np.uint64(n))[:, None] | alpha[sa]).ravel()
+        sign = string_sign(sources, annihilated, created)
         src_at = ((sb * alpha.size)[:, None] + sa).ravel()
         tgt_at = ((tb * alpha.size)[:, None] + ta).ravel()
         return src_at, tgt_at, sign
@@ -235,9 +225,9 @@ class _Pairings:
 def _factor(index, n_orbitals):
     """The sorted alpha and beta strings A, B with ``index`` equal to
     ``B << n | A`` in beta-major order (ValueError if it is no product)."""
-    n = np.uint64(n_orbitals)
-    width = int(np.searchsorted(index, ((index[0] >> n) + np.uint64(1)) << n))
-    alpha = index[:width] & ((np.uint64(1) << n) - np.uint64(1))
+    n, low = np.uint64(n_orbitals), np.uint64((1 << n_orbitals) - 1)
+    width = int(np.searchsorted(index, index[0] | low, side="right"))
+    alpha = index[:width] & low
     beta = index[::width] >> n
     if index.size % width or not np.array_equal(
         index.reshape(-1, width), (beta[:, None] << n) | alpha

@@ -361,7 +361,8 @@ def sample(dist, shots, seed, noise=None):
         d = 1 << dist.n_qubits
         needed = n_residual
         while needed > 0:
-            batch = rng.integers(0, d, size=max(16, 2 * needed))
+            batch = rng.integers(0, d, size=max(16, 2 * needed),
+                                 dtype=np.uint64)
             for idx in batch:
                 s = bitstring_of_index(int(idx), dist.n_qubits)
                 if s not in support:

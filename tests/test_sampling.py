@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from qselci import sampling
 from qselci.circuits import build_usci, prescreen
 from qselci.dets import Determinant, bitstring_of_index, index_of_bitstring
-from qselci.errors import EmptyPool, TooLarge
+from qselci.errors import TooLarge
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import fci_oracle
 from qselci.sampling import (
@@ -19,7 +18,6 @@ from qselci.sampling import (
     depolarize_distribution,
     ideal_distribution,
     sample,
-    spin_factorized_combine,
     symmetry_filter,
 )
 from qselci.simulator import Statevector, apply_circuit
@@ -190,16 +188,43 @@ def test_sample_past_the_shot_cap_raises_before_drawing():
         sample(dist, sampling.MAX_SHOTS + 1, seed=1)
 
 
-@pytest.mark.parametrize("n_qubits", [2, 7, 8, 9, 20, 33, 62])
+def test_sample_from_a_floor_that_lists_nothing():
+    dist = Distribution(index=np.zeros(0, dtype=np.uint64), probs=np.zeros(0),
+                        n_qubits=3, unlisted_floor=1 / 8)
+    counts = sample(dist, 4000, seed=9)
+    ref = oracles.sample(oracles.Distribution(probs={}, n_qubits=3,
+                                              residual_mass=1.0,
+                                              unlisted_floor=1 / 8),
+                         4000, seed=9)
+    assert counts.counts == ref.counts
+    assert len(counts.counts) == 8
+    assert counts.index.dtype == np.uint64
+
+
+@pytest.mark.parametrize("n_qubits", [4, 20, 40, 62])
+def test_uint64_draws_equal_int64_draws(n_qubits):
+    # sample draws its unlisted outcomes as uint64; the same generator
+    # state gives the same values as the int64 draws it replaced
+    def draws(**dtype):
+        rng = np.random.Generator(np.random.Philox(7))
+        return rng.integers(0, 1 << n_qubits, size=1000, **dtype)
+
+    wide = draws()
+    assert wide.dtype == np.int64
+    assert draws(dtype=np.uint64).tolist() == wide.tolist()
+
+
+@pytest.mark.parametrize("n_qubits", [2, 7, 8, 9, 20, 33, 62, 63, 64])
 def test_byte_table_order_matches_per_bit_lexsort(n_qubits):
     rng = np.random.default_rng(n_qubits)
     size = min(1 << n_qubits, 500)
-    index = np.unique(rng.integers(0, 1 << n_qubits, size=4 * size))
+    index = np.unique(rng.integers(0, 1 << n_qubits, size=4 * size,
+                                   dtype=np.uint64))
     index = rng.permutation(index)[:size]
     shots = rng.integers(1, 4, size=index.size)  # ties on the first key
     for first in ((), (-shots,)):
         expected = oracles.lex_order(index, n_qubits, *first)
-        for idx in (index, index.astype(">i8")):
+        for idx in (index, index.astype(">u8")):
             assert np.array_equal(sampling._lex_order(idx, n_qubits, *first),
                                   expected)
 
@@ -282,43 +307,32 @@ def test_counts_to_determinants_ordering():
                         Determinant.from_bitstring("1010")]
 
 
-# ------------------------------------------------------- spin factorization
-
-def test_combine_product_count():
-    alpha = [0b0011, 0b0101, 0b0110]
-    beta = [0b0011, 0b0101, 0b0110, 0b1001]
-    combined = spin_factorized_combine(Counter(alpha), Counter(beta))
-    assert len(combined) == 12
-    assert len(set(combined)) == 12
+def test_counts_to_determinants_rejects_a_register_mismatch():
+    sc = _counts({"0110": 1}, 4)
+    with pytest.raises(ValueError, match="4-qubit counts"):
+        counts_to_determinants(sc, 3)
 
 
-def test_combine_cap_keeps_highest_frequency_products():
-    alpha = {0b0011: 10, 0b0101: 1}
-    beta = {0b0011: 8, 0b0101: 5, 0b0110: 1}
-    combined = spin_factorized_combine(alpha, beta, cap=5)
-    assert len(combined) == 5
-    products = {
-        (a, b): fa * fb
-        for a, fa in alpha.items() for b, fb in beta.items()
-    }
-    kept = sorted(products, key=lambda ab: (-products[ab], ab))[:5]
-    assert combined == [Determinant(a, b) for a, b in kept]
+# ------------------------------------------------------- basis-index arrays
+
+@pytest.mark.parametrize("index", [[5, 3], np.array([5, 3]),
+                                   np.array([5, 3], dtype=">u8")],
+                         ids=["list", "int64", "big-endian"])
+def test_containers_hold_native_uint64_indices(index):
+    sc = SampleCounts(index=index, shots=np.array([1, 2]), n_qubits=4)
+    dist = Distribution(index=index, probs=np.array([0.5, 0.5]), n_qubits=4)
+    for held in (sc.index, dist.index):
+        assert held.dtype == np.dtype(np.uint64)
+        assert held.tolist() == [5, 3]
+    assert sc.top(2) == [("1100", 2), ("1010", 1)]
+    assert sample(dist, 10, seed=1).index.dtype == np.uint64
 
 
-def test_combine_empty_pool():
-    with pytest.raises(EmptyPool):
-        spin_factorized_combine(Counter(), Counter([0b0011]))
-
-
-def test_combine_recovers_top_fixture_determinant():
-    table = hubbard_chain_table()
-    oracle = fci_oracle(table)
-    top = max(zip(oracle.dets, oracle.coeffs), key=lambda t: t[1] ** 2)[0]
-    # split sampling: alpha pool and beta pool from the oracle marginals
-    alpha_pool = {}
-    beta_pool = {}
-    for det, c in zip(oracle.dets, oracle.coeffs):
-        alpha_pool[det.alpha] = alpha_pool.get(det.alpha, 0.0) + c * c
-        beta_pool[det.beta] = beta_pool.get(det.beta, 0.0) + c * c
-    combined = spin_factorized_combine(alpha_pool, beta_pool, cap=10)
-    assert top in combined
+@pytest.mark.parametrize("index", [[-1, 3], np.array([-1, 3]), [17]],
+                         ids=["negative", "negative-int64", "past-the-register"])
+def test_containers_reject_indices_outside_the_register(index):
+    with pytest.raises(ValueError, match="outside the 4-qubit register"):
+        SampleCounts(index=index, shots=np.ones(len(index), dtype=int),
+                     n_qubits=4)
+    with pytest.raises(ValueError, match="outside the 4-qubit register"):
+        Distribution(index=index, probs=np.ones(len(index)) / 2, n_qubits=4)

@@ -43,7 +43,8 @@ def _sector_state(n_orbitals, n_alpha, n_beta, n_pick, seed):
 
 
 # name -> (state factory, (n_alpha, n_beta) the filter keeps).  The sector
-# states run indices past 4 bytes and widths that are not whole bytes.
+# states run indices past 4 bytes, widths that are not whole bytes, and
+# the full 64-bit index.
 STATES = {
     "two-orbital": (lambda: _usci_state(two_orbital_table(), 0.0), (1, 1)),
     "hubbard4": (lambda: _usci_state(hubbard_chain_table(), 0.01), (2, 2)),
@@ -51,6 +52,7 @@ STATES = {
     "random-16q": (lambda: _random_state(16, 400, 2), (4, 4)),
     "sector-20q": (lambda: _sector_state(10, 5, 5, 200, 5), (5, 5)),
     "sector-34q": (lambda: _sector_state(17, 1, 1, 6, 3), (1, 1)),
+    "sector-64q": (lambda: _sector_state(32, 1, 1, 6, 4), (1, 1)),
 }
 FULL_REGISTER_QUBITS = 20  # widest state oracles.ideal_distribution expands
 
@@ -102,13 +104,15 @@ def test_array_sampling_matches_text_reference(state_name, noise_name):
         counts = sampling.sample(dist, SHOTS, seed, noise=noise)
         ref = oracles.sample(ref_dist, SHOTS, seed, noise=noise)
         assert counts.counts == ref.counts
-        assert counts.index.dtype == counts.shots.dtype == np.int64
+        assert counts.index.dtype == np.uint64
+        assert counts.shots.dtype == np.int64
         assert np.all(counts.index[1:] > counts.index[:-1])
-        swapped = replace(counts, index=counts.index.astype(">i8"))
+        swapped = replace(counts, index=counts.index.astype(">u8"))
         counts = sampling.apply_readout(counts, noise, seed + 1)
         ref = oracles.apply_readout(ref, noise, seed + 1)
         assert counts.counts == ref.counts
-        assert counts.index.dtype == counts.shots.dtype == np.int64
+        assert counts.index.dtype == np.uint64
+        assert counts.shots.dtype == np.int64
         swapped = sampling.apply_readout(swapped, noise, seed + 1)
         assert np.array_equal(swapped.index, counts.index)
         assert np.array_equal(swapped.shots, counts.shots)

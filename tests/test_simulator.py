@@ -75,9 +75,10 @@ def test_qubit_cap_enforced():
     assert Statevector.from_determinant(Determinant(1, 1), 13).amps.size == 169
     with pytest.raises(TooManyQubits):
         Statevector(np.zeros(1), 26)  # a full 26-qubit register
-    # basis indices are int64 in sampling: 64 qubits is past the limit
-    with pytest.raises(TooManyQubits):
-        Statevector.from_determinant(Determinant(1, 1), 32)
+    # a basis index is one uint64: 64 qubits fit, 66 are past the limit
+    assert Statevector.from_determinant(Determinant(1, 1), 32).amps.size == 1024
+    with pytest.raises(TooManyQubits, match="64-qubit limit"):
+        Statevector.from_determinant(Determinant(1, 1), 33)
 
 
 def test_sector_above_amplitude_cap_raises_before_allocating():
@@ -323,6 +324,24 @@ def test_channel_pairing_matches_flat_mask_pairing_bitwise(name, listing,
     assert out.amps.tobytes() == ref.tobytes()
 
 
+def test_full_beta_channel_at_64_qubits_matches_flat_pairing():
+    # the one beta string is all 32 ones: the row width may not be found
+    # as the index of (B + 1) << 32, which is 2^64 and wraps to 0
+    full = (1 << 32) - 1
+    ref = Determinant(0b11, full)
+    selected = [ref] + [Determinant(a, full) for a in
+                        (0b101, (1 << 31) | 1, (1 << 30) | (1 << 7))]
+    circuit = build_usci(ref, selected, 32)
+    params = np.random.default_rng(3).uniform(-2, 2, circuit.n_params)
+    sv = Statevector.from_determinant(ref, 32)
+    assert sv.amps.size == math.comb(32, 2)
+    assert int(sv.index[0]) >> 32 == full
+    out = apply_circuit(circuit, params, sv)
+    want = oracles.flat_apply_circuit(circuit, params, sv)
+    assert out.amps.tobytes() == want.tobytes()
+    assert np.count_nonzero(out.amps) == len(selected)
+
+
 def test_repeated_excitations_reuse_their_pairings(monkeypatch):
     # 1,008 gates from 159 distinct excitations over 28 strings per channel
     circuit, params = _hubbard8_usci()
@@ -511,5 +530,5 @@ def test_expectation_energy_rejects_past_the_uint64_index():
     subspace = SubspaceMatrix(masks=np.array([[1, 1 << 32]], dtype=np.uint64),
                               matrix=None, core_energy=0.0, n_orbitals=33)
     state = Statevector(amps=[1.0], n_qubits=66, index=[3])
-    with pytest.raises(ValueError, match="at most 62"):
+    with pytest.raises(ValueError, match="at most 64"):
         expectation_energy(state, subspace)
