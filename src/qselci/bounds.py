@@ -348,60 +348,57 @@ def mc_selection_failure_rate(probs, r, m_shots, trials=1_000, seed=0):
 # ---------------------------------------------------------------------------
 
 def full_report(inputs):
-    """Evaluate every bound whose inputs are present; the rest stay None."""
-    report = BoundReport()
-    report.zeta_r_assumed_zero = inputs.zeta_r == 0.0
-    if inputs.lambda_h is not None and inputs.q_r is not None:
-        report.zero_retained_weight = inputs.q_r == 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    """Evaluate every bound whose inputs are present, with warnings
+    silenced; the rest stay None."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = BoundReport()
+        report.zeta_r_assumed_zero = inputs.zeta_r == 0.0
+        if inputs.lambda_h is not None and inputs.q_r is not None:
+            report.zero_retained_weight = inputs.q_r == 0.0
             report.truncation_bound = truncation_bound(inputs.lambda_h,
                                                        inputs.q_r)
-    if inputs.m_shots is not None and inputs.delta is not None:
-        report.epsilon_m = hoeffding_epsilon(inputs.m_shots, inputs.delta)
-    if (report.epsilon_m is not None and inputs.r is not None
-            and inputs.d is not None):
-        p_hat = inputs.p_hat_r
-        if p_hat is None and inputs.q_r is not None:
-            # expected measured value when no measurement is supplied
-            p_hat = noisy_cumulative(inputs.q_r, inputs.p, inputs.r, inputs.d)
-        if p_hat is not None:
-            report.q_r_lower = confident_weight_lower(
-                p_hat, report.epsilon_m, inputs.p, inputs.r, inputs.d,
-                inputs.zeta_r,
-            )
-            if inputs.lambda_h is not None:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
+        if inputs.m_shots is not None and inputs.delta is not None:
+            report.epsilon_m = hoeffding_epsilon(inputs.m_shots, inputs.delta)
+        if (report.epsilon_m is not None and inputs.r is not None
+                and inputs.d is not None):
+            p_hat = inputs.p_hat_r
+            if p_hat is None and inputs.q_r is not None:
+                # expected measured value when no measurement is supplied
+                p_hat = noisy_cumulative(inputs.q_r, inputs.p, inputs.r, inputs.d)
+            if p_hat is not None:
+                report.q_r_lower = confident_weight_lower(
+                    p_hat, report.epsilon_m, inputs.p, inputs.r, inputs.d,
+                    inputs.zeta_r,
+                )
+                if inputs.lambda_h is not None:
                     report.energy_bound_confident = truncation_bound(
                         inputs.lambda_h, report.q_r_lower
                     )
-    delta_r = inputs.delta_r
-    if delta_r is None and inputs.gap_id is not None:
-        delta_r = (1.0 - inputs.p) * inputs.gap_id
-    if (inputs.m_shots is not None and inputs.k_pool is not None
-            and delta_r is not None and delta_r > 0.0):
-        report.selection_failure = selection_failure(
-            inputs.m_shots, inputs.k_pool, delta_r
-        )
-    if (inputs.k_pool is not None and inputs.delta is not None
-            and inputs.gap_id is not None and inputs.gap_id > 0.0
-            and inputs.p < 1.0):
-        report.required_shots = required_shots(
-            inputs.k_pool, inputs.delta, inputs.p, inputs.gap_id
-        )
-    if (inputs.lambda_h is not None and inputs.q_r is not None
-            and inputs.k_pool is not None and inputs.m_shots is not None
-            and inputs.gap_id is not None):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        delta_r = inputs.delta_r
+        if delta_r is None and inputs.gap_id is not None:
+            delta_r = (1.0 - inputs.p) * inputs.gap_id
+        if (inputs.m_shots is not None and inputs.k_pool is not None
+                and delta_r is not None and delta_r > 0.0):
+            report.selection_failure = selection_failure(
+                inputs.m_shots, inputs.k_pool, delta_r
+            )
+        if (inputs.k_pool is not None and inputs.delta is not None
+                and inputs.gap_id is not None and inputs.gap_id > 0.0
+                and inputs.p < 1.0):
+            report.required_shots = required_shots(
+                inputs.k_pool, inputs.delta, inputs.p, inputs.gap_id
+            )
+        if (inputs.lambda_h is not None and inputs.q_r is not None
+                and inputs.k_pool is not None and inputs.m_shots is not None
+                and inputs.gap_id is not None):
             report.expected_error = expected_error_bound(inputs)
-    if inputs.lambda_h is not None:
-        report.direct_noise_bias = direct_noise_bias(inputs.p, inputs.lambda_h)
-    electrons = (inputs.m_electrons, inputs.n_alpha, inputs.n_beta)
-    if inputs.n_orbitals is not None and electrons != (None, None, None):
-        report.p_u = uniform_probability(inputs.n_orbitals, *electrons)
-        if inputs.f_2q is not None:
-            report.n_g_max = gate_budget(inputs.f_2q, inputs.n_orbitals,
-                                         *electrons)
-    return report
+        if inputs.lambda_h is not None:
+            report.direct_noise_bias = direct_noise_bias(inputs.p, inputs.lambda_h)
+        electrons = (inputs.m_electrons, inputs.n_alpha, inputs.n_beta)
+        if inputs.n_orbitals is not None and electrons != (None, None, None):
+            report.p_u = uniform_probability(inputs.n_orbitals, *electrons)
+            if inputs.f_2q is not None:
+                report.n_g_max = gate_budget(inputs.f_2q, inputs.n_orbitals,
+                                             *electrons)
+        return report

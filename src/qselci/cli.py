@@ -119,12 +119,8 @@ def _jsonify(value):
         return [_jsonify(v) for v in value]
     if isinstance(value, np.ndarray):
         return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
         return repr(value)
     return value
@@ -155,17 +151,22 @@ _TABLE_SRC = [
      "built-in system: hubbard4 | two-orbital | h-chain-synthetic"),
 ]
 
-_NOISE = [
-    (("--depol-p",), "depol_p", float, 0.0, "global depolarizing strength"),
+_PER_GATE = [
     (("--pg",), "pg", float, None, "per-gate error rate (overrides --depol-p)"),
     (("--n2q",), "n2q", int, None, "two-qubit gate count for --pg aggregation"),
+]
+
+_READOUT = [
     (("--eps0",), "eps0", float, 0.0, "readout flip probability 0->1"),
     (("--eps1",), "eps1", float, 0.0, "readout flip probability 1->0"),
 ]
 
-_ANSATZ = [
+_PRESCREEN = [
     (("--cutoff",), "cutoff", float, 0.01, "prescreen amplitude cutoff"),
     (("--top-m",), "top_m", int, None, "prescreen size cap"),
+]
+
+_CIRCUIT = [
     (("--layers",), "layers", int, 1, "ansatz layer count"),
     (("--degree-cap",), "degree_cap", int, None,
      "per-qubit excitation-partner cap"),
@@ -175,40 +176,50 @@ _ANSATZ = [
      "uniform initial rotation angle for unoptimized runs"),
 ]
 
+# single rows that more than one subcommand lists
+_DEPOL = (("--depol-p",), "depol_p", float, 0.0, "global depolarizing strength")
+_SHOTS = (("--shots",), "shots", int, 100_000, "measurement shots")
+_SEED = (("--seed",), "seed", int, 2026, "master randomness seed")
+_ITERS = (("--iters",), "iters", int, 1, "expansion iterations")
+_SAVE_WF = (("--save-wf",), "save_wf", str, None, "write the final wavefunction")
+
+_SAMPLED = (_COMMON + _TABLE_SRC + _PRESCREEN + _CIRCUIT + [_DEPOL] + _PER_GATE
+            + _READOUT)
+
 OPTIONS = {
     "fcidump-info": _COMMON + _TABLE_SRC,
     "fci": _COMMON + _TABLE_SRC + [
         (("--cap",), "cap", int, 10 ** 7, "maximum FCI dimension"),
         (("--save-wf",), "save_wf", str, None, "write the wavefunction JSON"),
     ],
-    "usci-build": _COMMON + _TABLE_SRC + _ANSATZ + [
+    "usci-build": _COMMON + _TABLE_SRC + _PRESCREEN + _CIRCUIT + [
         (("--save-circuit",), "save_circuit", str, None,
          "write the circuit JSON"),
     ],
-    "qsci": _COMMON + _TABLE_SRC + _ANSATZ + _NOISE + [
-        (("--shots",), "shots", int, 100_000, "measurement shots"),
-        (("--seed",), "seed", int, 2026, "master randomness seed"),
+    "qsci": _SAMPLED + [
+        _SHOTS,
+        _SEED,
         (("--optimize",), "optimize", None, False,
          "run derivative-free parameter optimization"),
         (("--max-evals",), "max_evals", int, 500, "optimizer evaluation budget"),
         (("--opt-tol",), "opt_tol", float, 1e-8, "optimizer energy tolerance"),
         (("--patience",), "patience", int, 10,
          "evaluations without improvement before stopping"),
-        (("--save-wf",), "save_wf", str, None, "write the final wavefunction"),
+        _SAVE_WF,
     ],
-    "sample": _COMMON + _TABLE_SRC + _ANSATZ + _NOISE + [
+    "sample": _SAMPLED + [
         (("--ansatz",), "ansatz", str, "usci", "usci | lucj"),
         (("--shots",), "shots", int, 10_000, "measurement shots"),
-        (("--seed",), "seed", int, 2026, "master randomness seed"),
+        _SEED,
         (("--top",), "top", int, 20, "how many strings to list in the report"),
         (("--csv",), "csv", str, None, "write bitstring,count rows to a file"),
     ],
     "expand": _COMMON + _TABLE_SRC + [
         (("--in",), "infile", str, None, "wavefunction JSON to start from"),
         (("--tau",), "tau", float, 0.0, "coupling-score threshold"),
-        (("--iters",), "iters", int, 1, "expansion iterations"),
+        _ITERS,
         (("--top-k",), "top_k", int, None, "cap on additions per iteration"),
-        (("--save-wf",), "save_wf", str, None, "write the final wavefunction"),
+        _SAVE_WF,
     ],
     "pt2": _COMMON + _TABLE_SRC + [
         (("--in",), "infile", str, None, "wavefunction JSON to correct"),
@@ -243,17 +254,14 @@ OPTIONS = {
     "demo": _COMMON + [
         (("--fixture",), "fixture", str, "hubbard4",
          "hubbard4 | two-orbital | h-chain-synthetic"),
-        (("--shots",), "shots", int, 100_000, "measurement shots"),
-        (("--seed",), "seed", int, 2026, "master randomness seed"),
-        (("--depol-p",), "depol_p", float, 0.0, "global depolarizing strength"),
-        (("--eps0",), "eps0", float, 0.0, "readout flip probability 0->1"),
-        (("--eps1",), "eps1", float, 0.0, "readout flip probability 1->0"),
-        (("--cutoff",), "cutoff", float, 0.01, "prescreen amplitude cutoff"),
-        (("--top-m",), "top_m", int, None, "prescreen size cap"),
+        _SHOTS,
+        _SEED,
+        _DEPOL,
+    ] + _READOUT + _PRESCREEN + [
         (("--init-angle",), "init_angle", float, 0.15,
          "uniform rotation angle for the sampling circuits"),
         (("--tau",), "tau", float, 0.0, "expansion score threshold"),
-        (("--iters",), "iters", int, 1, "expansion iterations"),
+        _ITERS,
     ],
 }
 
@@ -353,11 +361,11 @@ def _noise_from(opts):
     from .sampling import NoiseModel
 
     return NoiseModel(
-        depolarizing_p=opts.get("depol_p", 0.0) or 0.0,
+        depolarizing_p=opts["depol_p"],
         per_gate_pg=opts.get("pg"),
         n_2q=opts.get("n2q"),
-        readout_eps0=opts.get("eps0", 0.0) or 0.0,
-        readout_eps1=opts.get("eps1", 0.0) or 0.0,
+        readout_eps0=opts["eps0"],
+        readout_eps1=opts["eps1"],
     )
 
 
@@ -663,8 +671,14 @@ _PRESETS = {
     "cas10-10": {"n": 10, "m": 10, "f2q": 0.990},
 }
 
+# the BoundInputs fields filled by a bounds flag of another dest
+_BOUND_DESTS = {"m_shots": "shots", "f_2q": "f2q", "n_orbitals": "n",
+                "m_electrons": "m"}
+
 
 def _handle_bounds(opts, manifest):
+    from dataclasses import fields
+
     from .bounds import BoundInputs, full_report
 
     if opts.get("preset"):
@@ -678,25 +692,8 @@ def _handle_bounds(opts, manifest):
         for key, value in preset.items():
             if opts.get(key) is None and not (key == "m" and per_spin):
                 opts[key] = value
-    inputs = BoundInputs(
-        q_r=opts.get("q_r"),
-        lambda_h=opts.get("lambda_h"),
-        p=opts.get("p") or 0.0,
-        r=opts.get("r"),
-        d=opts.get("d"),
-        m_shots=opts.get("shots"),
-        delta=opts.get("delta"),
-        zeta_r=opts.get("zeta_r") or 0.0,
-        delta_r=opts.get("delta_r"),
-        k_pool=opts.get("k_pool"),
-        f_2q=opts.get("f2q"),
-        n_orbitals=opts.get("n"),
-        m_electrons=opts.get("m"),
-        n_alpha=opts.get("n_alpha"),
-        n_beta=opts.get("n_beta"),
-        p_hat_r=opts.get("p_hat_r"),
-        gap_id=opts.get("gap_id"),
-    )
+    inputs = BoundInputs(**{f.name: opts[_BOUND_DESTS.get(f.name, f.name)]
+                            for f in fields(BoundInputs)})
     with manifest.stage("bounds"):
         report = full_report(inputs)
     result = report.to_json_dict()
@@ -827,16 +824,10 @@ def cli_dispatch(argv):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except QselciError as exc:
+    except (QselciError, ValueError, OSError) as exc:
+        # the library rejects an option value with ValueError: a usage error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # the library's option and input validation raises ValueError
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
     report = {
         "subcommand": args.subcommand,
         "manifest": manifest.to_json_dict(),

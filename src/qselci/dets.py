@@ -32,9 +32,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import TooLarge, TooManyQubits
 
 ENUMERATION_CAP = 10**7
+MAX_QUBITS = 64  # the width of a uint64 basis index
 # _BELOW[k]: the uint64 mask of the bits below bit k, for k = 0 .. 64
 _BELOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
 
@@ -83,10 +84,18 @@ def index_of_bitstring(s):
     return int(s[::-1], 2)
 
 
+def check_qubit_count(n_qubits):
+    """TooManyQubits past the 64 qubits a uint64 basis index holds."""
+    if n_qubits > MAX_QUBITS:
+        raise TooManyQubits(
+            f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit limit")
+
+
 def basis_indices(index, n_qubits):
     """``index`` as a uint64 array of basis indices of an ``n_qubits``
-    register (ValueError if one is at or past 2^n_qubits; a negative int
-    wraps past it)."""
+    register (``check_qubit_count`` first; ValueError if one is at or past
+    2^n_qubits; a negative int wraps past it)."""
+    check_qubit_count(n_qubits)
     index = np.asarray(index).astype(np.uint64, copy=False)
     if index.size and int(index.max()) >> n_qubits:
         raise ValueError(f"basis index {int(index.max())} is outside the "

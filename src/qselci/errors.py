@@ -19,27 +19,23 @@ class QselciError(Exception):
 
 # ---------------------------------------------------------------- integrals
 
-class FcidumpError(QselciError):
-    """Base for integral-file parse errors; carries a line number."""
-
-
-class MalformedHeader(FcidumpError):
+class MalformedHeader(QselciError):
     pass
 
 
-class IndexOutOfRange(FcidumpError):
+class IndexOutOfRange(QselciError):
     pass
 
 
-class NonNumericValue(FcidumpError):
+class NonNumericValue(QselciError):
     pass
 
 
-class EmptyInput(FcidumpError):
+class EmptyInput(QselciError):
     pass
 
 
-class UndecodableInput(FcidumpError):
+class UndecodableInput(QselciError):
     """The integral file is not text in the expected encoding."""
 
 
@@ -88,7 +84,8 @@ class ShapeMismatch(QselciError):
 
 
 class TooManyQubits(QselciError):
-    """A statevector would pass the amplitude cap or the 64-qubit limit."""
+    """A register past the 64-qubit limit, or a statevector past the
+    amplitude cap."""
 
 
 class ParamCountMismatch(QselciError):

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dets import Determinant, basis_indices, bitstring_of_index
+from .dets import basis_indices, bitstring_of_index, determinants
 from .errors import TooLarge
 
 PRUNE_TOL = 1e-16
@@ -70,7 +70,7 @@ class Distribution:
     ``index`` holds distinct basis indices and ``probs`` their
     probabilities.  Every unlisted index carries exactly ``unlisted_floor``
     probability; ``residual_mass`` is the total over all unlisted indices.
-    ``index`` is held as uint64 (ValueError if outside the register).
+    ``index`` is held as uint64 and ``probs`` as float (see ``_listed``).
     """
 
     index: np.ndarray
@@ -79,7 +79,8 @@ class Distribution:
     unlisted_floor: float = 0.0
 
     def __post_init__(self):
-        self.index = basis_indices(self.index, self.n_qubits)
+        self.index, self.probs = _listed(self.index, self.probs, float,
+                                         self.n_qubits)
 
     @property
     def residual_mass(self):
@@ -99,15 +100,16 @@ class Distribution:
 @dataclass
 class SampleCounts:
     """Shot counts over distinct basis indices: ``shots[i]`` shots landed
-    on ``index[i]``.  ``index`` is held as uint64 (ValueError if outside
-    the register)."""
+    on ``index[i]``.  ``index`` is held as uint64 and ``shots`` as int64
+    (see ``_listed``)."""
 
     index: np.ndarray
     shots: np.ndarray
     n_qubits: int
 
     def __post_init__(self):
-        self.index = basis_indices(self.index, self.n_qubits)
+        self.index, self.shots = _listed(self.index, self.shots, np.int64,
+                                         self.n_qubits)
 
     @property
     def total_shots(self):
@@ -138,6 +140,19 @@ class SampleCounts:
                 self.index[positions].tolist(), self.shots[positions].tolist()
             )
         ]
+
+
+def _listed(index, values, dtype, n_qubits):
+    """``basis_indices(index)`` and ``values`` as a ``dtype`` array, one value
+    per index (ValueError otherwise or if an index repeats)."""
+    index = basis_indices(index, n_qubits)
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != index.shape:
+        raise ValueError("need one value per listed basis index")
+    ordered = np.sort(index, kind="stable")  # O(N) on sorted indices
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("listed basis indices must be distinct")
+    return index, values
 
 
 # _BIT_REVERSED[b] is byte b with its eight bits in reverse order
@@ -303,5 +318,4 @@ def counts_to_determinants(sc, n_orbitals):
                          f"{n_orbitals}-orbital determinants")
     index = sc.index[sc._ranked()]
     alpha = index & np.uint64((1 << n_orbitals) - 1)
-    beta = index >> np.uint64(n_orbitals)
-    return list(map(Determinant, alpha.tolist(), beta.tolist()))
+    return determinants(np.column_stack([alpha, index >> np.uint64(n_orbitals)]))

@@ -38,18 +38,14 @@ from math import comb
 import numpy as np
 
 from .circuits import GATE_BASIS, GATE_EXCITATION, GATE_JASTROW, GATE_ORBITAL
-from .dets import ExcitationOp, basis_indices, occupation_strings, string_sign
+from .dets import (ExcitationOp, basis_indices, check_qubit_count,
+                   occupation_strings, string_sign)
 from .errors import ParamCountMismatch, TooManyQubits
 
 MAX_AMPLITUDES = 1 << 24
-MAX_QUBITS = 64  # the width of a uint64 basis index
 
 
 def _check_size(n_qubits, n_amplitudes):
-    if n_qubits > MAX_QUBITS:
-        raise TooManyQubits(
-            f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit limit"
-        )
     if n_amplitudes > MAX_AMPLITUDES:
         raise TooManyQubits(
             f"{n_amplitudes} amplitudes on {n_qubits} qubits exceeds the "
@@ -61,9 +57,10 @@ def _check_size(n_qubits, n_amplitudes):
 class Statevector:
     """``amps[i]`` is the amplitude of basis state ``index[i]``.
 
-    ``index`` must be non-empty, strictly increasing and below 2^n_qubits
-    (ValueError otherwise); left out, it is the whole 2^n register and
-    ``amps`` is a full amplitude vector.
+    ``n_qubits`` is at most 64 (TooManyQubits otherwise).  ``index`` must
+    be non-empty, strictly increasing and below 2^n_qubits (ValueError
+    otherwise); left out, it is the whole 2^n register and ``amps`` is a
+    full amplitude vector.
     """
 
     amps: np.ndarray
@@ -92,6 +89,7 @@ class Statevector:
                 f"{det} occupies an orbital past the {n_orbitals} orbitals"
             )
         n_qubits = 2 * n_orbitals
+        check_qubit_count(n_qubits)
         _check_size(
             n_qubits,
             comb(n_orbitals, det.n_alpha) * comb(n_orbitals, det.n_beta),
@@ -308,10 +306,10 @@ def _givens_decompose(Q):
 def expectation_energy(state, subspace):
     """<psi|H|psi> over a subspace matrix's determinants; a determinant the
     state does not list has amplitude 0 (diagnostic helper)."""
-    if state.n_qubits != 2 * subspace.n_orbitals or state.n_qubits > MAX_QUBITS:
+    if state.n_qubits != 2 * subspace.n_orbitals:
         raise ValueError(
             f"a {state.n_qubits}-qubit state against {subspace.n_orbitals} "
-            f"orbitals: need 2 * n_orbitals qubits, at most {MAX_QUBITS}"
+            "orbitals: need 2 * n_orbitals qubits"
         )
     alpha, beta = subspace.masks.T
     idx = alpha | (beta << np.uint64(subspace.n_orbitals))

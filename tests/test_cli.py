@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import oracles
 from qselci.bounds import gate_budget, uniform_probability
-from qselci.cli import SCHEMA_PATH, cli_dispatch
+from qselci.cli import (
+    OPTIONS,
+    SCHEMA_PATH,
+    SUBCOMMANDS,
+    _effective_options,
+    build_parser,
+    cli_dispatch,
+)
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import enumerate_space
 
@@ -394,6 +401,148 @@ def test_file_input_reports_validate_against_schema(
         argv += ["--fixture", "hubbard4"]
     report = run_json(capsys, argv)
     jsonschema.validate(report, schema)
+
+
+# --------------------------------------------------------------- option tables
+
+# Each subcommand's options in order: flags, dest, type ("switch" for a
+# store_true flag) and the value _effective_options gives with no flags.
+OPTION_SURFACE = {
+    "fcidump-info": """
+        --out out str None
+        --config config str None
+        --fcidump fcidump str None
+        --fixture fixture str None""",
+    "fci": """
+        --out out str None
+        --config config str None
+        --fcidump fcidump str None
+        --fixture fixture str None
+        --cap cap int 10000000
+        --save-wf save_wf str None""",
+    "usci-build": """
+        --out out str None
+        --config config str None
+        --fcidump fcidump str None
+        --fixture fixture str None
+        --cutoff cutoff float 0.01
+        --top-m top_m int None
+        --layers layers int 1
+        --degree-cap degree_cap int None
+        --orbital-rotation orbital_rotation switch False
+        --init-angle init_angle float 0.15
+        --save-circuit save_circuit str None""",
+    "qsci": """
+        --out out str None
+        --config config str None
+        --fcidump fcidump str None
+        --fixture fixture str None
+        --cutoff cutoff float 0.01
+        --top-m top_m int None
+        --layers layers int 1
+        --degree-cap degree_cap int None
+        --orbital-rotation orbital_rotation switch False
+        --init-angle init_angle float 0.15
+        --depol-p depol_p float 0.0
+        --pg pg float None
+        --n2q n2q int None
+        --eps0 eps0 float 0.0
+        --eps1 eps1 float 0.0
+        --shots shots int 100000
+        --seed seed int 2026
+        --optimize optimize switch False
+        --max-evals max_evals int 500
+        --opt-tol opt_tol float 1e-08
+        --patience patience int 10
+        --save-wf save_wf str None""",
+    "sample": """
+        --out out str None
+        --config config str None
+        --fcidump fcidump str None
+        --fixture fixture str None
+        --cutoff cutoff float 0.01
+        --top-m top_m int None
+        --layers layers int 1
+        --degree-cap degree_cap int None
+        --orbital-rotation orbital_rotation switch False
+        --init-angle init_angle float 0.15
+        --depol-p depol_p float 0.0
+        --pg pg float None
+        --n2q n2q int None
+        --eps0 eps0 float 0.0
+        --eps1 eps1 float 0.0
+        --ansatz ansatz str 'usci'
+        --shots shots int 10000
+        --seed seed int 2026
+        --top top int 20
+        --csv csv str None""",
+    "expand": """
+        --out out str None
+        --config config str None
+        --fcidump fcidump str None
+        --fixture fixture str None
+        --in infile str None
+        --tau tau float 0.0
+        --iters iters int 1
+        --top-k top_k int None
+        --save-wf save_wf str None""",
+    "pt2": """
+        --out out str None
+        --config config str None
+        --fcidump fcidump str None
+        --fixture fixture str None
+        --in infile str None""",
+    "bounds": """
+        --out out str None
+        --config config str None
+        --preset preset str None
+        --n n int None
+        --m m int None
+        --n-alpha n_alpha int None
+        --n-beta n_beta int None
+        --f2q f2q float None
+        --q-r q_r float None
+        --lambda-h lambda_h float None
+        --p p float 0.0
+        --r r int None
+        --d d int None
+        --shots shots int None
+        --delta delta float None
+        --zeta-r zeta_r float 0.0
+        --delta-r delta_r float None
+        --k-pool k_pool int None
+        --gap-id gap_id float None
+        --p-hat-r p_hat_r float None""",
+    "analyze": """
+        --out out str None
+        --config config str None
+        --in infile str None
+        --mi-edges mi_edges str None
+        --mi-threshold mi_threshold float 0.0""",
+    "demo": """
+        --out out str None
+        --config config str None
+        --fixture fixture str 'hubbard4'
+        --shots shots int 100000
+        --seed seed int 2026
+        --depol-p depol_p float 0.0
+        --eps0 eps0 float 0.0
+        --eps1 eps1 float 0.0
+        --cutoff cutoff float 0.01
+        --top-m top_m int None
+        --init-angle init_angle float 0.15
+        --tau tau float 0.0
+        --iters iters int 1""",
+}
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_option_surface_is_pinned(sub):
+    opts = _effective_options(build_parser().parse_args([sub]), OPTIONS[sub])
+    rows = [f"{','.join(flags)} {dest} "
+            f"{'switch' if typ is None else typ.__name__} {opts[dest]!r}"
+            for flags, dest, typ, _default, _help in OPTIONS[sub]]
+    assert rows == [line.strip() for line in OPTION_SURFACE[sub].splitlines()[1:]]
 
 
 # ---------------------------------------------------------------- config files

@@ -6,7 +6,7 @@ scipy's submodules inside the functions that call them.  The subprocess
 tests check what a fresh interpreter has loaded after each run; the AST
 test keeps a module-level submodule import from coming back.  A second AST
 walk fails on a module-level private helper that nothing in the package
-reads.  A third reads the benchmark tracer's table of wrapped functions, so
+reads, and another on an error class that nothing in it raises.  A third reads the benchmark tracer's table of wrapped functions, so
 removing a name it binds fails here rather than in a traced bench run.
 """
 
@@ -162,6 +162,40 @@ def test_guard_sees_unread_private_helpers():
         "b": "from .a import _used\n",
     }
     assert _unread_private_names(sources) == ["a._Alone", "a._product"]
+
+
+def _unraised_error_classes(errors_text, sources):
+    """Exception classes defined in ``errors_text``, other than the
+    ``QselciError`` base, that no ``raise`` in ``sources`` names."""
+    raised = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return [stmt.name for stmt in ast.parse(errors_text).body
+            if isinstance(stmt, ast.ClassDef) and stmt.name != "QselciError"
+            and stmt.name not in raised]
+
+
+def test_every_error_class_is_raised():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    errors_text = (SRC / "errors.py").read_text(encoding="utf-8")
+    assert _unraised_error_classes(errors_text, sources) == []
+
+
+def test_guard_sees_unraised_error_classes():
+    errors_text = ("class QselciError(Exception):\n    pass\n"
+                   "class Base(QselciError):\n    pass\n"
+                   "class Named(Base):\n    pass\n"
+                   "class Bare(Base):\n    pass\n"
+                   "class Dotted(Base):\n    pass\n")
+    sources = [errors_text,
+               "from .errors import Base, Named\n"
+               "def f(x):\n    if x:\n        raise Named('x')\n"
+               "    raise errors.Dotted\n"
+               "try:\n    f(0)\nexcept Base:\n    raise\n"]
+    assert _unraised_error_classes(errors_text, sources) == ["Base", "Bare"]
 
 
 def _tracer_bindings(text):

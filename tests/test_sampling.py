@@ -6,7 +6,7 @@ import pytest
 from qselci import sampling
 from qselci.circuits import build_usci, prescreen
 from qselci.dets import Determinant, bitstring_of_index, index_of_bitstring
-from qselci.errors import TooLarge
+from qselci.errors import TooLarge, TooManyQubits
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import fci_oracle
 from qselci.sampling import (
@@ -201,6 +201,16 @@ def test_sample_from_a_floor_that_lists_nothing():
     assert counts.index.dtype == np.uint64
 
 
+def test_sample_from_list_inputs():
+    # lists convert on construction, so sample reads arrays as with arrays
+    dist = Distribution(index=[], probs=[], n_qubits=3, unlisted_floor=1 / 8)
+    ref = oracles.sample(oracles.Distribution(probs={}, n_qubits=3,
+                                              residual_mass=1.0,
+                                              unlisted_floor=1 / 8),
+                         4000, seed=9)
+    assert sample(dist, 4000, 9).counts == ref.counts
+
+
 @pytest.mark.parametrize("n_qubits", [4, 20, 40, 62])
 def test_uint64_draws_equal_int64_draws(n_qubits):
     # sample draws its unlisted outcomes as uint64; the same generator
@@ -336,3 +346,41 @@ def test_containers_reject_indices_outside_the_register(index):
                      n_qubits=4)
     with pytest.raises(ValueError, match="outside the 4-qubit register"):
         Distribution(index=index, probs=np.ones(len(index)) / 2, n_qubits=4)
+
+
+def test_containers_convert_list_values():
+    sc = SampleCounts(index=[5, 3], shots=[1, 2], n_qubits=4)
+    dist = Distribution(index=[5, 3], probs=[0.25, 0.75], n_qubits=4)
+    assert sc.shots.dtype == np.int64 and dist.probs.dtype == np.float64
+    assert sc.total_shots == 3 and sc.top(1) == [("1100", 2)]
+    assert dist.total() == 1.0
+
+
+@pytest.mark.parametrize("index,values", [([1, 2], [1]), ([1], [1, 2]),
+                                          ([], [1]), ([1, 2], [[1, 2]])],
+                         ids=["short", "long", "empty-index", "2-d"])
+def test_containers_need_one_value_per_index(index, values):
+    with pytest.raises(ValueError, match="one value per listed basis index"):
+        SampleCounts(index=index, shots=values, n_qubits=4)
+    with pytest.raises(ValueError, match="one value per listed basis index"):
+        Distribution(index=index, probs=values, n_qubits=4)
+
+
+@pytest.mark.parametrize("index", [[1, 1], [3, 1, 2, 1], [0, 2, 2]])
+def test_containers_reject_a_repeated_index(index):
+    # unchecked, index [1, 1] with shots [2, 3] would read {"10": 3}
+    values = np.ones(len(index), dtype=int)
+    with pytest.raises(ValueError, match="must be distinct"):
+        SampleCounts(index=index, shots=values, n_qubits=2)
+    with pytest.raises(ValueError, match="must be distinct"):
+        Distribution(index=index, probs=values / len(index), n_qubits=2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Statevector(amps=[1.0], n_qubits=66, index=[3]),
+    lambda: Distribution(index=[1], probs=[1.0], n_qubits=70),
+    lambda: SampleCounts(index=[1], shots=[4], n_qubits=65),
+], ids=["statevector", "distribution", "sample-counts"])
+def test_containers_reject_registers_past_64_qubits(build):
+    with pytest.raises(TooManyQubits, match="64-qubit limit"):
+        build()

@@ -18,12 +18,7 @@ from qselci.circuits import (
 from qselci.dets import Determinant, ExcitationOp, enumerate_space, hartree_fock
 from qselci.errors import ParamCountMismatch, TooManyQubits
 from qselci.fixtures import hubbard_chain_table
-from qselci.hamiltonian import (
-    SubspaceMatrix,
-    Wavefunction,
-    build_subspace,
-    fci_oracle,
-)
+from qselci.hamiltonian import Wavefunction, build_subspace, fci_oracle
 from qselci.simulator import (
     MAX_AMPLITUDES,
     Statevector,
@@ -526,9 +521,7 @@ def test_expectation_energy_rejects_register_mismatch():
 
 
 def test_expectation_energy_rejects_past_the_uint64_index():
-    # 33 orbitals: beta << 33 would wrap in the packed uint64 basis index
-    subspace = SubspaceMatrix(masks=np.array([[1, 1 << 32]], dtype=np.uint64),
-                              matrix=None, core_energy=0.0, n_orbitals=33)
-    state = Statevector(amps=[1.0], n_qubits=66, index=[3])
-    with pytest.raises(ValueError, match="at most 64"):
-        expectation_energy(state, subspace)
+    # 33 orbitals: beta << 33 would wrap in the packed uint64 basis index,
+    # so no 66-qubit state is built for expectation_energy to read
+    with pytest.raises(TooManyQubits, match="64-qubit limit"):
+        Statevector(amps=[1.0], n_qubits=66, index=[3])
