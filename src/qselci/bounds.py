@@ -153,12 +153,6 @@ def noisy_cumulative(p_r_id, p, r, d):
     return (1.0 - p) * p_r_id + p * r / d
 
 
-def invert_weight(p_tilde_r, p, r, d, zeta_r=0.0):
-    """Recover the ideal cumulative weight from the noisy one, minus the
-    mismatch allowance, clamped to [0, 1]."""
-    return confident_weight_lower(p_tilde_r, 0.0, p, r, d, zeta_r)
-
-
 # ---------------------------------------------------------------------------
 # finite-shot confidence
 # ---------------------------------------------------------------------------
@@ -174,7 +168,8 @@ def hoeffding_epsilon(m_shots, delta):
 
 def confident_weight_lower(p_hat_r, epsilon, p, r, d, zeta_r=0.0):
     """High-confidence lower bound on the retained ideal weight given the
-    measured cumulative estimate."""
+    measured cumulative estimate; at ``epsilon`` 0 it inverts
+    ``noisy_cumulative``, minus the mismatch allowance, clamped to [0, 1]."""
     if p >= 1.0:
         raise FullDepolarization(
             "depolarizing strength 1 destroys all signal; weight inversion "
@@ -182,16 +177,6 @@ def confident_weight_lower(p_hat_r, epsilon, p, r, d, zeta_r=0.0):
         )
     value = (p_hat_r - epsilon - p * r / d) / (1.0 - p) - zeta_r
     return min(1.0, max(0.0, value))
-
-
-def confident_energy_bound(inputs):
-    """Certified truncation-error bound holding with probability 1 - delta,
-    from the measured cumulative weight."""
-    eps = hoeffding_epsilon(inputs.m_shots, inputs.delta)
-    q_lower = confident_weight_lower(
-        inputs.p_hat_r, eps, inputs.p, inputs.r, inputs.d, inputs.zeta_r
-    )
-    return truncation_bound(inputs.lambda_h, q_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +208,13 @@ def required_shots(k_pool, delta, p, gap_id):
         )
     if not 0.0 < delta < 1.0:
         raise ValueError("confidence parameter must lie in (0, 1)")
-    value = 2.0 * math.log(2.0 * k_pool / delta) / ((1.0 - p) ** 2 * gap_id ** 2)
+    scale = (1.0 - p) ** 2 * gap_id ** 2  # underflows to 0 for a tiny gap
+    value = 2.0 * math.log(2.0 * k_pool / delta) / scale if scale else math.inf
+    if math.isinf(value):
+        raise ValueError(
+            f"the required shot count is not finite ({value}) for "
+            f"k_pool={k_pool}, delta={delta}, p={p}, gap_id={gap_id}"
+        )
     return int(math.ceil(value))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dets import (Determinant, ExcitationOp, determinants, excitation_rank,
-                   full_excitation)
+                   full_excitation, rank_order)
 from .errors import EmptySelection, ShapeMismatch, ZeroRank
 
 GATE_EXCITATION = "ExcitationRotation"
@@ -140,7 +140,7 @@ def prescreen(seed, cutoff, top_m=None):
     if top_m is not None and top_m < 0:
         raise ValueError(f"top_m must be nonnegative, got {top_m}")
     masks, size = seed.masks, np.abs(seed.coeffs)
-    ranked = np.lexsort((masks[:, 1], masks[:, 0], -size))
+    ranked = rank_order(masks, size)
     kept = ranked[size[ranked] >= cutoff][:top_m]
     if not kept.size:
         raise EmptySelection(f"no amplitude at or above cutoff {cutoff}")

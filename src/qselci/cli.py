@@ -120,7 +120,7 @@ def _jsonify(value):
     if isinstance(value, np.ndarray):
         return [_jsonify(v) for v in value.tolist()]
     if isinstance(value, np.generic):
-        return value.item()
+        value = value.item()
     if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
         return repr(value)
     return value
@@ -383,13 +383,14 @@ def _load_wavefunction(opts, table=None):
 
 
 def _wf_digest(wf, k=10):
-    from .dets import determinants
+    from .dets import bitstrings, rank_order
 
     weights = wf.coeffs ** 2
-    top = np.lexsort((wf.masks[:, 1], wf.masks[:, 0], -weights))[:k]
+    top = rank_order(wf.masks, weights)[:k]
     return [
-        {"determinant": det.to_bitstring(wf.n_orbitals), "weight": float(w)}
-        for det, w in zip(determinants(wf.masks[top]), weights[top])
+        {"determinant": s, "weight": w}
+        for s, w in zip(bitstrings(wf.masks[top], wf.n_orbitals),
+                        weights[top].tolist())
     ]
 
 
@@ -821,6 +822,15 @@ def cli_dispatch(argv):
                 raise ValueError(f"{flags[0]} must be finite, got {opts[dest]}")
         manifest = RunManifest(config=_jsonify(opts))
         result, lines = HANDLERS[args.subcommand](opts, manifest)
+        report = {
+            "subcommand": args.subcommand,
+            "manifest": manifest.to_json_dict(),
+            "result": _jsonify(result),
+        }
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if opts.get("out"):
+            with open(opts["out"], "w", encoding="utf-8") as fh:
+                fh.write(text)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -828,18 +838,8 @@ def cli_dispatch(argv):
         # the library rejects an option value with ValueError: a usage error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
-    report = {
-        "subcommand": args.subcommand,
-        "manifest": manifest.to_json_dict(),
-        "result": _jsonify(result),
-    }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if opts.get("out"):
-        with open(opts["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
-        for line in lines:
-            print(line)
-        print(f"report written to {opts['out']}")
+        print(*lines, f"report written to {opts['out']}", sep="\n")
     else:
         sys.stdout.write(text)
     return 0

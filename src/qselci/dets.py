@@ -8,7 +8,9 @@ Conventions used throughout the package:
   electron.  ``Determinant`` holds one as plain Python ints of any width.
   A set of determinants is an (N, 2) uint64 array of ``[alpha, beta]``
   mask rows, so it takes at most 64 orbitals; ``det_masks`` and
-  ``determinants`` convert between the two forms.
+  ``determinants`` convert between the two forms, and ``bitstrings``
+  gives the rows' text form.  ``rank_order`` is the one rule that ranks
+  rows by a float weight: descending weight, then ascending (alpha, beta).
 * Spin orbitals are indexed in blocked order: alpha orbitals occupy indices
   ``0 .. n-1`` and beta orbitals ``n .. 2n-1`` for ``n`` spatial orbitals.
   This same index is the qubit index after the fermion-to-qubit mapping and
@@ -147,6 +149,20 @@ def determinants(masks):
     return list(map(Determinant, *masks.T.tolist()))
 
 
+def bitstrings(masks, n_orbitals):
+    """The occupation strings (``Determinant.to_bitstring``) of (N, 2) mask
+    rows."""
+    return [bitstring_of_index(a | b << n_orbitals, 2 * n_orbitals)
+            for a, b in masks.tolist()]
+
+
+def rank_order(masks, weight):
+    """Positions of (N, 2) mask rows by descending ``weight``, ties broken
+    by ascending (alpha, beta) bitmasks: the one ranking of determinants by
+    a float."""
+    return np.lexsort((masks[:, 1], masks[:, 0], -weight))
+
+
 def sector_masks(n_orbitals, n_alpha, n_beta, cap=ENUMERATION_CAP):
     """Mask rows of the whole (n_alpha, n_beta) sector, in ascending
     ``(alpha, beta)`` order.
@@ -241,24 +257,6 @@ class ExcitationOp:
             )
         if len(self.annihilated) != len(self.created):
             raise ValueError("annihilated and created counts must be equal")
-
-    @property
-    def rank(self):
-        return len(self.annihilated)
-
-    def apply_to(self, det):
-        """Apply ``phase * string`` to a determinant.
-
-        Returns ``(target, sign)`` with sign in {+1, -1}, or ``None`` when the
-        string destroys the state (annihilating a hole / creating a particle).
-        """
-        n = self.n_orbitals
-        x = det.to_index(n)
-        holes, particles = _mask(self.annihilated), _mask(self.created)
-        if x & (holes | particles) != holes:
-            return None
-        sign = self.phase * string_sign(x, self.annihilated, self.created)
-        return Determinant.from_index(x ^ holes ^ particles, n), sign
 
 
 def full_excitation(source, target, n_orbitals):

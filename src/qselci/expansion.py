@@ -20,7 +20,7 @@ from itertools import combinations, product, repeat
 
 import numpy as np
 
-from .dets import det_masks, determinants
+from .dets import det_masks, determinants, rank_order
 from .hamiltonian import (
     build_subspace,
     coupling_elements,
@@ -88,7 +88,7 @@ def _ranked_scores(psi, candidates, rows, cols, vals):
     """Candidate mask rows and their scores, best first."""
     weights = np.abs(vals * psi.coeffs[cols])
     scores = _coupling_sums(rows, weights, len(candidates))
-    order = np.lexsort((candidates[:, 1], candidates[:, 0], -scores))
+    order = rank_order(candidates, scores)
     return candidates[order], scores[order]
 
 

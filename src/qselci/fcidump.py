@@ -72,9 +72,6 @@ class IntegralTable:
         self.h[p, q] = value
         self.h[q, p] = value
 
-    def get_h(self, p, q):
-        return self.h[p, q]
-
     def set_g(self, p, q, r, s, value):
         key = _canonical(p, q, r, s)
         old = self.g.get(key)

@@ -28,6 +28,7 @@ import numpy as np
 # det_masks, enumerate_space and hartree_fock are re-exported to callers
 from .dets import (
     Determinant,
+    bitstrings,
     det_masks,
     determinants,
     enumerate_space,
@@ -104,10 +105,8 @@ class Wavefunction:
         return determinants(self.masks)
 
     def to_json(self):
-        coeffs = {
-            d.to_bitstring(self.n_orbitals): float(c)
-            for d, c in zip(self.dets, self.coeffs)
-        }
+        coeffs = dict(zip(bitstrings(self.masks, self.n_orbitals),
+                          self.coeffs.tolist()))
         return json.dumps(
             {
                 "n_orbitals": self.n_orbitals,

@@ -3,9 +3,9 @@
 One pass (:func:`run_qsci_once`) is: apply the circuit, then
 (:func:`noisy_counts`) form the ideal outcome distribution, mix in global
 depolarizing noise, draw shots and apply readout flips, then filter by the
-particle-number sector, de-duplicate the surviving outcomes into
-determinants, project the Hamiltonian onto them, and solve for the lowest
-eigenpair.
+particle-number sector, take the distinct surviving outcomes as
+determinant mask rows, project the Hamiltonian onto them, and solve for the
+lowest eigenpair.
 
 All randomness derives from the config's single seed: stage seeds are drawn
 from numpy's SeedSequence(seed) in a fixed order
@@ -26,7 +26,7 @@ from .hamiltonian import build_subspace, davidson_lowest
 from .sampling import (  # derive_seeds is re-exported to callers of this module
     NoiseModel,
     apply_readout,
-    counts_to_determinants,
+    counts_to_masks,
     depolarize_distribution,
     derive_seeds,
     ideal_distribution,
@@ -97,14 +97,13 @@ def run_qsci_once(circuit, params, table, cfg):
             "no sampled bitstring survived the symmetry filter "
             "(noise-dominated sampling)"
         )
-    dets = counts_to_determinants(filtered, table.n_orbitals)
-    subspace = build_subspace(dets, table)
-    wf = davidson_lowest(subspace)
+    masks = counts_to_masks(filtered, table.n_orbitals)
+    wf = davidson_lowest(build_subspace(masks, table))
     return QsciResult(
         wavefunction=wf,
         counts=filtered,
         n_rejected=rejected,
-        n_unique=len(dets),
+        n_unique=len(masks),
     )
 
 

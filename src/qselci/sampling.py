@@ -310,12 +310,18 @@ def symmetry_filter(sc, n_alpha, n_beta):
     return filtered, int(sc.shots[~keep].sum())
 
 
-def counts_to_determinants(sc, n_orbitals):
-    """Unique determinants by descending count, then ascending bitstring
-    (ValueError unless the counts span 2 * n_orbitals qubits)."""
+def counts_to_masks(sc, n_orbitals):
+    """The (N, 2) ``[alpha, beta]`` mask rows of the counted outcomes by
+    descending count, then ascending bitstring (ValueError unless the
+    counts span 2 * n_orbitals qubits)."""
     if 2 * n_orbitals != sc.n_qubits:
         raise ValueError(f"{sc.n_qubits}-qubit counts do not hold "
                          f"{n_orbitals}-orbital determinants")
     index = sc.index[sc._ranked()]
     alpha = index & np.uint64((1 << n_orbitals) - 1)
-    return determinants(np.column_stack([alpha, index >> np.uint64(n_orbitals)]))
+    return np.column_stack([alpha, index >> np.uint64(n_orbitals)])
+
+
+def counts_to_determinants(sc, n_orbitals):
+    """``counts_to_masks`` as a Determinant list."""
+    return determinants(counts_to_masks(sc, n_orbitals))

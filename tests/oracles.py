@@ -5,7 +5,8 @@ full 2^(2n)-dimensional occupation basis (basis index bit s = occupation of
 blocked spin orbital s), deliberately avoiding the package's bit-twiddling
 code paths so the two implementations check each other.  The per-pair
 Slater-Condon rules and the text-keyed sampling stage are the scalar forms
-of the package's vectorized kernels, which are pinned against them.  The
+of the package's vectorized kernels, which are pinned against them, and
+``apply_excitation`` applies one excitation string to one determinant.  The
 one-bit-per-key bitstring sort, the searchsorted gate pairing and the
 flat mask-class gate pairing are the array paths the package's byte-table
 sort and per-spin-channel pairing replaced, kept here as their references.
@@ -273,6 +274,33 @@ def _double_element(src, tgt, table):
     direct = table.get_g(pa, pm2, pb, pm) if (sa == sm2 and sb == sm) else 0.0
     cross = table.get_g(pa, pm, pb, pm2) if (sa == sm and sb == sm2) else 0.0
     return op.phase * (direct - cross)
+
+
+# ----------------------------------------- excitation-string application
+#
+# An ExcitationOp applied to one determinant, by a mask check and the sign
+# rule: the reference the tests replay excitation decompositions against.
+
+
+def op_rank(op):
+    """Excitation rank of an ExcitationOp: its number of annihilations."""
+    return len(op.annihilated)
+
+
+def apply_excitation(op, det):
+    """Apply ``op.phase * string`` to a determinant.
+
+    Returns ``(target, sign)`` with sign in {+1, -1}, or ``None`` when the
+    string destroys the state (annihilating a hole / creating a particle).
+    """
+    n = op.n_orbitals
+    x = det.to_index(n)
+    holes = sum(1 << s for s in op.annihilated)
+    particles = sum(1 << s for s in op.created)
+    if x & (holes | particles) != holes:
+        return None
+    sign = op.phase * string_sign(x, op.annihilated, op.created)
+    return Determinant.from_index(x ^ holes ^ particles, n), sign
 
 
 # ------------------------------------------- text-keyed sampling reference

@@ -9,14 +9,12 @@ import oracles
 from qselci.bounds import (
     BoundInputs,
     BoundReport,
-    confident_energy_bound,
     confident_weight_lower,
     direct_noise_bias,
     expected_error_bound,
     full_report,
     gate_budget,
     hoeffding_epsilon,
-    invert_weight,
     log_binomial,
     mc_hoeffding_violation_rate,
     mc_selection_failure_rate,
@@ -98,24 +96,24 @@ def test_weight_inversion_round_trip():
         d = int(rng.integers(4, 1 << 20))
         r = int(rng.integers(1, d + 1))
         noisy = noisy_cumulative(q, p, r, d)
-        assert abs(invert_weight(noisy, p, r, d) - q) < 1e-12
+        assert abs(confident_weight_lower(noisy, 0.0, p, r, d) - q) < 1e-12
 
 
 def test_weight_inversion_identity_without_noise():
-    assert invert_weight(0.73, 0.0, 10, 1024) == 0.73
+    assert confident_weight_lower(0.73, 0.0, 0.0, 10, 1024) == 0.73
 
 
 def test_weight_inversion_requires_signal():
     with pytest.raises(FullDepolarization):
-        invert_weight(0.5, 1.0, 10, 1024)
+        confident_weight_lower(0.5, 0.0, 1.0, 10, 1024)
     with pytest.raises(FullDepolarization):
         confident_weight_lower(0.5, 0.01, 1.0, 10, 1024)
 
 
 def test_weight_inversion_clamps_and_subtracts_mismatch():
-    assert invert_weight(1.5, 0.0, 1, 4) == 1.0
-    assert invert_weight(0.0, 0.5, 1, 4) == 0.0
-    assert abs(invert_weight(0.6, 0.0, 1, 4, zeta_r=0.1) - 0.5) < 1e-15
+    assert confident_weight_lower(1.5, 0.0, 0.0, 1, 4) == 1.0
+    assert confident_weight_lower(0.0, 0.0, 0.5, 1, 4) == 0.0
+    assert abs(confident_weight_lower(0.6, 0.0, 0.0, 1, 4, zeta_r=0.1) - 0.5) < 1e-15
 
 
 # ----------------------------------------------------------- shot confidence
@@ -142,7 +140,8 @@ def test_confident_energy_bound_composes_pieces():
     eps = hoeffding_epsilon(inputs.m_shots, inputs.delta)
     q_lower = confident_weight_lower(0.95, eps, 0.1, 16, 1024)
     assert abs(
-        confident_energy_bound(inputs) - truncation_bound(2.0, q_lower)
+        full_report(inputs).energy_bound_confident
+        - truncation_bound(2.0, q_lower)
     ) < 1e-15
 
 
@@ -168,6 +167,14 @@ def test_required_shots_validation():
         required_shots(10, 0.05, 1.0, 0.1)
     with pytest.raises(ValueError):
         required_shots(10, 0.0, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("delta, gap_id", [(0.1, 1e-200), (0.1, 1e-160),
+                                           (1e-320, 0.5)])
+def test_required_shots_past_a_float_is_a_value_error(delta, gap_id):
+    # gap_id ** 2 underflows to 0, or the count overflows to inf
+    with pytest.raises(ValueError, match="shot count is not finite"):
+        required_shots(3, delta, 0.0, gap_id)
 
 
 def test_expected_error_reduces_to_truncation():

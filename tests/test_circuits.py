@@ -97,7 +97,7 @@ def test_decompose_rank_slicing():
     expected_ranks = {1: [1], 2: [2], 3: [2, 1], 4: [2, 2], 5: [2, 2, 1]}
     for rank, target in cases.items():
         ops = decompose_excitation(ref, target, 6)
-        assert [op.rank for op in ops] == expected_ranks[rank]
+        assert [oracles.op_rank(op) for op in ops] == expected_ranks[rank]
 
 
 def test_decompose_replay_reaches_target():
@@ -112,7 +112,7 @@ def test_decompose_replay_reaches_target():
             continue
         current = ref
         for op in decompose_excitation(ref, target, n):
-            current, _sign = op.apply_to(current)
+            current, _sign = oracles.apply_excitation(op, current)
         assert current == target
 
 
@@ -123,7 +123,7 @@ def test_decompose_signs_compose_to_plus_target():
     sign = 1
     current = ref
     for op in decompose_excitation(ref, target, 6):
-        current, step = op.apply_to(current)
+        current, step = oracles.apply_excitation(op, current)
         sign *= step
     assert current == target
     assert sign == 1

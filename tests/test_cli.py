@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from qselci.cli import (
     SCHEMA_PATH,
     SUBCOMMANDS,
     _effective_options,
+    _jsonify,
     build_parser,
     cli_dispatch,
 )
@@ -66,6 +68,27 @@ def test_unknown_fixture_is_domain_error(capsys):
 def test_missing_input_file_is_domain_error(capsys):
     assert cli_dispatch(["analyze", "--in", "/nonexistent/wf.json"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("out, error", [
+    ("missing/report.json", "FileNotFoundError"), (".", "IsADirectoryError"),
+], ids=["missing-directory", "directory"])
+def test_unwritable_report_is_one_line_domain_error(capsys, monkeypatch,
+                                                    tmp_path, out, error):
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(["bounds", "--preset", "cas10-10", "--out", out]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {error}: ")
+    assert captured.out == ""
+
+
+def test_non_finite_numbers_are_json_strings():
+    value = _jsonify({"np": np.float64("nan"), "f32": np.float32("-inf"),
+                      "py": float("nan")})
+    assert value == {"np": "nan", "f32": "-inf", "py": "nan"}
+    json.dumps(value, allow_nan=False)
 
 
 MALFORMED_WAVEFUNCTIONS = {
@@ -271,6 +294,11 @@ BAD_OPTION_VALUES = [
     ["expand", "--fixture", "hubbard4", "--in", "WF", "--tau", "nan"],
     ["analyze", "--in", "WF", "--mi-threshold", "nan", "--mi-edges", "F"],
     ["expand", "--fixture", "hubbard4", "--in", "WF", "--config", "tau = inf"],
+    # a required shot count past a float: gap_id ** 2 underflows to 0, or
+    # the count overflows to inf
+    ["bounds", "--k-pool", "3", "--delta", "0.1", "--gap-id", "1e-200"],
+    ["bounds", "--k-pool", "3", "--delta", "0.1", "--gap-id", "1e-160"],
+    ["bounds", "--k-pool", "3", "--delta", "1e-320", "--gap-id", "0.5"],
 ]
 
 

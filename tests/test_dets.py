@@ -109,7 +109,7 @@ def test_excitation_apply_roundtrip():
         if r == 0 or r > 2:
             continue
         op = full_excitation(src, tgt, 5)
-        got, sign = op.apply_to(src)
+        got, sign = oracles.apply_excitation(op, src)
         assert got == tgt and sign == 1
 
 
@@ -141,9 +141,9 @@ def test_phase_against_dense_operator_oracle():
 def test_apply_to_destroys_invalid_targets():
     op = ExcitationOp(n_orbitals=3, annihilated=(0,), created=(2,), phase=1)
     # annihilating an empty orbital
-    assert op.apply_to(Determinant(alpha=0b110, beta=0)) is None
+    assert oracles.apply_excitation(op, Determinant(alpha=0b110, beta=0)) is None
     # creating onto an occupied orbital
-    assert op.apply_to(Determinant(alpha=0b101, beta=0)) is None
+    assert oracles.apply_excitation(op, Determinant(alpha=0b101, beta=0)) is None
 
 
 def test_repeated_orbital_is_rejected():

@@ -44,8 +44,8 @@ def test_parse_sample():
     assert t.n_orbitals == 2 and t.n_electrons == 2 and t.ms2 == 0
     assert t.n_alpha == 1 and t.n_beta == 1
     assert t.core_energy == pytest.approx(0.7137, abs=1e-14)
-    assert t.get_h(0, 0) == pytest.approx(-1.2524)
-    assert t.get_h(1, 0) == 0.0
+    assert t.h[0, 0] == pytest.approx(-1.2524)
+    assert t.h[1, 0] == 0.0
     assert t.get_g(0, 0, 1, 1) == pytest.approx(0.6636)
     assert t.get_g(1, 1, 0, 0) == pytest.approx(0.6636)
     assert t.get_g(0, 1, 0, 1) == pytest.approx(0.1813)
@@ -56,7 +56,7 @@ def test_parse_accepts_bytes_and_streams():
     t2 = parse_fcidump(io.StringIO(SAMPLE))
     t3 = parse_fcidump(io.BytesIO(SAMPLE.encode("ascii")))
     for t in (t1, t2, t3):
-        assert t.n_orbitals == 2 and t.get_h(0, 0) == pytest.approx(-1.2524)
+        assert t.n_orbitals == 2 and t.h[0, 0] == pytest.approx(-1.2524)
 
 
 def test_non_ascii_bytes_raise_domain_error():
@@ -70,7 +70,7 @@ def test_non_ascii_bytes_raise_domain_error():
 def test_fortran_d_exponents():
     text = "&FCI NORB=1,NELEC=2,MS2=0,\n&END\n 1.5D+00 1 1 0 0\n 0.0 0 0 0 0\n"
     t = parse_fcidump(text)
-    assert t.get_h(0, 0) == 1.5
+    assert t.h[0, 0] == 1.5
 
 
 def test_ms2_defaults_to_zero_and_orbsym_ignored():
@@ -83,7 +83,7 @@ def test_ms2_defaults_to_zero_and_orbsym_ignored():
 def test_single_line_header_with_slash():
     text = "&FCI NORB=2, NELEC=2, MS2=0 /\n 1.0 1 1 0 0\n"
     t = parse_fcidump(text)
-    assert t.get_h(0, 0) == 1.0
+    assert t.h[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("header", [
@@ -96,7 +96,7 @@ def test_header_is_cut_at_its_terminator_past_non_ascii_text(header):
     assert not tokens & {"&END", "/"}
     t = parse_fcidump(header + "\n 1.0 1 1 0 0\n")
     assert (t.n_orbitals, t.n_electrons) == (2, 2)
-    assert t.get_h(0, 0) == 1.0
+    assert t.h[0, 0] == 1.0
 
 
 def test_norb_past_the_mask_limit_raises_before_allocating():
@@ -201,7 +201,7 @@ def test_orbital_energy_records_ignored_with_warning():
     text = "&FCI NORB=2,NELEC=2,MS2=0 &END\n -0.5 1 0 0 0\n 1.0 1 1 0 0\n"
     with pytest.warns(UserWarning):
         t = parse_fcidump(text)
-    assert t.get_h(0, 0) == 1.0
+    assert t.h[0, 0] == 1.0
 
 
 def test_eightfold_symmetry_random_queries():
@@ -302,7 +302,7 @@ def test_valid_headers_parse_and_round_trip(header, seed):
     text, (n_orb, n_elec, ms2) = header
     table = parse_fcidump(text + " 0.5 1 1 0 0\n 0.25 1 1 1 1\n 1.5 0 0 0 0\n")
     assert (table.n_orbitals, table.n_electrons, table.ms2) == (n_orb, n_elec, ms2)
-    assert table.get_h(0, 0) == 0.5 and table.get_g(0, 0, 0, 0) == 0.25
+    assert table.h[0, 0] == 0.5 and table.get_g(0, 0, 0, 0) == 0.25
     assert table.core_energy == 1.5
     table = helpers.random_table(n_orb, n_elec, ms2=ms2, seed=seed)
     back = parse_fcidump(serialize_fcidump(table))

@@ -6,7 +6,9 @@ scipy's submodules inside the functions that call them.  The subprocess
 tests check what a fresh interpreter has loaded after each run; the AST
 test keeps a module-level submodule import from coming back.  A second AST
 walk fails on a module-level private helper that nothing in the package
-reads, and another on an error class that nothing in it raises.  A third reads the benchmark tracer's table of wrapped functions, so
+reads, a third on a module-level public function or class that only tests
+read, and another on an error class that nothing in the package raises.
+One more reads the benchmark tracer's table of wrapped functions, so
 removing a name it binds fails here rather than in a traced bench run.
 """
 
@@ -123,28 +125,52 @@ def test_guard_sees_nested_module_level_imports():
     ]
 
 
-def _unread_private_names(sources):
-    """Module-level private functions, classes and constants of the given
-    ``{module name: source}`` map that no code outside their own definition
-    reads, as sorted ``module.name`` strings."""
-    defined, read = [], {}
-    for module, text in sources.items():
-        for stmt in ast.parse(text).body:
+def _unread_definitions(sources, outside, selects):
+    """Module-level definitions (functions, classes, assigned names) of the
+    ``{module name: source}`` map that ``selects(name, statement)`` picks
+    and that no statement outside their own definition reads, in the
+    package or in the ``outside`` sources, as sorted ``module.name``
+    strings."""
+    bodies = {module: ast.parse(text).body for module, text in sources.items()}
+    statements = [s for body in bodies.values() for s in body]
+    statements += [s for text in outside for s in ast.parse(text).body]
+    readers = {}
+    for stmt in statements:
+        for node in ast.walk(stmt):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or isinstance(node, ast.alias) and node.name)
+            if name:
+                readers.setdefault(name, []).append(stmt)
+    found = []
+    for module, body in bodies.items():
+        for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 names = [stmt.name]
             elif isinstance(stmt, ast.Assign):
                 names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
             else:
                 names = []
-            defined += [(module, n, stmt) for n in names
-                        if n.startswith("_") and not n.endswith("__")]
-            for node in ast.walk(stmt):
-                name = (getattr(node, "id", None) or getattr(node, "attr", None)
-                        or isinstance(node, ast.alias) and node.name)
-                if name:
-                    read.setdefault(name, []).append(stmt)
-    return sorted(f"{module}.{name}" for module, name, stmt in defined
-                  if not any(s is not stmt for s in read.get(name, [])))
+            found += [f"{module}.{n}" for n in names if selects(n, stmt)
+                      and all(s is stmt for s in readers.get(n, []))]
+    return sorted(found)
+
+
+def _unread_private_names(sources):
+    """Module-level private functions, classes and constants that no code
+    outside their own definition reads."""
+    return _unread_definitions(
+        sources, [], lambda name, _stmt: name.startswith("_")
+        and not name.endswith("__"))
+
+
+def _test_only_public_names(sources, outside):
+    """Module-level public functions and classes that nothing reads outside
+    their own definition, in the package or in ``outside``.  Methods are
+    out of reach: a name scan cannot tell one class's ``total`` from
+    another's."""
+    return _unread_definitions(
+        sources, outside, lambda name, stmt: not name.startswith("_")
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)))
 
 
 def test_no_unread_private_helper():
@@ -162,6 +188,29 @@ def test_guard_sees_unread_private_helpers():
         "b": "from .a import _used\n",
     }
     assert _unread_private_names(sources) == ["a._Alone", "a._product"]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    outside = [p.read_text(encoding="utf-8")
+               for folder in ("demos", "benchmarks")
+               for p in sorted((ROOT / folder).rglob("*.py"))
+               if "tests" not in p.relative_to(ROOT).parts]
+    assert _test_only_public_names(sources, outside) == []
+
+
+def test_guard_sees_public_names_only_tests_read():
+    sources = {
+        "a": "def alone(x):\n    return alone(x)\n"
+             "def chained():\n    return helper()\n"
+             "def helper():\n    pass\n"
+             "class Shown:\n    def method(self):\n        pass\n"
+             "def _private():\n    pass\n",
+        "b": "from .a import chained\n",
+    }
+    outside = ["import a\nprint(a.Shown().method())\n"]
+    assert _test_only_public_names(sources, outside) == ["a.alone"]
 
 
 def _unraised_error_classes(errors_text, sources):

@@ -4,9 +4,10 @@ import scipy.linalg
 
 import oracles
 from qselci.circuits import build_usci, prescreen
+from qselci.dets import Determinant
 from qselci.errors import EmptySubspace
-from qselci.fixtures import hubbard_chain_table, two_orbital_table
-from qselci.hamiltonian import fci_oracle
+from qselci.fixtures import fixture_table, hubbard_chain_table, two_orbital_table
+from qselci.hamiltonian import build_subspace, davidson_lowest, fci_oracle
 from qselci.pipeline import (
     NoiseModel,
     OptimizerConfig,
@@ -15,7 +16,12 @@ from qselci.pipeline import (
     optimize,
     run_qsci_once,
 )
-from qselci.sampling import ideal_distribution, sample
+from qselci.sampling import (
+    counts_to_determinants,
+    counts_to_masks,
+    ideal_distribution,
+    sample,
+)
 from qselci.simulator import Statevector, apply_circuit
 
 
@@ -111,6 +117,56 @@ def test_sampling_error_shrinks_with_shots(hubbard):
     coarse = tv_distance(1_000)
     fine = tv_distance(100_000)
     assert fine < coarse / 3
+
+
+# ------------------------------------------ mask rows from filter to subspace
+
+NOISE = {
+    "noiseless": NoiseModel(),
+    "depol-readout": NoiseModel(depolarizing_p=0.05, readout_eps0=0.02,
+                                readout_eps1=0.03),
+    "full-depol": NoiseModel(depolarizing_p=1.0, readout_eps0=0.01,
+                             readout_eps1=0.01),
+}
+
+
+def _fixture_pass(name):
+    """A fixture's table, its prescreened USCI circuit and uniform angles."""
+    table = fixture_table(name)
+    selected = prescreen(fci_oracle(table), 0.01)
+    circuit = build_usci(selected[0], selected, table.n_orbitals)
+    return table, circuit, np.full(circuit.n_params, 0.15)
+
+
+@pytest.mark.parametrize("fixture", ["hubbard4", "h-chain-synthetic"])
+def test_qsci_pass_builds_no_determinant(monkeypatch, fixture):
+    table, circuit, params = _fixture_pass(fixture)
+    cfg = PipelineConfig(shots=20_000, noise=NOISE["depol-readout"], seed=11)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a Determinant was built")
+
+    monkeypatch.setattr(Determinant, "__init__", refuse)
+    result = run_qsci_once(circuit, params, table, cfg)
+    assert result.n_unique == len(result.wavefunction.masks) > 1
+
+
+@pytest.mark.parametrize("noise", NOISE, ids=NOISE.keys())
+@pytest.mark.parametrize("fixture", ["hubbard4", "two-orbital",
+                                     "h-chain-synthetic"])
+def test_mask_rows_build_the_determinant_list_subspace(fixture, noise):
+    table, circuit, params = _fixture_pass(fixture)
+    cfg = PipelineConfig(shots=20_000, noise=NOISE[noise], seed=11)
+    result = run_qsci_once(circuit, params, table, cfg)
+    kept = result.counts  # the filtered counts the pass diagonalized over
+    rows = build_subspace(counts_to_masks(kept, table.n_orbitals), table)
+    listed = build_subspace(counts_to_determinants(kept, table.n_orbitals), table)
+    assert np.array_equal(rows.masks, listed.masks)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(rows.matrix, part),
+                              getattr(listed.matrix, part))
+    assert np.array_equal(result.wavefunction.masks, listed.masks)
+    assert result.energy == davidson_lowest(listed).energy
 
 
 # --------------------------------------------------------------- optimization
