@@ -1,5 +1,6 @@
 """Small shared helpers: randomized test inputs, full-register views of
-sector states, and fresh interpreters on the source tree."""
+sector states, fresh interpreters on the source tree, and the rejected CLI
+option values that the CLI tests and the golden outputs share."""
 
 import itertools
 import os
@@ -62,15 +63,40 @@ def full_register(state):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(args):
-    """Run a fresh interpreter with ``src`` first on its import path;
-    returns the completed process with text output."""
+def run_python(args, cwd=ROOT):
+    """Run a fresh interpreter in ``cwd`` with ``src`` first on its import
+    path; returns the completed process with text output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True,
         text=True, timeout=300,
     )
+
+
+# Option values the library rejects with ValueError, so each run is a
+# one-line usage error.  "WF" stands for a saved wavefunction, and the
+# argument after --config for the text of the config file.
+BAD_OPTION_VALUES = [
+    ["sample", "--fixture", "hubbard4", "--pg", "0.001"],  # no --n2q
+    ["qsci", "--fixture", "hubbard4", "--eps0", "2"],
+    ["qsci", "--fixture", "hubbard4", "--shots", "0"],
+    ["bounds", "--n", "10", "--m", "9", "--f2q", "0.99"],  # odd, closed shell
+    # more electrons than spin orbitals: an empty sector, whose infinite
+    # log-probability once overflowed the gate budget
+    ["bounds", "--n", "10", "--m", "30", "--f2q", "0.99"],
+    ["bounds", "--n", "10", "--n-alpha", "5", "--n-beta", "11", "--f2q", "0.99"],
+    # non-finite floats, which once ran to a meaningless exit 0
+    ["bounds", "--lambda-h", "nan", "--q-r", "0.5"],
+    ["expand", "--fixture", "hubbard4", "--in", "WF", "--tau", "nan"],
+    ["analyze", "--in", "WF", "--mi-threshold", "nan", "--mi-edges", "F"],
+    ["expand", "--fixture", "hubbard4", "--in", "WF", "--config", "tau = inf"],
+    # a required shot count past a float: gap_id ** 2 underflows to 0, or
+    # the count overflows to inf
+    ["bounds", "--k-pool", "3", "--delta", "0.1", "--gap-id", "1e-200"],
+    ["bounds", "--k-pool", "3", "--delta", "0.1", "--gap-id", "1e-160"],
+    ["bounds", "--k-pool", "3", "--delta", "1e-320", "--gap-id", "0.5"],
+]

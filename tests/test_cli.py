@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import BAD_OPTION_VALUES
 from qselci.bounds import gate_budget, uniform_probability
 from qselci.cli import (
     OPTIONS,
@@ -278,28 +279,6 @@ def test_shots_past_the_cap_are_one_line_domain_error(capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: TooLarge: ")
     assert captured.out == ""
-
-
-BAD_OPTION_VALUES = [
-    ["sample", "--fixture", "hubbard4", "--pg", "0.001"],  # no --n2q
-    ["qsci", "--fixture", "hubbard4", "--eps0", "2"],
-    ["qsci", "--fixture", "hubbard4", "--shots", "0"],
-    ["bounds", "--n", "10", "--m", "9", "--f2q", "0.99"],  # odd, closed shell
-    # more electrons than spin orbitals: an empty sector, whose infinite
-    # log-probability once overflowed the gate budget
-    ["bounds", "--n", "10", "--m", "30", "--f2q", "0.99"],
-    ["bounds", "--n", "10", "--n-alpha", "5", "--n-beta", "11", "--f2q", "0.99"],
-    # non-finite floats, which once ran to a meaningless exit 0
-    ["bounds", "--lambda-h", "nan", "--q-r", "0.5"],
-    ["expand", "--fixture", "hubbard4", "--in", "WF", "--tau", "nan"],
-    ["analyze", "--in", "WF", "--mi-threshold", "nan", "--mi-edges", "F"],
-    ["expand", "--fixture", "hubbard4", "--in", "WF", "--config", "tau = inf"],
-    # a required shot count past a float: gap_id ** 2 underflows to 0, or
-    # the count overflows to inf
-    ["bounds", "--k-pool", "3", "--delta", "0.1", "--gap-id", "1e-200"],
-    ["bounds", "--k-pool", "3", "--delta", "0.1", "--gap-id", "1e-160"],
-    ["bounds", "--k-pool", "3", "--delta", "1e-320", "--gap-id", "0.5"],
-]
 
 
 @pytest.mark.parametrize("argv", BAD_OPTION_VALUES, ids=" ".join)
