@@ -10,8 +10,8 @@ capped at the top k) join the set, and the enlarged projected problem is
 re-solved.  The perturbative estimate uses the same pool with
 state-specific denominators ``<mu|H|mu> - E_S``.  Each call evaluates the
 pool's coupling block into S once, with the batched kernel of
-:mod:`qselci.hamiltonian`, and takes the connected set, the scores and the
-PT2 numerators from it.  The pool and candidates are (N, 2) uint64 mask
+:mod:`qselci.hamiltonian` on the table's integrals unfolded once, and
+takes the connected set, the scores and the PT2 numerators from it.  The pool and candidates are (N, 2) uint64 mask
 rows; the public functions return Determinant lists.
 """
 
@@ -59,11 +59,11 @@ def _substitution_pool(psi, n):
     return np.array(sorted(seen), dtype=np.uint64).reshape(-1, 2)
 
 
-def _connected_coupling(psi, table):
+def _connected_coupling(psi, h, g):
     """The connected set with its coupling into psi's set, evaluated once:
     (candidates, mu, I, value), mu indexing the returned candidates."""
-    pool = _substitution_pool(psi, table.n_orbitals)
-    rows, cols, vals = coupling_elements(*pool.T, *psi.masks.T, table)
+    pool = _substitution_pool(psi, len(h))
+    rows, cols, vals = coupling_elements(*pool.T, *psi.masks.T, h, g)
     connected, mu = np.unique(rows, return_inverse=True)
     return pool[connected], mu, cols, vals
 
@@ -74,7 +74,7 @@ def connected_set(psi, table):
 
     Returned in ascending (alpha, beta) bitmask order.
     """
-    return determinants(_connected_coupling(psi, table)[0])
+    return determinants(_connected_coupling(psi, table.h, table.dense_g())[0])
 
 
 def _coupling_sums(rows, weights, n):
@@ -97,7 +97,8 @@ def score_candidates(psi, candidates, table):
     outside psi's set, as (determinant, score) pairs sorted descending with
     ascending (alpha, beta) bitmask order breaking ties."""
     masks = det_masks(candidates)
-    coupling = coupling_elements(*masks.T, *psi.masks.T, table)
+    coupling = coupling_elements(*masks.T, *psi.masks.T, table.h,
+                                 table.dense_g())
     ranked, scores = _ranked_scores(psi, masks, *coupling)
     return list(zip(determinants(ranked), scores.tolist()))
 
@@ -128,7 +129,8 @@ def expand_and_rediagonalize(psi, table, tau, top_k=None):
         raise ValueError(f"threshold tau must be nonnegative, got {tau}")
     if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be nonnegative, got {top_k}")
-    ranked, scores = _ranked_scores(psi, *_connected_coupling(psi, table))
+    coupling = _connected_coupling(psi, table.h, table.dense_g())
+    ranked, scores = _ranked_scores(psi, *coupling)
     # scores descend, so the qualifying candidates lead
     n_selected = int(np.count_nonzero(scores >= tau))
     if top_k is not None:
@@ -161,9 +163,10 @@ def en_pt2(psi, table):
     tolerance are skipped and counted rather than allowed to blow up.
     The input wavefunction is left untouched.
     """
-    candidates, rows, cols, vals = _connected_coupling(psi, table)
+    h, g = table.h, table.dense_g()
+    candidates, rows, cols, vals = _connected_coupling(psi, h, g)
     numerators = _coupling_sums(rows, vals * psi.coeffs[cols], len(candidates))
-    e_mu = diagonal_elements(*candidates.T, table) + table.core_energy
+    e_mu = diagonal_elements(*candidates.T, h, g) + table.core_energy
     denominators = e_mu - psi.energy
     delta = 0.0
     skipped = 0

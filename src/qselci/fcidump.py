@@ -12,8 +12,10 @@ with a finite value and 1-based orbital indices:
 * otherwise          two-electron integral (ij|kl) in chemist notation
 
 Internally everything is 0-based.  Two-electron values are stored once per
-8-fold-symmetric equivalence class under a canonical index tuple; repeated
-records must agree within 1e-10 (the last write wins, with a warning).
+8-fold-symmetric equivalence class under a canonical index tuple, and
+``IntegralTable.dense_g`` unfolds them into the dense array that the
+matrix-element kernel reads.  Repeated records must agree within 1e-10
+(the last write wins, with a warning).
 """
 
 import io
@@ -86,6 +88,21 @@ class IntegralTable:
     def get_g(self, p, q, r, s):
         """(pq|rs), honoring the 8 chemist-notation permutations."""
         return self.g.get(_canonical(p, q, r, s), 0.0)
+
+    def dense_g(self):
+        """(pq|rs) as a dense (n, n, n, n) array, each canonical entry of
+        ``g`` unfolded to the eight permutations of its class."""
+        n = self.n_orbitals
+        dense = np.zeros((n, n, n, n))
+        if self.g:
+            p, q, r, s = np.array(list(self.g), dtype=np.intp).T
+            values = np.fromiter(self.g.values(), dtype=float, count=len(self.g))
+            for index in (
+                (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
+            ):
+                dense[index] = values
+        return dense
 
 
 def _canonical(p, q, r, s):

@@ -9,7 +9,9 @@ Hamiltonian with chemist-notation two-electron integrals,
 evaluated directly from occupation bitmasks.  One kernel,
 ``coupling_elements`` and ``diagonal_elements``, applies the rules to whole
 uint64 mask arrays and serves the subspace build, expansion and PT2;
-``slater_condon`` is that kernel on one pair.  It takes its signs from
+``slater_condon`` is that kernel on one pair.  The kernel reads ``h`` and
+the dense ``(pq|rs)`` array of ``IntegralTable.dense_g``, which each
+computation unfolds once.  It takes its signs from
 :func:`qselci.dets.string_sign`, and tests pin it against a scalar
 per-pair reference and a dense operator-matrix construction.
 
@@ -199,22 +201,6 @@ PAIR_BLOCK = 1 << 14
 _ONE = np.uint64(1)
 
 
-def _dense_g(table):
-    """(pq|rs) as a dense (n, n, n, n) array, filled from the canonical keys
-    of ``table.g`` over all eight permutations."""
-    n = table.n_orbitals
-    g = np.zeros((n, n, n, n))
-    if table.g:
-        p, q, r, s = np.array(list(table.g), dtype=np.intp).T
-        values = np.fromiter(table.g.values(), dtype=float, count=len(table.g))
-        for index in (
-            (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-            (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-        ):
-            g[index] = values
-    return g
-
-
 def _lowest(x):
     """Index of the lowest set bit of each mask (64 where the mask is 0)."""
     return np.bitwise_count((x & (~x + _ONE)) - _ONE).astype(np.intp)
@@ -229,9 +215,9 @@ def _occupied(masks):
         masks = masks & (masks - _ONE)
 
 
-def diagonal_elements(alpha, beta, table):
-    """<d|H|d> (no core energy) for each determinant given by its masks."""
-    h, g = table.h, _dense_g(table)
+def diagonal_elements(alpha, beta, h, g):
+    """<d|H|d> (no core energy) for each determinant given by its masks,
+    from the one-electron array ``h`` and the dense two-electron ``g``."""
     occ = [(p, on, s) for s, masks in enumerate((alpha, beta))
            for p, on in _occupied(masks)]
     e = np.zeros(len(alpha))
@@ -334,17 +320,17 @@ def _near_pairs(bra_alpha, bra_beta, ket_alpha, ket_beta, upper):
             found, n_found = [], 0
 
 
-def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, table,
+def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, h, g,
                       upper=False):
     """Nonzero off-diagonal elements <bra_i|H|ket_j> between two
     determinant lists given by their masks.
 
-    Returns ``(i, j, values)`` arrays ordered by i, then j.  Pairs in
+    Returns ``(i, j, values)`` arrays ordered by i, then j, read from the
+    one-electron array ``h`` and the dense two-electron ``g``.  Pairs in
     different per-spin sectors, more than a double substitution apart, or
     equal are skipped.  ``upper`` keeps only j > i, for a list against
     itself.  Work is done in blocks of about PAIR_BLOCK pairs.
     """
-    h, g = table.h, _dense_g(table)
     none = np.zeros(0, np.intp)
     rows, cols, vals = [none], [none], [np.zeros(0)]
     for i, j in _near_pairs(bra_alpha, bra_beta, ket_alpha, ket_beta, upper):
@@ -365,10 +351,11 @@ def slater_condon(d1, d2, table):
     differ by more than a double excitation.
     """
     alpha, beta = det_masks([d1, d2]).T
+    h, g = table.h, table.dense_g()
     if d1 == d2:
-        return float(diagonal_elements(alpha[:1], beta[:1], table)[0])
+        return float(diagonal_elements(alpha[:1], beta[:1], h, g)[0])
     _, _, value = coupling_elements(alpha[:1], beta[:1], alpha[1:], beta[1:],
-                                    table)
+                                    h, g)
     return float(value[0]) if len(value) else 0.0
 
 
@@ -385,12 +372,13 @@ def build_subspace(dets, table):
         twice = Determinant(*masks[order[same[0]]].tolist())
         raise DuplicateDeterminant(f"{twice} appears more than once")
     size = len(masks)
-    rows, cols, vals = coupling_elements(alpha, beta, alpha, beta, table,
+    h, g = table.h, table.dense_g()
+    rows, cols, vals = coupling_elements(alpha, beta, alpha, beta, h, g,
                                          upper=True)
     diag = np.arange(size)
     matrix = scipy.sparse.csr_matrix(
         (
-            np.concatenate([diagonal_elements(alpha, beta, table), vals, vals]),
+            np.concatenate([diagonal_elements(alpha, beta, h, g), vals, vals]),
             (np.concatenate([diag, rows, cols]), np.concatenate([diag, cols, rows])),
         ),
         shape=(size, size),

@@ -15,8 +15,6 @@ The optimizer reuses one sampling seed across evaluations, making the
 objective deterministic, as trust-region derivative-free methods require.
 """
 
-import contextlib
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,78 +109,48 @@ class _StopEarly(Exception):
     pass
 
 
-@contextlib.contextmanager
-def _quiet_solver_stderr():
-    """Suppress solver chatter written directly to file descriptor 2.
-
-    The Fortran-backed derivative-free solver prints a diagnostic line on
-    the raw stderr descriptor whenever an exception crosses its callback
-    boundary — including the intentional early-stop signal.  The descriptor
-    is restored before any exception propagates, so real tracebacks are
-    unaffected.
-    """
-    try:
-        saved = os.dup(2)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-    except OSError:
-        yield
-        return
-    try:
-        os.dup2(devnull, 2)
-        yield
-    finally:
-        os.dup2(saved, 2)
-        os.close(saved)
-        os.close(devnull)
-
-
 def optimize(circuit, table, cfg):
     """Derivative-free parameter optimization of the sampled subspace energy.
 
     Returns (best parameters, best-so-far energy trace).  Stops when the
     best energy has not improved by more than the tolerance over a patience
     window of evaluations, or when the evaluation budget is exhausted.
+    The solver is SciPy's pure-Python COBYLA (SciPy 1.16 and later), so
+    whatever the objective writes to stderr or warns reaches the caller.
     """
     import scipy.optimize
 
     opt = cfg.optimizer
-    state = {
-        "best_energy": np.inf,
-        "best_params": np.zeros(circuit.n_params),
-        "trace": [],
-        "since_improvement": 0,
-    }
+    x0 = np.zeros(circuit.n_params)
+    if circuit.n_params == 0:
+        return x0, [run_qsci_once(circuit, x0, table, cfg).energy]
+    best_energy, best_params, trace, since_improvement = np.inf, x0, [], 0
 
     def objective(x):
+        nonlocal best_energy, best_params, since_improvement
         e = run_qsci_once(circuit, x, table, cfg).energy
-        if e < state["best_energy"] - opt.energy_tol:
-            state["since_improvement"] = 0
+        if e < best_energy - opt.energy_tol:
+            since_improvement = 0
         else:
-            state["since_improvement"] += 1
-        if e < state["best_energy"]:
-            state["best_energy"] = e
-            state["best_params"] = np.array(x, dtype=float)
-        state["trace"].append(state["best_energy"])
-        if state["since_improvement"] >= opt.patience:
-            raise _StopEarly
-        if len(state["trace"]) >= opt.max_evaluations:
+            since_improvement += 1
+        if e < best_energy:
+            best_energy, best_params = e, np.array(x, dtype=float)
+        trace.append(best_energy)
+        if since_improvement >= opt.patience or len(trace) >= opt.max_evaluations:
             raise _StopEarly
         return e
 
-    x0 = np.zeros(circuit.n_params)
-    if circuit.n_params == 0:
-        e = run_qsci_once(circuit, x0, table, cfg).energy
-        return x0, [e]
+    # COBYLA needs at least n + 2 evaluations to build its first simplex;
+    # the budget itself is enforced by _StopEarly
     try:
-        with _quiet_solver_stderr():
-            scipy.optimize.minimize(
-                objective,
-                x0,
-                method=OPTIMIZER_METHOD,
-                tol=opt.energy_tol,
-                options={"maxiter": opt.max_evaluations,
-                         "rhobeg": OPTIMIZER_INITIAL_STEP},
-            )
+        scipy.optimize.minimize(
+            objective,
+            x0,
+            method=OPTIMIZER_METHOD,
+            tol=opt.energy_tol,
+            options={"maxiter": max(opt.max_evaluations, circuit.n_params + 2),
+                     "rhobeg": OPTIMIZER_INITIAL_STEP},
+        )
     except _StopEarly:
         pass
-    return state["best_params"], state["trace"]
+    return best_params, trace

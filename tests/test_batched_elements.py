@@ -130,7 +130,8 @@ def test_subspace_matches_scalar_elements(case):
 def test_coupling_elements_match_scalar_between_lists(case):
     table, dets = case
     bras, kets = dets[: len(dets) // 2], dets[len(dets) // 2:]
-    i, j, v = coupling_elements(*det_masks(bras).T, *det_masks(kets).T, table)
+    i, j, v = coupling_elements(*det_masks(bras).T, *det_masks(kets).T,
+                                table.h, table.dense_g())
     got = {(int(a), int(b)): float(x) for a, b, x in zip(i, j, v)}
     expect = {
         (a, b): scalar_element(bra, ket, table)
@@ -147,7 +148,7 @@ def test_coupling_elements_match_scalar_between_lists(case):
 
 def test_diagonal_elements_match_scalar(case):
     table, dets = case
-    got = diagonal_elements(*det_masks(dets).T, table)
+    got = diagonal_elements(*det_masks(dets).T, table.h, table.dense_g())
     expect = [scalar_element(d, d, table) for d in dets]
     assert np.max(np.abs(got - expect)) <= ELEMENT_TOL
 
@@ -314,3 +315,20 @@ def test_mask_row_paths_build_no_determinant(monkeypatch):
     psi = dense_lowest(build_subspace(masks, table))
     assert en_pt2(psi, table) == expect
     assert fci_oracle(table).energy < psi.energy
+
+
+def test_each_computation_unfolds_g_once(monkeypatch):
+    table = hubbard_chain_table(6)
+    psi = _psi(table, _shuffled(enumerate_space(6, 3, 3), 4))
+    calls = []
+    unfold = IntegralTable.dense_g
+
+    def counted(self):
+        calls.append(self)
+        return unfold(self)
+
+    monkeypatch.setattr(IntegralTable, "dense_g", counted)
+    build_subspace(psi.masks, table)
+    assert len(calls) == 1
+    en_pt2(psi, table)
+    assert len(calls) == 2

@@ -22,6 +22,7 @@ from qselci.fcidump import (
     serialize_fcidump,
     table_summary,
 )
+from qselci.fixtures import FIXTURES
 
 import helpers
 
@@ -229,6 +230,17 @@ def _equivalents(p, q, r, s):
         (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
         (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
     }
+
+
+@pytest.mark.parametrize("name", [*sorted(FIXTURES), "dense-random"])
+def test_dense_g_is_get_g_at_every_index(name):
+    table = (helpers.random_table(5, 4, seed=8) if name == "dense-random"
+             else FIXTURES[name]())
+    dense = table.dense_g()
+    n = table.n_orbitals
+    assert dense.shape == (n, n, n, n)
+    for index in itertools.product(range(n), repeat=4):
+        assert dense[index] == table.get_g(*index)
 
 
 def test_permutation_invariance_exhaustive_small():

@@ -1,8 +1,12 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import oracles
+from qselci import pipeline
 from qselci.circuits import build_usci, prescreen
 from qselci.dets import Determinant
 from qselci.errors import EmptySubspace
@@ -228,6 +232,52 @@ def test_optimize_respects_evaluation_budget():
     )
     _, trace = optimize(circuit, table, cfg)
     assert len(trace) <= 3
+
+
+def test_optimize_budget_below_the_simplex_raises_no_warning(hubbard):
+    # 44 parameters need 46 evaluations for COBYLA's first simplex; the
+    # budget of 12 still ends the run, without a warning from the solver
+    table, _oracle, _selected, circuit = hubbard
+    assert circuit.n_params == 44
+    cfg = PipelineConfig(
+        shots=2000, seed=5,
+        optimizer=OptimizerConfig(max_evaluations=12, patience=100),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = optimize(circuit, table, cfg)
+    assert len(trace) == 12
+
+
+def test_optimize_lets_objective_stderr_and_warnings_through(capfd,
+                                                             monkeypatch):
+    # in a real process sys.stderr writes to descriptor 2, as here
+    monkeypatch.setattr(sys, "stderr", open(2, "w", closefd=False))
+    table = two_orbital_table()
+    selected = prescreen(fci_oracle(table), 0.0, top_m=2)
+    circuit = build_usci(selected[0], selected, table.n_orbitals)
+    real_pass = pipeline.run_qsci_once
+
+    def chatty_pass(*args):
+        print("objective output", file=sys.stderr, flush=True)
+        warnings.warn("objective warning")
+        return real_pass(*args)
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                lineno, line))
+        sys.stderr.flush()
+
+    monkeypatch.setattr(pipeline, "run_qsci_once", chatty_pass)
+    cfg = PipelineConfig(shots=1000, seed=4,
+                         optimizer=OptimizerConfig(max_evaluations=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        optimize(circuit, table, cfg)
+    err = capfd.readouterr().err
+    assert err.count("objective output") == 2
+    assert err.count("UserWarning: objective warning") == 2
 
 
 # ----------------------------------------------------------------- validation
