@@ -106,8 +106,9 @@ class BoundReport:
         for name in ("truncation_bound", "epsilon_m", "energy_bound_confident",
                      "expected_error", "direct_noise_bias"):
             v = getattr(self, name)
-            if v is not None and v < 0.0:
-                raise ValueError(f"report bound {name} is negative: {v}")
+            if v is not None and not 0.0 <= v < math.inf:
+                raise ValueError(
+                    f"report bound {name} is not finite and nonnegative: {v}")
 
     def to_json_dict(self):
         return asdict(self)
@@ -340,56 +341,58 @@ def mc_selection_failure_rate(probs, r, m_shots, trials=1_000, seed=0):
 
 def full_report(inputs):
     """Evaluate every bound whose inputs are present, with warnings
-    silenced; the rest stay None."""
+    silenced; the rest stay None.  The report is built once from the
+    results, so its range checks see every value: a bound that is not
+    finite for finite inputs raises ValueError."""
+    values = {"zeta_r_assumed_zero": inputs.zeta_r == 0.0}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = BoundReport()
-        report.zeta_r_assumed_zero = inputs.zeta_r == 0.0
         if inputs.lambda_h is not None and inputs.q_r is not None:
-            report.zero_retained_weight = inputs.q_r == 0.0
-            report.truncation_bound = truncation_bound(inputs.lambda_h,
-                                                       inputs.q_r)
+            values["zero_retained_weight"] = inputs.q_r == 0.0
+            values["truncation_bound"] = truncation_bound(inputs.lambda_h,
+                                                          inputs.q_r)
+        epsilon = None
         if inputs.m_shots is not None and inputs.delta is not None:
-            report.epsilon_m = hoeffding_epsilon(inputs.m_shots, inputs.delta)
-        if (report.epsilon_m is not None and inputs.r is not None
-                and inputs.d is not None):
+            epsilon = values["epsilon_m"] = hoeffding_epsilon(inputs.m_shots,
+                                                              inputs.delta)
+        if epsilon is not None and inputs.r is not None and inputs.d is not None:
             p_hat = inputs.p_hat_r
             if p_hat is None and inputs.q_r is not None:
                 # expected measured value when no measurement is supplied
                 p_hat = noisy_cumulative(inputs.q_r, inputs.p, inputs.r, inputs.d)
             if p_hat is not None:
-                report.q_r_lower = confident_weight_lower(
-                    p_hat, report.epsilon_m, inputs.p, inputs.r, inputs.d,
-                    inputs.zeta_r,
+                q_lower = values["q_r_lower"] = confident_weight_lower(
+                    p_hat, epsilon, inputs.p, inputs.r, inputs.d, inputs.zeta_r,
                 )
                 if inputs.lambda_h is not None:
-                    report.energy_bound_confident = truncation_bound(
-                        inputs.lambda_h, report.q_r_lower
+                    values["energy_bound_confident"] = truncation_bound(
+                        inputs.lambda_h, q_lower
                     )
         delta_r = inputs.delta_r
         if delta_r is None and inputs.gap_id is not None:
             delta_r = (1.0 - inputs.p) * inputs.gap_id
         if (inputs.m_shots is not None and inputs.k_pool is not None
                 and delta_r is not None and delta_r > 0.0):
-            report.selection_failure = selection_failure(
+            values["selection_failure"] = selection_failure(
                 inputs.m_shots, inputs.k_pool, delta_r
             )
         if (inputs.k_pool is not None and inputs.delta is not None
                 and inputs.gap_id is not None and inputs.gap_id > 0.0
                 and inputs.p < 1.0):
-            report.required_shots = required_shots(
+            values["required_shots"] = required_shots(
                 inputs.k_pool, inputs.delta, inputs.p, inputs.gap_id
             )
         if (inputs.lambda_h is not None and inputs.q_r is not None
                 and inputs.k_pool is not None and inputs.m_shots is not None
                 and inputs.gap_id is not None):
-            report.expected_error = expected_error_bound(inputs)
+            values["expected_error"] = expected_error_bound(inputs)
         if inputs.lambda_h is not None:
-            report.direct_noise_bias = direct_noise_bias(inputs.p, inputs.lambda_h)
+            values["direct_noise_bias"] = direct_noise_bias(inputs.p,
+                                                            inputs.lambda_h)
         electrons = (inputs.m_electrons, inputs.n_alpha, inputs.n_beta)
         if inputs.n_orbitals is not None and electrons != (None, None, None):
-            report.p_u = uniform_probability(inputs.n_orbitals, *electrons)
+            values["p_u"] = uniform_probability(inputs.n_orbitals, *electrons)
             if inputs.f_2q is not None:
-                report.n_g_max = gate_budget(inputs.f_2q, inputs.n_orbitals,
-                                             *electrons)
-        return report
+                values["n_g_max"] = gate_budget(inputs.f_2q, inputs.n_orbitals,
+                                                *electrons)
+    return BoundReport(**values)

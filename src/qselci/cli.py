@@ -30,7 +30,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 import scipy
@@ -73,6 +73,7 @@ class RunManifest:
         self.versions = _versions()
         self.timings = {}
         self.digests = {}
+        self.written = []
         self._open_stages = []
 
     @contextmanager
@@ -96,10 +97,12 @@ class RunManifest:
         self.seeds.update(stage_seeds(master_seed))
 
     def write_file(self, path, text):
-        """Write an auxiliary output file and record its digest."""
+        """Write an auxiliary output file, record its digest, and keep its
+        path so that a failed run can remove it."""
         data = text.encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(data)
+        self.written.append(path)
         self.digests[os.path.basename(path)] = hashlib.sha256(data).hexdigest()
 
     def to_json_dict(self):
@@ -815,6 +818,7 @@ def cli_dispatch(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    manifest = None
     try:
         opts = _effective_options(args, OPTIONS[args.subcommand])
         for flags, dest, typ, _d, _h in OPTIONS[args.subcommand]:
@@ -835,6 +839,11 @@ def cli_dispatch(argv):
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (QselciError, ValueError, OSError) as exc:
+        # a failed run, such as one whose report cannot be written, leaves
+        # none of its auxiliary files behind
+        for path in manifest.written if manifest else []:
+            with suppress(OSError):
+                os.remove(path)
         # the library rejects an option value with ValueError: a usage error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1

@@ -8,11 +8,12 @@ Candidates are scored by their summed coupling weight
 ``s_mu = sum_I |H_{mu I} c_I|``; those at or above a threshold (optionally
 capped at the top k) join the set, and the enlarged projected problem is
 re-solved.  The perturbative estimate uses the same pool with
-state-specific denominators ``<mu|H|mu> - E_S``.  Each call evaluates the
-pool's coupling block into S once, with the batched kernel of
-:mod:`qselci.hamiltonian` on the table's integrals unfolded once, and
-takes the connected set, the scores and the PT2 numerators from it.  The pool and candidates are (N, 2) uint64 mask
-rows; the public functions return Determinant lists.
+state-specific denominators ``<mu|H|mu> - E_S``.  Each call unfolds the
+two-electron integrals once, evaluates the pool's coupling block into S
+once with the batched kernel of :mod:`qselci.hamiltonian`, and takes the
+connected set, the scores and the PT2 numerators from it.  The pool and
+candidates are (N, 2) uint64 mask rows; the public functions return
+Determinant lists.
 """
 
 from dataclasses import dataclass

@@ -14,8 +14,9 @@ with a finite value and 1-based orbital indices:
 Internally everything is 0-based.  Two-electron values are stored once per
 8-fold-symmetric equivalence class under a canonical index tuple, and
 ``IntegralTable.dense_g`` unfolds them into the dense array that the
-matrix-element kernel reads.  Repeated records must agree within 1e-10
-(the last write wins, with a warning).
+matrix-element kernel reads.  Repeated records of an integral, one- or
+two-electron and explicit zeros included, must agree within 1e-10: the
+last one wins, with a warning that names its line.
 """
 
 import io
@@ -75,15 +76,7 @@ class IntegralTable:
         self.h[q, p] = value
 
     def set_g(self, p, q, r, s, value):
-        key = _canonical(p, q, r, s)
-        old = self.g.get(key)
-        if old is not None and abs(old - value) > DUPLICATE_TOL:
-            warnings.warn(
-                f"conflicting two-electron values for {key}: "
-                f"{old!r} replaced by {value!r}",
-                stacklevel=2,
-            )
-        self.g[key] = value
+        self.g[_canonical(p, q, r, s)] = value
 
     def get_g(self, p, q, r, s):
         """(pq|rs), honoring the 8 chemist-notation permutations."""
@@ -138,7 +131,7 @@ def parse_fcidump(source):
         table = IntegralTable(n_orbitals=n_orb, n_electrons=n_elec, ms2=ms2)
     except ValueError as exc:
         raise MalformedHeader(str(exc), line_no=1) from None
-    seen_h = {}
+    seen = {}  # value by canonical index, of both integral kinds
     for line_no, raw in enumerate(lines[header_end:], start=header_end + 1):
         stripped = raw.strip()
         if not stripped:
@@ -167,7 +160,8 @@ def parse_fcidump(source):
                 )
         if i == j == k == l == 0:
             table.core_energy = value
-        elif k == 0 and l == 0:
+            continue
+        if k == 0 and l == 0:
             if i == 0:
                 raise IndexOutOfRange(
                     f"one-electron record with i=0 in {stripped!r}", line_no=line_no
@@ -180,21 +174,22 @@ def parse_fcidump(source):
                     stacklevel=2,
                 )
                 continue
-            key = (max(i, j) - 1, min(i, j) - 1)
-            old = seen_h.get(key)
-            if old is not None and abs(old - value) > DUPLICATE_TOL:
-                warnings.warn(
-                    f"line {line_no}: conflicting h{key}: {old!r} -> {value!r}",
-                    stacklevel=2,
-                )
-            seen_h[key] = value
-            table.set_h(key[0], key[1], value)
+            name, key, store = "h", (max(i, j) - 1, min(i, j) - 1), table.set_h
         elif (k == 0) != (l == 0) or i == 0 or j == 0:
             raise IndexOutOfRange(
                 f"inconsistent zero indices in {stripped!r}", line_no=line_no
             )
         else:
-            table.set_g(i - 1, j - 1, k - 1, l - 1, value)
+            name, key = "g", _canonical(i - 1, j - 1, k - 1, l - 1)
+            store = table.set_g
+        old = seen.get(key)
+        if old is not None and abs(old - value) > DUPLICATE_TOL:
+            warnings.warn(
+                f"line {line_no}: conflicting {name}{key}: {old!r} -> {value!r}",
+                stacklevel=2,
+            )
+        seen[key] = value
+        store(*key, value)
     return table
 
 

@@ -12,8 +12,8 @@ uint64 mask arrays and serves the subspace build, expansion and PT2;
 ``slater_condon`` is that kernel on one pair.  The kernel reads ``h`` and
 the dense ``(pq|rs)`` array of ``IntegralTable.dense_g``, which each
 computation unfolds once.  It takes its signs from
-:func:`qselci.dets.string_sign`, and tests pin it against a scalar
-per-pair reference and a dense operator-matrix construction.
+:func:`qselci.dets.string_sign`, and tests pin it against a scalar per-pair
+reference and a dense operator-matrix construction.
 
 The subspace eigenproblem is an ordinary symmetric one (determinants are
 orthonormal).  ``davidson_lowest`` is a Davidson solver with a diagonal

@@ -99,4 +99,10 @@ BAD_OPTION_VALUES = [
     ["bounds", "--k-pool", "3", "--delta", "0.1", "--gap-id", "1e-200"],
     ["bounds", "--k-pool", "3", "--delta", "0.1", "--gap-id", "1e-160"],
     ["bounds", "--k-pool", "3", "--delta", "1e-320", "--gap-id", "0.5"],
+    # other bounds past a float, once reported as "inf" with exit 0
+    ["bounds", "--shots", "100", "--delta", "1e-320"],
+    ["bounds", "--lambda-h", "1e308", "--q-r", "0.0"],
+    ["bounds", "--lambda-h", "1e308", "--p", "1"],
+    ["bounds", "--shots", "100", "--delta", "1e-320", "--r", "4", "--d", "16",
+     "--q-r", "0.5", "--lambda-h", "1"],
 ]

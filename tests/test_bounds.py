@@ -353,6 +353,20 @@ def test_input_validation():
         BoundReport(truncation_bound=-0.1)
 
 
+@pytest.mark.parametrize("bound", [math.inf, math.nan])
+def test_report_rejects_a_bound_that_is_not_finite(bound):
+    with pytest.raises(ValueError, match="not finite"):
+        BoundReport(epsilon_m=bound)
+
+
+def test_full_report_checks_every_computed_bound():
+    # 2 / delta overflows, so the Hoeffding radius is infinite
+    with pytest.raises(ValueError, match="epsilon_m"):
+        full_report(BoundInputs(m_shots=100, delta=1e-320))
+    with pytest.raises(ValueError, match="direct_noise_bias"):
+        full_report(BoundInputs(lambda_h=1e308, p=1.0))
+
+
 @pytest.mark.parametrize("electrons", [
     {"m_electrons": 22},
     {"n_alpha": 11, "n_beta": 5},

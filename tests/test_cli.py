@@ -85,6 +85,24 @@ def test_unwritable_report_is_one_line_domain_error(capsys, monkeypatch,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, written", [
+    (["fci", "--fixture", "hubbard4", "--save-wf", "wf.json"], "wf.json"),
+    (["analyze", "--in", "WF", "--mi-edges", "edges.csv"], "edges.csv"),
+], ids=["fci-save-wf", "analyze-mi-edges"])
+def test_unwritable_report_leaves_no_auxiliary_file(
+    capsys, monkeypatch, tmp_path, saved_wavefunction, argv, written
+):
+    monkeypatch.chdir(tmp_path)
+    argv = [str(saved_wavefunction) if a == "WF" else a for a in argv]
+    assert cli_dispatch(argv + ["--out", "missing/report.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: FileNotFoundError: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / written).exists()
+    assert cli_dispatch(argv + ["--out", "report.json"]) == 0
+    assert (tmp_path / written).exists()
+
+
 def test_non_finite_numbers_are_json_strings():
     value = _jsonify({"np": np.float64("nan"), "f32": np.float32("-inf"),
                       "py": float("nan")})

@@ -176,11 +176,24 @@ def test_duplicate_record_last_write_wins_with_warning():
     text = (
         "&FCI NORB=2,NELEC=2,MS2=0 &END\n"
         " 1.0 1 1 1 1\n"
+        " 0.5 1 1 0 0\n"
+        " 0.0 2 1 2 2\n"
         " 2.0 1 1 1 1\n"
+        " 0.7 1 1 0 0\n"
+        " 0.3 2 2 1 2\n"
     )
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         t = parse_fcidump(text)
     assert t.get_g(0, 0, 0, 0) == 2.0
+    assert t.h[0, 0] == 0.7
+    assert t.get_g(0, 1, 1, 1) == 0.3
+    # one rule for both kinds, an explicit zero counting as a record
+    assert [str(w.message) for w in record] == [
+        "line 5: conflicting g(0, 0, 0, 0): 1.0 -> 2.0",
+        "line 6: conflicting h(0, 0): 0.5 -> 0.7",
+        "line 7: conflicting g(1, 1, 1, 0): 0.0 -> 0.3",
+    ]
+    assert {w.filename for w in record} == {__file__}
 
 
 def test_duplicate_record_within_tolerance_is_silent():
