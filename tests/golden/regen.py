@@ -88,6 +88,7 @@ def _cases():
                                          "--max-evals", "12"]],
             f"{f}-optimize-patience": [["qsci", *fx, "--optimize",
                                         "--patience", "3"]],
+            f"{f}-qsci-pg": [["qsci", *fx, "--pg", "0.002", "--n2q", "12"]],
             f"{f}-demo": [["demo", *fx]],
             f"{f}-save-wf-chain": [
                 ["qsci", *fx, "--shots", "20000", "--save-wf", "wf.json",
@@ -99,6 +100,12 @@ def _cases():
             ],
         })
     cases.update({
+        "hubbard4-sample-csv-eps0-above-eps1": [
+            ["sample", "--fixture", "hubbard4", "--csv", "counts.csv",
+             "--eps0", "0.04", "--eps1", "0.01"]],
+        "two-orbital-sample-csv-eps0-zero": [
+            ["sample", "--fixture", "two-orbital", "--csv", "counts.csv",
+             "--eps0", "0", "--eps1", "0.05"]],
         "bounds-preset": [["bounds", "--preset", "cas10-10"]],
         "bounds-all-inputs": [[
             "bounds", "--n", "10", "--m", "10", "--f2q", "0.99", "--q-r",

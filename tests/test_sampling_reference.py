@@ -1,6 +1,7 @@
 """The array sampling path against the text-keyed reference in
 ``oracles``: same seeds, same shots, same reports."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -128,3 +129,49 @@ def test_array_sampling_matches_text_reference(state_name, noise_name):
         assert sampling.counts_to_determinants(
             kept, n_orbitals
         ) == oracles.counts_to_determinants(ref_kept, n_orbitals)
+
+
+# name -> (eps0, eps1): rate pairs the rows above leave out
+READOUT_RATES = {
+    "eps0-above-eps1": (0.04, 0.01),
+    "eps0-zero": (0.0, 0.05),
+    "eps1-zero": (0.05, 0.0),
+    "unit-eps0": (1.0, 0.0),
+}
+READOUT_STATES = ("two-orbital", "hubbard4", "random-10q", "sector-20q",
+                  "sector-64q")
+# 40,000 shots span three readout blocks; the rows above fit in one
+BLOCKS_SHOTS = 40_000
+
+
+@functools.cache
+def _built_state(state_name):
+    return STATES[state_name][0]()
+
+
+def _readout_matches_reference(state_name, eps0, eps1, shots, seed):
+    state = _built_state(state_name)
+    noise = NoiseModel(readout_eps0=eps0, readout_eps1=eps1)
+    counts = sampling.sample(sampling.ideal_distribution(state), shots, seed)
+    ref = oracles.SampleCounts(counts=dict(counts.counts), total_shots=shots,
+                               seed=seed)
+    counts = sampling.apply_readout(counts, noise, seed + 1)
+    ref = oracles.apply_readout(ref, noise, seed + 1)
+    assert counts.counts == ref.counts
+    assert counts.total_shots == ref.total_shots == shots
+    assert np.all(counts.index[1:] > counts.index[:-1])
+    assert counts.to_csv() == ref.to_csv()
+
+
+@pytest.mark.parametrize("rates", sorted(READOUT_RATES))
+@pytest.mark.parametrize("state_name", READOUT_STATES)
+def test_readout_rates_match_text_reference(state_name, rates):
+    _readout_matches_reference(state_name, *READOUT_RATES[rates], SHOTS, 11)
+
+
+@pytest.mark.parametrize("rates", [(0.02, 0.03), (0.04, 0.01)],
+                         ids=lambda r: "%g-%g" % r)
+@pytest.mark.parametrize("state_name", ["random-10q", "sector-20q"])
+def test_readout_across_blocks_matches_text_reference(state_name, rates):
+    assert 2 * sampling.READOUT_BLOCK < BLOCKS_SHOTS <= 3 * sampling.READOUT_BLOCK
+    _readout_matches_reference(state_name, *rates, BLOCKS_SHOTS, 2026)
