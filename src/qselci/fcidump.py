@@ -19,6 +19,7 @@ two-electron and explicit zeros included, must agree within 1e-10: the
 last one wins, with a warning that names its line.
 """
 
+import functools
 import io
 import math
 import re
@@ -131,7 +132,7 @@ def parse_fcidump(source):
         table = IntegralTable(n_orbitals=n_orb, n_electrons=n_elec, ms2=ms2)
     except ValueError as exc:
         raise MalformedHeader(str(exc), line_no=1) from None
-    seen = {}  # value by canonical index, of both integral kinds
+    seen = {}  # value by canonical index: () core, (p, q) h, (p, q, r, s) g
     for line_no, raw in enumerate(lines[header_end:], start=header_end + 1):
         stripped = raw.strip()
         if not stripped:
@@ -159,9 +160,9 @@ def parse_fcidump(source):
                     f"orbital index {idx} outside 1..{n_orb}", line_no=line_no
                 )
         if i == j == k == l == 0:
-            table.core_energy = value
-            continue
-        if k == 0 and l == 0:
+            name, key = "core energy", ()
+            store = functools.partial(setattr, table, "core_energy")
+        elif k == 0 and l == 0:
             if i == 0:
                 raise IndexOutOfRange(
                     f"one-electron record with i=0 in {stripped!r}", line_no=line_no
@@ -185,7 +186,8 @@ def parse_fcidump(source):
         old = seen.get(key)
         if old is not None and abs(old - value) > DUPLICATE_TOL:
             warnings.warn(
-                f"line {line_no}: conflicting {name}{key}: {old!r} -> {value!r}",
+                f"line {line_no}: conflicting {name}{key or ''}: "
+                f"{old!r} -> {value!r}",
                 stacklevel=2,
             )
         seen[key] = value

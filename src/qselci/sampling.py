@@ -11,8 +11,8 @@ order), the statevector's own index type, so up to 64 qubits.  Text
 bitstrings (character k = qubit k) appear only in the
 ``SampleCounts.counts`` view, ``top`` and ``to_csv``.  Where an order
 follows the bitstrings (qubit 0 most significant), it is computed as the
-numeric order of the bit-reversed index.  Readout unpacks each shot's bits,
-draws one uniform per bit, and packs the flips into one XOR mask per shot.
+numeric order of the bit-reversed index.  Readout draws a uniform per bit,
+checks those under the larger flip rate and XORs the flips into the shots.
 """
 
 from dataclasses import dataclass, replace
@@ -110,6 +110,8 @@ class SampleCounts:
     def __post_init__(self):
         self.index, self.shots = _listed(self.index, self.shots, np.int64,
                                          self.n_qubits)
+        if np.any(self.shots < 0):
+            raise ValueError("shot counts must be nonnegative")
 
     @property
     def total_shots(self):
@@ -272,27 +274,24 @@ def sample(dist, shots, seed, noise=None):
 def apply_readout(sc, model, seed):
     """Flip each measured bit independently: 0→1 with eps0, 1→0 with eps1.
 
-    Shots are read out in bitstring order, one row of uniforms per shot,
-    READOUT_BLOCK shots at a time.
+    Shots are read out in bitstring order, READOUT_BLOCK at a time, one
+    row of uniforms each; only bits under the larger rate are looked up.
     """
     if not model.has_readout:
         return sc
     rng = _rng(seed)
     n = sc.n_qubits
+    eps = np.array([model.readout_eps0, model.readout_eps1])
     order = _lex_order(sc.index, n)
-    read = np.repeat(sc.index[order], sc.shots[order]).astype("<u8", copy=False)
+    read = np.repeat(sc.index[order], sc.shots[order])
     for start in range(0, read.size, READOUT_BLOCK):
         block = read[start:start + READOUT_BLOCK]
-        u = rng.random(size=(block.size, n))
-        # one row of 64 bits per shot, column k = qubit k
-        bits = np.unpackbits(block.view(np.uint8), bitorder="little")
-        ones = bits.reshape(-1, 64)[:, :n].view(bool)
-        flips = np.zeros((block.size, 64), dtype=bool)
-        # u < eps1 on ones and u < eps0 on zeros, with no per-bit threshold
-        flipped = np.less(u, model.readout_eps1, out=flips[:, :n])
-        flipped &= ones
-        flipped |= (u < model.readout_eps0) & ~ones
-        block ^= np.packbits(flips, bitorder="little").view("<u8")
+        u = rng.random(size=block.size * n)  # row = shot, column = qubit
+        candidate = np.flatnonzero(u < eps.max())
+        shot, qubit = np.divmod(candidate.astype(np.uint64), n)
+        # u < eps1 on ones and u < eps0 on zeros
+        keep = u[candidate] < eps[block[shot] >> qubit & 1]
+        np.bitwise_xor.at(block, shot[keep], np.uint64(1) << qubit[keep])
     return SampleCounts(*np.unique(read, return_counts=True), n)
 
 
@@ -300,8 +299,11 @@ def symmetry_filter(sc, n_alpha, n_beta):
     """Keep outcomes whose alpha/beta block popcounts match the target
     sector.
 
-    Returns (filtered counts, rejected shot count).
+    Returns (filtered counts, rejected shot count); ValueError on odd n_qubits.
     """
+    if sc.n_qubits % 2:
+        raise ValueError(f"a {sc.n_qubits}-qubit register has no alpha and "
+                         "beta halves")
     half = sc.n_qubits // 2
     keep = (np.bitwise_count(sc.index & ((1 << half) - 1)) == n_alpha) & (
         np.bitwise_count(sc.index >> half) == n_beta

@@ -1,6 +1,7 @@
 import io
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -203,12 +204,33 @@ def test_duplicate_record_within_tolerance_is_silent():
         " 1.0 1 2 1 1\n"
         " 1.0 2 1 1 1\n"
     )
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         t = parse_fcidump(text)
     assert t.get_g(0, 1, 0, 0) == 1.0
+
+
+def _parse_warnings(text):
+    """The table and the warning messages of one parse, no warning
+    filtered out (as under ``python -W always``)."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        table = parse_fcidump(text)
+    return table, [str(w.message) for w in record]
+
+
+def test_conflicting_core_energy_warns_and_last_write_wins():
+    table, messages = _parse_warnings(
+        "&FCI NORB=2,NELEC=2 &END\n 0.5 0 0 0 0\n 0.9 0 0 0 0\n")
+    assert table.core_energy == 0.9
+    assert messages == ["line 3: conflicting core energy: 0.5 -> 0.9"]
+
+
+def test_equal_core_energy_repeat_is_silent():
+    table, messages = _parse_warnings(
+        "&FCI NORB=2,NELEC=2 &END\n 0.5 0 0 0 0\n 0.5 0 0 0 0\n")
+    assert table.core_energy == 0.5
+    assert messages == []
 
 
 def test_orbital_energy_records_ignored_with_warning():
@@ -219,8 +241,6 @@ def test_orbital_energy_records_ignored_with_warning():
 
 
 def test_eightfold_symmetry_random_queries():
-    import warnings
-
     rng = np.random.default_rng(17)
     t = IntegralTable(n_orbitals=5, n_electrons=4)
     stored = {}

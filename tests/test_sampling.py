@@ -309,6 +309,13 @@ def test_filter_rejects_wrong_sector():
     assert filtered.counts == {}
 
 
+def test_filter_rejects_an_odd_register():
+    # split at n_qubits // 2, 0b101 and 0b011 would both read as sector (1, 1)
+    sc = SampleCounts(index=[0b101, 0b011], shots=[1, 1], n_qubits=3)
+    with pytest.raises(ValueError, match="3-qubit register has no alpha"):
+        symmetry_filter(sc, 1, 1)
+
+
 def test_counts_to_determinants_ordering():
     sc = _counts({"1010": 5, "0110": 9, "0101": 5}, 4)
     dets = counts_to_determinants(sc, 2)
@@ -374,6 +381,14 @@ def test_containers_reject_a_repeated_index(index):
         SampleCounts(index=index, shots=values, n_qubits=2)
     with pytest.raises(ValueError, match="must be distinct"):
         Distribution(index=index, probs=values / len(index), n_qubits=2)
+
+
+def test_sample_counts_reject_negative_shots():
+    with pytest.raises(ValueError, match="shot counts must be nonnegative"):
+        SampleCounts(index=np.array([1, 2], np.uint64), shots=[-3, 5],
+                     n_qubits=4)
+    sc = SampleCounts(index=[1, 2], shots=[0, 5], n_qubits=4)
+    assert sc.total_shots == 5
 
 
 @pytest.mark.parametrize("build", [
