@@ -14,9 +14,9 @@ with a finite value and 1-based orbital indices:
 Internally everything is 0-based.  Two-electron values are stored once per
 8-fold-symmetric equivalence class under a canonical index tuple, and
 ``IntegralTable.dense_g`` unfolds them into the dense array that the
-matrix-element kernel reads.  Repeated records of an integral, one- or
-two-electron and explicit zeros included, must agree within 1e-10: the
-last one wins, with a warning that names its line.
+matrix-element kernel reads.  Repeated records of the core energy or an
+integral, one- or two-electron and explicit zeros included, must agree
+within 1e-10: the last one wins, with a warning that names its line.
 """
 
 import functools

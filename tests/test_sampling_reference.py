@@ -173,5 +173,6 @@ def test_readout_rates_match_text_reference(state_name, rates):
                          ids=lambda r: "%g-%g" % r)
 @pytest.mark.parametrize("state_name", ["random-10q", "sector-20q"])
 def test_readout_across_blocks_matches_text_reference(state_name, rates):
-    assert 2 * sampling.READOUT_BLOCK < BLOCKS_SHOTS <= 3 * sampling.READOUT_BLOCK
+    block = sampling.READOUT_BLOCK
+    assert 2 * block < BLOCKS_SHOTS <= 3 * block
     _readout_matches_reference(state_name, *rates, BLOCKS_SHOTS, 2026)
