@@ -68,7 +68,8 @@ def _slug(argv):
 
 def _cases():
     """{name: [step, ...]}; a step is an argv list, or a dict with the argv,
-    input files to write first, and whether to run it in a subprocess."""
+    input files to write first (text or bytes), and whether to run it in a
+    subprocess."""
     cases = {}
     for f in ("hubbard4", "two-orbital"):
         fx = ["--fixture", f]
@@ -142,6 +143,9 @@ def _cases():
             files = {"run.cfg": argv[k] + "\n"}
             argv[k] = "run.cfg"
         cases["bad-" + _slug(argv)] = [{"argv": argv, "files": files}]
+    for name, (argv, content, _) in helpers.BAD_INPUT_FILES.items():
+        cases["bad-input-" + name] = [{"argv": [*argv, "input"],
+                                       "files": {"input": content}}]
     return cases
 
 
@@ -207,8 +211,10 @@ def run_step(step, directory):
     if isinstance(step, list):
         step = {"argv": step}
     argv = step["argv"]
-    for name, text in step.get("files", {}).items():
-        (directory / name).write_text(text, encoding="utf-8")
+    for name, content in step.get("files", {}).items():
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        (directory / name).write_bytes(content)
     before = _snapshot(directory)
     with _in_directory(directory):
         code, out, err = _invoke(argv, step.get(SUBPROCESS, False))

@@ -1,6 +1,7 @@
 """Small shared helpers: randomized test inputs, full-register views of
 sector states, fresh interpreters on the source tree, and the rejected CLI
-option values that the CLI tests and the golden outputs share."""
+option values and input files that the CLI tests and the golden outputs
+share."""
 
 import itertools
 import os
@@ -106,3 +107,39 @@ BAD_OPTION_VALUES = [
     ["bounds", "--shots", "100", "--delta", "1e-320", "--r", "4", "--d", "16",
      "--q-r", "0.5", "--lambda-h", "1"],
 ]
+
+
+def _fcidump_header(fields):
+    return f"&FCI {fields},\n&END\n 1.0 1 1 0 0\n".encode("ascii")
+
+
+# Input files that fail as one domain error: not text, or (for FCIDUMP) a
+# header naming no determinant or a key without a value, or a body value
+# that is not a finite number.
+BAD_INPUT_FILES = {
+    "fcidump": (["fcidump-info", "--fcidump"],
+                b"&FCI NORB=2,NELEC=2,\n&END\n 1.0 1 1 0 0 \xff\n",
+                "error: UndecodableInput: line 3: "),
+    "fcidump-header": (["fcidump-info", "--fcidump"], b"\xff&FCI\n",
+                       "error: UndecodableInput: line 1: "),
+    "fcidump-odd-electrons": (["fcidump-info", "--fcidump"],
+                              _fcidump_header("NORB=2,NELEC=3,MS2=0"),
+                              "error: MalformedHeader: line 1: "),
+    "fcidump-too-many-electrons": (["fcidump-info", "--fcidump"],
+                                   _fcidump_header("NORB=2,NELEC=6"),
+                                   "error: MalformedHeader: line 1: "),
+    "fcidump-ms2-past-norb": (["fcidump-info", "--fcidump"],
+                              _fcidump_header("NORB=2,NELEC=2,MS2=4"),
+                              "error: MalformedHeader: line 1: "),
+    "fcidump-negative-electrons": (["fcidump-info", "--fcidump"],
+                                   _fcidump_header("NORB=2,NELEC=-2"),
+                                   "error: MalformedHeader: line 1: "),
+    "fcidump-key-without-value": (["fcidump-info", "--fcidump"],
+                                  _fcidump_header("NORB=2,NELEC=2,MS2=two"),
+                                  "error: MalformedHeader: line 1: "),
+    "fcidump-nan-integral": (["fcidump-info", "--fcidump"],
+                             b"&FCI NORB=2,NELEC=2,\n&END\n nan 1 1 0 0\n",
+                             "error: NonNumericValue: line 3: "),
+    "config": (["qsci", "--fixture", "hubbard4", "--config"],
+               b"shots = 100\n\xff\n", "error: ConfigParseError: "),
+}

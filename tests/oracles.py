@@ -9,7 +9,9 @@ of the package's vectorized kernels, which are pinned against them, and
 ``apply_excitation`` applies one excitation string to one determinant.  The
 one-bit-per-key bitstring sort, the searchsorted gate pairing and the
 flat mask-class gate pairing are the array paths the package's byte-table
-sort and per-spin-channel pairing replaced, kept here as their references.
+sort and per-spin-channel pairing replaced, kept here as their references,
+and ``davidson_reference`` is the stacked-list Davidson loop that the
+buffered one replaced.
 """
 
 import functools
@@ -21,6 +23,7 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
+from qselci import hamiltonian
 from qselci.circuits import (
     GATE_BASIS,
     GATE_EXCITATION,
@@ -34,6 +37,7 @@ from qselci.dets import (
     full_excitation,
     string_sign,
 )
+from qselci.errors import NoConvergence
 from qselci.fcidump import IntegralTable
 from qselci.simulator import _givens_decompose
 
@@ -566,3 +570,102 @@ def _basis_rotation(amps, index, kappa, n_orbitals, rotate):
         for off in (0, n_orbitals):
             op = ExcitationOp(n_orbitals, (j + off,), (i + off,), phase=1)
             rotate(amps, index, op, -theta)
+
+
+# ------------------------------------------------ Davidson reference
+#
+# ``hamiltonian.davidson_lowest`` as it was before its basis moved into
+# preallocated buffers and its small solve into a direct LAPACK call: the
+# basis and its images are stacked afresh with ``np.column_stack`` on every
+# iteration and the projected matrix goes through ``scipy.linalg.eigh``.
+# The constants are read from the package at call time, so a test that
+# patches them patches both solvers.
+
+
+def davidson_reference(subspace):
+    """Lowest eigenpair of a SubspaceMatrix by the stacked-list Davidson
+    loop; returns a Wavefunction or raises NoConvergence."""
+    A = subspace.matrix
+    dim = subspace.dim
+    if dim == 0:
+        raise ValueError("empty subspace")
+    diag = A.diagonal()
+    order = np.argsort(diag, kind="stable")
+    v0 = np.zeros(dim)
+    v0[order[0]] = 1.0
+    V = [v0]
+    W = [A @ v0]
+    theta, x = float(diag[order[0]]), v0
+    max_basis = min(hamiltonian.DAVIDSON_MAX_BASIS, dim)
+
+    for _ in range(hamiltonian.DAVIDSON_MAX_ITER):
+        Vm = np.column_stack(V)
+        Wm = np.column_stack(W)
+        T = Vm.T @ Wm
+        T = (T + T.T) / 2
+        evals, evecs = scipy.linalg.eigh(T)
+        theta = float(evals[0])
+        s = evecs[:, 0]
+        x = Vm @ s
+        r = Wm @ s - theta * x
+        if np.linalg.norm(r) < hamiltonian.DAVIDSON_TOL or len(V) == dim:
+            return hamiltonian.Wavefunction(
+                masks=subspace.masks,
+                coeffs=_canonical_sign(x / np.linalg.norm(x)),
+                energy=theta + subspace.core_energy,
+                n_orbitals=subspace.n_orbitals,
+            )
+        if len(V) >= max_basis:
+            kept = [Vm @ evecs[:, k]
+                    for k in range(min(hamiltonian.DAVIDSON_RESTART_KEEP,
+                                       len(V)))]
+            V, W = [], []
+            for vec in kept:
+                vec = _orthonormalize(vec, V)
+                if vec is not None:
+                    V.append(vec)
+                    W.append(A @ vec)
+        denom = theta - diag
+        shift = hamiltonian.DAVIDSON_LEVEL_SHIFT
+        denom = np.where(np.abs(denom) < shift,
+                         np.where(denom >= 0, shift, -shift), denom)
+        z = _orthonormalize(r / denom, V)
+        if z is None:
+            z = _fallback_direction(V, order)
+            if z is None:
+                break
+        V.append(z)
+        W.append(A @ z)
+
+    raise NoConvergence(
+        f"Davidson did not reach |r| < {hamiltonian.DAVIDSON_TOL} in "
+        f"{hamiltonian.DAVIDSON_MAX_ITER} iterations",
+        energy=theta + subspace.core_energy,
+        vector=_canonical_sign(x / np.linalg.norm(x)),
+        iterations=hamiltonian.DAVIDSON_MAX_ITER,
+    )
+
+
+def _canonical_sign(vec):
+    k = int(np.argmax(np.abs(vec)))
+    return -vec if vec[k] < 0 else vec
+
+
+def _orthonormalize(vec, basis, threshold=1e-10):
+    for _ in range(2):
+        for b in basis:
+            vec = vec - (b @ vec) * b
+    norm = np.linalg.norm(vec)
+    if norm < threshold:
+        return None
+    return vec / norm
+
+
+def _fallback_direction(basis, order):
+    for k in order:
+        e = np.zeros(len(order))
+        e[k] = 1.0
+        z = _orthonormalize(e, basis, threshold=1e-6)
+        if z is not None:
+            return z
+    return None

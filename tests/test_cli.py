@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import BAD_OPTION_VALUES
+from helpers import BAD_INPUT_FILES, BAD_OPTION_VALUES
 from qselci.bounds import gate_budget, uniform_probability
 from qselci.cli import (
     OPTIONS,
@@ -137,42 +137,6 @@ def test_malformed_wavefunction_is_one_line_domain_error(capsys, tmp_path, text)
     assert len(lines) == 1
     assert lines[0].startswith("error: MalformedWavefunction: ")
     assert captured.out == ""
-
-
-def _fcidump_header(fields):
-    return f"&FCI {fields},\n&END\n 1.0 1 1 0 0\n".encode("ascii")
-
-
-# Input files that fail as one domain error: not text, or (for FCIDUMP) a
-# header naming no determinant or a key without a value, or a body value
-# that is not a finite number.
-BAD_INPUT_FILES = {
-    "fcidump": (["fcidump-info", "--fcidump"],
-                b"&FCI NORB=2,NELEC=2,\n&END\n 1.0 1 1 0 0 \xff\n",
-                "error: UndecodableInput: line 3: "),
-    "fcidump-header": (["fcidump-info", "--fcidump"], b"\xff&FCI\n",
-                       "error: UndecodableInput: line 1: "),
-    "fcidump-odd-electrons": (["fcidump-info", "--fcidump"],
-                              _fcidump_header("NORB=2,NELEC=3,MS2=0"),
-                              "error: MalformedHeader: line 1: "),
-    "fcidump-too-many-electrons": (["fcidump-info", "--fcidump"],
-                                   _fcidump_header("NORB=2,NELEC=6"),
-                                   "error: MalformedHeader: line 1: "),
-    "fcidump-ms2-past-norb": (["fcidump-info", "--fcidump"],
-                              _fcidump_header("NORB=2,NELEC=2,MS2=4"),
-                              "error: MalformedHeader: line 1: "),
-    "fcidump-negative-electrons": (["fcidump-info", "--fcidump"],
-                                   _fcidump_header("NORB=2,NELEC=-2"),
-                                   "error: MalformedHeader: line 1: "),
-    "fcidump-key-without-value": (["fcidump-info", "--fcidump"],
-                                  _fcidump_header("NORB=2,NELEC=2,MS2=two"),
-                                  "error: MalformedHeader: line 1: "),
-    "fcidump-nan-integral": (["fcidump-info", "--fcidump"],
-                             b"&FCI NORB=2,NELEC=2,\n&END\n nan 1 1 0 0\n",
-                             "error: NonNumericValue: line 3: "),
-    "config": (["qsci", "--fixture", "hubbard4", "--config"],
-               b"shots = 100\n\xff\n", "error: ConfigParseError: "),
-}
 
 
 @pytest.mark.parametrize(

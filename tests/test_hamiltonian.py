@@ -1,12 +1,17 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
 from qselci import hamiltonian
+from qselci.circuits import build_usci, prescreen
 from qselci.dets import (Determinant, det_masks, enumerate_space,
-                         excitation_rank, hartree_fock)
+                         excitation_rank, hartree_fock, sector_masks)
 from qselci.errors import DuplicateDeterminant, NoConvergence, TooLarge
+from qselci.expansion import expand_and_rediagonalize
 from qselci.fcidump import IntegralTable
 from qselci.fixtures import hubbard_chain_table, two_orbital_table
 from qselci.hamiltonian import (
@@ -19,6 +24,9 @@ from qselci.hamiltonian import (
     slater_condon,
     spectral_halfwidth,
 )
+from qselci.pipeline import noisy_counts
+from qselci.sampling import NoiseModel, counts_to_masks, symmetry_filter
+from qselci.simulator import Statevector, apply_circuit
 
 import helpers
 import oracles
@@ -161,6 +169,125 @@ def test_davidson_no_convergence_carries_best_iterate(monkeypatch):
     assert err.value.energy is not None
     assert err.value.energy >= exact - 1e-10  # variational iterate
     assert err.value.vector is not None and len(err.value.vector) == 100
+
+
+# The buffered Davidson loop against the stacked-list reference it replaced:
+# the same floats, bit for bit, and the same number of mat-vecs, on Hubbard
+# QSCI subspaces that restart, an expansion subspace of a dense table, the
+# smallest dimensions and the matrices above.
+
+class _CountingMatrix(scipy.sparse.csr_matrix):
+    """A csr_matrix that counts ``A @ v``, as the bench tracer does."""
+
+    matvecs = 0
+
+    def __matmul__(self, other):
+        self.matvecs += 1
+        return super().__matmul__(other)
+
+
+def _counted(subspace):
+    return dataclasses.replace(subspace,
+                               matrix=_CountingMatrix(subspace.matrix))
+
+
+@functools.cache
+def _hubbard8_qsci_setup():
+    """The qsci-hubbard8 bench pass up to its subspace: FCI pilot, prescreen
+    at 0.01, USCI circuit at angle 0.15, 1e5 noisy shots."""
+    table = hubbard_chain_table(8, n_electrons=4)
+    selected = prescreen(fci_oracle(table), 0.01)
+    circuit = build_usci(selected[0], selected, table.n_orbitals)
+    state = apply_circuit(
+        circuit, np.full(circuit.n_params, 0.15),
+        Statevector.from_determinant(circuit.reference, table.n_orbitals))
+    return table, state
+
+
+def _hubbard8_qsci_subspace(seed):
+    table, state = _hubbard8_qsci_setup()
+    noise = NoiseModel(depolarizing_p=0.01, readout_eps0=0.005,
+                       readout_eps1=0.01)
+    counts = noisy_counts(state, 100_000, noise, seed)
+    kept, _ = symmetry_filter(counts, table.n_alpha, table.n_beta)
+    return build_subspace(counts_to_masks(kept, table.n_orbitals), table)
+
+
+def _dense8_expansion_subspace():
+    """The subspace of one top-200 expansion step on a dense random
+    8-orbital table, from the lowest state on every fifth sector row."""
+    table = helpers.random_table(8, 4, seed=8)
+    start = davidson_lowest(build_subspace(sector_masks(8, 2, 2)[::5], table))
+    grown = expand_and_rediagonalize(start, table, 0.0, 200)
+    return build_subspace(grown.wavefunction_after.masks, table)
+
+
+def _random_symmetric(dim, seed):
+    mat = np.random.default_rng(seed).normal(size=(dim, dim))
+    return (mat + mat.T) / 2
+
+
+def _ci_like(dim):
+    rng = np.random.default_rng(dim)
+    mat = rng.normal(size=(dim, dim)) * 0.05
+    mat = (mat + mat.T) / 2
+    mat[np.diag_indices(dim)] = np.sort(rng.normal(size=dim) * 2.0)
+    return mat
+
+
+PINNED_SUBSPACES = {
+    **{f"hubbard8-qsci-seed{s}": functools.partial(_hubbard8_qsci_subspace, s)
+       for s in (11, 41, 51)},
+    "dense8-expansion": _dense8_expansion_subspace,
+    **{f"random-dim{d}": functools.partial(
+        lambda d: _matrix_subspace(_random_symmetric(d, 70 + d)), d)
+       for d in range(1, 6)},
+    "diagonal": lambda: _matrix_subspace(np.diag([3.0, 1.0, 2.0]), core=0.5),
+    **{f"ci-like-dim{d}": functools.partial(
+        lambda d: _matrix_subspace(_ci_like(d)), d)
+       for d in (5, 30, 80, 200, 500)},
+    **{f"unstructured-dim{d}": functools.partial(
+        lambda d: _matrix_subspace(_random_symmetric(d, 1000 + d)), d)
+       for d in (60, 240)},
+    "unstructured-dim100": lambda: _matrix_subspace(_random_symmetric(100, 42)),
+}
+
+
+def _assert_same_wavefunction(got, expect):
+    assert got.energy.hex() == expect.energy.hex()
+    assert got.coeffs.tobytes() == expect.coeffs.tobytes()
+    assert np.array_equal(got.masks, expect.masks)
+
+
+@pytest.mark.parametrize("name", PINNED_SUBSPACES)
+def test_davidson_matches_reference_bitwise(name):
+    subspace = PINNED_SUBSPACES[name]()
+    _assert_same_wavefunction(davidson_lowest(subspace),
+                              oracles.davidson_reference(subspace))
+
+
+@pytest.mark.parametrize("name", PINNED_SUBSPACES)
+def test_davidson_matvec_count_matches_reference(name):
+    subspace = PINNED_SUBSPACES[name]()
+    got, expect = _counted(subspace), _counted(subspace)
+    davidson_lowest(got)
+    oracles.davidson_reference(expect)
+    assert got.matrix.matvecs == expect.matrix.matvecs
+    if name.startswith("hubbard8"):  # these pass a restart
+        assert got.matrix.matvecs > hamiltonian.DAVIDSON_MAX_BASIS
+
+
+@pytest.mark.parametrize("name", ["hubbard8-qsci-seed11", "unstructured-dim100"])
+def test_davidson_no_convergence_matches_reference_bitwise(monkeypatch, name):
+    subspace = PINNED_SUBSPACES[name]()
+    monkeypatch.setattr(hamiltonian, "DAVIDSON_MAX_ITER", 2)
+    with pytest.raises(NoConvergence) as got:
+        davidson_lowest(subspace)
+    with pytest.raises(NoConvergence) as expect:
+        oracles.davidson_reference(subspace)
+    assert got.value.energy.hex() == expect.value.energy.hex()
+    assert got.value.vector.tobytes() == expect.value.vector.tobytes()
+    assert got.value.iterations == expect.value.iterations == 2
 
 
 def test_variational_chain_nested_subsets():
