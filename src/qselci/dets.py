@@ -123,13 +123,22 @@ def hartree_fock(n_orbitals, n_alpha, n_beta):
 
 def det_masks(dets):
     """The (N, 2) uint64 ``[alpha, beta]`` mask rows of a determinant list;
-    mask rows pass through unchanged.
+    uint64 mask rows pass through unchanged, and other integer rows are
+    converted.
 
     Raises TooLarge when an occupied orbital lies past the 64 orbitals a
-    uint64 mask holds.
+    uint64 mask holds, and ValueError for an array that is not (N, 2)
+    nonnegative integers.
     """
     if isinstance(dets, np.ndarray):
-        return dets
+        if dets.ndim != 2 or dets.shape[1] != 2 or dets.dtype.kind not in "iu":
+            raise ValueError(f"mask rows must be an (N, 2) integer array, got "
+                             f"shape {dets.shape} of {dets.dtype}")
+        if dets.dtype == np.uint64:
+            return dets
+        if (dets < 0).any():
+            raise ValueError("mask rows must be nonnegative")
+        return dets.astype(np.uint64)
     return np.column_stack([_uint64([d.alpha for d in dets]),
                             _uint64([d.beta for d in dets])])
 

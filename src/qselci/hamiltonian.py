@@ -17,8 +17,13 @@ reference and a dense operator-matrix construction.
 
 The subspace eigenproblem is an ordinary symmetric one (determinants are
 orthonormal).  ``davidson_lowest`` is a Davidson solver with a diagonal
-preconditioner and thick restarts; ``fci_oracle`` enumerates a full sector
-and diagonalizes it (dense below ``DENSE_CUTOFF``).
+preconditioner and thick restarts.  It writes each basis vector and its
+image ``A @ v`` once, into two preallocated ``(dim, DAVIDSON_MAX_BASIS)``
+buffers, and reads the basis as their column views; the projected matrix
+goes straight to the LAPACK ``syevr`` call that ``scipy.linalg.eigh`` makes
+by default, so results are those of the stacked-list loop with ``eigh``
+that tests/oracles.py keeps as its reference.  ``fci_oracle`` enumerates a
+full sector and diagonalizes it (dense below ``DENSE_CUTOFF``).
 """
 
 import json
@@ -94,6 +99,7 @@ class Wavefunction:
         if self.n_orbitals > 64:
             raise TooLarge(f"{self.n_orbitals} orbitals is past the 64-orbital "
                            "limit of uint64 determinant masks")
+        self.masks = det_masks(self.masks)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if len(self.coeffs) != len(self.masks):
             raise ValueError("coefficient/determinant length mismatch")
@@ -397,10 +403,19 @@ def _canonical_sign(vec):
     return -vec if vec[k] < 0 else vec
 
 
+def _nonempty_dim(subspace):
+    """The subspace dimension; ValueError when it is 0, which no solver
+    can diagonalize."""
+    if subspace.dim == 0:
+        raise ValueError("empty subspace")
+    return subspace.dim
+
+
 def dense_lowest(subspace):
     """Dense reference diagonalization (full eigensolve, lowest state)."""
     import scipy.linalg
 
+    _nonempty_dim(subspace)
     dense = subspace.matrix.toarray()
     w, v = scipy.linalg.eigh(dense)
     vec = _canonical_sign(v[:, 0])
@@ -422,27 +437,32 @@ def davidson_lowest(subspace):
     NoConvergence (carrying the best iterate) after ``DAVIDSON_MAX_ITER``
     iterations.
     """
-    import scipy.linalg
-
     A = subspace.matrix
-    dim = subspace.dim
-    if dim == 0:
-        raise ValueError("empty subspace")
+    dim = _nonempty_dim(subspace)
     diag = A.diagonal()
     order = np.argsort(diag, kind="stable")
+    max_basis = min(DAVIDSON_MAX_BASIS, dim)
+    # Basis vector k and its image A @ v_k are column k of these buffers,
+    # each written once; V keeps the contiguous vectors, in order, for
+    # _orthonormalize.
+    V_cols, W_cols = np.empty((dim, max_basis)), np.empty((dim, max_basis))
+    V = []
+
+    def extend(vec):
+        V_cols[:, len(V)] = vec
+        W_cols[:, len(V)] = A @ vec
+        V.append(vec)
+
     v0 = np.zeros(dim)
     v0[order[0]] = 1.0
-    V = [v0]
-    W = [A @ v0]
+    extend(v0)
     theta, x = float(diag[order[0]]), v0
-    max_basis = min(DAVIDSON_MAX_BASIS, dim)
 
     for _ in range(DAVIDSON_MAX_ITER):
-        Vm = np.column_stack(V)
-        Wm = np.column_stack(W)
+        Vm, Wm = V_cols[:, :len(V)], W_cols[:, :len(V)]
         T = Vm.T @ Wm
         T = (T + T.T) / 2
-        evals, evecs = scipy.linalg.eigh(T)
+        evals, evecs = _symmetric_eigh(T)
         theta = float(evals[0])
         s = evecs[:, 0]
         x = Vm @ s
@@ -457,14 +477,15 @@ def davidson_lowest(subspace):
                 n_orbitals=subspace.n_orbitals,
             )
         if len(V) >= max_basis:
+            # the kept Ritz vectors are computed before extend overwrites
+            # the columns Vm views
             kept = [Vm @ evecs[:, k]
                     for k in range(min(DAVIDSON_RESTART_KEEP, len(V)))]
-            V, W = [], []
+            V.clear()
             for vec in kept:
                 vec = _orthonormalize(vec, V)
                 if vec is not None:
-                    V.append(vec)
-                    W.append(A @ vec)
+                    extend(vec)
         denom = theta - diag
         shift = DAVIDSON_LEVEL_SHIFT
         denom = np.where(np.abs(denom) < shift,
@@ -474,8 +495,7 @@ def davidson_lowest(subspace):
             z = _fallback_direction(V, order)
             if z is None:
                 break
-        V.append(z)
-        W.append(A @ z)
+        extend(z)
 
     raise NoConvergence(
         f"Davidson did not reach |r| < {DAVIDSON_TOL} in {DAVIDSON_MAX_ITER} "
@@ -484,6 +504,23 @@ def davidson_lowest(subspace):
         vector=_canonical_sign(x / np.linalg.norm(x)),
         iterations=DAVIDSON_MAX_ITER,
     )
+
+
+def _symmetric_eigh(T):
+    """All eigenpairs of a symmetric matrix of order up to
+    ``DAVIDSON_MAX_BASIS``, eigenvalues ascending: the LAPACK ``syevr`` call
+    on the lower triangle that ``scipy.linalg.eigh`` makes by default,
+    without its wrapper.  f2py's default workspace replaces eigh's queried
+    one; at this order LAPACK takes the same unblocked paths with either, so
+    the results are eigh's bit for bit."""
+    from scipy.linalg import LinAlgError, get_lapack_funcs
+
+    T = np.asarray_chkfinite(T)
+    syevr = get_lapack_funcs("syevr", (T,))
+    evals, evecs, _, _, info = syevr(T, compute_v=1, lower=1)
+    if info:
+        raise LinAlgError(f"syevr failed with info {info}")
+    return evals, evecs
 
 
 def _orthonormalize(vec, basis, threshold=1e-10):
@@ -525,7 +562,7 @@ def spectral_halfwidth(subspace, cap=SPECTRUM_CAP):
     """(E_max - E_min) / 2 of a subspace matrix (core shift cancels)."""
     import scipy.linalg
 
-    if subspace.dim > cap:
+    if _nonempty_dim(subspace) > cap:
         raise TooLarge(
             f"dense spectrum of dimension {subspace.dim} above cap {cap}"
         )

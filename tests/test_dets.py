@@ -7,6 +7,7 @@ import pytest
 from qselci.dets import (
     Determinant,
     ExcitationOp,
+    det_masks,
     enumerate_space,
     excitation_rank,
     full_excitation,
@@ -42,6 +43,30 @@ def test_enumerate_order_is_ascending_mask_pairs():
 def test_enumerate_cap():
     with pytest.raises(TooLarge):
         enumerate_space(10, 5, 5, cap=10**4)
+
+
+def test_det_masks_passes_uint64_rows_through():
+    rows = np.array([[3, 5], [6, 3]], np.uint64)
+    assert det_masks(rows) is rows
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_det_masks_converts_integer_rows(dtype):
+    got = det_masks(np.array([[3, 5], [6, 3]], dtype))
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, det_masks([Determinant(3, 5), Determinant(6, 3)]))
+
+
+@pytest.mark.parametrize("rows, match", [
+    (np.array([[3, -5]]), "nonnegative"),
+    (np.array([[3.0, 5.0]]), "integer"),
+    (np.array([[True, False]]), "integer"),
+    (np.array([3, 5], np.uint64), r"\(N, 2\)"),
+    (np.array([[3, 5, 6]], np.uint64), r"\(N, 2\)"),
+])
+def test_det_masks_rejects_other_arrays(rows, match):
+    with pytest.raises(ValueError, match=match):
+        det_masks(rows)
 
 
 def test_hartree_fock_reference():

@@ -11,7 +11,7 @@ from qselci.circuits import build_usci, prescreen
 from qselci.dets import (Determinant, det_masks, enumerate_space,
                          excitation_rank, hartree_fock, sector_masks)
 from qselci.errors import DuplicateDeterminant, NoConvergence, TooLarge
-from qselci.expansion import expand_and_rediagonalize
+from qselci.expansion import en_pt2, expand_and_rediagonalize
 from qselci.fcidump import IntegralTable
 from qselci.fixtures import hubbard_chain_table, two_orbital_table
 from qselci.hamiltonian import (
@@ -288,6 +288,55 @@ def test_davidson_no_convergence_matches_reference_bitwise(monkeypatch, name):
     assert got.value.energy.hex() == expect.value.energy.hex()
     assert got.value.vector.tobytes() == expect.value.vector.tobytes()
     assert got.value.iterations == expect.value.iterations == 2
+
+
+@pytest.mark.parametrize("size", range(1, hamiltonian.DAVIDSON_MAX_BASIS + 1))
+def test_small_solve_is_eigh_bitwise(size):
+    rng = np.random.default_rng(size)
+    repeated = np.repeat(rng.normal(size=(size + 1) // 2), 2)[:size]
+    q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    for T in (_random_symmetric(size, size),
+              np.diag(rng.normal(size=size)),
+              np.diag(repeated),
+              (q * repeated) @ q.T):
+        T = (T + T.T) / 2
+        got, expect = hamiltonian._symmetric_eigh(T), scipy.linalg.eigh(T)
+        for a, b in zip(got, expect):
+            assert a.tobytes() == b.tobytes()
+            assert a.strides == b.strides
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_small_solve_rejects_non_finite_like_eigh(bad):
+    T = np.eye(3)
+    T[1, 2] = T[2, 1] = bad
+    with pytest.raises(ValueError) as expect:
+        scipy.linalg.eigh(T)
+    with pytest.raises(ValueError, match=str(expect.value)):
+        hamiltonian._symmetric_eigh(T)
+
+
+@pytest.mark.parametrize("solve", [davidson_lowest, dense_lowest,
+                                   spectral_halfwidth])
+def test_solvers_reject_an_empty_subspace(solve):
+    empty = build_subspace(np.zeros((0, 2), np.uint64), hubbard_chain_table(4))
+    with pytest.raises(ValueError, match="empty subspace"):
+        solve(empty)
+
+
+def test_int64_mask_rows_match_uint64_rows():
+    table = hubbard_chain_table(4)
+    rows = sector_masks(4, 2, 2)[::3]
+    sub = build_subspace(rows, table)
+    sub64 = build_subspace(rows.astype(np.int64), table)
+    assert sub64.masks.dtype == np.uint64
+    assert sub64.matrix.toarray().tobytes() == sub.matrix.toarray().tobytes()
+    wf = davidson_lowest(sub)
+    _assert_same_wavefunction(davidson_lowest(sub64), wf)
+    wf64 = Wavefunction(masks=wf.masks.astype(np.int64), coeffs=wf.coeffs,
+                        energy=wf.energy, n_orbitals=wf.n_orbitals)
+    assert wf64.masks.dtype == np.uint64
+    assert en_pt2(wf64, table) == en_pt2(wf, table)
 
 
 def test_variational_chain_nested_subsets():
