@@ -131,14 +131,12 @@ def det_masks(dets):
     nonnegative integers.
     """
     if isinstance(dets, np.ndarray):
-        if dets.ndim != 2 or dets.shape[1] != 2 or dets.dtype.kind not in "iu":
-            raise ValueError(f"mask rows must be an (N, 2) integer array, got "
-                             f"shape {dets.shape} of {dets.dtype}")
-        if dets.dtype == np.uint64:
-            return dets
-        if (dets < 0).any():
-            raise ValueError("mask rows must be nonnegative")
-        return dets.astype(np.uint64)
+        kind = dets.dtype.kind
+        if (dets.shape[1:] != (2,) or kind not in "iu"
+                or kind == "i" and (dets < 0).any()):
+            raise ValueError("mask rows must be an (N, 2) array of nonnegative "
+                             f"integers, got {dets.dtype} of shape {dets.shape}")
+        return dets.astype(np.uint64, copy=False)
     return np.column_stack([_uint64([d.alpha for d in dets]),
                             _uint64([d.beta for d in dets])])
 

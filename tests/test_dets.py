@@ -57,15 +57,15 @@ def test_det_masks_converts_integer_rows(dtype):
     assert np.array_equal(got, det_masks([Determinant(3, 5), Determinant(6, 3)]))
 
 
-@pytest.mark.parametrize("rows, match", [
-    (np.array([[3, -5]]), "nonnegative"),
-    (np.array([[3.0, 5.0]]), "integer"),
-    (np.array([[True, False]]), "integer"),
-    (np.array([3, 5], np.uint64), r"\(N, 2\)"),
-    (np.array([[3, 5, 6]], np.uint64), r"\(N, 2\)"),
-])
-def test_det_masks_rejects_other_arrays(rows, match):
-    with pytest.raises(ValueError, match=match):
+@pytest.mark.parametrize("rows", [
+    np.array([[3, -5]]),
+    np.array([[3.0, 5.0]]),
+    np.array([[True, False]]),
+    np.array([3, 5], np.uint64),
+    np.array([[3, 5, 6]], np.uint64),
+], ids=["negative", "float", "bool", "one-row-1d", "three-columns"])
+def test_det_masks_rejects_other_arrays(rows):
+    with pytest.raises(ValueError, match=r"\(N, 2\) array of nonnegative"):
         det_masks(rows)
 
 

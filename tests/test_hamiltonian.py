@@ -126,6 +126,19 @@ def _matrix_subspace(mat, core=0.0):
     )
 
 
+def _random_symmetric(dim, seed):
+    mat = np.random.default_rng(seed).normal(size=(dim, dim))
+    return (mat + mat.T) / 2
+
+
+def _ci_like(dim):
+    rng = np.random.default_rng(dim)
+    mat = rng.normal(size=(dim, dim)) * 0.05
+    mat = (mat + mat.T) / 2
+    mat[np.diag_indices(dim)] = np.sort(rng.normal(size=dim) * 2.0)
+    return mat
+
+
 def test_davidson_diagonal_example():
     wf = davidson_lowest(_matrix_subspace(np.diag([3.0, 1.0, 2.0])))
     assert wf.energy == pytest.approx(1.0, abs=1e-12)
@@ -134,10 +147,7 @@ def test_davidson_diagonal_example():
 
 @pytest.mark.parametrize("dim", [5, 30, 80, 200, 500])
 def test_davidson_matches_dense_ci_like(dim):
-    rng = np.random.default_rng(dim)
-    mat = rng.normal(size=(dim, dim)) * 0.05
-    mat = (mat + mat.T) / 2
-    mat[np.diag_indices(dim)] = np.sort(rng.normal(size=dim) * 2.0)
+    mat = _ci_like(dim)
     wf = davidson_lowest(_matrix_subspace(mat))
     expect = scipy.linalg.eigvalsh(mat)[0]
     assert wf.energy == pytest.approx(expect, abs=1e-9)
@@ -145,9 +155,7 @@ def test_davidson_matches_dense_ci_like(dim):
 
 @pytest.mark.parametrize("dim", [60, 240])
 def test_davidson_matches_dense_unstructured(dim):
-    rng = np.random.default_rng(1000 + dim)
-    mat = rng.normal(size=(dim, dim))
-    mat = (mat + mat.T) / 2
+    mat = _random_symmetric(dim, 1000 + dim)
     wf = davidson_lowest(_matrix_subspace(mat))
     expect = scipy.linalg.eigvalsh(mat)[0]
     assert wf.energy == pytest.approx(expect, abs=1e-9)
@@ -159,9 +167,7 @@ def test_davidson_core_energy_offset():
 
 
 def test_davidson_no_convergence_carries_best_iterate(monkeypatch):
-    rng = np.random.default_rng(42)
-    mat = rng.normal(size=(100, 100))
-    mat = (mat + mat.T) / 2
+    mat = _random_symmetric(100, 42)
     monkeypatch.setattr(hamiltonian, "DAVIDSON_MAX_ITER", 2)
     with pytest.raises(NoConvergence) as err:
         davidson_lowest(_matrix_subspace(mat))
@@ -222,32 +228,18 @@ def _dense8_expansion_subspace():
     return build_subspace(grown.wavefunction_after.masks, table)
 
 
-def _random_symmetric(dim, seed):
-    mat = np.random.default_rng(seed).normal(size=(dim, dim))
-    return (mat + mat.T) / 2
-
-
-def _ci_like(dim):
-    rng = np.random.default_rng(dim)
-    mat = rng.normal(size=(dim, dim)) * 0.05
-    mat = (mat + mat.T) / 2
-    mat[np.diag_indices(dim)] = np.sort(rng.normal(size=dim) * 2.0)
-    return mat
-
-
-PINNED_SUBSPACES = {
-    **{f"hubbard8-qsci-seed{s}": functools.partial(_hubbard8_qsci_subspace, s)
+PINNED_SUBSPACES = {  # name -> builder
+    **{f"hubbard8-qsci-seed{s}": lambda s=s: _hubbard8_qsci_subspace(s)
        for s in (11, 41, 51)},
     "dense8-expansion": _dense8_expansion_subspace,
-    **{f"random-dim{d}": functools.partial(
-        lambda d: _matrix_subspace(_random_symmetric(d, 70 + d)), d)
+    **{f"random-dim{d}":
+       lambda d=d: _matrix_subspace(_random_symmetric(d, 70 + d))
        for d in range(1, 6)},
     "diagonal": lambda: _matrix_subspace(np.diag([3.0, 1.0, 2.0]), core=0.5),
-    **{f"ci-like-dim{d}": functools.partial(
-        lambda d: _matrix_subspace(_ci_like(d)), d)
+    **{f"ci-like-dim{d}": lambda d=d: _matrix_subspace(_ci_like(d))
        for d in (5, 30, 80, 200, 500)},
-    **{f"unstructured-dim{d}": functools.partial(
-        lambda d: _matrix_subspace(_random_symmetric(d, 1000 + d)), d)
+    **{f"unstructured-dim{d}":
+       lambda d=d: _matrix_subspace(_random_symmetric(d, 1000 + d))
        for d in (60, 240)},
     "unstructured-dim100": lambda: _matrix_subspace(_random_symmetric(100, 42)),
 }
