@@ -120,6 +120,41 @@ def _cases():
             "files": {"run.cfg": "# a comment\nshots = 5000\nseed = 3\n"
                                  "depol_p = 0.02\neps1 = 0.01\n"},
         }],
+        # dashed and underscored keys, switches as yes and false, and a
+        # flag over a file value
+        "config-file-key-spellings": [{
+            "argv": ["qsci", "--config", "run.cfg", "--shots", "3000"],
+            "files": {"run.cfg": "# noise and circuit\n\nfixture = hubbard4\n"
+                                 "depol-p = 0.02\ntop_m = 4\n"
+                                 "orbital_rotation = yes\noptimize = false\n"
+                                 "shots = 5000\nseed = 5\n"},
+        }],
+        "config-file-switch-flag-over-file": [{
+            "argv": ["qsci", "--fixture", "two-orbital", "--config", "run.cfg",
+                     "--optimize"],
+            "files": {"run.cfg": "optimize = false\nmax-evals = 6\n"
+                                 "shots = 2000\n"},
+        }],
+        "config-file-in-keys": [
+            {"argv": ["pt2", "--fixture", "hubbard4", "--config", "a.cfg"],
+             "files": {"a.cfg": "in = in.json\n"}},
+            {"argv": ["pt2", "--config", "b.cfg"],
+             "files": {"b.cfg": "infile = in.json\nfixture = hubbard4\n"}},
+            {"argv": ["analyze", "--config", "c.cfg"],
+             "files": {"c.cfg": "in = in.json\n"}},
+            {"argv": ["analyze", "--config", "d.cfg"],
+             "files": {"d.cfg": "# edges above a threshold\ninfile = in.json\n"
+                                "mi-edges = edges.csv\nmi_threshold = 0.01\n"}},
+        ],
+        "config-file-bad-boolean": [{
+            "argv": ["qsci", "--fixture", "hubbard4", "--config", "run.cfg"],
+            "files": {"run.cfg": "shots = 100\n\noptimize = maybe\n"},
+        }],
+        "config-file-key-of-another-subcommand": [{
+            "argv": ["pt2", "--fixture", "hubbard4", "--config", "run.cfg"],
+            "files": {"run.cfg": "# pt2 takes no shot count\nin = in.json\n"
+                                 "shots = 100\n"},
+        }],
         "fci-save-wf-unwritable-report": [
             ["fci", "--fixture", "hubbard4", "--save-wf", "wf.json",
              "--out", "nodir/r.json"]],
