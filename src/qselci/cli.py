@@ -38,11 +38,6 @@ import scipy
 from . import __version__
 from .errors import ConfigParseError, QselciError
 
-SUBCOMMANDS = (
-    "fcidump-info", "fci", "usci-build", "qsci", "sample",
-    "expand", "pt2", "bounds", "analyze", "demo",
-)
-
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas",
                            "report.schema.json")
 
@@ -142,49 +137,48 @@ def _bool_from_text(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# (flags, dest, type, default, help); type None marks store_true switches
+# (flag, type, default, help); type None marks store_true switches
 _COMMON = [
-    (("--out",), "out", str, None, "path for the JSON report (default: stdout)"),
-    (("--config",), "config", str, None, "flat key=value config file"),
+    ("--out", str, None, "path for the JSON report (default: stdout)"),
+    ("--config", str, None, "flat key=value config file"),
 ]
 
 _TABLE_SRC = [
-    (("--fcidump",), "fcidump", str, None, "integral file to load"),
-    (("--fixture",), "fixture", str, None,
+    ("--fcidump", str, None, "integral file to load"),
+    ("--fixture", str, None,
      "built-in system: hubbard4 | two-orbital | h-chain-synthetic"),
 ]
 
 _PER_GATE = [
-    (("--pg",), "pg", float, None, "per-gate error rate (overrides --depol-p)"),
-    (("--n2q",), "n2q", int, None, "two-qubit gate count for --pg aggregation"),
+    ("--pg", float, None, "per-gate error rate (overrides --depol-p)"),
+    ("--n2q", int, None, "two-qubit gate count for --pg aggregation"),
 ]
 
 _READOUT = [
-    (("--eps0",), "eps0", float, 0.0, "readout flip probability 0->1"),
-    (("--eps1",), "eps1", float, 0.0, "readout flip probability 1->0"),
+    ("--eps0", float, 0.0, "readout flip probability 0->1"),
+    ("--eps1", float, 0.0, "readout flip probability 1->0"),
 ]
 
 _PRESCREEN = [
-    (("--cutoff",), "cutoff", float, 0.01, "prescreen amplitude cutoff"),
-    (("--top-m",), "top_m", int, None, "prescreen size cap"),
+    ("--cutoff", float, 0.01, "prescreen amplitude cutoff"),
+    ("--top-m", int, None, "prescreen size cap"),
 ]
 
 _CIRCUIT = [
-    (("--layers",), "layers", int, 1, "ansatz layer count"),
-    (("--degree-cap",), "degree_cap", int, None,
-     "per-qubit excitation-partner cap"),
-    (("--orbital-rotation",), "orbital_rotation", None, False,
+    ("--layers", int, 1, "ansatz layer count"),
+    ("--degree-cap", int, None, "per-qubit excitation-partner cap"),
+    ("--orbital-rotation", None, False,
      "prepend one-body rotation gates to each layer"),
-    (("--init-angle",), "init_angle", float, 0.15,
+    ("--init-angle", float, 0.15,
      "uniform initial rotation angle for unoptimized runs"),
 ]
 
 # single rows that more than one subcommand lists
-_DEPOL = (("--depol-p",), "depol_p", float, 0.0, "global depolarizing strength")
-_SHOTS = (("--shots",), "shots", int, 100_000, "measurement shots")
-_SEED = (("--seed",), "seed", int, 2026, "master randomness seed")
-_ITERS = (("--iters",), "iters", int, 1, "expansion iterations")
-_SAVE_WF = (("--save-wf",), "save_wf", str, None, "write the final wavefunction")
+_DEPOL = ("--depol-p", float, 0.0, "global depolarizing strength")
+_SHOTS = ("--shots", int, 100_000, "measurement shots")
+_SEED = ("--seed", int, 2026, "master randomness seed")
+_ITERS = ("--iters", int, 1, "expansion iterations")
+_SAVE_WF = ("--save-wf", str, None, "write the final wavefunction")
 
 _SAMPLED = (_COMMON + _TABLE_SRC + _PRESCREEN + _CIRCUIT + [_DEPOL] + _PER_GATE
             + _READOUT)
@@ -192,112 +186,111 @@ _SAMPLED = (_COMMON + _TABLE_SRC + _PRESCREEN + _CIRCUIT + [_DEPOL] + _PER_GATE
 OPTIONS = {
     "fcidump-info": _COMMON + _TABLE_SRC,
     "fci": _COMMON + _TABLE_SRC + [
-        (("--cap",), "cap", int, 10 ** 7, "maximum FCI dimension"),
-        (("--save-wf",), "save_wf", str, None, "write the wavefunction JSON"),
+        ("--cap", int, 10 ** 7, "maximum FCI dimension"),
+        ("--save-wf", str, None, "write the wavefunction JSON"),
     ],
     "usci-build": _COMMON + _TABLE_SRC + _PRESCREEN + _CIRCUIT + [
-        (("--save-circuit",), "save_circuit", str, None,
-         "write the circuit JSON"),
+        ("--save-circuit", str, None, "write the circuit JSON"),
     ],
     "qsci": _SAMPLED + [
         _SHOTS,
         _SEED,
-        (("--optimize",), "optimize", None, False,
+        ("--optimize", None, False,
          "run derivative-free parameter optimization"),
-        (("--max-evals",), "max_evals", int, 500, "optimizer evaluation budget"),
-        (("--opt-tol",), "opt_tol", float, 1e-8, "optimizer energy tolerance"),
-        (("--patience",), "patience", int, 10,
+        ("--max-evals", int, 500, "optimizer evaluation budget"),
+        ("--opt-tol", float, 1e-8, "optimizer energy tolerance"),
+        ("--patience", int, 10,
          "evaluations without improvement before stopping"),
         _SAVE_WF,
     ],
     "sample": _SAMPLED + [
-        (("--ansatz",), "ansatz", str, "usci", "usci | lucj"),
-        (("--shots",), "shots", int, 10_000, "measurement shots"),
+        ("--ansatz", str, "usci", "usci | lucj"),
+        ("--shots", int, 10_000, "measurement shots"),
         _SEED,
-        (("--top",), "top", int, 20, "how many strings to list in the report"),
-        (("--csv",), "csv", str, None, "write bitstring,count rows to a file"),
+        ("--top", int, 20, "how many strings to list in the report"),
+        ("--csv", str, None, "write bitstring,count rows to a file"),
     ],
     "expand": _COMMON + _TABLE_SRC + [
-        (("--in",), "infile", str, None, "wavefunction JSON to start from"),
-        (("--tau",), "tau", float, 0.0, "coupling-score threshold"),
+        ("--in", str, None, "wavefunction JSON to start from"),
+        ("--tau", float, 0.0, "coupling-score threshold"),
         _ITERS,
-        (("--top-k",), "top_k", int, None, "cap on additions per iteration"),
+        ("--top-k", int, None, "cap on additions per iteration"),
         _SAVE_WF,
     ],
     "pt2": _COMMON + _TABLE_SRC + [
-        (("--in",), "infile", str, None, "wavefunction JSON to correct"),
+        ("--in", str, None, "wavefunction JSON to correct"),
     ],
     "bounds": _COMMON + [
-        (("--preset",), "preset", str, None, "named input bundle: cas10-10"),
-        (("--n",), "n", int, None, "active-space spatial orbitals"),
-        (("--m",), "m", int, None, "active-space electrons (closed shell)"),
-        (("--n-alpha",), "n_alpha", int, None, "alpha electrons (open shell)"),
-        (("--n-beta",), "n_beta", int, None, "beta electrons (open shell)"),
-        (("--f2q",), "f2q", float, None, "two-qubit survival fidelity"),
-        (("--q-r",), "q_r", float, None, "exact retained weight"),
-        (("--lambda-h",), "lambda_h", float, None, "spectral half-width (Ha)"),
-        (("--p",), "p", float, 0.0, "global depolarizing strength"),
-        (("--r",), "r", int, None, "retained-set size"),
-        (("--d",), "d", int, None, "full-space dimension"),
-        (("--shots",), "shots", int, None, "measurement shots M"),
-        (("--delta",), "delta", float, None, "confidence parameter"),
-        (("--zeta-r",), "zeta_r", float, 0.0, "distribution-mismatch allowance"),
-        (("--delta-r",), "delta_r", float, None, "noisy boundary gap"),
-        (("--k-pool",), "k_pool", int, None, "candidate-pool size"),
-        (("--gap-id",), "gap_id", float, None, "ideal boundary gap"),
-        (("--p-hat-r",), "p_hat_r", float, None, "measured cumulative weight"),
+        ("--preset", str, None, "named input bundle: cas10-10"),
+        ("--n", int, None, "active-space spatial orbitals"),
+        ("--m", int, None, "active-space electrons (closed shell)"),
+        ("--n-alpha", int, None, "alpha electrons (open shell)"),
+        ("--n-beta", int, None, "beta electrons (open shell)"),
+        ("--f2q", float, None, "two-qubit survival fidelity"),
+        ("--q-r", float, None, "exact retained weight"),
+        ("--lambda-h", float, None, "spectral half-width (Ha)"),
+        ("--p", float, 0.0, "global depolarizing strength"),
+        ("--r", int, None, "retained-set size"),
+        ("--d", int, None, "full-space dimension"),
+        ("--shots", int, None, "measurement shots M"),
+        ("--delta", float, None, "confidence parameter"),
+        ("--zeta-r", float, 0.0, "distribution-mismatch allowance"),
+        ("--delta-r", float, None, "noisy boundary gap"),
+        ("--k-pool", int, None, "candidate-pool size"),
+        ("--gap-id", float, None, "ideal boundary gap"),
+        ("--p-hat-r", float, None, "measured cumulative weight"),
     ],
     "analyze": _COMMON + [
-        (("--in",), "infile", str, None, "wavefunction JSON to analyze"),
-        (("--mi-edges",), "mi_edges", str, None,
+        ("--in", str, None, "wavefunction JSON to analyze"),
+        ("--mi-edges", str, None,
          "write the mutual-information edge list (i,j,weight CSV)"),
-        (("--mi-threshold",), "mi_threshold", float, 0.0,
-         "minimum weight for exported edges"),
+        ("--mi-threshold", float, 0.0, "minimum weight for exported edges"),
     ],
     "demo": _COMMON + [
-        (("--fixture",), "fixture", str, "hubbard4",
+        ("--fixture", str, "hubbard4",
          "hubbard4 | two-orbital | h-chain-synthetic"),
         _SHOTS,
         _SEED,
         _DEPOL,
     ] + _READOUT + _PRESCREEN + [
-        (("--init-angle",), "init_angle", float, 0.15,
+        ("--init-angle", float, 0.15,
          "uniform rotation angle for the sampling circuits"),
-        (("--tau",), "tau", float, 0.0, "expansion score threshold"),
+        ("--tau", float, 0.0, "expansion score threshold"),
         _ITERS,
     ],
 }
 
 
+SUBCOMMANDS = tuple(OPTIONS)
+
+
+def _dest(name):
+    """The option name of flag ``--name`` and of config key ``name``: dashes
+    read as underscores, and ``in`` (a Python keyword) stored as ``infile``."""
+    name = name.replace("-", "_")
+    return "infile" if name == "in" else name
+
+
 def build_parser():
+    """The qselci parser and the map from each subcommand to its parser."""
     parser = argparse.ArgumentParser(
         prog="qselci",
         description="Determinant-sampling selected-CI pipeline.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, rows in OPTIONS.items():
         sub = subs.add_parser(name)
-        for flags, dest, typ, _default, help_text in OPTIONS[name]:
-            if typ is None:
-                sub.add_argument(*flags, dest=dest, action="store_true",
-                                 default=None, help=help_text)
-            else:
-                sub.add_argument(*flags, dest=dest, type=typ, default=None,
-                                 help=help_text)
-    return parser
+        for flag, typ, default, help_text in rows:
+            kind = {"action": "store_true"} if typ is None else {"type": typ}
+            sub.add_argument(flag, dest=_dest(flag[2:]), default=default,
+                             help=help_text, **kind)
+    return parser, subs.choices
 
 
 def parse_config_file(path, option_rows):
     """Flat ``key = value`` file; keys are long flag names (dash or
     underscore), one per line, with # comments and blank lines allowed."""
-    types = {dest: typ for _flags, dest, typ, _d, _h in option_rows}
-    aliases = {}
-    for flags, dest, _typ, _d, _h in option_rows:
-        for flag in flags:
-            stem = flag.lstrip("-")
-            aliases[stem] = dest
-            aliases[stem.replace("-", "_")] = dest
-        aliases[dest] = dest
+    types = {_dest(flag[2:]): typ for flag, typ, _d, _h in option_rows}
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -312,8 +305,8 @@ def parse_config_file(path, option_rows):
             raise ConfigParseError("expected key = value", line_no)
         key, _, text = line.partition("=")
         key = key.strip()
-        dest = aliases.get(key) or aliases.get(key.replace("-", "_"))
-        if dest is None:
+        dest = _dest(key)
+        if dest not in types:
             raise ConfigParseError(f"unknown key {key!r}", line_no)
         text = text.strip()
         typ = types[dest]
@@ -327,19 +320,6 @@ def parse_config_file(path, option_rows):
                 f"bad value {text!r} for key {key!r}", line_no
             ) from None
     return values
-
-
-def _effective_options(args, option_rows):
-    """Built-in defaults, overridden by config-file values, overridden by
-    explicit flags."""
-    merged = {dest: default for _f, dest, _t, default, _h in option_rows}
-    if getattr(args, "config", None):
-        merged.update(parse_config_file(args.config, option_rows))
-    for _flags, dest, _typ, _default, _help in option_rows:
-        value = getattr(args, dest, None)
-        if value is not None:
-            merged[dest] = value
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -813,21 +793,29 @@ HANDLERS = {
 
 def cli_dispatch(argv):
     """Run one subcommand; returns the process exit code."""
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     manifest = None
     try:
-        opts = _effective_options(args, OPTIONS[args.subcommand])
-        for flags, dest, typ, _d, _h in OPTIONS[args.subcommand]:
-            if typ is float and not math.isfinite(opts[dest] or 0.0):
-                raise ValueError(f"{flags[0]} must be finite, got {opts[dest]}")
+        if args.config:
+            # the file's values replace the built-in defaults, and parsing
+            # the same argv again puts the flags over them
+            subparsers[args.subcommand].set_defaults(**parse_config_file(
+                args.config, OPTIONS[args.subcommand]))
+            args = parser.parse_args(argv)
+        opts = vars(args)
+        subcommand = opts.pop("subcommand")
+        for dest, value in opts.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(
+                    f"--{dest.replace('_', '-')} must be finite, got {value}")
         manifest = RunManifest(config=_jsonify(opts))
-        result, lines = HANDLERS[args.subcommand](opts, manifest)
+        result, lines = HANDLERS[subcommand](opts, manifest)
         report = {
-            "subcommand": args.subcommand,
+            "subcommand": subcommand,
             "manifest": manifest.to_json_dict(),
             "result": _jsonify(result),
         }

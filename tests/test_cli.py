@@ -15,7 +15,6 @@ from qselci.cli import (
     OPTIONS,
     SCHEMA_PATH,
     SUBCOMMANDS,
-    _effective_options,
     _jsonify,
     build_parser,
     cli_dispatch,
@@ -394,8 +393,8 @@ def test_file_input_reports_validate_against_schema(
 
 # --------------------------------------------------------------- option tables
 
-# Each subcommand's options in order: flags, dest, type ("switch" for a
-# store_true flag) and the value _effective_options gives with no flags.
+# Each subcommand's options in order: flag, dest, type ("switch" for a
+# store_true flag) and the value the parser gives with no flags.
 OPTION_SURFACE = {
     "fcidump-info": """
         --out out str None
@@ -527,10 +526,13 @@ OPTION_SURFACE = {
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_option_surface_is_pinned(sub):
-    opts = _effective_options(build_parser().parse_args([sub]), OPTIONS[sub])
-    rows = [f"{','.join(flags)} {dest} "
-            f"{'switch' if typ is None else typ.__name__} {opts[dest]!r}"
-            for flags, dest, typ, _default, _help in OPTIONS[sub]]
+    parser, _subparsers = build_parser()
+    opts = vars(parser.parse_args([sub]))
+    assert opts.pop("subcommand") == sub
+    rows = [f"{flag} {dest} "
+            f"{'switch' if typ is None else typ.__name__} {value!r}"
+            for (flag, typ, _default, _help), (dest, value)
+            in zip(OPTIONS[sub], opts.items(), strict=True)]
     assert rows == [line.strip() for line in OPTION_SURFACE[sub].splitlines()[1:]]
 
 
