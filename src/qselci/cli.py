@@ -169,8 +169,6 @@ _CIRCUIT = [
     ("--degree-cap", int, None, "per-qubit excitation-partner cap"),
     ("--orbital-rotation", None, False,
      "prepend one-body rotation gates to each layer"),
-    ("--init-angle", float, 0.15,
-     "uniform initial rotation angle for unoptimized runs"),
 ]
 
 # single rows that more than one subcommand lists
@@ -180,8 +178,11 @@ _SEED = ("--seed", int, 2026, "master randomness seed")
 _ITERS = ("--iters", int, 1, "expansion iterations")
 _SAVE_WF = ("--save-wf", str, None, "write the final wavefunction")
 
-_SAMPLED = (_COMMON + _TABLE_SRC + _PRESCREEN + _CIRCUIT + [_DEPOL] + _PER_GATE
-            + _READOUT)
+_SAMPLED = _COMMON + _TABLE_SRC + _PRESCREEN + _CIRCUIT + [
+    ("--init-angle", float, 0.15,
+     "uniform initial rotation angle for unoptimized runs"),
+    _DEPOL,
+] + _PER_GATE + _READOUT
 
 OPTIONS = {
     "fcidump-info": _COMMON + _TABLE_SRC,

@@ -418,7 +418,6 @@ OPTION_SURFACE = {
         --layers layers int 1
         --degree-cap degree_cap int None
         --orbital-rotation orbital_rotation switch False
-        --init-angle init_angle float 0.15
         --save-circuit save_circuit str None""",
     "qsci": """
         --out out str None

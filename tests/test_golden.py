@@ -1,9 +1,13 @@
 """Every CLI case of ``tests/golden/regen.py`` replayed against its checked-in
 outputs: stdout, stderr, exit code, report and written files."""
 
+import shutil
+from collections import defaultdict
+
 import pytest
 
 from golden import regen
+from qselci import cli
 
 GOLDEN = regen.load()
 
@@ -26,3 +30,44 @@ def test_cli_outputs_match_golden(tmp_path, seed_wavefunction, name):
         f"{name} differs from tests/golden/outputs.json; if intended, rerun "
         "tests/golden/regen.py and review the diff"
     )
+
+
+class _ReadLog(dict):
+    """Options that note each key read through ``[]`` or ``get``."""
+
+    def __init__(self, opts, read):
+        super().__init__(opts)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_every_listed_option_is_read(tmp_path, monkeypatch, seed_wavefunction):
+    """Over the golden argv lists, each subcommand's handler reads every
+    option the subcommand lists, apart from --out and --config, which
+    dispatch reads."""
+    listed, read = defaultdict(set), defaultdict(set)
+
+    def logged(sub, handler):
+        def run(opts, manifest):
+            listed[sub].update(opts)
+            return handler(_ReadLog(opts, read[sub]), manifest)
+        return run
+
+    monkeypatch.setattr(cli, "HANDLERS", {
+        sub: logged(sub, handler) for sub, handler in cli.HANDLERS.items()})
+    for name, steps in regen.CASES.items():
+        (tmp_path / name).mkdir()
+        shutil.copy(seed_wavefunction, tmp_path / name / "in.json")
+        for step in steps:
+            if not (isinstance(step, dict) and step.get(regen.SUBPROCESS)):
+                regen.run_step(step, tmp_path / name)
+    unread = {sub: sorted(keys - read[sub] - {"out", "config"})
+              for sub, keys in listed.items()}
+    assert unread == {sub: [] for sub in cli.SUBCOMMANDS}
