@@ -60,7 +60,9 @@ def _versions():
 
 
 class RunManifest:
-    """Reproducibility envelope carried by every report."""
+    """Reproducibility envelope carried by every report.  ``config`` is
+    echoed as it stands when the report is made, so values a handler fills
+    in (a bounds preset) show."""
 
     def __init__(self, config):
         self.config = config
@@ -102,7 +104,7 @@ class RunManifest:
 
     def to_json_dict(self):
         return {
-            "config": self.config,
+            "config": _jsonify(self.config),
             "seeds": self.seeds,
             "versions": self.versions,
             "timings": self.timings,
@@ -813,7 +815,7 @@ def cli_dispatch(argv):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(
                     f"--{dest.replace('_', '-')} must be finite, got {value}")
-        manifest = RunManifest(config=_jsonify(opts))
+        manifest = RunManifest(config=opts)
         result, lines = HANDLERS[subcommand](opts, manifest)
         report = {
             "subcommand": subcommand,
