@@ -23,12 +23,18 @@ import numpy as np
 
 from .dets import (Determinant, ExcitationOp, determinants, excitation_rank,
                    full_excitation, rank_order)
-from .errors import EmptySelection, ShapeMismatch, ZeroRank
+from .errors import EmptySelection, ShapeMismatch, TooLarge, ZeroRank
 
 GATE_EXCITATION = "ExcitationRotation"
 GATE_ORBITAL = "OrbitalRotation"
 GATE_JASTROW = "JastrowPhase"
 GATE_BASIS = "BasisRotationLayer"
+
+# A USCI gate costs about 0.6 KB and 40 us to build (Intel Xeon), so the cap
+# holds a circuit to about 60 MB and 4 s.  That is far past the largest
+# fixture circuit (585 gates) and the few hundred two-qubit gates a noisy
+# device runs before its shots are no better than uniform (bounds.gate_budget).
+MAX_GATES = 10**5
 
 
 @dataclass(eq=False)
@@ -191,7 +197,9 @@ def build_usci(
     ``degree_cap`` limits the number of distinct partner qubits an excitation
     gate may give any single qubit within one block; gates that would exceed
     it are skipped.  Blocks are structurally identical but carry independent
-    parameter slots.
+    parameter slots.  Raises TooLarge, before a second block is built, when
+    the blocks would hold more than ``MAX_GATES`` gates (an empty block
+    counts as one, so the block loop stays bounded too).
     """
     if layers < 1:
         raise ValueError(f"layers must be at least 1, got {layers}")
@@ -237,6 +245,9 @@ def build_usci(
                     )
                 )
                 slot += 1
+        if block == 0 and layers * max(len(gates), 1) > MAX_GATES:
+            raise TooLarge(f"{layers} layers pass the {MAX_GATES}-gate cap "
+                           f"(per-layer gate count {len(gates)})")
     return Circuit(
         n_qubits=n_qubits,
         gates=gates,

@@ -7,6 +7,7 @@ from qselci.circuits import (
     GATE_EXCITATION,
     GATE_JASTROW,
     GATE_ORBITAL,
+    MAX_GATES,
     build_lucj,
     build_usci,
     decompose_excitation,
@@ -15,8 +16,8 @@ from qselci.circuits import (
     prescreen,
 )
 from qselci.dets import Determinant, ExcitationOp, det_masks, hartree_fock
-from qselci.errors import EmptySelection, ShapeMismatch, ZeroRank
-from qselci.fixtures import hubbard_chain_table
+from qselci.errors import EmptySelection, ShapeMismatch, TooLarge, ZeroRank
+from qselci.fixtures import hubbard_chain_table, two_orbital_table
 from qselci.hamiltonian import Wavefunction, fci_oracle
 
 import oracles
@@ -189,6 +190,24 @@ def test_usci_orbital_rotation_prepended():
     first_exc = kinds.index(GATE_EXCITATION)
     assert GATE_ORBITAL in kinds
     assert all(k == GATE_ORBITAL for k in kinds[:first_exc])
+
+
+def test_usci_gate_cap():
+    table = hubbard_chain_table()
+    selected = prescreen(fci_oracle(table), 0.0, top_m=5)
+    with pytest.raises(TooLarge):
+        build_usci(selected[0], selected, 4, layers=10**9)
+    # a layer of no gates counts as one, so its layer loop is bounded too
+    with pytest.raises(TooLarge):
+        build_usci(selected[0], selected[:1], 4, layers=10**9)
+    # one gate per layer: the cap's worth of layers builds, one more does not
+    table = two_orbital_table()
+    selected = prescreen(fci_oracle(table), 0.01, None)
+    assert len(build_usci(selected[0], selected, 2).gates) == 1
+    circuit = build_usci(selected[0], selected, 2, layers=MAX_GATES)
+    assert len(circuit.gates) == circuit.n_params == MAX_GATES
+    with pytest.raises(TooLarge):
+        build_usci(selected[0], selected, 2, layers=MAX_GATES + 1)
 
 
 def test_usci_empty_selection():
