@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dets import Determinant, excitation_rank  # excitation_rank is re-exported
+from .dets import Determinant
 
 
 def _xlogx(x):

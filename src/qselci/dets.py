@@ -38,6 +38,7 @@ from .errors import TooLarge, TooManyQubits
 
 ENUMERATION_CAP = 10**7
 MAX_QUBITS = 64  # the width of a uint64 basis index
+MAX_ORBITALS = 64  # the width of a uint64 determinant mask
 # _BELOW[k]: the uint64 mask of the bits below bit k, for k = 0 .. 64
 _BELOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
 
@@ -146,8 +147,8 @@ def _uint64(masks):
         return np.fromiter(masks, np.uint64, len(masks))
     except OverflowError:
         raise TooLarge(
-            "a determinant occupies an orbital past the 64-orbital limit of "
-            "uint64 determinant masks"
+            "a determinant occupies an orbital past the "
+            f"{MAX_ORBITALS}-orbital limit of uint64 determinant masks"
         ) from None
 
 

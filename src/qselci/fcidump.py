@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dets import MAX_ORBITALS
 from .errors import (
     EmptyInput,
     IndexOutOfRange,
@@ -125,9 +126,9 @@ def parse_fcidump(source):
     ms2 = _header_int(fields, "MS2", default=0)
     if n_orb <= 0:
         raise MalformedHeader(f"NORB={n_orb} must be positive", line_no=1)
-    if n_orb > 64:
-        raise TooLarge(f"NORB={n_orb} is past the 64-orbital limit of uint64 "
-                       "determinant masks", line_no=1)
+    if n_orb > MAX_ORBITALS:
+        raise TooLarge(f"NORB={n_orb} is past the {MAX_ORBITALS}-orbital limit "
+                       "of uint64 determinant masks", line_no=1)
     try:
         table = IntegralTable(n_orbitals=n_orb, n_electrons=n_elec, ms2=ms2)
     except ValueError as exc:

@@ -34,6 +34,8 @@ import numpy as np
 
 # det_masks, enumerate_space and hartree_fock are re-exported to callers
 from .dets import (
+    ENUMERATION_CAP,
+    MAX_ORBITALS,
     Determinant,
     bitstrings,
     det_masks,
@@ -96,9 +98,10 @@ class Wavefunction:
     n_orbitals: int
 
     def __post_init__(self):
-        if self.n_orbitals > 64:
-            raise TooLarge(f"{self.n_orbitals} orbitals is past the 64-orbital "
-                           "limit of uint64 determinant masks")
+        if self.n_orbitals > MAX_ORBITALS:
+            raise TooLarge(f"{self.n_orbitals} orbitals is past the "
+                           f"{MAX_ORBITALS}-orbital limit of uint64 "
+                           "determinant masks")
         self.masks = det_masks(self.masks)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if len(self.coeffs) != len(self.masks):
@@ -543,7 +546,7 @@ def _fallback_direction(basis, order):
     return None
 
 
-def fci_oracle(table, cap=10**7):
+def fci_oracle(table, cap=ENUMERATION_CAP):
     """Ground state of the full (n_alpha, n_beta) sector of an integral table.
 
     Dense diagonalization below DENSE_CUTOFF determinants, Davidson above.

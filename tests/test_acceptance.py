@@ -11,7 +11,6 @@ import scipy.linalg
 
 import oracles
 from qselci.analysis import (
-    excitation_rank,
     mutual_information,
     orbital_entropies,
     rank_histogram,
@@ -27,7 +26,7 @@ from qselci.bounds import (
     uniform_probability,
 )
 from qselci.circuits import build_lucj, build_usci, jordan_wigner, prescreen
-from qselci.dets import ExcitationOp, bitstring_of_index
+from qselci.dets import ExcitationOp, bitstring_of_index, excitation_rank
 from qselci.expansion import connected_set, en_pt2, expand_and_rediagonalize
 from qselci.fixtures import hubbard_chain_table, two_orbital_table
 from qselci.hamiltonian import (

@@ -8,12 +8,11 @@ from scipy.special import xlogy
 from qselci import analysis
 from qselci.analysis import (
     analyze,
-    excitation_rank,
     mutual_information,
     orbital_entropies,
     rank_histogram,
 )
-from qselci.dets import Determinant, det_masks
+from qselci.dets import Determinant, det_masks, excitation_rank
 from qselci.expansion import connected_set, expand_and_rediagonalize
 from qselci.fixtures import FIXTURES, hubbard_chain_table
 from qselci.hamiltonian import (
