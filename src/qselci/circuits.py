@@ -30,10 +30,9 @@ GATE_ORBITAL = "OrbitalRotation"
 GATE_JASTROW = "JastrowPhase"
 GATE_BASIS = "BasisRotationLayer"
 
-# A USCI gate costs about 0.6 KB and 40 us to build (Intel Xeon), so the cap
-# holds a circuit to about 60 MB and 4 s.  That is far past the largest
-# fixture circuit (585 gates) and the few hundred two-qubit gates a noisy
-# device runs before its shots are no better than uniform (bounds.gate_budget).
+# A USCI gate takes about 0.6 KB and 40 us to build (Intel Xeon): the cap
+# holds a circuit to about 60 MB and 4 s, far past the largest fixture
+# circuit (585 gates) and the few hundred gates of bounds.gate_budget.
 MAX_GATES = 10**5
 
 

@@ -60,9 +60,8 @@ def _versions():
 
 
 class RunManifest:
-    """Reproducibility envelope carried by every report.  ``config`` is
-    echoed as it stands when the report is made, so values a handler fills
-    in (a bounds preset) show."""
+    """Reproducibility envelope carried by every report; ``config`` is
+    echoed when the report is made, with any value a handler filled in."""
 
     def __init__(self, config):
         self.config = config

@@ -347,17 +347,18 @@ def test_bounds_forwards_per_spin_counts(capsys):
     assert result["n_g_max"] == gate_budget(0.99, 10, n_alpha=5, n_beta=4)
 
 
-@pytest.mark.parametrize("spin", [[], ["--n-alpha", "5", "--n-beta", "4"]])
-def test_bounds_preset_matches_explicit_flags(capsys, spin):
-    via_preset = run_json(capsys, ["bounds", "--preset", "cas10-10", *spin])
-    # the preset's m is not applied beside per-spin counts
-    electrons = spin or ["--m", "10"]
-    explicit = run_json(
-        capsys, ["bounds", "--n", "10", "--f2q", "0.990", *electrons]
-    )
-    assert via_preset["result"] == explicit["result"]
-    assert via_preset["manifest"]["config"] == {
-        **explicit["manifest"]["config"], "preset": "cas10-10"}
+def test_bounds_preset_matches_explicit_flags(capsys):
+    for spin in ([], ["--n-alpha", "5", "--n-beta", "4"]):
+        via_preset = run_json(
+            capsys, ["bounds", "--preset", "cas10-10", *spin])
+        # the preset's m is not applied beside per-spin counts
+        electrons = spin or ["--m", "10"]
+        explicit = run_json(
+            capsys, ["bounds", "--n", "10", "--f2q", "0.990", *electrons]
+        )
+        assert via_preset["result"] == explicit["result"]
+        assert via_preset["manifest"]["config"] == {
+            **explicit["manifest"]["config"], "preset": "cas10-10"}
 
 
 # --------------------------------------------------------------------- schema
