@@ -10,15 +10,14 @@ come from an FCIDUMP file or from a built-in fixture.
 
 import numpy as np
 
+from qselci.dets import enumerate_space, hartree_fock
 from qselci.fcidump import parse_fcidump, serialize_fcidump, table_summary
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import (
     build_subspace,
     davidson_lowest,
     dense_lowest,
-    enumerate_space,
     fci_oracle,
-    hartree_fock,
     slater_condon,
     spectral_halfwidth,
 )

@@ -21,9 +21,9 @@ from qselci.circuits import (
     jordan_wigner,
     prescreen,
 )
-from qselci.dets import bitstring_of_index
+from qselci.dets import bitstring_of_index, enumerate_space
 from qselci.fixtures import hubbard_chain_table
-from qselci.hamiltonian import build_subspace, enumerate_space, fci_oracle
+from qselci.hamiltonian import build_subspace, fci_oracle
 from qselci.sampling import ideal_distribution
 from qselci.simulator import Statevector, apply_circuit, expectation_energy
 

@@ -25,12 +25,11 @@ from qselci.bounds import (
     uniform_probability,
 )
 from qselci.circuits import prescreen
-from qselci.dets import hartree_fock
+from qselci.dets import enumerate_space, hartree_fock
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import (
     build_subspace,
     davidson_lowest,
-    enumerate_space,
     fci_oracle,
     spectral_halfwidth,
 )

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dets import (Determinant, ExcitationOp, determinants, excitation_rank,
-                   full_excitation, rank_order)
+from .dets import (Determinant, ExcitationOp, determinants, full_excitation,
+                   rank_order, string_sign)
 from .errors import EmptySelection, ShapeMismatch, TooLarge, ZeroRank
 
 GATE_EXCITATION = "ExcitationRotation"
@@ -30,9 +30,10 @@ GATE_ORBITAL = "OrbitalRotation"
 GATE_JASTROW = "JastrowPhase"
 GATE_BASIS = "BasisRotationLayer"
 
-# A USCI gate takes about 0.6 KB and 40 us to build (Intel Xeon): the cap
-# holds a circuit to about 60 MB and 4 s, far past the largest fixture
-# circuit (585 gates) and the few hundred gates of bounds.gate_budget.
+# A USCI gate takes about 0.45 KB and 11 us to build in the block and
+# 0.2 KB and 2 us in a repeat (Intel Xeon, one BLAS thread): the cap holds
+# a circuit to about 45 MB and 1 s, far past the largest fixture circuit
+# (585 gates) and the few hundred gates of bounds.gate_budget.
 MAX_GATES = 10**5
 
 
@@ -160,23 +161,23 @@ def decompose_excitation(reference, target, n_orbitals):
     Annihilated and created spin orbitals are matched in ascending-index
     order; the lowest pairs are grouped into doubles first, so rank 3 gives
     [double, single], rank 4 [double, double], rank 5 [double, double,
-    single].  Each step is the full excitation between consecutive
-    intermediate determinants, so its phase is computed on the determinant
-    it acts on and replaying the steps maps reference to target.
+    single].  Each step's phase is computed on the determinant it acts on
+    (the reference with the earlier steps applied), so replaying the steps
+    maps reference to target.
     """
     if (target.n_alpha, target.n_beta) != (reference.n_alpha, reference.n_beta):
         raise ValueError("target is not in the reference's (n_alpha, n_beta) sector")
-    rank = excitation_rank(reference, target)
-    if rank == 0:
-        raise ZeroRank("reference and target are identical")
     whole = full_excitation(reference, target, n_orbitals)
-    ann, cre = whole.annihilated, whole.created
+    if not whole.annihilated:
+        raise ZeroRank("reference and target are identical")
     index = reference.to_index(n_orbitals)
-    chain = [reference]
-    for pos in range(0, rank, 2):
-        index ^= sum(1 << s for s in ann[pos:pos + 2] + cre[pos:pos + 2])
-        chain.append(Determinant.from_index(index, n_orbitals))
-    return [full_excitation(a, b, n_orbitals) for a, b in zip(chain, chain[1:])]
+    steps = []
+    for pos in range(0, len(whole.annihilated), 2):
+        ann, cre = whole.annihilated[pos:pos + 2], whole.created[pos:pos + 2]
+        steps.append(ExcitationOp(n_orbitals, ann, cre,
+                                  string_sign(index, ann, cre)))
+        index ^= sum(1 << s for s in ann + cre)
+    return steps
 
 
 # --------------------------------------------------------- circuit builders
@@ -195,10 +196,11 @@ def build_usci(
 
     ``degree_cap`` limits the number of distinct partner qubits an excitation
     gate may give any single qubit within one block; gates that would exceed
-    it are skipped.  Blocks are structurally identical but carry independent
-    parameter slots.  Raises TooLarge, before a second block is built, when
-    the blocks would hold more than ``MAX_GATES`` gates (an empty block
-    counts as one, so the block loop stays bounded too).
+    it are skipped.  The block is built once and repeated ``layers`` times;
+    each repeat carries its own parameter slots, block gate k of layer l
+    taking slot l * len(block) + k.  Raises TooLarge, before any gate is
+    made, when the layers would hold more than ``MAX_GATES`` gates (an empty
+    block counts as one, so the layer loop stays bounded too).
     """
     if layers < 1:
         raise ValueError(f"layers must be at least 1, got {layers}")
@@ -209,48 +211,32 @@ def build_usci(
     if selected[0] != reference:
         raise ValueError("reference must be the first selected determinant")
     n_qubits = 2 * n_orbitals
-    gates = []
-    slot = 0
-    for block in range(layers):
-        if with_orbital_rotation:
-            for p in range(1, n_orbitals):
-                for q in range(p):
-                    gates.append(
-                        Gate(
-                            kind=GATE_ORBITAL,
-                            qubits=(q, p, n_orbitals + q, n_orbitals + p),
-                            param_slot=slot,
-                            layer=block,
-                        )
-                    )
-                    slot += 1
-        partners = {q: set() for q in range(n_qubits)}
-        for target in selected[1:]:
-            for op in decompose_excitation(reference, target, n_orbitals):
-                qubits = tuple(sorted(op.annihilated + op.created))
-                if degree_cap is not None and _exceeds_cap(
-                    qubits, partners, degree_cap
-                ):
-                    continue
-                for q in qubits:
-                    partners[q].update(set(qubits) - {q})
-                gates.append(
-                    Gate(
-                        kind=GATE_EXCITATION,
-                        qubits=qubits,
-                        param_slot=slot,
-                        excitation=op,
-                        layer=block,
-                    )
-                )
-                slot += 1
-        if block == 0 and layers * max(len(gates), 1) > MAX_GATES:
-            raise TooLarge(f"{layers} layers pass the {MAX_GATES}-gate cap "
-                           f"(per-layer gate count {len(gates)})")
+    block = []  # (kind, qubits, excitation) rows
+    if with_orbital_rotation:
+        block += [(GATE_ORBITAL, (q, p, n_orbitals + q, n_orbitals + p), None)
+                  for p in range(1, n_orbitals) for q in range(p)]
+    partners = {q: set() for q in range(n_qubits)}
+    for target in selected[1:]:
+        for op in decompose_excitation(reference, target, n_orbitals):
+            qubits = tuple(sorted(op.annihilated + op.created))
+            if degree_cap is not None and _exceeds_cap(
+                qubits, partners, degree_cap
+            ):
+                continue
+            for q in qubits:
+                partners[q].update(set(qubits) - {q})
+            block.append((GATE_EXCITATION, qubits, op))
+    if layers * max(len(block), 1) > MAX_GATES:
+        raise TooLarge(f"{layers} layers pass the {MAX_GATES}-gate cap "
+                       f"(per-layer gate count {len(block)})")
+    gates = [Gate(kind=kind, qubits=qubits, param_slot=layer * len(block) + k,
+                  excitation=excitation, layer=layer)
+             for layer in range(layers)
+             for k, (kind, qubits, excitation) in enumerate(block)]
     return Circuit(
         n_qubits=n_qubits,
         gates=gates,
-        n_params=slot,
+        n_params=len(gates),
         layers=layers,
         reference=reference,
         n_orbitals=n_orbitals,
@@ -259,10 +245,7 @@ def build_usci(
 
 def _exceeds_cap(qubits, partners, cap):
     group = set(qubits)
-    for q in qubits:
-        if len(partners[q] | (group - {q})) > cap:
-            return True
-    return False
+    return any(len(partners[q] | (group - {q})) > cap for q in qubits)
 
 
 def build_lucj(K, J, reference):

@@ -291,8 +291,10 @@ def build_parser():
 
 def parse_config_file(path, option_rows):
     """Flat ``key = value`` file; keys are long flag names (dash or
-    underscore), one per line, with # comments and blank lines allowed."""
-    types = {_dest(flag[2:]): typ for flag, typ, _d, _h in option_rows}
+    underscore) other than ``config``, one per line, with # comments and
+    blank lines allowed."""
+    types = {_dest(flag[2:]): typ for flag, typ, _d, _h in option_rows
+             if flag != "--config"}
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:

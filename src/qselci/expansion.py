@@ -169,11 +169,10 @@ def en_pt2(psi, table):
     numerators = _coupling_sums(rows, vals * psi.coeffs[cols], len(candidates))
     e_mu = diagonal_elements(*candidates.T, h, g) + table.core_energy
     denominators = e_mu - psi.energy
-    delta = 0.0
-    skipped = 0
-    for numerator, denom in zip(numerators.tolist(), denominators.tolist()):
-        if abs(denom) < DENOMINATOR_TOL:
-            skipped += 1
-            continue
-        delta -= numerator * numerator / denom
-    return PT2Result(delta_e=delta, n_external=len(candidates), n_skipped=skipped)
+    skipped = np.abs(denominators) < DENOMINATOR_TOL  # a NaN is kept
+    terms = numerators[~skipped] ** 2 / denominators[~skipped]
+    # cumsum adds in candidate order (np.sum would add pairwise), and
+    # 0.0 - x gives +0.0 for a zero sum
+    delta = 0.0 - float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    return PT2Result(delta_e=delta, n_external=len(candidates),
+                     n_skipped=int(skipped.sum()))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# det_masks, enumerate_space and hartree_fock are re-exported to callers
+# enumerate_space stays importable from here: the benchmark's tests read it
 from .dets import (
     ENUMERATION_CAP,
     MAX_ORBITALS,
@@ -41,7 +41,6 @@ from .dets import (
     det_masks,
     determinants,
     enumerate_space,
-    hartree_fock,
     sector_masks,
     string_sign,
 )

@@ -107,6 +107,18 @@ def _cases():
         "two-orbital-sample-csv-eps0-zero": [
             ["sample", "--fixture", "two-orbital", "--csv", "counts.csv",
              "--eps0", "0", "--eps1", "0.05"]],
+        # at cutoff 0 the 36 determinants give multi-step decompositions
+        "hubbard4-usci-build-layers-orbital-rotation": [
+            ["usci-build", "--fixture", "hubbard4", "--cutoff", "0",
+             "--layers", "3", "--orbital-rotation",
+             "--save-circuit", "circuit.json"]],
+        "hubbard4-usci-build-degree-cap-layers": [
+            ["usci-build", "--fixture", "hubbard4", "--cutoff", "0",
+             "--degree-cap", "1", "--layers", "2",
+             "--save-circuit", "circuit.json"]],
+        "two-orbital-sample-csv-layers-orbital-rotation-noisy": [
+            ["sample", "--fixture", "two-orbital", "--layers", "2",
+             "--orbital-rotation", *NOISE, "--csv", "shots.csv"]],
         "bounds-preset": [["bounds", "--preset", "cas10-10"]],
         "bounds-all-inputs": [[
             "bounds", "--n", "10", "--m", "10", "--f2q", "0.99", "--q-r",
@@ -154,6 +166,11 @@ def _cases():
             "argv": ["pt2", "--fixture", "hubbard4", "--config", "run.cfg"],
             "files": {"run.cfg": "# pt2 takes no shot count\nin = in.json\n"
                                  "shots = 100\n"},
+        }],
+        # the --config flag names the file, so the file cannot name another
+        "config-file-config-key": [{
+            "argv": ["bounds", "--config", "c.cfg", "--n", "4", "--m", "2"],
+            "files": {"c.cfg": "n = 4\nconfig = other.cfg\n"},
         }],
         "fci-save-wf-unwritable-report": [
             ["fci", "--fixture", "hubbard4", "--save-wf", "wf.json",

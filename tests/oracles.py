@@ -9,9 +9,11 @@ of the package's vectorized kernels, which are pinned against them, and
 ``apply_excitation`` applies one excitation string to one determinant.  The
 one-bit-per-key bitstring sort, the searchsorted gate pairing and the
 flat mask-class gate pairing are the array paths the package's byte-table
-sort and per-spin-channel pairing replaced, kept here as their references,
-and ``davidson_reference`` is the stacked-list Davidson loop that the
-buffered one replaced.
+sort and per-spin-channel pairing replaced, kept here as their references;
+``davidson_reference`` is the stacked-list Davidson loop that the buffered
+one replaced, ``chain_decomposition`` the determinant-chain excitation
+decomposition that the sliced one replaced, and ``pt2_sum_loop`` the
+per-term PT2 sum that the array one replaced.
 """
 
 import functools
@@ -23,7 +25,7 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
-from qselci import hamiltonian
+from qselci import expansion, hamiltonian
 from qselci.circuits import (
     GATE_BASIS,
     GATE_EXCITATION,
@@ -34,6 +36,7 @@ from qselci.dets import (
     Determinant,
     ExcitationOp,
     bitstring_of_index,
+    excitation_rank,
     full_excitation,
     string_sign,
 )
@@ -283,7 +286,8 @@ def _double_element(src, tgt, table):
 # ----------------------------------------- excitation-string application
 #
 # An ExcitationOp applied to one determinant, by a mask check and the sign
-# rule: the reference the tests replay excitation decompositions against.
+# rule: the reference the tests replay excitation decompositions against;
+# and the decomposition as it was built through intermediate determinants.
 
 
 def op_rank(op):
@@ -305,6 +309,48 @@ def apply_excitation(op, det):
         return None
     sign = op.phase * string_sign(x, op.annihilated, op.created)
     return Determinant.from_index(x ^ holes ^ particles, n), sign
+
+
+def chain_decomposition(reference, target, n_orbitals):
+    """``circuits.decompose_excitation`` as a determinant chain: the
+    whole excitation's orbitals are flipped two pairs at a time into
+    intermediate determinants, and each step is the full excitation between
+    consecutive ones, so its phase is computed on the determinant it acts
+    on."""
+    rank = excitation_rank(reference, target)
+    whole = full_excitation(reference, target, n_orbitals)
+    ann, cre = whole.annihilated, whole.created
+    index = reference.to_index(n_orbitals)
+    chain = [reference]
+    for pos in range(0, rank, 2):
+        index ^= sum(1 << s for s in ann[pos:pos + 2] + cre[pos:pos + 2])
+        chain.append(Determinant.from_index(index, n_orbitals))
+    return [full_excitation(a, b, n_orbitals) for a, b in zip(chain, chain[1:])]
+
+
+# ------------------------------------------------------ PT2 sum reference
+#
+# ``expansion.en_pt2`` as it summed its terms before the array sum: the
+# array sum must give the same bits, sign of zero and skip count.
+
+
+def pt2_sum_loop(psi, table):
+    """``expansion.en_pt2`` with its sum as one Python step per connected
+    candidate: ``(delta_e, n_external, n_skipped)``."""
+    h, g = table.h, table.dense_g()
+    candidates, rows, cols, vals = expansion._connected_coupling(psi, h, g)
+    numerators = expansion._coupling_sums(rows, vals * psi.coeffs[cols],
+                                          len(candidates))
+    e_mu = hamiltonian.diagonal_elements(*candidates.T, h, g) + table.core_energy
+    delta = 0.0
+    skipped = 0
+    for numerator, denom in zip(numerators.tolist(),
+                                (e_mu - psi.energy).tolist()):
+        if abs(denom) < expansion.DENOMINATOR_TOL:
+            skipped += 1
+            continue
+        delta -= numerator * numerator / denom
+    return delta, len(candidates), skipped
 
 
 # ------------------------------------------- text-keyed sampling reference

@@ -26,15 +26,14 @@ from qselci.bounds import (
     uniform_probability,
 )
 from qselci.circuits import build_lucj, build_usci, jordan_wigner, prescreen
-from qselci.dets import ExcitationOp, bitstring_of_index, excitation_rank
+from qselci.dets import (ExcitationOp, bitstring_of_index, enumerate_space,
+                         excitation_rank, hartree_fock)
 from qselci.expansion import connected_set, en_pt2, expand_and_rediagonalize
 from qselci.fixtures import hubbard_chain_table, two_orbital_table
 from qselci.hamiltonian import (
     build_subspace,
     davidson_lowest,
-    enumerate_space,
     fci_oracle,
-    hartree_fock,
     slater_condon,
     spectral_halfwidth,
 )

@@ -12,7 +12,7 @@ from qselci.analysis import (
     orbital_entropies,
     rank_histogram,
 )
-from qselci.dets import Determinant, det_masks, excitation_rank
+from qselci.dets import Determinant, det_masks, excitation_rank, hartree_fock
 from qselci.expansion import connected_set, expand_and_rediagonalize
 from qselci.fixtures import FIXTURES, hubbard_chain_table
 from qselci.hamiltonian import (
@@ -20,7 +20,6 @@ from qselci.hamiltonian import (
     build_subspace,
     davidson_lowest,
     fci_oracle,
-    hartree_fock,
 )
 
 LN2 = math.log(2.0)

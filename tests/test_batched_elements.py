@@ -14,8 +14,8 @@ import scipy.sparse
 
 import helpers
 from oracles import slater_condon as scalar_element
-from qselci.dets import (Determinant, determinants, enumerate_space,
-                         excitation_rank, sector_masks)
+from qselci.dets import (Determinant, det_masks, determinants,
+                         enumerate_space, excitation_rank, sector_masks)
 from qselci.errors import DuplicateDeterminant
 from qselci.expansion import (
     DENOMINATOR_TOL,
@@ -32,7 +32,6 @@ from qselci.hamiltonian import (
     coupling_elements,
     davidson_lowest,
     dense_lowest,
-    det_masks,
     diagonal_elements,
     fci_oracle,
     slater_condon,

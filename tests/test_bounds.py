@@ -25,11 +25,11 @@ from qselci.bounds import (
     truncation_bound,
     uniform_probability,
 )
+from qselci.dets import enumerate_space
 from qselci.errors import FullDepolarization, ZeroGap
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import (
     build_subspace,
-    enumerate_space,
     fci_oracle,
     spectral_halfwidth,
 )

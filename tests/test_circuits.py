@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,8 @@ from qselci.circuits import (
     jordan_wigner,
     prescreen,
 )
-from qselci.dets import Determinant, ExcitationOp, det_masks, hartree_fock
+from qselci.dets import (Determinant, ExcitationOp, det_masks, enumerate_space,
+                         excitation_rank, hartree_fock)
 from qselci.errors import EmptySelection, ShapeMismatch, TooLarge, ZeroRank
 from qselci.fixtures import hubbard_chain_table, two_orbital_table
 from qselci.hamiltonian import Wavefunction, fci_oracle
@@ -130,6 +133,19 @@ def test_decompose_signs_compose_to_plus_target():
     assert sign == 1
 
 
+def test_decompose_matches_chain_decomposition():
+    # every ordered pair of the (2, 2) sector in 4 orbitals, and a seeded
+    # sample of (3, 3) pairs in 6 orbitals that reaches rank 6
+    space4, space6 = enumerate_space(4, 2, 2), enumerate_space(6, 3, 3)
+    picks = np.random.default_rng(3).choice(len(space6), size=(2000, 2))
+    cases = [(4, a, b) for a, b in itertools.permutations(space4, 2)]
+    cases += [(6, space6[i], space6[j]) for i, j in picks if i != j]
+    assert max(excitation_rank(a, b) for _, a, b in cases) == 6
+    for n, ref, target in cases:
+        assert (decompose_excitation(ref, target, n)
+                == oracles.chain_decomposition(ref, target, n))
+
+
 # --------------------------------------------------------------- build_usci
 
 def test_usci_reference_only_is_parameterless():
@@ -164,6 +180,18 @@ def test_usci_layer_stacking_doubles_params():
     slots2 = {g.param_slot for g in c2.gates if g.param_slot is not None}
     assert slots2 == set(range(c2.n_params))
     assert slots1 == set(range(c1.n_params))
+    # each layer repeats the one-layer block with shifted slots
+    options = dict(degree_cap=2, with_orbital_rotation=True)
+    block = build_usci(selected[0], selected, 4, **options).gates
+    c3 = build_usci(selected[0], selected, 4, layers=3, **options)
+    assert len(c3.gates) == 3 * len(block) and c3.n_params == len(c3.gates)
+    for layer in range(3):
+        for k, g in enumerate(block):
+            repeat = c3.gates[layer * len(block) + k]
+            assert (repeat.kind, repeat.qubits, repeat.excitation) == (
+                g.kind, g.qubits, g.excitation)
+            assert (repeat.param_slot, repeat.layer) == (
+                layer * len(block) + k, layer)
 
 
 def test_usci_degree_cap_reduces_gates():

@@ -19,8 +19,8 @@ from qselci.cli import (
     build_parser,
     cli_dispatch,
 )
+from qselci.dets import enumerate_space
 from qselci.fixtures import hubbard_chain_table
-from qselci.hamiltonian import enumerate_space
 
 
 @pytest.fixture(scope="module")

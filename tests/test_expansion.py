@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import helpers
 import oracles
+from golden import regen
 from qselci.circuits import prescreen
-from qselci.dets import Determinant
+from qselci.dets import Determinant, enumerate_space, hartree_fock
 from qselci.expansion import (
     connected_set,
     en_pt2,
@@ -14,13 +17,12 @@ from qselci.expansion import (
     score_candidates,
 )
 from qselci.fcidump import IntegralTable
-from qselci.fixtures import hubbard_chain_table, two_orbital_table
+from qselci.fixtures import fixture_table, hubbard_chain_table, two_orbital_table
 from qselci.hamiltonian import (
+    Wavefunction,
     build_subspace,
     davidson_lowest,
-    enumerate_space,
     fci_oracle,
-    hartree_fock,
 )
 
 
@@ -198,6 +200,53 @@ def test_pt2_from_reference_approximates_correlation_energy():
     result = en_pt2(psi, table)
     assert result.delta_e < 0
     assert abs(result.delta_e - gap) < 0.2 * abs(gap)
+
+
+def _assert_pt2_matches_loop(psi, table):
+    result = en_pt2(psi, table)
+    delta, n_external, n_skipped = oracles.pt2_sum_loop(psi, table)
+    assert repr(result.delta_e) == repr(delta)  # bits, sign of zero, NaN
+    assert (result.n_external, result.n_skipped) == (n_external, n_skipped)
+
+
+def test_pt2_array_sum_matches_loop_on_golden_inputs(tmp_path):
+    cases = regen.load()["cases"]
+    for fixture in ("hubbard4", "two-orbital"):
+        text = cases[f"{fixture}-save-wf-chain"][0]["files"]["wf.json"]
+        _assert_pt2_matches_loop(Wavefunction.from_json(text),
+                                 fixture_table(fixture))
+    seed = regen.make_seed(tmp_path)
+    _assert_pt2_matches_loop(Wavefunction.from_json(seed.read_text()),
+                             hubbard_chain_table())
+
+
+def test_pt2_array_sum_matches_loop_on_refine_dense8_starts(monkeypatch):
+    monkeypatch.syspath_prepend(str(helpers.ROOT / "benchmarks"))
+    from workloads import RefineDense8
+
+    for seed in (1, 2):
+        workload = RefineDense8(helpers.ROOT, None)
+        workload.setup(seed)
+        for psi in workload.starts:
+            _assert_pt2_matches_loop(psi, workload.table)
+
+
+def test_pt2_array_sum_matches_loop_with_skipped_terms(hubbard):
+    # an energy set on a candidate's diagonal element zeroes that
+    # candidate's denominator; a NaN energy makes every denominator NaN,
+    # which counts as a term
+    table, _ = hubbard
+    psi = _single_det_state(hartree_fock(4, 2, 2), table)
+    for mu in connected_set(psi, table)[:6]:
+        e_mu = _single_det_state(mu, table).energy
+        on_mu = dataclasses.replace(psi, energy=e_mu)
+        assert en_pt2(on_mu, table).n_skipped > 0
+        _assert_pt2_matches_loop(on_mu, table)
+    at_nan = dataclasses.replace(psi, energy=math.nan)
+    assert en_pt2(at_nan, table).n_skipped == 0
+    _assert_pt2_matches_loop(at_nan, table)
+    oracle = fci_oracle(table)  # no candidates: +0.0
+    _assert_pt2_matches_loop(oracle, table)
 
 
 def test_pt2_leaves_input_untouched(hubbard):
