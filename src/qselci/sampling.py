@@ -11,8 +11,9 @@ order), the statevector's own index type, so up to 64 qubits.  Text
 bitstrings (character k = qubit k) appear only in the
 ``SampleCounts.counts`` view, ``top`` and ``to_csv``.  Where an order
 follows the bitstrings (qubit 0 most significant), it is computed as the
-numeric order of the bit-reversed index.  Readout draws a uniform per bit,
-checks those under the larger flip rate and XORs the flips into the shots.
+numeric order of the bit-reversed index.  Readout draws only for the bits
+that can flip: a binomial count of positions under the larger flip rate,
+each thinned to its own bit's rate and XORed into its shot.
 """
 
 from dataclasses import dataclass, replace
@@ -24,8 +25,11 @@ from .dets import basis_indices, bitstring_of_index, determinants
 from .errors import TooLarge
 
 PRUNE_TOL = 1e-16
-READOUT_BLOCK = 1 << 14  # shots per readout pass; bounds the uniforms held at once
-MAX_SHOTS = 1 << 26  # about 26 B of peak memory per shot, 1.75 GB at the cap
+# shots per readout pass; bounds the candidate positions held at once
+READOUT_BLOCK = 1 << 14
+# peak memory per shot: about 18 B when outcomes repeat (1.2 GB at the cap),
+# up to about 100 B in `sample` when every shot differs (6.5 GB)
+MAX_SHOTS = 1 << 26
 
 
 @dataclass
@@ -274,23 +278,28 @@ def sample(dist, shots, seed, noise=None):
 def apply_readout(sc, model, seed):
     """Flip each measured bit independently: 0→1 with eps0, 1→0 with eps1.
 
-    Shots are read out in bitstring order, READOUT_BLOCK at a time, one
-    row of uniforms each; only bits under the larger rate are looked up.
+    Shots are read out in bitstring order, READOUT_BLOCK at a time.  Of a
+    block's shots × n (shot, qubit) positions, a binomial(shots × n, q)
+    count of distinct ones is drawn at q = max(eps0, eps1), and each flips
+    when its uniform is below its own bit's rate over q, so the larger-rate
+    bits flip at every candidate.  The draws number about q × shots × n.
     """
     if not model.has_readout:
         return sc
     rng = _rng(seed)
     n = sc.n_qubits
     eps = np.array([model.readout_eps0, model.readout_eps1])
+    q = eps.max()
+    ratio = eps / q
     order = _lex_order(sc.index, n)
     read = np.repeat(sc.index[order], sc.shots[order])
     for start in range(0, read.size, READOUT_BLOCK):
         block = read[start:start + READOUT_BLOCK]
-        u = rng.random(size=block.size * n)  # row = shot, column = qubit
-        candidate = np.flatnonzero(u < eps.max())
+        bits = block.size * n
+        candidate = rng.choice(bits, rng.binomial(bits, q), replace=False)
+        u = rng.random(candidate.size)
         shot, qubit = np.divmod(candidate.astype(np.uint64), n)
-        # u < eps1 on ones and u < eps0 on zeros
-        keep = u[candidate] < eps[block[shot] >> qubit & 1]
+        keep = u < ratio[block[shot] >> qubit & 1]
         np.bitwise_xor.at(block, shot[keep], np.uint64(1) << qubit[keep])
     return SampleCounts(*np.unique(read, return_counts=True), n)
 

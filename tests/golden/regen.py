@@ -25,7 +25,8 @@ Rewrite the outputs after an intended change with
 
     PYTHONPATH=src python tests/golden/regen.py
 
-and review the change as a git diff.
+and review the change as a git diff; it prints the names of the cases it
+added, removed or changed.
 """
 
 import hashlib
@@ -171,6 +172,34 @@ def _cases():
         "config-file-config-key": [{
             "argv": ["bounds", "--config", "c.cfg", "--n", "4", "--m", "2"],
             "files": {"c.cfg": "n = 4\nconfig = other.cfg\n"},
+        }],
+        # the readout rates and the circuit in the file, the CSV by flag
+        "config-file-sample-readout": [{
+            "argv": ["sample", "--config", "run.cfg", "--csv", "counts.csv"],
+            "files": {"run.cfg": "fixture = two-orbital\nshots = 3000\n"
+                                 "seed = 4\neps0 = 0.03\neps1 = 0.01\n"
+                                 "layers = 2\n"},
+        }],
+        "config-file-fci": [{
+            "argv": ["fci", "--config", "run.cfg"],
+            "files": {"run.cfg": "fixture = hubbard4\ncap = 100\n"
+                                 "save-wf = wf.json\n"},
+        }],
+        "config-file-expand": [{
+            "argv": ["expand", "--config", "run.cfg"],
+            "files": {"run.cfg": "fixture = hubbard4\nin = in.json\n"
+                                 "iters = 2\ntop_k = 5\ntau = 0.001\n"},
+        }],
+        "config-file-bounds": [{
+            "argv": ["bounds", "--config", "run.cfg"],
+            "files": {"run.cfg": "preset = cas10-10\nshots = 50000\n"
+                                 "delta = 0.01\n"},
+        }],
+        "config-file-demo": [{
+            "argv": ["demo", "--config", "run.cfg"],
+            "files": {"run.cfg": "fixture = two-orbital\nshots = 2000\n"
+                                 "seed = 3\ndepol-p = 0.01\neps0 = 0.01\n"
+                                 "eps1 = 0.02\ntau = 0.001\n"},
         }],
         "fci-save-wf-unwritable-report": [
             ["fci", "--fixture", "hubbard4", "--save-wf", "wf.json",
@@ -354,10 +383,18 @@ def main():
         for name in sorted(CASES):
             (tmp / name).mkdir()
             cases[name] = run_case(name, tmp / name, seed)
+    old = load()["cases"] if OUTPUTS.exists() else {}
     text = json.dumps({"versions": versions(), "cases": cases},
                       indent=1, sort_keys=True, ensure_ascii=False)
     OUTPUTS.write_text(text + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {OUTPUTS}")
+    cases = json.loads(text)["cases"]
+    for label, names in (
+            ("added", cases.keys() - old.keys()),
+            ("removed", old.keys() - cases.keys()),
+            ("changed", {k for k in cases.keys() & old.keys()
+                         if cases[k] != old[k]})):
+        print(f"{label} ({len(names)}):", *sorted(names))
 
 
 if __name__ == "__main__":

@@ -10,10 +10,11 @@ of the package's vectorized kernels, which are pinned against them, and
 one-bit-per-key bitstring sort, the searchsorted gate pairing and the
 flat mask-class gate pairing are the array paths the package's byte-table
 sort and per-spin-channel pairing replaced, kept here as their references;
-``davidson_reference`` is the stacked-list Davidson loop that the buffered
-one replaced, ``chain_decomposition`` the determinant-chain excitation
-decomposition that the sliced one replaced, and ``pt2_sum_loop`` the
-per-term PT2 sum that the array one replaced.
+``per_bit_readout`` is the one-uniform-per-bit readout that the per-flip
+draw replaced, ``davidson_reference`` the stacked-list Davidson loop that
+the buffered one replaced, ``chain_decomposition`` the determinant-chain
+excitation decomposition that the sliced one replaced, and
+``pt2_sum_loop`` the per-term PT2 sum that the array one replaced.
 """
 
 import functools
@@ -25,7 +26,7 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
-from qselci import expansion, hamiltonian
+from qselci import expansion, hamiltonian, sampling
 from qselci.circuits import (
     GATE_BASIS,
     GATE_EXCITATION,
@@ -42,6 +43,7 @@ from qselci.dets import (
 )
 from qselci.errors import NoConvergence
 from qselci.fcidump import IntegralTable
+from qselci.sampling import READOUT_BLOCK
 from qselci.simulator import _givens_decompose
 
 import helpers
@@ -454,6 +456,10 @@ def sample(dist, shots, seed, noise=None):
 
 
 def apply_readout(sc, model, seed):
+    """Readout one candidate position at a time: per block of
+    READOUT_BLOCK shots, a binomial count of distinct (shot, qubit)
+    positions under the larger rate q, then one uniform per position,
+    which flips its bit when below that bit's rate over q."""
     eps0, eps1 = model.readout_eps0, model.readout_eps1
     if eps0 == 0.0 and eps1 == 0.0:
         return SampleCounts(
@@ -463,14 +469,20 @@ def apply_readout(sc, model, seed):
             noise=model,
         )
     rng = _rng(seed)
-    out = Counter()
-    for s, c in sorted(sc.counts.items()):
-        bits = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
-        u = rng.random(size=(c, bits.size))
-        flip = np.where(bits[None, :] == 0, u < eps0, u < eps1)
-        flipped = np.where(flip, 1 - bits[None, :], bits[None, :])
-        for row in flipped:
-            out["".join("1" if b else "0" for b in row)] += 1
+    q = max(eps0, eps1)
+    shots = [list(s) for s, c in sorted(sc.counts.items()) for _ in range(c)]
+    for start in range(0, len(shots), READOUT_BLOCK):
+        block = shots[start:start + READOUT_BLOCK]
+        n = len(block[0])
+        bits = len(block) * n
+        positions = rng.choice(bits, rng.binomial(bits, q), replace=False)
+        uniforms = rng.random(positions.size)
+        for position, u in zip(positions.tolist(), uniforms.tolist()):
+            row = block[position // n]
+            qubit = position % n
+            if u < (eps1 if row[qubit] == "1" else eps0) / q:
+                row[qubit] = "0" if row[qubit] == "1" else "1"
+    out = Counter("".join(row) for row in shots)
     return SampleCounts(
         counts=dict(out), total_shots=sc.total_shots, seed=int(seed), noise=model
     )
@@ -501,11 +513,14 @@ def counts_to_determinants(sc, n_orbitals):
 
 # ------------------------------------------ replaced array-path references
 #
-# The package's earlier array forms of the bitstring sort and of the gate
-# pairing, bodies as they were: the gate loop scanned the whole flat
-# listing per gate, first pairing by searchsorted, then by mask class.  The
-# faster forms in qselci.sampling and qselci.simulator must give the same
-# positions and the same amplitudes bit for bit.
+# The package's earlier array forms of the bitstring sort, the readout and
+# the gate pairing, bodies as they were: the readout drew one uniform per
+# (shot, qubit), and the gate loop scanned the whole flat listing per gate,
+# first pairing by searchsorted, then by mask class.  The faster forms in
+# qselci.sampling and qselci.simulator must give the same positions and
+# the same amplitudes bit for bit; the per-flip readout draws another
+# stream, so it must match the per-bit one in its flip rates, and bit for
+# bit where the rates leave nothing to chance.
 
 
 def lex_order(index, n_qubits, *first):
@@ -513,6 +528,30 @@ def lex_order(index, n_qubits, *first):
     most significant), after the keys ``first`` when given."""
     keys = [(index >> k) & 1 for k in range(n_qubits - 1, -1, -1)]
     return np.lexsort(keys + list(first))
+
+
+def per_bit_readout(sc, model, seed):
+    """Flip each measured bit independently: 0→1 with eps0, 1→0 with eps1.
+
+    Shots are read out in bitstring order, READOUT_BLOCK at a time, one
+    row of uniforms each; only bits under the larger rate are looked up.
+    """
+    if not model.has_readout:
+        return sc
+    rng = _rng(seed)
+    n = sc.n_qubits
+    eps = np.array([model.readout_eps0, model.readout_eps1])
+    order = lex_order(sc.index, n)
+    read = np.repeat(sc.index[order], sc.shots[order])
+    for start in range(0, read.size, READOUT_BLOCK):
+        block = read[start:start + READOUT_BLOCK]
+        u = rng.random(size=block.size * n)  # row = shot, column = qubit
+        candidate = np.flatnonzero(u < eps.max())
+        shot, qubit = np.divmod(candidate.astype(np.uint64), n)
+        # u < eps1 on ones and u < eps0 on zeros
+        keep = u[candidate] < eps[block[shot] >> qubit & 1]
+        np.bitwise_xor.at(block, shot[keep], np.uint64(1) << qubit[keep])
+    return sampling.SampleCounts(*np.unique(read, return_counts=True), n)
 
 
 def searchsorted_rotate(amps, index, op, theta):

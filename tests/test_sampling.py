@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,94 @@ def test_readout_flip_statistics():
     frac = out.counts.get("1", 0) / shots
     sigma = math.sqrt(0.1 * 0.9 / shots)
     assert abs(frac - 0.1) < 3 * sigma
+
+
+# (eps0, eps1): the pairs test_sampling_reference reads out, the rates
+# that leave nothing to chance, and one so small that no bit may flip
+FLIP_RATES = [(0.01, 0.01), (0.02, 0.03), (0.04, 0.01), (0.0, 0.05),
+              (0.05, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.3),
+              (1e-300, 0.0)]
+CERTAIN_RATES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1e-300, 0.0)]
+FLIP_SHOTS = 40_000  # three readout blocks
+FLIP_Z = 5.0  # each bound's two-sided tail is 5.7e-7
+READOUT_WIDTHS = [3, 17, 64]
+
+
+def _alternating(n_qubits):
+    """The index with every even qubit 1 and every odd qubit 0."""
+    return sum(1 << k for k in range(0, n_qubits, 2))
+
+
+def _spread_counts(n_qubits):
+    """FLIP_SHOTS shots spread over up to 40 random indices."""
+    rng = np.random.default_rng(n_qubits)
+    index = np.unique(rng.integers(0, 1 << n_qubits, size=40, dtype=np.uint64))
+    shots = rng.multinomial(FLIP_SHOTS, np.full(index.size, 1 / index.size))
+    return SampleCounts(index, shots, n_qubits)
+
+
+@pytest.mark.parametrize("readout", [apply_readout, oracles.per_bit_readout],
+                         ids=["per-flip", "per-bit"])
+@pytest.mark.parametrize("n_qubits", READOUT_WIDTHS)
+@pytest.mark.parametrize("rates", FLIP_RATES, ids=lambda r: "%g-%g" % r)
+def test_readout_flip_rates_within_binomial_bounds(rates, n_qubits, readout):
+    """Every shot reads the alternating index, so each output index tells
+    its 0→1 and 1→0 flips; each count must lie within FLIP_Z standard
+    deviations of its binomial mean (exactly on it where p is 0 or 1)."""
+    read = np.uint64(_alternating(n_qubits))
+    ones = (n_qubits + 1) // 2
+    sc = SampleCounts([read], [FLIP_SHOTS], n_qubits)
+    out = readout(sc, NoiseModel(readout_eps0=rates[0],
+                                 readout_eps1=rates[1]), seed=2026)
+    assert out.total_shots == FLIP_SHOTS
+    up = np.bitwise_count(out.index & ~read).astype(np.int64) @ out.shots
+    down = np.bitwise_count(read & ~out.index).astype(np.int64) @ out.shots
+    for flips, bits, p in ((up, n_qubits - ones, rates[0]),
+                           (down, ones, rates[1])):
+        trials = FLIP_SHOTS * bits
+        assert abs(flips - trials * p) <= FLIP_Z * math.sqrt(
+            trials * p * (1 - p))
+
+
+@pytest.mark.parametrize("n_qubits", [3, 8, 33, 64])
+def test_readout_repeats_per_seed(n_qubits):
+    sc = _spread_counts(n_qubits)
+    model = NoiseModel(readout_eps0=0.02, readout_eps1=0.03)
+    first, again, other = (apply_readout(sc, model, seed=s) for s in (5, 5, 6))
+    assert np.array_equal(first.index, again.index)
+    assert np.array_equal(first.shots, again.shots)
+    assert first.counts != other.counts
+    assert first.total_shots == other.total_shots == FLIP_SHOTS
+
+
+@pytest.mark.parametrize("n_qubits", [3, 8, 33, 64])
+@pytest.mark.parametrize("rates", CERTAIN_RATES, ids=lambda r: "%g-%g" % r)
+def test_readout_at_certain_rates_matches_per_bit_readout(rates, n_qubits):
+    """Where each bit flips always or never, the two random streams agree
+    bit for bit, shot by shot across blocks."""
+    sc = _spread_counts(n_qubits)
+    model = NoiseModel(readout_eps0=rates[0], readout_eps1=rates[1])
+    out = apply_readout(sc, model, seed=3)
+    ref = oracles.per_bit_readout(sc, model, seed=3)
+    assert np.array_equal(out.index, ref.index)
+    assert np.array_equal(out.shots, ref.shots)
+
+
+def test_readout_memory_is_bounded_by_the_block():
+    """At eps (1, 1) every (shot, qubit) position is a candidate; a 64-qubit
+    register over four blocks must peak under 64 B per position of one
+    block.  Drawing all four blocks at once holds about four times that."""
+    shots = 4 * sampling.READOUT_BLOCK
+    sc = SampleCounts([_alternating(64)], [shots], 64)
+    model = NoiseModel(readout_eps0=1.0, readout_eps1=1.0)
+    tracemalloc.start()
+    try:
+        out = apply_readout(sc, model, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.counts == {"01" * 32: shots}
+    assert peak < 64 * 64 * sampling.READOUT_BLOCK
 
 
 # ---------------------------------------------------------- symmetry filter
