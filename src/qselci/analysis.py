@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dets import Determinant
+from .dets import Determinant, rank_order
 
 
 def _xlogx(x):
@@ -33,10 +33,6 @@ def _occupation_matrix(psi):
     return bits.reshape(len(psi.masks), -1).astype(float)
 
 
-def _binary_entropy(p):
-    return float(-(_xlogx(p) + _xlogx(1.0 - p)))
-
-
 def orbital_entropies(psi):
     """Occupation probabilities and entropies per spin orbital.
 
@@ -46,10 +42,8 @@ def orbital_entropies(psi):
     """
     weights = np.asarray(psi.coeffs, dtype=float) ** 2
     occ = _occupation_matrix(psi)
-    p = occ.T @ weights
-    p = np.clip(p, 0.0, 1.0)
-    s = -(_xlogx(p) + _xlogx(1.0 - p))
-    return p, np.asarray(s, dtype=float)
+    p = np.clip(occ.T @ weights, 0.0, 1.0)
+    return p, -(_xlogx(p) + _xlogx(1.0 - p))
 
 
 def mutual_information(psi):
@@ -58,31 +52,22 @@ def mutual_information(psi):
     For each pair the joint occupation distribution over the four sectors
     (00, 01, 10, 11) is tallied from the determinant weights; I = s_i + s_j
     - s_ij, the diagonal is defined as 0, and negative rounding residue
-    within 1e-12 is clipped to 0.
+    within 1e-12 is clipped to 0.  The sector terms add from 00 to 11 for
+    i < j, and the lower triangle mirrors the upper one.
     """
     weights = np.asarray(psi.coeffs, dtype=float) ** 2
     occ = _occupation_matrix(psi)
-    n_spin = occ.shape[1]
+    p, s = orbital_entropies(psi)
     # joint probability that both members of a pair are occupied
     p11 = occ.T @ (occ * weights[:, None])
-    p = np.clip(occ.T @ weights, 0.0, 1.0)
-    mi = np.zeros((n_spin, n_spin))
-    for i in range(n_spin):
-        s_i = _binary_entropy(p[i])
-        for j in range(i + 1, n_spin):
-            joint = np.array([
-                1.0 - p[i] - p[j] + p11[i, j],   # 00
-                p[j] - p11[i, j],                # 01
-                p[i] - p11[i, j],                # 10
-                p11[i, j],                       # 11
-            ])
-            joint = np.clip(joint, 0.0, 1.0)
-            s_ij = float(-np.sum(_xlogx(joint)))
-            value = s_i + _binary_entropy(p[j]) - s_ij
-            if -1e-12 < value < 0.0:
-                value = 0.0
-            mi[i, j] = mi[j, i] = value
-    return mi
+    p_i, p_j = p[:, None], p[None, :]
+    joint = np.clip([1.0 - p_i - p_j + p11, p_j - p11, p_i - p11, p11],
+                    0.0, 1.0)
+    x00, x01, x10, x11 = _xlogx(joint)
+    s_ij = -((((0.0 + x00) + x01) + x10) + x11)
+    mi = np.triu(s[:, None] + s[None, :] - s_ij, 1)
+    mi[(-1e-12 < mi) & (mi < 0.0)] = 0.0
+    return mi + mi.T
 
 
 def rank_histogram(psi, reference):
@@ -106,30 +91,28 @@ class AnalysisReport:
 
     def to_json_dict(self):
         return {
-            "occupations": [float(x) for x in self.occupations],
-            "entropies": [float(x) for x in self.entropies],
-            "mutual_information": [[float(x) for x in row]
-                                   for row in self.mi],
-            "rank_histogram": [float(x) for x in self.rank_histogram],
+            "occupations": self.occupations.tolist(),
+            "entropies": self.entropies.tolist(),
+            "mutual_information": self.mi.tolist(),
+            "rank_histogram": self.rank_histogram.tolist(),
         }
 
     def mi_edge_list(self, threshold=0.0):
         """(i, j, weight) rows for every pair with I above the threshold,
-        suitable for graph plotting tools."""
-        edges = []
-        n = self.mi.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.mi[i, j] > threshold:
-                    edges.append((i, j, float(self.mi[i, j])))
-        return edges
+        row by row, suitable for graph plotting tools."""
+        i, j = np.triu_indices(len(self.mi), 1)
+        weight = self.mi[i, j]
+        keep = weight > threshold
+        return list(zip(i[keep].tolist(), j[keep].tolist(),
+                        weight[keep].tolist()))
 
 
 def analyze(psi, reference=None):
     """Full diagnostic pass; the reference for the rank histogram defaults
-    to the determinant with the largest weight."""
+    to the first determinant of ``dets.rank_order`` by weight."""
     if reference is None:
-        reference = Determinant(*psi.masks[np.argmax(psi.coeffs ** 2)].tolist())
+        top = rank_order(psi.masks, psi.coeffs ** 2)[0]
+        reference = Determinant(*psi.masks[top].tolist())
     p, s = orbital_entropies(psi)
     return AnalysisReport(
         occupations=p,

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dets import det_masks
 from .errors import FullDepolarization, ZeroGap
 from .sampling import derive_seeds
 
@@ -119,11 +120,14 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 def retained_weight(ground, subset):
-    """Squared ground-state amplitude captured by a determinant subset."""
-    wanted = set(subset)
-    return float(sum(
-        c * c for det, c in zip(ground.dets, ground.coeffs) if det in wanted
-    ))
+    """Squared ground-state amplitude captured by a determinant subset,
+    given as Determinant objects or (N, 2) mask rows; the weights add in
+    ground order."""
+    row = np.dtype([("alpha", np.uint64), ("beta", np.uint64)])
+    ground_rows, wanted = (np.ascontiguousarray(m).view(row)[:, 0]
+                           for m in (ground.masks, det_masks(subset)))
+    hit = np.isin(ground_rows, wanted)
+    return float(np.cumsum(np.append(0.0, ground.coeffs[hit] ** 2))[-1])
 
 
 def truncation_bound(lambda_h, q_r):
@@ -355,7 +359,8 @@ def full_report(inputs):
         if inputs.m_shots is not None and inputs.delta is not None:
             epsilon = values["epsilon_m"] = hoeffding_epsilon(inputs.m_shots,
                                                               inputs.delta)
-        if epsilon is not None and inputs.r is not None and inputs.d is not None:
+        if (epsilon is not None and inputs.r is not None
+                and inputs.d is not None and inputs.p < 1.0):
             p_hat = inputs.p_hat_r
             if p_hat is None and inputs.q_r is not None:
                 # expected measured value when no measurement is supplied

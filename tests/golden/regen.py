@@ -69,8 +69,8 @@ def _slug(argv):
 
 def _cases():
     """{name: [step, ...]}; a step is an argv list, or a dict with the argv,
-    input files to write first (text or bytes), and whether to run it in a
-    subprocess."""
+    input files to write first (text or bytes), whether to run it in a
+    subprocess, and the report path when a config file sets ``out``."""
     cases = {}
     for f in ("hubbard4", "two-orbital"):
         fx = ["--fixture", f]
@@ -126,6 +126,11 @@ def _cases():
             "0.9", "--lambda-h", "2", "--p", "0.01", "--r", "50", "--d",
             "63504", "--shots", "100000", "--delta", "0.05", "--k-pool",
             "200", "--gap-id", "0.001", "--out", "r.json",
+        ]],
+        # full depolarization leaves no weight to invert, only that bound
+        "bounds-full-depolarization": [[
+            "bounds", "--p", "1", "--lambda-h", "1", "--q-r", "0.5",
+            "--shots", "100", "--delta", "0.1", "--r", "5", "--d", "100",
         ]],
         "config-file": [{
             "argv": ["qsci", "--fixture", "hubbard4", "--config", "run.cfg",
@@ -194,6 +199,27 @@ def _cases():
             "argv": ["bounds", "--config", "run.cfg"],
             "files": {"run.cfg": "preset = cas10-10\nshots = 50000\n"
                                  "delta = 0.01\n"},
+        }],
+        "config-file-usci-build": [{
+            "argv": ["usci-build", "--config", "run.cfg"],
+            "files": {"run.cfg": "fixture = hubbard4\ncutoff = 0\nlayers = 2\n"
+                                 "orbital-rotation = yes\n"
+                                 "save-circuit = circuit.json\n"},
+        }],
+        "config-file-fcidump-info": [{
+            "argv": ["fcidump-info", "--config", "run.cfg"],
+            "files": {"run.cfg": "fcidump = h2.fcidump\n",
+                      "h2.fcidump": "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
+                                    " 0.6746 1 1 1 1\n 0.1813 2 1 2 1\n"
+                                    " 0.6636 2 2 1 1\n 0.6975 2 2 2 2\n"
+                                    "-1.2524 1 1 0 0\n-0.4759 2 2 0 0\n"
+                                    " 0.7137 0 0 0 0\n"},
+        }],
+        # the report to the file's path, the summary lines to stdout
+        "config-file-out": [{
+            "argv": ["fci", "--config", "run.cfg"],
+            "files": {"run.cfg": "fixture = two-orbital\nout = r.json\n"},
+            "out": "r.json",
         }],
         "config-file-demo": [{
             "argv": ["demo", "--config", "run.cfg"],
@@ -302,7 +328,8 @@ def run_step(step, directory):
     written = {k: v for k, v in _snapshot(directory).items()
                if before.get(k) != v}
     report = None
-    out_path = argv[argv.index("--out") + 1] if "--out" in argv else None
+    out_path = step.get("out", argv[argv.index("--out") + 1]
+                        if "--out" in argv else None)
     if out_path in written:
         report = json.loads(written.pop(out_path))
     elif code == 0 and out.startswith("{"):

@@ -1,8 +1,9 @@
-"""Small shared helpers: randomized test inputs, full-register views of
-sector states, fresh interpreters on the source tree, and the rejected CLI
-option values and input files that the CLI tests and the golden outputs
-share."""
+"""Small shared helpers: randomized test inputs, shared FCI states,
+full-register views of sector states, fresh interpreters on the source
+tree, and the rejected CLI option values and input files that the CLI
+tests and the golden outputs share."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -14,6 +15,12 @@ import numpy as np
 from qselci.circuits import build_usci
 from qselci.dets import Determinant, hartree_fock, sector_masks
 from qselci.fcidump import IntegralTable
+from qselci.fixtures import (
+    FIXTURES,
+    h_chain_synthetic_table,
+    hubbard_chain_table,
+)
+from qselci.hamiltonian import fci_oracle
 
 
 def random_table(n_orbitals, n_electrons, ms2=0, seed=0, with_core=True):
@@ -51,6 +58,16 @@ def hf_pick_usci(n_orbitals, n_alpha, n_beta, n_pick, seed):
     selected = [hf] + [Determinant(int(a), int(b)) for a, b in pool[pick]]
     circuit = build_usci(hf, selected, n_orbitals)
     return circuit, np.full(circuit.n_params, 0.15)
+
+
+@functools.cache
+def fci_states():
+    """{name: FCI ground state} of every fixture and of the half-filled
+    8-site Hubbard and hydrogen-chain tables (4,900 determinants each)."""
+    tables = {name: make() for name, make in FIXTURES.items()}
+    tables["hubbard8"] = hubbard_chain_table(8)
+    tables["h-chain-8"] = h_chain_synthetic_table(8)
+    return {name: fci_oracle(table) for name, table in tables.items()}
 
 
 def full_register(state):

@@ -13,8 +13,12 @@ sort and per-spin-channel pairing replaced, kept here as their references;
 ``per_bit_readout`` is the one-uniform-per-bit readout that the per-flip
 draw replaced, ``davidson_reference`` the stacked-list Davidson loop that
 the buffered one replaced, ``chain_decomposition`` the determinant-chain
-excitation decomposition that the sliced one replaced, and
-``pt2_sum_loop`` the per-term PT2 sum that the array one replaced.
+excitation decomposition that the sliced one replaced,
+``pt2_sum_loop`` the per-term PT2 sum that the array one replaced,
+``pair_loop_mutual_information`` and ``pair_loop_edge_list`` the
+per-pair mutual information and edge walk that the pair tables replaced,
+and ``set_retained_weight`` the ``Determinant``-set retained weight that
+the mask-row match replaced.
 """
 
 import functools
@@ -26,7 +30,7 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
-from qselci import expansion, hamiltonian, sampling
+from qselci import analysis, expansion, hamiltonian, sampling
 from qselci.circuits import (
     GATE_BASIS,
     GATE_EXCITATION,
@@ -353,6 +357,65 @@ def pt2_sum_loop(psi, table):
             continue
         delta -= numerator * numerator / denom
     return delta, len(candidates), skipped
+
+
+# --------------------------------------------- diagnostics references
+#
+# ``analysis.mutual_information`` and ``AnalysisReport.mi_edge_list`` as
+# one Python step per spin-orbital pair, and ``bounds.retained_weight``
+# over a set of Determinant objects: the array forms must give the same
+# bits.
+
+
+def _binary_entropy(p):
+    return float(-(analysis._xlogx(p) + analysis._xlogx(1.0 - p)))
+
+
+def pair_loop_mutual_information(psi):
+    """The mutual information matrix with each pair's four sectors
+    tallied and summed on their own."""
+    weights = np.asarray(psi.coeffs, dtype=float) ** 2
+    occ = analysis._occupation_matrix(psi)
+    n_spin = occ.shape[1]
+    p11 = occ.T @ (occ * weights[:, None])
+    p = np.clip(occ.T @ weights, 0.0, 1.0)
+    mi = np.zeros((n_spin, n_spin))
+    for i in range(n_spin):
+        s_i = _binary_entropy(p[i])
+        for j in range(i + 1, n_spin):
+            joint = np.array([
+                1.0 - p[i] - p[j] + p11[i, j],   # 00
+                p[j] - p11[i, j],                # 01
+                p[i] - p11[i, j],                # 10
+                p11[i, j],                       # 11
+            ])
+            joint = np.clip(joint, 0.0, 1.0)
+            s_ij = float(-np.sum(analysis._xlogx(joint)))
+            value = s_i + _binary_entropy(p[j]) - s_ij
+            if -1e-12 < value < 0.0:
+                value = 0.0
+            mi[i, j] = mi[j, i] = value
+    return mi
+
+
+def pair_loop_edge_list(mi, threshold=0.0):
+    """(i, j, weight) for every pair i < j with weight above the
+    threshold, row by row."""
+    edges = []
+    n = mi.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mi[i, j] > threshold:
+                edges.append((i, j, float(mi[i, j])))
+    return edges
+
+
+def set_retained_weight(ground, subset):
+    """Squared ground-state amplitude captured by a Determinant subset."""
+    wanted = set(subset)
+    return float(sum(
+        c * c for det, c in zip(ground.dets, ground.coeffs) if det in wanted
+    ))
 
 
 # ------------------------------------------- text-keyed sampling reference

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
+import helpers
+import oracles
+from golden import regen
 from qselci import analysis
 from qselci.analysis import (
     analyze,
@@ -143,6 +146,62 @@ def test_mutual_information_structure(hubbard_state):
                 assert mi[i, j] <= min(entropies[i], entropies[j]) + 1e-10
 
 
+# ------------------------------------------- the pair-loop reference, bitwise
+
+def _random_sparse_state(n_orbitals, n_dets, seed):
+    """Seeded distinct mask rows over every bit of n_orbitals (bit 63
+    included at 64), with weights spread over many decades."""
+    rng = np.random.default_rng(seed)
+    masks = np.unique(rng.integers(0, 2 ** n_orbitals, size=(n_dets, 2),
+                                   dtype=np.uint64), axis=0)
+    coeffs = rng.standard_normal(len(masks)) * rng.random(len(masks)) ** 4
+    return Wavefunction(masks=masks, coeffs=coeffs / np.linalg.norm(coeffs),
+                        energy=0.0, n_orbitals=n_orbitals)
+
+
+def _single_determinant(alpha, beta, coeff, n_orbitals):
+    return Wavefunction(masks=np.array([[alpha, beta]], dtype=np.uint64),
+                        coeffs=[coeff], energy=0.0, n_orbitals=n_orbitals)
+
+
+@pytest.fixture(scope="module")
+def oracle_states():
+    """{name: wavefunction}: FCI states, the golden cases' saved
+    wavefunctions, single determinants and seeded random sparse states."""
+    states = dict(helpers.fci_states())
+    for case, steps in regen.load()["cases"].items():
+        for k, step in enumerate(steps):
+            for name, text in step["files"].items():
+                if name.startswith("wf") and isinstance(text, str):
+                    states[f"{case}/{k}/{name}"] = Wavefunction.from_json(text)
+    states["single"] = _single_determinant(0b0011, 0b0101, 1.0, 4)
+    states["single-negative"] = _single_determinant(0b0110, 0b0011, -1.0, 4)
+    states["single-bit-63"] = _single_determinant(1 << 63 | 1, 3, 1.0, 64)
+    for n, size in ((4, 10), (10, 200), (32, 500), (64, 2000)):
+        for seed in (0, 1):
+            states[f"random-{n}-{seed}"] = _random_sparse_state(n, size, seed)
+    return states
+
+
+def test_oracle_states_cover_the_listed_inputs(oracle_states):
+    assert {"hubbard4", "two-orbital", "h-chain-synthetic", "hubbard8",
+            "h-chain-8", "hubbard4-save-wf-chain/1/wf2.json",
+            "random-64-1"} <= set(oracle_states)
+    assert (oracle_states["random-64-0"].masks >> np.uint64(63)).any()
+    entropies = orbital_entropies(oracle_states["single"])[1]
+    assert np.signbit(entropies).all() and not entropies.any()  # all -0.0
+
+
+def test_pair_tables_match_the_pair_loop_bit_for_bit(oracle_states):
+    for name, psi in oracle_states.items():
+        expected = oracles.pair_loop_mutual_information(psi)
+        report = analyze(psi)
+        assert report.mi.tobytes() == expected.tobytes(), name
+        for threshold in (0.0, 0.05):  # JSON text: plain ints, exact floats
+            assert json.dumps(report.mi_edge_list(threshold)) == json.dumps(
+                oracles.pair_loop_edge_list(expected, threshold)), name
+
+
 # --------------------------------------------------------------- rank histogram
 
 def test_rank_histogram_normalized_and_bounded():
@@ -192,6 +251,20 @@ def test_analyze_defaults_to_dominant_reference(hubbard_state):
                        rank_histogram(psi, dominant))
     assert report.occupations.shape == (8,)
     assert report.mi.shape == (8, 8)
+
+
+def test_default_reference_does_not_depend_on_storage_order():
+    # A = (0b0011, 0b0011) and B = (0b1100, 0b1100) tie at c = 0.6; the
+    # saved file lists B first, and the tie goes to the smaller masks, A
+    masks = np.array([[0b0011, 0b0011], [0b1100, 0b1100], [0b0011, 0b0101]])
+    psi = Wavefunction(masks=masks, coeffs=[0.6, 0.6, math.sqrt(0.28)],
+                       energy=0.0, n_orbitals=4)
+    stored = Wavefunction.from_json(psi.to_json())
+    assert stored.masks.tolist() != masks.tolist()
+    expected = rank_histogram(psi, Determinant(0b0011, 0b0011))
+    assert np.allclose(expected, [0.36, 0.28, 0.0, 0.0, 0.36])
+    for wf in (psi, stored):
+        assert np.array_equal(analyze(wf).rank_histogram, expected)
 
 
 def test_analyze_invariant_under_determinant_order(hubbard_state):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import helpers
 import oracles
 from qselci.bounds import (
     BoundInputs,
@@ -25,7 +26,8 @@ from qselci.bounds import (
     truncation_bound,
     uniform_probability,
 )
-from qselci.dets import enumerate_space
+from qselci.circuits import prescreen
+from qselci.dets import Determinant, determinants, enumerate_space
 from qselci.errors import FullDepolarization, ZeroGap
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import (
@@ -84,6 +86,33 @@ def test_truncation_bound_holds_on_random_subsets():
             warnings.simplefilter("ignore")
             bound = truncation_bound(lam, q)
         assert -1e-10 <= e_r - oracle.energy <= bound + 1e-10
+
+
+def _subsets(ground, rng):
+    """Determinant lists and mask rows of ground: prescreened, random,
+    empty, repeated, and holding rows the ground state does not list."""
+    n = len(ground.masks)
+    outside = [Determinant(1 << ground.n_orbitals, 0), Determinant(0, 0)]
+    random_rows = ground.masks[rng.choice(n, size=max(1, n // 3),
+                                          replace=False)]
+    listed = prescreen(ground, 0.01)
+    return [
+        listed, prescreen(ground, 0.0, top_m=12), determinants(random_rows),
+        random_rows, random_rows.astype(np.int64), [],
+        np.empty((0, 2), dtype=np.uint64), listed + listed[::2],
+        np.concatenate([random_rows, random_rows[:5]]), outside,
+        determinants(random_rows) + outside, ground.masks,
+    ]
+
+
+def test_retained_weight_matches_the_set_form_bit_for_bit():
+    for name, ground in helpers.fci_states().items():
+        for subset in _subsets(ground, np.random.default_rng(len(name))):
+            dets = (determinants(subset) if isinstance(subset, np.ndarray)
+                    else subset)
+            got = retained_weight(ground, subset)
+            assert type(got) is float
+            assert got == oracles.set_retained_weight(ground, dets), name
 
 
 # ------------------------------------------------------------ weight inversion
@@ -338,6 +367,19 @@ def test_full_report_derives_noisy_gap():
     assert abs(
         report.selection_failure - selection_failure(1000, 10, 0.1)
     ) < 1e-15
+
+
+def test_full_report_at_full_depolarization_skips_only_the_inversion():
+    # at p = 1 the weight inversion raises, so its two entries stay None
+    report = full_report(BoundInputs(p=1.0, lambda_h=1.0, q_r=0.5,
+                                     m_shots=100, delta=0.1, r=5, d=100))
+    assert report.q_r_lower is None
+    assert report.energy_bound_confident is None
+    assert report.truncation_bound == truncation_bound(1.0, 0.5)
+    assert report.epsilon_m == hoeffding_epsilon(100, 0.1)
+    assert report.direct_noise_bias == 2.0
+    with pytest.raises(FullDepolarization):
+        confident_weight_lower(0.5, report.epsilon_m, 1.0, 5, 100)
 
 
 def test_input_validation():

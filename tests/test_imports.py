@@ -10,11 +10,14 @@ reads, a third on a module-level public function or class that only tests
 read, and another on an error class that nothing in the package raises.
 One more reads the benchmark tracer's table of wrapped functions, so
 removing a name it binds fails here rather than in a traced bench run.
+The last parses the package and the demos with the grammar of the oldest
+Python that ``pyproject.toml`` declares.
 """
 
 import ast
 import importlib
 import json
+import re
 
 import pytest
 
@@ -268,3 +271,26 @@ def test_benchmark_tracer_bindings_resolve():
     missing = [f"qselci.{module}.{attr}" for module, attr in pairs
                if not hasattr(importlib.import_module(f"qselci.{module}"), attr)]
     assert missing == []
+
+
+def _python_floor():
+    """The (major, minor) of ``requires-python = ">=X.Y"``."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text)
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize(
+    "path", sorted([*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_sources_parse_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=_python_floor())
+
+
+def test_floor_guard_rejects_newer_grammar():
+    text = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert _python_floor() == (3, 10)
+    ast.parse(text, feature_version=(3, 11))
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse(text, feature_version=_python_floor())
