@@ -21,11 +21,7 @@ import numpy as np
 
 from .dets import det_masks
 from .errors import FullDepolarization, ZeroGap
-from .sampling import derive_seeds
-
-# Monte-Carlo trials are split into this many blocks, each drawing from its
-# own derived stream; fixed, so a validator's value depends only on its seed.
-MC_SEED_BLOCKS = 4
+from .sampling import _rng
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +295,13 @@ def gate_budget(f_2q, n, m=None, n_alpha=None, n_beta=None):
 # Monte-Carlo validation
 # ---------------------------------------------------------------------------
 
-def _seed_blocks(trials, seed):
-    """(trial count, generator) of each nonempty seed block, in block order."""
-    base, extra = divmod(trials, MC_SEED_BLOCKS)
-    blocks = []
-    for i, block_seed in enumerate(derive_seeds(seed, MC_SEED_BLOCKS)):
-        count = base + (1 if i < extra else 0)
-        if count:
-            rng = np.random.Generator(np.random.Philox(block_seed))
-            blocks.append((count, rng))
-    return blocks
-
-
 def mc_hoeffding_violation_rate(p_true, m_shots, delta, trials=10_000,
                                 seed=0):
     """Empirical fraction of binomial experiments whose mean misses p_true
     by more than the Hoeffding radius."""
     eps = hoeffding_epsilon(m_shots, delta)
-    violations = 0
-    for count, rng in _seed_blocks(trials, seed):
-        means = rng.binomial(m_shots, p_true, size=count) / m_shots
-        violations += int(np.count_nonzero(np.abs(means - p_true) > eps))
-    return violations / trials
+    means = _rng(seed).binomial(m_shots, p_true, size=trials) / m_shots
+    return int(np.count_nonzero(np.abs(means - p_true) > eps)) / trials
 
 
 def mc_selection_failure_rate(probs, r, m_shots, trials=1_000, seed=0):
@@ -331,12 +312,9 @@ def mc_selection_failure_rate(probs, r, m_shots, trials=1_000, seed=0):
         raise ValueError("need a 1-D probability vector with at least r entries")
     order = np.argsort(-probs, kind="stable")
     true_top = set(order[:r].tolist())
-    failures = 0
-    for count, rng in _seed_blocks(trials, seed):
-        draws = rng.multinomial(m_shots, probs, size=count)
-        ranks = np.argsort(-draws, axis=1, kind="stable")[:, :r]
-        failures += sum(set(row.tolist()) != true_top for row in ranks)
-    return failures / trials
+    draws = _rng(seed).multinomial(m_shots, probs, size=trials)
+    ranks = np.argsort(-draws, axis=1, kind="stable")[:, :r]
+    return sum(set(row.tolist()) != true_top for row in ranks) / trials
 
 
 # ---------------------------------------------------------------------------

@@ -191,9 +191,9 @@ def sector_masks(n_orbitals, n_alpha, n_beta, cap=ENUMERATION_CAP):
                             np.tile(betas, len(alphas))])
 
 
-def enumerate_space(n_orbitals, n_alpha, n_beta, cap=ENUMERATION_CAP):
+def enumerate_space(n_orbitals, n_alpha, n_beta):
     """``sector_masks`` as a Determinant list."""
-    return determinants(sector_masks(n_orbitals, n_alpha, n_beta, cap))
+    return determinants(sector_masks(n_orbitals, n_alpha, n_beta))
 
 
 def occupation_strings(n_orbitals, n_electrons):

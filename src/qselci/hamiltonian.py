@@ -560,14 +560,13 @@ def fci_oracle(table, cap=ENUMERATION_CAP):
     return davidson_lowest(subspace)
 
 
-def spectral_halfwidth(subspace, cap=SPECTRUM_CAP):
+def spectral_halfwidth(subspace):
     """(E_max - E_min) / 2 of a subspace matrix (core shift cancels)."""
     import scipy.linalg
 
-    if _nonempty_dim(subspace) > cap:
-        raise TooLarge(
-            f"dense spectrum of dimension {subspace.dim} above cap {cap}"
-        )
+    if _nonempty_dim(subspace) > SPECTRUM_CAP:
+        raise TooLarge(f"dense spectrum of dimension {subspace.dim} above "
+                       f"cap {SPECTRUM_CAP}")
     w = scipy.linalg.eigvalsh(subspace.matrix.toarray())
     return float((w[-1] - w[0]) / 2)
 

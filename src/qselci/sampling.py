@@ -27,9 +27,9 @@ from .errors import TooLarge
 PRUNE_TOL = 1e-16
 # shots per readout pass; bounds the candidate positions held at once
 READOUT_BLOCK = 1 << 14
-# peak memory per shot: about 18 B when outcomes repeat (1.2 GB at the cap),
-# up to about 100 B in `sample` when every shot differs (6.5 GB)
-MAX_SHOTS = 1 << 26
+# peak memory per shot: about 18 B when outcomes repeat (0.3 GB at the cap),
+# up to about 100 B in `sample` when every shot differs (1.6 GB)
+MAX_SHOTS = 1 << 24
 
 
 @dataclass

@@ -617,9 +617,23 @@ def per_bit_readout(sc, model, seed):
     return sampling.SampleCounts(*np.unique(read, return_counts=True), n)
 
 
-def searchsorted_rotate(amps, index, op, theta):
-    """In-place exp(theta (tau - tau^dag)) via paired-amplitude Givens."""
-    if theta == 0.0:
+def _givens(amps, src_at, tgt_at, sign, thetas):
+    """Rotate each row of ``amps`` in place by its own angle over the
+    (source, target) pairs, one 1-D row at a time as the package does."""
+    for row, theta in zip(amps, thetas):
+        if theta == 0.0:
+            continue
+        c, s = np.cos(theta), np.sin(theta)
+        a_src = row[src_at]
+        a_tgt = row[tgt_at]
+        row[tgt_at] = c * a_tgt + sign * s * a_src
+        row[src_at] = c * a_src - sign * s * a_tgt
+
+
+def searchsorted_rotate(amps, index, op, thetas):
+    """In-place exp(theta (tau - tau^dag)) via paired-amplitude Givens, on
+    each amplitude row with its own angle."""
+    if not any(thetas):
         return
     ann_mask = np.uint64(sum(1 << s for s in op.annihilated))
     cre_mask = np.uint64(sum(1 << s for s in op.created))
@@ -633,16 +647,13 @@ def searchsorted_rotate(amps, index, op, theta):
     if not np.array_equal(index.take(tgt_at, mode="clip"), tgt):
         raise ValueError("excitation leaves the statevector's listed basis states")
     sign = op.phase * string_sign(src, op.annihilated, op.created)
-    c, s = np.cos(theta), np.sin(theta)
-    a_src = amps[src_at]
-    a_tgt = amps[tgt_at]
-    amps[tgt_at] = c * a_tgt + sign * s * a_src
-    amps[src_at] = c * a_src - sign * s * a_tgt
+    _givens(amps, src_at, tgt_at, sign, thetas)
 
 
-def mask_rotate(amps, index, op, theta):
-    """In-place exp(theta (tau - tau^dag)) via paired-amplitude Givens."""
-    if theta == 0.0:
+def mask_rotate(amps, index, op, thetas):
+    """In-place exp(theta (tau - tau^dag)) via paired-amplitude Givens, on
+    each amplitude row with its own angle."""
+    if not any(thetas):
         return
     ann_mask = np.uint64(sum(1 << s for s in op.annihilated))
     cre_mask = np.uint64(sum(1 << s for s in op.created))
@@ -657,29 +668,31 @@ def mask_rotate(amps, index, op, theta):
     if src_at.size != tgt_at.size or not np.array_equal(index[tgt_at], src ^ both):
         raise ValueError("excitation leaves the statevector's listed basis states")
     sign = op.phase * string_sign(src, op.annihilated, op.created)
-    c, s = np.cos(theta), np.sin(theta)
-    a_src = amps[src_at]
-    a_tgt = amps[tgt_at]
-    amps[tgt_at] = c * a_tgt + sign * s * a_src
-    amps[src_at] = c * a_src - sign * s * a_tgt
+    _givens(amps, src_at, tgt_at, sign, thetas)
 
 
 def flat_apply_circuit(circuit, params, state, rotate=mask_rotate):
     """The gate loop that finds each gate's pairs by scanning the whole
-    flat listing with ``rotate``; returns the new amplitudes."""
+    flat listing with ``rotate``; returns the new amplitudes.
+
+    ``params`` may hold several angle sets, one per row: each gate's pairs
+    are then found once, and the amplitudes come back one row per set.
+    """
     params = np.asarray(params, dtype=float)
-    amps = state.amps.copy()
+    rows = np.atleast_2d(params)
+    amps = np.tile(state.amps, (len(rows), 1))
     index = state.index
     n = circuit.n_orbitals
     for gate in circuit.gates:
+        if gate.kind in (GATE_EXCITATION, GATE_ORBITAL):
+            thetas = [float(t) for t in rows[:, gate.param_slot]]
         if gate.kind == GATE_EXCITATION:
-            rotate(amps, index, gate.excitation, float(params[gate.param_slot]))
+            rotate(amps, index, gate.excitation, thetas)
         elif gate.kind == GATE_ORBITAL:
-            theta = float(params[gate.param_slot])
             q, p = gate.qubits[0], gate.qubits[1]  # spatial pair (q < p)
             for off in (0, n):
                 op = ExcitationOp(n, (q + off,), (p + off,), phase=1)
-                rotate(amps, index, op, theta)
+                rotate(amps, index, op, thetas)
         elif gate.kind == GATE_JASTROW:
             _jastrow_phase(amps, index, gate.qubits, gate.angle)
         elif gate.kind == GATE_BASIS:
@@ -687,7 +700,7 @@ def flat_apply_circuit(circuit, params, state, rotate=mask_rotate):
             _basis_rotation(amps, index, sign * gate.kappa, n, rotate)
         else:
             raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return amps
+    return amps if params.ndim == 2 else amps[0]
 
 
 def _jastrow_phase(amps, index, qubits, angle):
@@ -695,11 +708,13 @@ def _jastrow_phase(amps, index, qubits, angle):
     for q in set(qubits):
         mask |= np.uint64(1 << q)
     sel = (index & mask) == mask
-    amps[sel] *= np.exp(1j * angle)
+    for row in amps:
+        row[sel] *= np.exp(1j * angle)
 
 
 def _basis_rotation(amps, index, kappa, n_orbitals, rotate):
-    """Apply the Fock-space image of Q = expm(kappa) on both spin channels."""
+    """Apply the Fock-space image of Q = expm(kappa) on both spin channels
+    to every amplitude row."""
     kappa = np.asarray(kappa, dtype=float)
     if np.abs(kappa).max() == 0.0:
         return
@@ -711,13 +726,13 @@ def _basis_rotation(amps, index, kappa, n_orbitals, rotate):
         if sign < 0:
             for off in (0, n_orbitals):
                 bit = np.uint64(1 << (i + off))
-                amps[(index & bit) == bit] *= -1.0
+                amps[:, (index & bit) == bit] *= -1.0
     # Gamma(R(theta)) = exp(theta (a+_i a_j - a+_j a_i)); each factor here is
     # the transpose R^T, hence the negated angle.
     for i, j, theta in reversed(rotations):
         for off in (0, n_orbitals):
             op = ExcitationOp(n_orbitals, (j + off,), (i + off,), phase=1)
-            rotate(amps, index, op, -theta)
+            rotate(amps, index, op, [-theta] * len(amps))
 
 
 # ------------------------------------------------ Davidson reference

@@ -14,6 +14,7 @@ import scipy.sparse
 
 import helpers
 from oracles import slater_condon as scalar_element
+from qselci import hamiltonian
 from qselci.dets import (Determinant, det_masks, determinants,
                          enumerate_space, excitation_rank, sector_masks)
 from qselci.errors import DuplicateDeterminant
@@ -143,6 +144,28 @@ def test_coupling_elements_match_scalar_between_lists(case):
         assert abs(got[key] - value) <= ELEMENT_TOL
     order = np.lexsort((j, i))
     assert np.array_equal(order, np.arange(len(i)))
+
+
+def _kernel_bytes(table, dets):
+    """The bytes of every coupling array, list against itself with
+    ``upper`` True and False, and of the subspace's CSR arrays."""
+    alpha, beta = det_masks(dets).T
+    h, g = table.h, table.dense_g()
+    pairs = [coupling_elements(alpha, beta, alpha, beta, h, g, upper=upper)
+             for upper in (True, False)]
+    m = build_subspace(dets, table).matrix
+    return [a.tobytes() for trio in pairs for a in trio] + [
+        m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()]
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, hamiltonian.PAIR_BLOCK])
+def test_pair_block_leaves_no_trace_in_the_output(case, block, monkeypatch):
+    # the screening passes and the batches of survivors both follow
+    # PAIR_BLOCK, so its value moves every batch boundary
+    table, dets = case
+    expect = _kernel_bytes(table, dets)
+    monkeypatch.setattr(hamiltonian, "PAIR_BLOCK", block)
+    assert _kernel_bytes(table, dets) == expect
 
 
 def test_diagonal_elements_match_scalar(case):

@@ -328,6 +328,31 @@ def test_mc_deterministic_per_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [3, 2026])
+def test_mc_validators_are_one_draw_of_all_trials(seed):
+    def rng():
+        return np.random.Generator(np.random.Philox(seed))
+
+    # Hoeffding: 5,000 binomial means, all from one generator
+    p_true, m_shots, delta, trials = 0.4, 200, 0.9, 5000
+    eps = math.sqrt(math.log(2.0 / delta) / (2.0 * m_shots))
+    means = rng().binomial(m_shots, p_true, size=trials) / m_shots
+    expect = np.mean(np.abs(means - p_true) > eps)
+    assert 0.05 < expect < 0.5
+    assert mc_hoeffding_violation_rate(p_true, m_shots, delta, trials=trials,
+                                       seed=seed) == expect
+
+    # selection: probs already descend, so the true top-2 are outcomes 0
+    # and 1, and ties rank the lower outcome first; a trial fails when an
+    # outside outcome outdraws an inside one
+    probs = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
+    draws = rng().multinomial(50, probs, size=400)
+    expect = np.mean(draws[:, 2:].max(axis=1) > draws[:, :2].min(axis=1))
+    assert 0.05 < expect < 0.95
+    assert mc_selection_failure_rate(probs, 2, 50, trials=400,
+                                     seed=seed) == expect
+
+
 # ------------------------------------------------------------- report assembly
 
 def test_full_report_none_propagation():

@@ -12,6 +12,7 @@ from qselci.dets import (
     excitation_rank,
     full_excitation,
     hartree_fock,
+    sector_masks,
     string_sign,
 )
 from qselci.errors import TooLarge
@@ -42,7 +43,7 @@ def test_enumerate_order_is_ascending_mask_pairs():
 
 def test_enumerate_cap():
     with pytest.raises(TooLarge):
-        enumerate_space(10, 5, 5, cap=10**4)
+        sector_masks(10, 5, 5, cap=10**4)
 
 
 def test_det_masks_passes_uint64_rows_through():

@@ -377,14 +377,15 @@ def test_build_subspace_past_64_orbitals_is_too_large():
         build_subspace(dets, table)
 
 
-def test_spectral_halfwidth():
+def test_spectral_halfwidth(monkeypatch):
     table = hubbard_chain_table()
     dets = enumerate_space(4, 2, 2)
     sub = build_subspace(dets, table)
     w = scipy.linalg.eigvalsh(oracles.project_hamiltonian(table, dets))
     assert spectral_halfwidth(sub) == pytest.approx((w[-1] - w[0]) / 2, abs=1e-10)
+    monkeypatch.setattr(hamiltonian, "SPECTRUM_CAP", 10)
     with pytest.raises(TooLarge):
-        spectral_halfwidth(sub, cap=10)
+        spectral_halfwidth(sub)
 
 
 # ------------------------------------------------------------ wavefunctions

@@ -355,6 +355,31 @@ def test_readout_memory_is_bounded_by_the_block():
     assert peak < 64 * 64 * sampling.READOUT_BLOCK
 
 
+def _traced(call):
+    """``call()`` and the tracemalloc peak of its allocations."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_run_at_the_shot_cap_fits_in_two_gib():
+    """Every shot a distinct outcome, as on a fully depolarized 64-qubit
+    register, is the worst case per shot for ``sample`` and
+    ``apply_readout``; measured at 2^18 shots, it must keep a run at
+    MAX_SHOTS under 2 GiB."""
+    shots = 1 << 18
+    dist = Distribution(index=np.zeros(0, dtype=np.uint64), probs=np.zeros(0),
+                        n_qubits=64, unlisted_floor=2.0 ** -64)
+    model = NoiseModel(readout_eps0=0.01, readout_eps1=0.02)
+    drawn, sample_peak = _traced(lambda: sample(dist, shots, seed=5))
+    read, readout_peak = _traced(lambda: apply_readout(drawn, model, seed=6))
+    for counts, peak in ((drawn, sample_peak), (read, readout_peak)):
+        assert counts.index.size > shots - 8  # all but a rare repeat distinct
+        assert peak / shots * sampling.MAX_SHOTS < 2 << 30
+
+
 # ---------------------------------------------------------- symmetry filter
 
 def test_filter_noiseless_usci_keeps_everything():

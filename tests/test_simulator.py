@@ -300,23 +300,35 @@ def test_mask_pairing_matches_searchsorted_pairing_bitwise(name):
     assert out.amps.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("angles", ["uniform", "random"])
+ANGLE_SETS = ("uniform", "random")
+
+
+@functools.cache
+def _flat_pairing_by_angles(name, listing):
+    """(circuit, state, angle rows, flat-pairing amplitude rows) of a pinned
+    circuit, one row per entry of ANGLE_SETS: the flat oracle finds each
+    gate's pairs once for both angle sets."""
+    circuit, _ = PINNED_CIRCUITS[name]()
+    params = np.stack([
+        np.full(circuit.n_params, 0.15),
+        np.random.default_rng(7).uniform(-2, 2, circuit.n_params),
+    ])
+    sv = Statevector.from_determinant(circuit.reference, circuit.n_orbitals)
+    if listing == "register":
+        sv = Statevector(helpers.full_register(sv), circuit.n_qubits)
+    return circuit, sv, params, oracles.flat_apply_circuit(circuit, params, sv)
+
+
+@pytest.mark.parametrize("angles", ANGLE_SETS)
 @pytest.mark.parametrize("listing", ["sector", "register"])
 @pytest.mark.parametrize("name", sorted(PINNED_CIRCUITS))
 def test_channel_pairing_matches_flat_mask_pairing_bitwise(name, listing,
                                                            angles):
-    circuit, _ = PINNED_CIRCUITS[name]()
-    if angles == "uniform":
-        params = np.full(circuit.n_params, 0.15)
-    else:
-        params = np.random.default_rng(7).uniform(-2, 2, circuit.n_params)
-    sv = Statevector.from_determinant(circuit.reference, circuit.n_orbitals)
-    if listing == "register":
-        sv = Statevector(helpers.full_register(sv), circuit.n_qubits)
-    out = apply_circuit(circuit, params, sv)
-    ref = oracles.flat_apply_circuit(circuit, params, sv)
+    circuit, sv, params, ref = _flat_pairing_by_angles(name, listing)
+    row = ANGLE_SETS.index(angles)
+    out = apply_circuit(circuit, params[row], sv)
     assert np.array_equal(out.index, sv.index)
-    assert out.amps.tobytes() == ref.tobytes()
+    assert out.amps.tobytes() == ref[row].tobytes()
 
 
 def test_full_beta_channel_at_64_qubits_matches_flat_pairing():
