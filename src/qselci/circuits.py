@@ -17,6 +17,7 @@ order (the first gate acts on the reference first).
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +69,6 @@ class Circuit:
                 f"n_params={self.n_params} but {len(slots)} distinct slots used"
             )
 
-    def active_support(self):
-        """Sorted qubits touched by any gate (compiled-support size)."""
-        touched = set()
-        for g in self.gates:
-            touched.update(g.qubits)
-        return sorted(touched)
-
     def to_json(self):
         gates = []
         for g in self.gates:
@@ -113,9 +107,6 @@ class Circuit:
 def gate_counts(circuit):
     """Summary in the shape of a resource table: per-kind counts, parameter
     count, greedy qubit-disjoint depth, and active support size."""
-    by_kind = {}
-    for g in circuit.gates:
-        by_kind[g.kind] = by_kind.get(g.kind, 0) + 1
     free_at = {}
     depth = 0
     for g in circuit.gates:
@@ -125,11 +116,11 @@ def gate_counts(circuit):
         depth = max(depth, start + 1)
     return {
         "n_gates": len(circuit.gates),
-        "by_kind": by_kind,
+        "by_kind": dict(Counter(g.kind for g in circuit.gates)),
         "n_params": circuit.n_params,
         "layers": circuit.layers,
         "depth": depth,
-        "active_support": len(circuit.active_support()),
+        "active_support": len(free_at),  # every qubit a gate touched
         "n_qubits": circuit.n_qubits,
     }
 
@@ -265,12 +256,8 @@ def build_lucj(K, J, reference):
         raise ShapeMismatch("J must be real symmetric 2n x 2n")
     all_qubits = tuple(range(2 * n))
     gates = [Gate(kind=GATE_BASIS, qubits=all_qubits, kappa=K, inverse=True)]
-    for p in range(2 * n):
-        for q in range(p, 2 * n):
-            if J[p, q] != 0.0:
-                gates.append(
-                    Gate(kind=GATE_JASTROW, qubits=(p, q), angle=float(J[p, q]))
-                )
+    gates += [Gate(kind=GATE_JASTROW, qubits=(p, q), angle=float(J[p, q]))
+              for p, q in np.argwhere(np.triu(J)).tolist()]
     gates.append(Gate(kind=GATE_BASIS, qubits=all_qubits, kappa=K, inverse=False))
     return Circuit(
         n_qubits=2 * n,

@@ -413,20 +413,9 @@ def _illustrative_lucj(table, reference):
     from .circuits import build_lucj
 
     n = table.n_orbitals
-    K = np.zeros((n, n))
-    for p in range(n - 1):
-        K[p, p + 1] = 0.25
-        K[p + 1, p] = -0.25
-    J = np.zeros((2 * n, 2 * n))
-    for i in range(2 * n):
-        J[i, i] = 0.4
-        if i + 1 < 2 * n:
-            J[i, i + 1] = J[i + 1, i] = 0.2
-    return build_lucj(K, J, reference)
-
-
-def _uniform_params(circuit, angle):
-    return np.full(circuit.n_params, float(angle))
+    K = np.diag(np.full(n - 1, 0.25), 1)
+    J = 0.4 * np.eye(2 * n) + 0.2 * (np.eye(2 * n, k=1) + np.eye(2 * n, k=-1))
+    return build_lucj(K - K.T, J, reference)
 
 
 def _sample_once(circuit, params, table, opts, manifest):
@@ -560,7 +549,7 @@ def _handle_qsci(opts, manifest):
         with manifest.stage("optimize"):
             params, trace = optimize(circuit, table, cfg)
     else:
-        params = _uniform_params(circuit, opts["init_angle"])
+        params = np.full(circuit.n_params, opts["init_angle"])
     with manifest.stage("qsci"):
         res = run_qsci_once(circuit, params, table, cfg)
     result = {
@@ -588,7 +577,7 @@ def _handle_sample(opts, manifest):
         _oracle, _sel, circuit = _build_circuit_from_oracle(
             table, opts, manifest
         )
-        params = _uniform_params(circuit, opts["init_angle"])
+        params = np.full(circuit.n_params, opts["init_angle"])
     elif opts["ansatz"] == "lucj":
         _oracle, selected = _pilot_selection(table, opts, manifest)
         circuit = _illustrative_lucj(table, selected[0])
@@ -722,7 +711,7 @@ def _handle_demo(opts, manifest):
     table = fixture_table(opts["fixture"])
     oracle, selected, usci = _build_circuit_from_oracle(table, opts, manifest)
     dominant = selected[0].to_bitstring(table.n_orbitals)  # largest |c|
-    usci_params = _uniform_params(usci, opts["init_angle"])
+    usci_params = np.full(usci.n_params, opts["init_angle"])
     ansatze = {
         "usci": (usci, usci_params),
         "lucj": (_illustrative_lucj(table, selected[0]), np.zeros(0)),

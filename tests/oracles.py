@@ -17,8 +17,11 @@ excitation decomposition that the sliced one replaced,
 ``pt2_sum_loop`` the per-term PT2 sum that the array one replaced,
 ``pair_loop_mutual_information`` and ``pair_loop_edge_list`` the
 per-pair mutual information and edge walk that the pair tables replaced,
-and ``set_retained_weight`` the ``Determinant``-set retained weight that
-the mask-row match replaced.
+``set_retained_weight`` the ``Determinant``-set retained weight that
+the mask-row match replaced, ``loop_gate_counts`` the three-pass resource
+table that the one-pass ``gate_counts`` replaced, and
+``loop_jastrow_gates`` and ``loop_illustrative_generators`` the
+element loops that the LUCJ baseline's array forms replaced.
 """
 
 import functools
@@ -416,6 +419,66 @@ def set_retained_weight(ground, subset):
     return float(sum(
         c * c for det, c in zip(ground.dets, ground.coeffs) if det in wanted
     ))
+
+
+# ------------------------------------------- circuit summary references
+#
+# ``circuits.gate_counts`` with its kind tally and its active support as
+# passes of their own, and the LUCJ baseline's generators filled and its
+# Jastrow gates read back one entry at a time.
+
+
+def loop_gate_counts(circuit):
+    """The resource table of ``circuits.gate_counts``: kinds in first-seen
+    order, greedy qubit-disjoint depth, and the qubits any gate touches."""
+    by_kind = {}
+    for g in circuit.gates:
+        by_kind[g.kind] = by_kind.get(g.kind, 0) + 1
+    free_at = {}
+    depth = 0
+    for g in circuit.gates:
+        start = max((free_at.get(q, 0) for q in g.qubits), default=0)
+        for q in g.qubits:
+            free_at[q] = start + 1
+        depth = max(depth, start + 1)
+    touched = set()
+    for g in circuit.gates:
+        touched.update(g.qubits)
+    return {
+        "n_gates": len(circuit.gates),
+        "by_kind": by_kind,
+        "n_params": circuit.n_params,
+        "layers": circuit.layers,
+        "depth": depth,
+        "active_support": len(sorted(touched)),
+        "n_qubits": circuit.n_qubits,
+    }
+
+
+def loop_jastrow_gates(J):
+    """(qubits, angle) of each nonzero entry of J on or above the
+    diagonal, row by row."""
+    found = []
+    for p in range(len(J)):
+        for q in range(p, len(J)):
+            if J[p, q] != 0.0:
+                found.append(((p, q), float(J[p, q])))
+    return found
+
+
+def loop_illustrative_generators(n):
+    """The LUCJ baseline's (K, J) for n spatial orbitals: 0.25 nearest-
+    neighbor mixing, and phases of 0.4 on and 0.2 next to the diagonal."""
+    K = np.zeros((n, n))
+    for p in range(n - 1):
+        K[p, p + 1] = 0.25
+        K[p + 1, p] = -0.25
+    J = np.zeros((2 * n, 2 * n))
+    for i in range(2 * n):
+        J[i, i] = 0.4
+        if i + 1 < 2 * n:
+            J[i, i + 1] = J[i + 1, i] = 0.2
+    return K, J
 
 
 # ------------------------------------------- text-keyed sampling reference

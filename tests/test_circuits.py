@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from qselci.circuits import (
     jordan_wigner,
     prescreen,
 )
+from qselci.cli import _illustrative_lucj
 from qselci.dets import (Determinant, ExcitationOp, det_masks, enumerate_space,
                          excitation_rank, hartree_fock)
 from qselci.errors import EmptySelection, ShapeMismatch, TooLarge, ZeroRank
-from qselci.fixtures import hubbard_chain_table, two_orbital_table
+from qselci.fixtures import FIXTURES, hubbard_chain_table, two_orbital_table
 from qselci.hamiltonian import Wavefunction, fci_oracle
 
+import helpers
 import oracles
 
 
@@ -257,6 +260,55 @@ def test_lucj_shape_validation():
         build_lucj(np.zeros((2, 2)), J, ref)
 
 
+def _jastrow_rows(circuit):
+    """(qubits, angle bytes) of the Jastrow gates; each qubit must be a
+    Python int."""
+    rows = []
+    for g in circuit.gates[1:-1]:
+        assert g.kind == GATE_JASTROW
+        assert all(type(q) is int for q in g.qubits)
+        rows.append((g.qubits, np.float64(g.angle).tobytes()))
+    return rows
+
+
+def _loop_rows(J):
+    return [(qubits, np.float64(angle).tobytes())
+            for qubits, angle in oracles.loop_jastrow_gates(J)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_illustrative_lucj_matches_the_element_loops(n):
+    K, J = oracles.loop_illustrative_generators(n)
+    ref = hartree_fock(n, 1, 1)
+    circuit = _illustrative_lucj(SimpleNamespace(n_orbitals=n), ref)
+    first, last = circuit.gates[0], circuit.gates[-1]
+    assert (first.kind, first.inverse, last.kind, last.inverse) == (
+        GATE_BASIS, True, GATE_BASIS, False)
+    for g in (first, last):
+        assert g.kappa.dtype == K.dtype and g.kappa.tobytes() == K.tobytes()
+    assert _jastrow_rows(circuit) == _loop_rows(J)
+    assert circuit.to_json() == build_lucj(K, J, ref).to_json()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lucj_jastrow_gates_match_the_element_loop(seed):
+    # exact zeros and -0.0 are skipped and a NaN kept, as the loop's != 0.0
+    rng = np.random.default_rng(seed)
+    n = 4
+    K = rng.normal(size=(n, n))
+    J = rng.normal(size=(2 * n, 2 * n))
+    pick = rng.random(J.shape)
+    J[pick < 0.3] = 0.0
+    J[(0.3 <= pick) & (pick < 0.5)] = -0.0
+    J[pick >= 0.97] = np.nan
+    upper = np.triu(np.ones(J.shape, dtype=bool))
+    J = np.where(upper, J, J.T)  # symmetric, each zero's sign kept
+    zeros = upper & (J == 0.0)
+    assert (zeros & np.signbit(J)).any() and (zeros & ~np.signbit(J)).any()
+    circuit = build_lucj(K - K.T, J, hartree_fock(n, 2, 2))
+    assert _jastrow_rows(circuit) == _loop_rows(J)
+
+
 def test_lucj_gate_structure_and_zero_params():
     ref = hartree_fock(2, 1, 1)
     K = np.array([[0.0, 0.3], [-0.3, 0.0]])
@@ -327,6 +379,36 @@ def test_jw_rejects_qubit_outside_register():
 
 
 # ------------------------------------------------------------- gate counts
+
+def _gate_count_circuits():
+    """USCI circuits of every fixture at cutoff 0, 1 to 3 layers, with and
+    without orbital rotation and a degree cap of 1; the 20-qubit sampling
+    circuit; and LUCJ circuits."""
+    circuits = {}
+    for name, make in FIXTURES.items():
+        table = make()
+        selected = prescreen(fci_oracle(table), 0.0)
+        for layers, rotate, cap in itertools.product((1, 2, 3), (False, True),
+                                                     (None, 1)):
+            circuits[f"{name}-{layers}-{rotate}-{cap}"] = build_usci(
+                selected[0], selected, table.n_orbitals, layers=layers,
+                degree_cap=cap, with_orbital_rotation=rotate)
+    circuits["hf-pick-20q"] = helpers.hf_pick_usci(10, 5, 5, 200, 0)[0]
+    for n in (1, 2, 4):
+        circuits[f"lucj-{n}"] = _illustrative_lucj(
+            SimpleNamespace(n_orbitals=n), hartree_fock(n, 1, 1))
+    circuits["lucj-diagonal-only"] = build_lucj(
+        np.zeros((3, 3)), np.diag([0.1, 0, 0.2, 0, 0, 0.3]),
+        hartree_fock(3, 1, 1))
+    return circuits
+
+
+def test_gate_counts_match_the_three_pass_loops():
+    for name, circuit in _gate_count_circuits().items():
+        # repr compares the by_kind order as well as its counts
+        assert repr(gate_counts(circuit)) == repr(
+            oracles.loop_gate_counts(circuit)), name
+
 
 def test_gate_counts_fields():
     table = hubbard_chain_table()
