@@ -52,20 +52,22 @@ def mutual_information(psi):
     For each pair the joint occupation distribution over the four sectors
     (00, 01, 10, 11) is tallied from the determinant weights; I = s_i + s_j
     - s_ij, the diagonal is defined as 0, and negative rounding residue
-    within 1e-12 is clipped to 0.  The sector terms add from 00 to 11 for
-    i < j, and the lower triangle mirrors the upper one.
+    within 1e-12 is clipped to 0.  The sector terms are formed and added
+    from 00 to 11 only for the pairs i < j, and the lower triangle mirrors
+    the upper one.
     """
     weights = np.asarray(psi.coeffs, dtype=float) ** 2
     occ = _occupation_matrix(psi)
     p, s = orbital_entropies(psi)
+    i, j = np.triu_indices(len(p), 1)
     # joint probability that both members of a pair are occupied
-    p11 = occ.T @ (occ * weights[:, None])
-    p_i, p_j = p[:, None], p[None, :]
-    joint = np.clip([1.0 - p_i - p_j + p11, p_j - p11, p_i - p11, p11],
+    p11 = (occ.T @ (occ * weights[:, None]))[i, j]
+    joint = np.clip([1.0 - p[i] - p[j] + p11, p[j] - p11, p[i] - p11, p11],
                     0.0, 1.0)
     x00, x01, x10, x11 = _xlogx(joint)
     s_ij = -((((0.0 + x00) + x01) + x10) + x11)
-    mi = np.triu(s[:, None] + s[None, :] - s_ij, 1)
+    mi = np.zeros((len(p), len(p)))
+    mi[i, j] = s[i] + s[j] - s_ij
     mi[(-1e-12 < mi) & (mi < 0.0)] = 0.0
     return mi + mi.T
 

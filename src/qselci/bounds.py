@@ -295,10 +295,16 @@ def gate_budget(f_2q, n, m=None, n_alpha=None, n_beta=None):
 # Monte-Carlo validation
 # ---------------------------------------------------------------------------
 
+def _check_trials(trials):
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def mc_hoeffding_violation_rate(p_true, m_shots, delta, trials=10_000,
                                 seed=0):
     """Empirical fraction of binomial experiments whose mean misses p_true
     by more than the Hoeffding radius."""
+    _check_trials(trials)
     eps = hoeffding_epsilon(m_shots, delta)
     means = _rng(seed).binomial(m_shots, p_true, size=trials) / m_shots
     return int(np.count_nonzero(np.abs(means - p_true) > eps)) / trials
@@ -307,6 +313,7 @@ def mc_hoeffding_violation_rate(p_true, m_shots, delta, trials=10_000,
 def mc_selection_failure_rate(probs, r, m_shots, trials=1_000, seed=0):
     """Empirical rate at which m_shots multinomial draws fail to rank the
     true top-r outcomes first."""
+    _check_trials(trials)
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size < r:
         raise ValueError("need a 1-D probability vector with at least r entries")

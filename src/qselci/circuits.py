@@ -64,10 +64,9 @@ class Circuit:
             if any(q >= self.n_qubits or q < 0 for q in g.qubits):
                 raise ValueError(f"gate touches qubit outside register: {g.qubits}")
         slots = {g.param_slot for g in self.gates if g.param_slot is not None}
-        if len(slots) != self.n_params:
-            raise ValueError(
-                f"n_params={self.n_params} but {len(slots)} distinct slots used"
-            )
+        if slots != set(range(self.n_params)):
+            raise ValueError(f"n_params={self.n_params} but the slots used "
+                             f"are not 0..{self.n_params - 1}")
 
     def to_json(self):
         gates = []

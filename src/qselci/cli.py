@@ -15,7 +15,8 @@ All randomness flows from the single ``--seed`` value: per-stage seeds are
 derived from it through numpy's SeedSequence in a fixed documented order.
 Exit codes: 0 success, 1 domain error (the error class name is printed),
 2 usage error, including an option value the library rejects with
-ValueError (printed the same way).
+ValueError (printed the same way).  Each warning is one ``warning:
+<message>`` line on stderr.
 
 Start-up is most of a small run, so each handler imports the qselci modules
 it calls when it runs, and those modules import scipy's submodules inside
@@ -30,6 +31,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from contextlib import contextmanager, suppress
 
 import numpy as np
@@ -37,9 +39,6 @@ import scipy
 
 from . import __version__
 from .errors import ConfigParseError, QselciError
-
-SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas",
-                           "report.schema.json")
 
 
 class _UsageError(Exception):
@@ -261,9 +260,6 @@ OPTIONS = {
         _ITERS,
     ],
 }
-
-
-SUBCOMMANDS = tuple(OPTIONS)
 
 
 def _dest(name):
@@ -806,7 +802,11 @@ def cli_dispatch(argv):
                 raise ValueError(
                     f"--{dest.replace('_', '-')} must be finite, got {value}")
         manifest = RunManifest(config=opts)
-        result, lines = HANDLERS[subcommand](opts, manifest)
+        with warnings.catch_warnings():
+            # each warning the handler raises goes to stderr as one line
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            result, lines = HANDLERS[subcommand](opts, manifest)
         report = {
             "subcommand": subcommand,
             "manifest": manifest.to_json_dict(),

@@ -11,9 +11,11 @@ and every file the step wrote or changed; a file past ``LARGE_FILE``
 bytes is kept as its size and sha256.
 
 Steps run in-process through ``cli_dispatch`` with ``COLUMNS=80`` and
-Python warnings ignored, except the few marked ``SUBPROCESS``, which run
-a fresh interpreter and so also pin the exit-code and traceback contract
-and the real stderr.
+each Python warning shown once per message and place, as a fresh
+interpreter shows a ``UserWarning`` (``cli_dispatch`` writes each one to
+stderr as a ``warning: <message>`` line), except the few marked
+``SUBPROCESS``, which run a fresh interpreter and so also pin the
+exit-code and traceback contract and the real stderr.
 
 Comparison (``matches``): when the numpy, SciPy and Python versions
 recorded with the outputs are the running ones, a record must equal its
@@ -50,7 +52,7 @@ if str(TESTS) not in sys.path:
     sys.path.insert(0, str(TESTS))
 
 import helpers  # noqa: E402
-from qselci.cli import SUBCOMMANDS, cli_dispatch  # noqa: E402
+from qselci.cli import OPTIONS, cli_dispatch  # noqa: E402
 
 OUTPUTS = Path(__file__).resolve().parent / "outputs.json"
 LARGE_FILE = 8192
@@ -61,6 +63,12 @@ SEED_WF = ["qsci", "--fixture", "hubbard4", "--shots", "20000", "--seed",
            "7", "--save-wf", "in.json", "--out", "in.report.json"]
 NOISE = ["--depol-p", "0.05", "--eps0", "0.02", "--eps1", "0.03"]
 SUBPROCESS = "subprocess"
+CONFLICTING_FCIDUMP = ("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
+                       " 0.6746 1 1 1 1\n 0.1813 2 1 2 1\n"
+                       " 0.6636 2 2 1 1\n 0.6975 2 2 2 2\n"
+                       " 0.7000 2 2 1 1\n-1.2524 1 1 0 0\n"
+                       "-0.4759 2 2 0 0\n-1.2000 1 1 0 0\n"
+                       "-0.5800 1 0 0 0\n 0.7137 0 0 0 0\n")
 
 
 def _slug(argv):
@@ -227,6 +235,15 @@ def _cases():
                                  "seed = 3\ndepol-p = 0.01\neps0 = 0.01\n"
                                  "eps1 = 0.02\ntau = 0.001\n"},
         }],
+        # a conflicting h, a conflicting g and an orbital-energy record
+        "fcidump-info-warnings": [{
+            "argv": ["fcidump-info", "--fcidump", "h2.fcidump"],
+            "files": {"h2.fcidump": CONFLICTING_FCIDUMP},
+        }],
+        "subprocess-fcidump-info-warnings": [{
+            "argv": ["fcidump-info", "--fcidump", "h2.fcidump"],
+            "files": {"h2.fcidump": CONFLICTING_FCIDUMP}, SUBPROCESS: True,
+        }],
         "fci-save-wf-unwritable-report": [
             ["fci", "--fixture", "hubbard4", "--save-wf", "wf.json",
              "--out", "nodir/r.json"]],
@@ -240,7 +257,7 @@ def _cases():
                       "--max-evals", "12"], SUBPROCESS: True}],
         "help": [["--help"]],
     })
-    for sub in SUBCOMMANDS:
+    for sub in OPTIONS:
         cases[f"help-{sub}"] = [[sub, "--help"]]
     for argv in helpers.BAD_OPTION_VALUES:
         argv = ["in.json" if a == "WF" else a for a in argv]
@@ -290,7 +307,7 @@ def _invoke(argv, in_subprocess):
         return proc.returncode, proc.stdout, proc.stderr
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("default")
         code = cli_dispatch(argv)
     return code, out.getvalue(), err.getvalue()
 

@@ -322,6 +322,15 @@ def test_mc_selection_validation():
         mc_selection_failure_rate([0.6, 0.4], 3, 100)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_mc_validators_reject_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got "
+                                         f"{trials}"):
+        mc_hoeffding_violation_rate(0.3, 100, 0.1, trials=trials)
+    with pytest.raises(ValueError, match=f"at least 1, got {trials}"):
+        mc_selection_failure_rate([0.6, 0.4], 1, 100, trials=trials)
+
+
 def test_mc_deterministic_per_seed():
     a = mc_hoeffding_violation_rate(0.4, 200, 0.2, trials=5000, seed=9)
     b = mc_hoeffding_violation_rate(0.4, 200, 0.2, trials=5000, seed=9)

@@ -11,6 +11,8 @@ from qselci.circuits import (
     GATE_JASTROW,
     GATE_ORBITAL,
     MAX_GATES,
+    Circuit,
+    Gate,
     build_lucj,
     build_usci,
     decompose_excitation,
@@ -195,6 +197,23 @@ def test_usci_layer_stacking_doubles_params():
                 g.kind, g.qubits, g.excitation)
             assert (repeat.param_slot, repeat.layer) == (
                 layer * len(block) + k, layer)
+
+
+def test_parameter_slots_must_be_zero_to_n_params():
+    ref = hartree_fock(2, 1, 1)
+    op = ExcitationOp(n_orbitals=2, annihilated=(0,), created=(1,), phase=1)
+
+    def circuit(slots, n_params):
+        gates = [Gate(kind=GATE_EXCITATION, qubits=(0, 1), param_slot=k,
+                      excitation=op) for k in slots]
+        return Circuit(n_qubits=4, gates=gates, n_params=n_params, layers=1,
+                       reference=ref, n_orbitals=2)
+
+    assert circuit([1, 0, 1], 2).n_params == 2  # a slot may repeat
+    for slots, n_params in (([1], 1), ([0, 2], 2), ([-1], 1), ([0], 2),
+                            ([0], 0)):
+        with pytest.raises(ValueError, match="slots used are not 0.."):
+            circuit(slots, n_params)
 
 
 def test_usci_degree_cap_reduces_gates():

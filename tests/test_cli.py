@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -10,22 +11,17 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import BAD_INPUT_FILES, BAD_OPTION_VALUES
+import qselci.cli
 from qselci.bounds import gate_budget, uniform_probability
-from qselci.cli import (
-    OPTIONS,
-    SCHEMA_PATH,
-    SUBCOMMANDS,
-    _jsonify,
-    build_parser,
-    cli_dispatch,
-)
+from qselci.cli import OPTIONS, _jsonify, build_parser, cli_dispatch
 from qselci.dets import enumerate_space
 from qselci.fixtures import hubbard_chain_table
 
 
 @pytest.fixture(scope="module")
 def schema():
-    with open(SCHEMA_PATH, encoding="utf-8") as fh:
+    path = Path(qselci.cli.__file__).parent / "schemas" / "report.schema.json"
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -248,6 +244,22 @@ def test_more_than_64_orbitals_is_one_line_domain_error(capsys, tmp_path):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: TooLarge: ")
+    assert captured.out == ""
+
+
+def test_warnings_are_one_line_each_also_before_a_failure(capsys, tmp_path):
+    path = tmp_path / "conflict.fcidump"
+    path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
+                    "0.5 1 1 0 0\n0.7 1 1 0 0\n-0.3 1 0 0 0\n0.1 3 1 0 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert cli_dispatch(["fcidump-info", "--fcidump", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert lines[:2] == ["warning: line 4: conflicting h(0, 0): 0.5 -> 0.7",
+                         "warning: line 5: ignoring orbital-energy record "
+                         "for i=1"]
+    assert len(lines) == 3 and lines[2].startswith("error: IndexOutOfRange: ")
     assert captured.out == ""
 
 
@@ -524,7 +536,7 @@ OPTION_SURFACE = {
 }
 
 
-@pytest.mark.parametrize("sub", SUBCOMMANDS)
+@pytest.mark.parametrize("sub", OPTIONS)
 def test_option_surface_is_pinned(sub):
     parser, _subparsers = build_parser()
     opts = vars(parser.parse_args([sub]))

@@ -70,4 +70,4 @@ def test_every_listed_option_is_read(tmp_path, monkeypatch, seed_wavefunction):
                 regen.run_step(step, tmp_path / name)
     unread = {sub: sorted(keys - read[sub] - {"out", "config"})
               for sub, keys in listed.items()}
-    assert unread == {sub: [] for sub in cli.SUBCOMMANDS}
+    assert unread == {sub: [] for sub in cli.OPTIONS}

@@ -6,9 +6,9 @@ scipy's submodules inside the functions that call them.  The subprocess
 tests check what a fresh interpreter has loaded after each run; the AST
 test keeps a module-level submodule import from coming back.  A second AST
 walk fails on a module-level private helper that nothing in the package
-reads, a third on a module-level public function or class that only tests
-read, and another on an error class that nothing in the package raises.
-One more reads the benchmark tracer's table of wrapped functions, so
+reads, a third on a module-level public function, class or constant that
+only tests read, and another on an error class that nothing in the package
+raises.  One more reads the benchmark tracer's table of wrapped functions, so
 removing a name it binds fails here rather than in a traced bench run.
 The last parses the package and the demos with the grammar of the oldest
 Python that ``pyproject.toml`` declares.
@@ -167,13 +167,12 @@ def _unread_private_names(sources):
 
 
 def _test_only_public_names(sources, outside):
-    """Module-level public functions and classes that nothing reads outside
-    their own definition, in the package or in ``outside``.  Methods are
-    out of reach: a name scan cannot tell one class's ``total`` from
-    another's."""
+    """Module-level public functions, classes and constants that nothing
+    reads outside their own definition, in the package or in ``outside``.
+    Methods are out of reach: a name scan cannot tell one class's ``total``
+    from another's."""
     return _unread_definitions(
-        sources, outside, lambda name, stmt: not name.startswith("_")
-        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)))
+        sources, outside, lambda name, _stmt: not name.startswith("_"))
 
 
 def test_no_unread_private_helper():
@@ -209,11 +208,13 @@ def test_guard_sees_public_names_only_tests_read():
              "def chained():\n    return helper()\n"
              "def helper():\n    pass\n"
              "class Shown:\n    def method(self):\n        pass\n"
-             "def _private():\n    pass\n",
+             "def _private():\n    pass\n"
+             "LIMIT = 3\nUNREAD = LIMIT\n_HIDDEN = 1\n",
         "b": "from .a import chained\n",
     }
     outside = ["import a\nprint(a.Shown().method())\n"]
-    assert _test_only_public_names(sources, outside) == ["a.alone"]
+    assert _test_only_public_names(sources, outside) == ["a.UNREAD",
+                                                         "a.alone"]
 
 
 def _unraised_error_classes(errors_text, sources):
