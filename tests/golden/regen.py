@@ -125,6 +125,13 @@ def _cases():
             ["usci-build", "--fixture", "hubbard4", "--cutoff", "0",
              "--degree-cap", "1", "--layers", "2",
              "--save-circuit", "circuit.json"]],
+        # an unknown ansatz is refused before the pilot, whose prescreen
+        # would find no determinant at cutoff 2
+        "sample-ansatz-foo": [
+            ["sample", "--fixture", "hubbard4", "--ansatz", "foo"]],
+        "sample-ansatz-foo-cutoff-2": [
+            ["sample", "--fixture", "hubbard4", "--ansatz", "foo",
+             "--cutoff", "2"]],
         "two-orbital-sample-csv-layers-orbital-rotation-noisy": [
             ["sample", "--fixture", "two-orbital", "--layers", "2",
              "--orbital-rotation", *NOISE, "--csv", "shots.csv"]],

@@ -697,3 +697,15 @@ def test_demo_noise_broadens_support(capsys):
         > clean["result"]["sampling_comparison"]["usci"]["n_unique_bitstrings"]
     )
     assert noisy["result"]["sampling_comparison"]["usci"]["valid_fraction"] < 1.0
+
+
+@pytest.mark.parametrize("fixture", ["hubbard4", "h-chain-synthetic"])
+def test_demo_qsci_stage_matches_the_qsci_subcommand(capsys, fixture):
+    # the same circuit, shots, seed and noise give the same sampled subspace
+    common = ["--fixture", fixture, "--shots", "3000", "--seed", "5",
+              "--depol-p", "0.02", "--eps0", "0.01", "--eps1", "0.02"]
+    demo = run_json(capsys, ["demo", *common])["result"]
+    qsci = run_json(capsys, ["qsci", *common])["result"]
+    assert demo["qsci_energy"] == qsci["energy"]
+    assert demo["n_unique_determinants"] == qsci["n_unique_determinants"]
+    assert demo["n_rejected_shots"] == qsci["n_rejected_shots"]
