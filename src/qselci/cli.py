@@ -65,6 +65,11 @@ class RunManifest:
     def __init__(self, config):
         self.config = config
         self.seeds = {}
+        if "seed" in config:  # the master seed and the stage seeds it derives
+            from .sampling import stage_seeds
+
+            self.seeds = {"master": int(config["seed"]),
+                          **stage_seeds(config["seed"])}
         self.versions = _versions()
         self.timings = {}
         self.digests = {}
@@ -83,13 +88,6 @@ class RunManifest:
         finally:
             self._open_stages.pop()
         self.timings[key] = time.perf_counter() - t0
-
-    def record_seeds(self, master_seed):
-        """The master seed and the sampling-stage seeds derived from it."""
-        from .sampling import stage_seeds
-
-        self.seeds["master"] = int(master_seed)
-        self.seeds.update(stage_seeds(master_seed))
 
     def write_file(self, path, text):
         """Write an auxiliary output file, record its digest, and keep its
@@ -388,42 +386,32 @@ def _pilot_selection(table, opts, manifest):
     return oracle, prescreen(oracle, opts["cutoff"], opts.get("top_m"))
 
 
-def _build_circuit_from_oracle(table, opts, manifest):
-    from .circuits import build_usci
-
-    oracle, selected = _pilot_selection(table, opts, manifest)
-    circuit = build_usci(
-        selected[0],
-        selected,
-        table.n_orbitals,
-        layers=opts.get("layers", 1),
-        degree_cap=opts.get("degree_cap"),
-        with_orbital_rotation=bool(opts.get("orbital_rotation")),
-    )
-    return oracle, selected, circuit
-
-
-def _illustrative_lucj(table, reference):
-    """Fixed, documented cluster-Jastrow parameters for the comparison
-    baseline: nearest-neighbor one-body mixing plus a short-range phase."""
-    from .circuits import build_lucj
+def _ansatz(name, table, selected, opts):
+    """The USCI circuit of the selection, or the cluster-Jastrow (LUCJ)
+    comparison baseline with fixed, documented generators: nearest-neighbor
+    one-body mixing plus a short-range phase.  Both start from the
+    selection's first determinant."""
+    from .circuits import build_lucj, build_usci
 
     n = table.n_orbitals
-    K = np.diag(np.full(n - 1, 0.25), 1)
-    J = 0.4 * np.eye(2 * n) + 0.2 * (np.eye(2 * n, k=1) + np.eye(2 * n, k=-1))
-    return build_lucj(K - K.T, J, reference)
+    if name == "lucj":
+        K = np.diag(np.full(n - 1, 0.25), 1)
+        J = 0.4 * np.eye(2 * n) + 0.2 * (np.eye(2 * n, k=1) + np.eye(2 * n, k=-1))
+        return build_lucj(K - K.T, J, selected[0])
+    return build_usci(selected[0], selected, n, layers=opts.get("layers", 1),
+                      degree_cap=opts.get("degree_cap"),
+                      with_orbital_rotation=bool(opts.get("orbital_rotation")))
 
 
-def _sample_once(circuit, params, table, opts, manifest):
-    """Raw (unfiltered) counts of one noisy sampling pass."""
-    from .pipeline import noisy_counts
-    from .simulator import Statevector, apply_circuit
+def _sample_once(circuit, table, opts, manifest):
+    """Raw (unfiltered) counts of one noisy sampling pass, with every
+    parameter at ``--init-angle``."""
+    from .pipeline import noisy_counts, prepared_state
 
-    manifest.record_seeds(opts["seed"])
     noise = _noise_from(opts)
-    state = Statevector.from_determinant(circuit.reference, table.n_orbitals)
+    params = np.full(circuit.n_params, opts["init_angle"])
     with manifest.stage("simulate"):
-        state = apply_circuit(circuit, params, state)
+        state = prepared_state(circuit, params, table.n_orbitals)
     with manifest.stage("sample"):
         return noisy_counts(state, opts["shots"], noise, opts["seed"])
 
@@ -502,9 +490,8 @@ def _handle_usci_build(opts, manifest):
 
     table = _load_table(opts)
     with manifest.stage("build"):
-        oracle, selected, circuit = _build_circuit_from_oracle(
-            table, opts, manifest
-        )
+        _oracle, selected = _pilot_selection(table, opts, manifest)
+        circuit = _ansatz("usci", table, selected, opts)
     counts = gate_counts(circuit)
     result = {
         "n_selected": len(selected),
@@ -526,9 +513,8 @@ def _handle_qsci(opts, manifest):
     from .pipeline import OptimizerConfig, PipelineConfig, optimize, run_qsci_once
 
     table = _load_table(opts)
-    oracle, selected, circuit = _build_circuit_from_oracle(
-        table, opts, manifest
-    )
+    _oracle, selected = _pilot_selection(table, opts, manifest)
+    circuit = _ansatz("usci", table, selected, opts)
     cfg = PipelineConfig(
         shots=opts["shots"],
         noise=_noise_from(opts),
@@ -539,7 +525,6 @@ def _handle_qsci(opts, manifest):
         ),
         seed=opts["seed"],
     )
-    manifest.record_seeds(cfg.seed)
     trace = None
     if opts.get("optimize") and circuit.n_params > 0:
         with manifest.stage("optimize"):
@@ -569,18 +554,11 @@ def _handle_qsci(opts, manifest):
 
 def _handle_sample(opts, manifest):
     table = _load_table(opts)
-    if opts["ansatz"] == "usci":
-        _oracle, _sel, circuit = _build_circuit_from_oracle(
-            table, opts, manifest
-        )
-        params = np.full(circuit.n_params, opts["init_angle"])
-    elif opts["ansatz"] == "lucj":
-        _oracle, selected = _pilot_selection(table, opts, manifest)
-        circuit = _illustrative_lucj(table, selected[0])
-        params = np.zeros(0)
-    else:
+    if opts["ansatz"] not in ("usci", "lucj"):
         raise _UsageError("--ansatz must be usci or lucj")
-    counts = _sample_once(circuit, params, table, opts, manifest)
+    _oracle, selected = _pilot_selection(table, opts, manifest)
+    circuit = _ansatz(opts["ansatz"], table, selected, opts)
+    counts = _sample_once(circuit, table, opts, manifest)
     result = {
         "ansatz": opts["ansatz"],
         "shots": counts.total_shots,
@@ -702,34 +680,28 @@ def _handle_analyze(opts, manifest):
 
 def _handle_demo(opts, manifest):
     from .fixtures import fixture_table
-    from .pipeline import PipelineConfig, run_qsci_once
+    from .pipeline import solve_counts
 
     table = fixture_table(opts["fixture"])
-    oracle, selected, usci = _build_circuit_from_oracle(table, opts, manifest)
+    oracle, selected = _pilot_selection(table, opts, manifest)
     dominant = selected[0].to_bitstring(table.n_orbitals)  # largest |c|
-    usci_params = np.full(usci.n_params, opts["init_angle"])
-    ansatze = {
-        "usci": (usci, usci_params),
-        "lucj": (_illustrative_lucj(table, selected[0]), np.zeros(0)),
-    }
-    comparison = {}
+    comparison, counts = {}, {}
     with manifest.stage("sampling_comparison"):
-        for name, (circuit, params) in ansatze.items():
+        for name in ("usci", "lucj"):
+            circuit = _ansatz(name, table, selected, opts)
             with manifest.stage(name):
-                counts = _sample_once(circuit, params, table, opts, manifest)
-            top10 = [s for s, _c in counts.top(10)]
+                counts[name] = _sample_once(circuit, table, opts, manifest)
+            top10 = [s for s, _c in counts[name].top(10)]
             comparison[name] = {
                 "ansatz": name,
-                **_shot_summary(counts, table),
+                **_shot_summary(counts[name], table),
                 "dominant_in_top10": dominant in top10,
                 "top10": top10,
             }
 
-    cfg = PipelineConfig(
-        shots=opts["shots"], noise=_noise_from(opts), seed=opts["seed"]
-    )
+    # the QSCI pass diagonalizes the USCI shots drawn for the comparison
     with manifest.stage("qsci"):
-        qsci_res = run_qsci_once(usci, usci_params, table, cfg)
+        qsci_res = solve_counts(counts["usci"], table)
     psi, expansion_steps = _expand(
         qsci_res.wavefunction, table, opts, manifest, "refine"
     )

@@ -1,11 +1,11 @@
 """The hybrid sample-select-diagonalize loop and its parameter optimization.
 
-One pass (:func:`run_qsci_once`) is: apply the circuit, then
-(:func:`noisy_counts`) form the ideal outcome distribution, mix in global
-depolarizing noise, draw shots and apply readout flips, then filter by the
-particle-number sector, take the distinct surviving outcomes as
-determinant mask rows, project the Hamiltonian onto them, and solve for the
-lowest eigenpair.
+One pass (:func:`run_qsci_once`) is three steps: :func:`prepared_state`
+applies the circuit; :func:`noisy_counts` forms the ideal outcome
+distribution, mixes in global depolarizing noise, draws shots and applies
+readout flips; :func:`solve_counts` filters by the particle-number sector,
+takes the distinct surviving outcomes as determinant mask rows, projects
+the Hamiltonian onto them, and solves for the lowest eigenpair.
 
 All randomness derives from the config's single seed: stage seeds are drawn
 from numpy's SeedSequence(seed) in a fixed order
@@ -36,6 +36,13 @@ from .simulator import Statevector, apply_circuit
 
 OPTIMIZER_METHOD = "COBYLA"
 OPTIMIZER_INITIAL_STEP = 0.3
+
+
+def prepared_state(circuit, params, n_orbitals):
+    """The circuit applied to its reference determinant, listed on the
+    reference's particle-number sector."""
+    state = Statevector.from_determinant(circuit.reference, n_orbitals)
+    return apply_circuit(circuit, params, state)
 
 
 def noisy_counts(state, shots, noise, master_seed):
@@ -84,11 +91,9 @@ class QsciResult:
         return self.wavefunction.energy
 
 
-def run_qsci_once(circuit, params, table, cfg):
-    """One sampling + diagonalization pass; see module docstring for stages."""
-    state = Statevector.from_determinant(circuit.reference, table.n_orbitals)
-    state = apply_circuit(circuit, params, state)
-    counts = noisy_counts(state, cfg.shots, cfg.noise, cfg.seed)
+def solve_counts(counts, table):
+    """Keep the raw counts in the table's sector and diagonalize the
+    Hamiltonian over their distinct outcomes."""
     filtered, rejected = symmetry_filter(counts, table.n_alpha, table.n_beta)
     if not filtered.index.size:
         raise EmptySubspace(
@@ -103,6 +108,13 @@ def run_qsci_once(circuit, params, table, cfg):
         n_rejected=rejected,
         n_unique=len(masks),
     )
+
+
+def run_qsci_once(circuit, params, table, cfg):
+    """One sampling + diagonalization pass; see module docstring for stages."""
+    state = prepared_state(circuit, params, table.n_orbitals)
+    counts = noisy_counts(state, cfg.shots, cfg.noise, cfg.seed)
+    return solve_counts(counts, table)
 
 
 class _StopEarly(Exception):

@@ -20,7 +20,7 @@ from qselci.circuits import (
     jordan_wigner,
     prescreen,
 )
-from qselci.cli import _illustrative_lucj
+from qselci.cli import _ansatz
 from qselci.dets import (Determinant, ExcitationOp, det_masks, enumerate_space,
                          excitation_rank, hartree_fock)
 from qselci.errors import EmptySelection, ShapeMismatch, TooLarge, ZeroRank
@@ -299,7 +299,7 @@ def _loop_rows(J):
 def test_illustrative_lucj_matches_the_element_loops(n):
     K, J = oracles.loop_illustrative_generators(n)
     ref = hartree_fock(n, 1, 1)
-    circuit = _illustrative_lucj(SimpleNamespace(n_orbitals=n), ref)
+    circuit = _ansatz("lucj", SimpleNamespace(n_orbitals=n), [ref], {})
     first, last = circuit.gates[0], circuit.gates[-1]
     assert (first.kind, first.inverse, last.kind, last.inverse) == (
         GATE_BASIS, True, GATE_BASIS, False)
@@ -414,8 +414,8 @@ def _gate_count_circuits():
                 degree_cap=cap, with_orbital_rotation=rotate)
     circuits["hf-pick-20q"] = helpers.hf_pick_usci(10, 5, 5, 200, 0)[0]
     for n in (1, 2, 4):
-        circuits[f"lucj-{n}"] = _illustrative_lucj(
-            SimpleNamespace(n_orbitals=n), hartree_fock(n, 1, 1))
+        circuits[f"lucj-{n}"] = _ansatz(
+            "lucj", SimpleNamespace(n_orbitals=n), [hartree_fock(n, 1, 1)], {})
     circuits["lucj-diagonal-only"] = build_lucj(
         np.zeros((3, 3)), np.diag([0.1, 0, 0.2, 0, 0, 0.3]),
         hartree_fock(3, 1, 1))

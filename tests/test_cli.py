@@ -686,6 +686,27 @@ def test_demo_times_each_ansatz_separately(capsys):
     assert "simulate" not in timings and "sample" not in timings
 
 
+def test_demo_simulates_and_samples_each_ansatz_once(capsys, monkeypatch):
+    import qselci.pipeline
+    import qselci.simulator
+
+    calls = {"apply_circuit": 0, "noisy_counts": 0}
+
+    def counted(name, function):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return run
+
+    apply_circuit = counted("apply_circuit", qselci.simulator.apply_circuit)
+    monkeypatch.setattr(qselci.simulator, "apply_circuit", apply_circuit)
+    monkeypatch.setattr(qselci.pipeline, "apply_circuit", apply_circuit)
+    monkeypatch.setattr(qselci.pipeline, "noisy_counts", counted(
+        "noisy_counts", qselci.pipeline.noisy_counts))
+    run_json(capsys, ["demo", "--shots", "2000"])
+    assert calls == {"apply_circuit": 2, "noisy_counts": 2}
+
+
 def test_demo_noise_broadens_support(capsys):
     clean = run_json(capsys, ["demo", "--shots", "20000", "--seed", "11"])
     noisy = run_json(
