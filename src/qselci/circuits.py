@@ -243,12 +243,14 @@ def build_lucj(K, J, reference):
 
     ``K`` is a real antisymmetric n×n generator applied to both spin
     channels; ``J`` is a real symmetric 2n×2n tensor over spin-orbital
-    pairs.  Gate order is application order, so the e^{-K} basis rotation
+    pairs; every entry of both must be finite.  Gate order is application order, so the e^{-K} basis rotation
     comes first.  All angles are baked in: n_params = 0.
     """
     K = np.asarray(K, dtype=float)
     J = np.asarray(J, dtype=float)
     n = K.shape[0]
+    if not (np.isfinite(K).all() and np.isfinite(J).all()):
+        raise ShapeMismatch("K and J must be finite")
     if K.shape != (n, n) or np.abs(K + K.T).max() > 1e-12:
         raise ShapeMismatch("K must be real antisymmetric n x n")
     if J.shape != (2 * n, 2 * n) or np.abs(J - J.T).max() > 1e-12:

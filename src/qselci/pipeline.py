@@ -63,7 +63,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_evaluations < 1 or self.patience < 1:
             raise ValueError("optimizer counts must be positive")
-        if self.energy_tol <= 0:
+        if not 0 < self.energy_tol < np.inf:  # NaN fails every comparison
             raise ValueError("energy tolerance must be positive")
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -277,6 +278,15 @@ def test_lucj_shape_validation():
         J = np.zeros((4, 4))
         J[0, 1] = 1.0  # not symmetric
         build_lucj(np.zeros((2, 2)), J, ref)
+    # a NaN passes a tolerance comparison, and K + K.T turns +-inf into NaN
+    nan_J = np.zeros((4, 4))
+    nan_J[0, 1] = nan_J[1, 0] = np.nan
+    inf_K = np.array([[0.0, np.inf], [-np.inf, 0.0]])
+    for K, J in ((np.zeros((2, 2)), nan_J), (inf_K, np.zeros((4, 4)))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatch, match="finite"):
+                build_lucj(K, J, ref)
 
 
 def _jastrow_rows(circuit):
@@ -311,7 +321,7 @@ def test_illustrative_lucj_matches_the_element_loops(n):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_lucj_jastrow_gates_match_the_element_loop(seed):
-    # exact zeros and -0.0 are skipped and a NaN kept, as the loop's != 0.0
+    # exact zeros and -0.0 are skipped, as the loop's != 0.0
     rng = np.random.default_rng(seed)
     n = 4
     K = rng.normal(size=(n, n))
@@ -319,7 +329,6 @@ def test_lucj_jastrow_gates_match_the_element_loop(seed):
     pick = rng.random(J.shape)
     J[pick < 0.3] = 0.0
     J[(0.3 <= pick) & (pick < 0.5)] = -0.0
-    J[pick >= 0.97] = np.nan
     upper = np.triu(np.ones(J.shape, dtype=bool))
     J = np.where(upper, J, J.T)  # symmetric, each zero's sign kept
     zeros = upper & (J == 0.0)

@@ -287,7 +287,8 @@ def test_config_validation():
         OptimizerConfig(max_evaluations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(patience=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(energy_tol=0.0)
+    for tol in (0.0, np.nan, np.inf):  # COBYLA resets a non-finite RHOEND
+        with pytest.raises(ValueError):
+            OptimizerConfig(energy_tol=tol)
     with pytest.raises(ValueError):
         PipelineConfig(shots=0)
