@@ -26,11 +26,16 @@ def _xlogx(x):
     return np.array(values).reshape(np.shape(x))
 
 
-def _occupation_matrix(psi):
-    """Rows = determinants, columns = 2n spin orbitals, entries in {0,1}."""
+def _occupations(psi):
+    """(occ, weights, p, s): the occupation matrix (rows = determinants,
+    columns = 2n spin orbitals, entries in {0,1}), the c^2 weights, and per
+    spin orbital the occupation probability and binary entropy."""
     orbitals = np.arange(psi.n_orbitals, dtype=np.uint64)
     bits = (psi.masks[:, :, None] >> orbitals) & np.uint64(1)
-    return bits.reshape(len(psi.masks), -1).astype(float)
+    occ = bits.reshape(len(psi.masks), -1).astype(float)
+    weights = np.asarray(psi.coeffs, dtype=float) ** 2
+    p = np.clip(occ.T @ weights, 0.0, 1.0)
+    return occ, weights, p, -(_xlogx(p) + _xlogx(1.0 - p))
 
 
 def orbital_entropies(psi):
@@ -40,10 +45,7 @@ def orbital_entropies(psi):
     occupied under the c^2 distribution and s[i] its binary entropy in
     nats; 0*ln(0) counts as 0.
     """
-    weights = np.asarray(psi.coeffs, dtype=float) ** 2
-    occ = _occupation_matrix(psi)
-    p = np.clip(occ.T @ weights, 0.0, 1.0)
-    return p, -(_xlogx(p) + _xlogx(1.0 - p))
+    return _occupations(psi)[2:]
 
 
 def mutual_information(psi):
@@ -56,9 +58,7 @@ def mutual_information(psi):
     from 00 to 11 only for the pairs i < j, and the lower triangle mirrors
     the upper one.
     """
-    weights = np.asarray(psi.coeffs, dtype=float) ** 2
-    occ = _occupation_matrix(psi)
-    p, s = orbital_entropies(psi)
+    occ, weights, p, s = _occupations(psi)
     i, j = np.triu_indices(len(p), 1)
     # joint probability that both members of a pair are occupied
     p11 = (occ.T @ (occ * weights[:, None]))[i, j]

@@ -22,6 +22,8 @@ the mask-row match replaced, ``loop_gate_counts`` the three-pass resource
 table that the one-pass ``gate_counts`` replaced, and
 ``loop_jastrow_gates`` and ``loop_illustrative_generators`` the
 element loops that the LUCJ baseline's array forms replaced.
+``distribution_cumulative`` and ``distribution_total`` are the weights of
+a ``sampling.Distribution`` that only tests read.
 """
 
 import functools
@@ -43,6 +45,7 @@ from qselci.circuits import (
 from qselci.dets import (
     Determinant,
     ExcitationOp,
+    basis_indices,
     bitstring_of_index,
     excitation_rank,
     full_excitation,
@@ -378,7 +381,7 @@ def pair_loop_mutual_information(psi):
     """The mutual information matrix with each pair's four sectors
     tallied and summed on their own."""
     weights = np.asarray(psi.coeffs, dtype=float) ** 2
-    occ = analysis._occupation_matrix(psi)
+    occ = analysis._occupations(psi)[0]
     n_spin = occ.shape[1]
     p11 = occ.T @ (occ * weights[:, None])
     p = np.clip(occ.T @ weights, 0.0, 1.0)
@@ -479,6 +482,24 @@ def loop_illustrative_generators(n):
         if i + 1 < 2 * n:
             J[i, i + 1] = J[i + 1, i] = 0.2
     return K, J
+
+
+# --------------------------------------------- distribution weights
+
+
+def distribution_cumulative(dist, index):
+    """Total probability of a set of basis indices under a
+    ``sampling.Distribution``: the listed ones' probabilities plus the
+    floor of each unlisted one."""
+    index = np.unique(basis_indices(index, dist.n_qubits))
+    listed = np.isin(dist.index, index)
+    n_unlisted = index.size - np.count_nonzero(listed)
+    return float(dist.probs[listed].sum() + dist.unlisted_floor * n_unlisted)
+
+
+def distribution_total(dist):
+    """Listed plus unlisted probability of a ``sampling.Distribution``."""
+    return float(dist.probs.sum() + dist.residual_mass)
 
 
 # ------------------------------------------- text-keyed sampling reference
