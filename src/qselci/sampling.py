@@ -90,16 +90,6 @@ class Distribution:
     def residual_mass(self):
         return self.unlisted_floor * ((1 << self.n_qubits) - self.index.size)
 
-    def cumulative(self, index):
-        """Total probability of a set of basis indices."""
-        index = np.unique(basis_indices(index, self.n_qubits))
-        listed = np.isin(self.index, index)
-        n_unlisted = index.size - np.count_nonzero(listed)
-        return float(self.probs[listed].sum() + self.unlisted_floor * n_unlisted)
-
-    def total(self):
-        return float(self.probs.sum() + self.residual_mass)
-
 
 @dataclass
 class SampleCounts:

@@ -163,8 +163,9 @@ def test_08_noise_model_laws():
         assert clean_order == noisy_order
         r_size = int(rng.integers(1, (1 << n) + 1))
         r_set = rng.choice(1 << n, size=r_size, replace=False)
-        mixed = (1.0 - p) * dist.cumulative(r_set) + p * r_size / (1 << n)
-        assert abs(noisy.cumulative(r_set) - mixed) < 1e-12
+        mixed = ((1.0 - p) * oracles.distribution_cumulative(dist, r_set)
+                 + p * r_size / (1 << n))
+        assert abs(oracles.distribution_cumulative(noisy, r_set) - mixed) < 1e-12
 
     table = two_orbital_table()
     dense = oracles.dense_hamiltonian(table)

@@ -7,8 +7,9 @@ tests check what a fresh interpreter has loaded after each run; the AST
 test keeps a module-level submodule import from coming back.  A second AST
 walk fails on a module-level private helper that nothing in the package
 reads, a third on a module-level public function, class or constant that
-only tests read, and another on an error class that nothing in the package
-raises.  One more reads the benchmark tracer's table of wrapped functions, so
+only tests read, a fourth on a public method or property whose name no
+attribute access outside the tests reads, and another on an error class
+that nothing in the package raises.  One more reads the benchmark tracer's table of wrapped functions, so
 removing a name it binds fails here rather than in a traced bench run.
 The last parses the package and the demos with the grammar of the oldest
 Python that ``pyproject.toml`` declares.
@@ -175,9 +176,20 @@ def _test_only_public_names(sources, outside):
         sources, outside, lambda name, _stmt: not name.startswith("_"))
 
 
-def test_no_unread_private_helper():
+def _package_and_outside_sources():
+    """The package's ``{module name: source}`` map, and the sources of the
+    demos and the benchmarks other than their tests."""
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py"))}
+    outside = [p.read_text(encoding="utf-8")
+               for folder in ("demos", "benchmarks")
+               for p in sorted((ROOT / folder).rglob("*.py"))
+               if "tests" not in p.relative_to(ROOT).parts]
+    return sources, outside
+
+
+def test_no_unread_private_helper():
+    sources, _outside = _package_and_outside_sources()
     assert _unread_private_names(sources) == []
 
 
@@ -193,13 +205,7 @@ def test_guard_sees_unread_private_helpers():
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():
-    sources = {p.stem: p.read_text(encoding="utf-8")
-               for p in sorted(SRC.glob("*.py"))}
-    outside = [p.read_text(encoding="utf-8")
-               for folder in ("demos", "benchmarks")
-               for p in sorted((ROOT / folder).rglob("*.py"))
-               if "tests" not in p.relative_to(ROOT).parts]
-    assert _test_only_public_names(sources, outside) == []
+    assert _test_only_public_names(*_package_and_outside_sources()) == []
 
 
 def test_guard_sees_public_names_only_tests_read():
@@ -215,6 +221,56 @@ def test_guard_sees_public_names_only_tests_read():
     outside = ["import a\nprint(a.Shown().method())\n"]
     assert _test_only_public_names(sources, outside) == ["a.UNREAD",
                                                          "a.alone"]
+
+
+def _test_only_public_methods(sources, outside):
+    """Public methods and properties of the module-level classes of the
+    ``{module name: source}`` map whose name no attribute access reads
+    outside their own body, in the package or in ``outside``, as sorted
+    ``module.Class.name`` strings.  A read of the name on any object
+    counts, so a method shares its readers with every attribute of that
+    name."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    readers = {}
+    for tree in [*trees.values(), *map(ast.parse, outside)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                readers.setdefault(node.attr, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or (
+                        method.name.startswith("_")):
+                    continue
+                own = set(map(id, ast.walk(method)))
+                if all(id(n) in own for n in readers.get(method.name, [])):
+                    found.append(f"{module}.{cls.name}.{method.name}")
+    return sorted(found)
+
+
+def test_every_public_method_has_a_reader_outside_the_tests():
+    assert _test_only_public_methods(*_package_and_outside_sources()) == []
+
+
+def test_guard_sees_methods_only_tests_read():
+    sources = {
+        "a": "class Box:\n"
+             "    def used(self):\n        return self.alone()\n"
+             "    @property\n    def shown(self):\n        return 1\n"
+             "    def alone(self):\n        return 2\n"
+             "    def again(self):\n        return self.again()\n"
+             "    def _private(self):\n        pass\n"
+             "    def __len__(self):\n        return 0\n"
+             "    def called(self):\n        pass\n"
+             "def called():\n    pass\n"
+             "print(Box().used(), called())\n",
+    }
+    outside = ["import a\nprint(a.Box().shown)\n"]
+    assert _test_only_public_methods(sources, outside) == ["a.Box.again",
+                                                           "a.Box.called"]
 
 
 def _unraised_error_classes(errors_text, sources):
