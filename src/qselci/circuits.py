@@ -243,8 +243,9 @@ def build_lucj(K, J, reference):
 
     ``K`` is a real antisymmetric n×n generator applied to both spin
     channels; ``J`` is a real symmetric 2n×2n tensor over spin-orbital
-    pairs; every entry of both must be finite.  Gate order is application order, so the e^{-K} basis rotation
-    comes first.  All angles are baked in: n_params = 0.
+    pairs; every entry of both must be finite.  Gate order is application
+    order, so the e^{-K} basis rotation comes first.  All angles are baked
+    in: n_params = 0.
     """
     K = np.asarray(K, dtype=float)
     J = np.asarray(J, dtype=float)
