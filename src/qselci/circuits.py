@@ -129,9 +129,10 @@ def gate_counts(circuit):
 def prescreen(seed, cutoff, top_m=None):
     """Determinants of a seed wavefunction ranked by |coefficient|.
 
-    Descending |c|, ties broken by ascending (alpha, beta) bitmasks; entries
-    below ``cutoff`` dropped; at most ``top_m`` kept.  The first determinant
-    is the reference of any circuit built from the selection.
+    Descending |c| rounded to 12 decimals, ties broken by ascending (alpha,
+    beta) bitmasks; entries below ``cutoff`` dropped; at most ``top_m``
+    kept.  The first determinant is the reference of any circuit built from
+    the selection.
     """
     if top_m is not None and top_m < 0:
         raise ValueError(f"top_m must be nonnegative, got {top_m}")

@@ -416,14 +416,19 @@ def _sample_once(circuit, table, opts, manifest):
         return noisy_counts(state, opts["shots"], noise, opts["seed"])
 
 
-def _shot_summary(counts, table):
-    """Distinct strings and in-sector share of raw counts."""
+def _in_sector(counts, table):
+    """The raw counts that lie in the table's sector."""
     from .sampling import symmetry_filter
 
-    filtered, _rejected = symmetry_filter(counts, table.n_alpha, table.n_beta)
+    return symmetry_filter(counts, table.n_alpha, table.n_beta)[0]
+
+
+def _shot_summary(counts, kept):
+    """Distinct strings of raw counts and the share of their shots in
+    ``kept``, their in-sector part."""
     return {
         "n_unique_bitstrings": counts.index.size,
-        "valid_fraction": filtered.total_shots / counts.total_shots,
+        "valid_fraction": kept.total_shots / counts.total_shots,
     }
 
 
@@ -562,7 +567,7 @@ def _handle_sample(opts, manifest):
     result = {
         "ansatz": opts["ansatz"],
         "shots": counts.total_shots,
-        **_shot_summary(counts, table),
+        **_shot_summary(counts, _in_sector(counts, table)),
         "top": [
             {"bitstring": s, "count": c} for s, c in counts.top(opts["top"])
         ],
@@ -685,23 +690,27 @@ def _handle_demo(opts, manifest):
     table = fixture_table(opts["fixture"])
     oracle, selected = _pilot_selection(table, opts, manifest)
     dominant = selected[0].to_bitstring(table.n_orbitals)  # largest |c|
-    comparison, counts = {}, {}
+    counts = {}
     with manifest.stage("sampling_comparison"):
         for name in ("usci", "lucj"):
             circuit = _ansatz(name, table, selected, opts)
             with manifest.stage(name):
                 counts[name] = _sample_once(circuit, table, opts, manifest)
-            top10 = [s for s, _c in counts[name].top(10)]
-            comparison[name] = {
-                "ansatz": name,
-                **_shot_summary(counts[name], table),
-                "dominant_in_top10": dominant in top10,
-                "top10": top10,
-            }
 
-    # the QSCI pass diagonalizes the USCI shots drawn for the comparison
+    # the QSCI pass diagonalizes the USCI shots drawn for the comparison,
+    # and its sector filter gives their valid fraction
     with manifest.stage("qsci"):
         qsci_res = solve_counts(counts["usci"], table)
+    kept = {"usci": qsci_res.counts, "lucj": _in_sector(counts["lucj"], table)}
+    comparison = {}
+    for name, drawn in counts.items():
+        top10 = [s for s, _c in drawn.top(10)]
+        comparison[name] = {
+            "ansatz": name,
+            **_shot_summary(drawn, kept[name]),
+            "dominant_in_top10": dominant in top10,
+            "top10": top10,
+        }
     psi, expansion_steps = _expand(
         qsci_res.wavefunction, table, opts, manifest, "refine"
     )

@@ -10,7 +10,8 @@ Conventions used throughout the package:
   mask rows, so it takes at most 64 orbitals; ``det_masks`` and
   ``determinants`` convert between the two forms, and ``bitstrings``
   gives the rows' text form.  ``rank_order`` is the one rule that ranks
-  rows by a float weight: descending weight, then ascending (alpha, beta).
+  rows by a float weight: descending weight rounded to 12 decimals, then
+  ascending (alpha, beta).
 * Spin orbitals are indexed in blocked order: alpha orbitals occupy indices
   ``0 .. n-1`` and beta orbitals ``n .. 2n-1`` for ``n`` spatial orbitals.
   This same index is the qubit index after the fermion-to-qubit mapping and
@@ -165,10 +166,11 @@ def bitstrings(masks, n_orbitals):
 
 
 def rank_order(masks, weight):
-    """Positions of (N, 2) mask rows by descending ``weight``, ties broken
-    by ascending (alpha, beta) bitmasks: the one ranking of determinants by
-    a float."""
-    return np.lexsort((masks[:, 1], masks[:, 0], -weight))
+    """Positions of (N, 2) mask rows by descending ``weight`` rounded to 12
+    decimals, ties broken by ascending (alpha, beta) bitmasks: the one
+    ranking of determinants by a float.  Weights that differ only in their
+    last bits, as symmetry-equivalent amplitudes do, rank by bitmask."""
+    return np.lexsort((masks[:, 1], masks[:, 0], -np.round(weight, 12)))
 
 
 def sector_masks(n_orbitals, n_alpha, n_beta, cap=ENUMERATION_CAP):

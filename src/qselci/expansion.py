@@ -95,8 +95,9 @@ def _ranked_scores(psi, candidates, rows, cols, vals):
 
 def score_candidates(psi, candidates, table):
     """Summed coupling weights s_mu = sum_I |H_{mu I} c_I| of determinants
-    outside psi's set, as (determinant, score) pairs sorted descending with
-    ascending (alpha, beta) bitmask order breaking ties."""
+    outside psi's set, as (determinant, score) pairs sorted by descending
+    score rounded to 12 decimals, ascending (alpha, beta) bitmasks breaking
+    ties."""
     masks = det_masks(candidates)
     coupling = coupling_elements(*masks.T, *psi.masks.T, table.h,
                                  table.dense_g())

@@ -23,7 +23,8 @@ buffers, and reads the basis as their column views; the projected matrix
 goes straight to the LAPACK ``syevr`` call that ``scipy.linalg.eigh`` makes
 by default, so results are those of the stacked-list loop with ``eigh``
 that tests/oracles.py keeps as its reference.  ``fci_oracle`` enumerates a
-full sector and diagonalizes it (dense below ``DENSE_CUTOFF``).
+full sector and diagonalizes it: below ``DENSE_CUTOFF`` determinants
+``dense_lowest`` asks LAPACK for the lowest eigenpair only.
 """
 
 import json
@@ -414,12 +415,12 @@ def _nonempty_dim(subspace):
 
 
 def dense_lowest(subspace):
-    """Dense reference diagonalization (full eigensolve, lowest state)."""
+    """Dense reference diagonalization of the lowest eigenpair only."""
     import scipy.linalg
 
     _nonempty_dim(subspace)
     dense = subspace.matrix.toarray()
-    w, v = scipy.linalg.eigh(dense)
+    w, v = scipy.linalg.eigh(dense, subset_by_index=[0, 0])
     vec = _canonical_sign(v[:, 0])
     return Wavefunction(
         masks=subspace.masks,

@@ -81,10 +81,11 @@ def full_register(state):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(args, cwd=ROOT):
+def run_python(args, cwd=ROOT, env=None):
     """Run a fresh interpreter in ``cwd`` with ``src`` first on its import
-    path; returns the completed process with text output."""
-    env = dict(os.environ)
+    path and ``env`` over the environment; returns the completed process
+    with text output."""
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])

@@ -22,6 +22,8 @@ the mask-row match replaced, ``loop_gate_counts`` the three-pass resource
 table that the one-pass ``gate_counts`` replaced, and
 ``loop_jastrow_gates`` and ``loop_illustrative_generators`` the
 element loops that the LUCJ baseline's array forms replaced.
+``full_dense_lowest`` is the full dense eigensolve that the
+lowest-eigenpair-only ``dense_lowest`` replaced.
 ``distribution_cumulative`` and ``distribution_total`` are the weights of
 a ``sampling.Distribution`` that only tests read.
 """
@@ -890,6 +892,18 @@ def davidson_reference(subspace):
         energy=theta + subspace.core_energy,
         vector=_canonical_sign(x / np.linalg.norm(x)),
         iterations=hamiltonian.DAVIDSON_MAX_ITER,
+    )
+
+
+def full_dense_lowest(subspace):
+    """Lowest eigenpair of a SubspaceMatrix from every eigenpair of its
+    dense matrix; returns a Wavefunction."""
+    w, v = scipy.linalg.eigh(subspace.matrix.toarray())
+    return hamiltonian.Wavefunction(
+        masks=subspace.masks,
+        coeffs=_canonical_sign(v[:, 0]),
+        energy=float(w[0]) + subspace.core_energy,
+        n_orbitals=subspace.n_orbitals,
     )
 
 

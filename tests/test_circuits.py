@@ -72,9 +72,12 @@ def test_prescreen_top_m_on_fixture():
     oracle = fci_oracle(table)
     kept = prescreen(oracle, 0.0, top_m=7)
     assert len(kept) == 7
-    coeffs = dict(zip(oracle.dets, oracle.coeffs))
-    mags = [coeffs[d] ** 2 for d in kept]
-    assert mags == sorted(mags, reverse=True)
+    # descending |c| rounded to 12 decimals, ascending (alpha, beta) within
+    # a tie, so symmetry-equivalent amplitudes rank by bitmask
+    size = dict(zip(oracle.dets, np.round(np.abs(oracle.coeffs), 12)))
+    keys = [(-size[d], d.alpha, d.beta) for d in kept]
+    assert keys == sorted(keys)
+    assert len({size[d] for d in kept}) < len(kept)  # the top 7 hold a tie
     # reproducible: same call gives the identical list
     assert kept == prescreen(oracle, 0.0, top_m=7)
 

@@ -707,6 +707,23 @@ def test_demo_simulates_and_samples_each_ansatz_once(capsys, monkeypatch):
     assert calls == {"apply_circuit": 2, "noisy_counts": 2}
 
 
+def test_demo_filters_each_draw_once(capsys, monkeypatch):
+    import qselci.pipeline
+    import qselci.sampling
+
+    filtered, symmetry_filter = [], qselci.sampling.symmetry_filter
+
+    def counted(counts, n_alpha, n_beta):
+        filtered.append(counts)
+        return symmetry_filter(counts, n_alpha, n_beta)
+
+    monkeypatch.setattr(qselci.sampling, "symmetry_filter", counted)
+    monkeypatch.setattr(qselci.pipeline, "symmetry_filter", counted)
+    run_json(capsys, ["demo", "--shots", "2000", "--depol-p", "0.1"])
+    assert len(filtered) == 2
+    assert filtered[0] is not filtered[1]
+
+
 def test_demo_noise_broadens_support(capsys):
     clean = run_json(capsys, ["demo", "--shots", "20000", "--seed", "11"])
     noisy = run_json(

@@ -12,6 +12,7 @@ from qselci.dets import (
     excitation_rank,
     full_excitation,
     hartree_fock,
+    rank_order,
     sector_masks,
     string_sign,
 )
@@ -49,6 +50,15 @@ def test_enumerate_cap():
 def test_det_masks_passes_uint64_rows_through():
     rows = np.array([[3, 5], [6, 3]], np.uint64)
     assert det_masks(rows) is rows
+
+
+def test_rank_order_ties_weights_that_differ_in_the_last_bits():
+    rows = np.array([[6, 3], [5, 3], [3, 5], [3, 3]], np.uint64)
+    near = 0.3 + np.array([2e-16, 0.0, -3e-14, 1e-11])
+    # 1e-11 above the rest ranks first; the three near-equal weights rank
+    # by ascending (alpha, beta)
+    assert rank_order(rows, near).tolist() == [3, 2, 1, 0]
+    assert rank_order(rows, -near).tolist() == [2, 1, 0, 3]
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])

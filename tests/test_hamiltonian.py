@@ -13,7 +13,7 @@ from qselci.dets import (Determinant, det_masks, enumerate_space,
 from qselci.errors import DuplicateDeterminant, NoConvergence, TooLarge
 from qselci.expansion import en_pt2, expand_and_rediagonalize
 from qselci.fcidump import IntegralTable
-from qselci.fixtures import hubbard_chain_table, two_orbital_table
+from qselci.fixtures import FIXTURES, hubbard_chain_table, two_orbital_table
 from qselci.hamiltonian import (
     SubspaceMatrix,
     Wavefunction,
@@ -306,6 +306,27 @@ def test_small_solve_rejects_non_finite_like_eigh(bad):
         scipy.linalg.eigh(T)
     with pytest.raises(ValueError, match=str(expect.value)):
         hamiltonian._symmetric_eigh(T)
+
+
+FULL_SECTORS = {  # name -> integral table whose sector is solved densely
+    **FIXTURES,
+    "hubbard8-4e": lambda: hubbard_chain_table(8, n_electrons=4),
+    "dense8": lambda: helpers.random_table(8, 4, seed=3),
+    "dense6": lambda: helpers.random_table(6, 6, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", FULL_SECTORS)
+def test_lowest_only_solve_matches_full_eigensolve(name):
+    table = FULL_SECTORS[name]()
+    subspace = build_subspace(
+        sector_masks(table.n_orbitals, table.n_alpha, table.n_beta), table)
+    assert subspace.dim <= hamiltonian.DENSE_CUTOFF
+    got, expect = dense_lowest(subspace), oracles.full_dense_lowest(subspace)
+    assert abs(got.energy - expect.energy) < 1e-12
+    assert np.max(np.abs(got.coeffs - expect.coeffs)) < 1e-12
+    assert np.array_equal(got.masks, expect.masks)
+    assert prescreen(got, 0.01) == prescreen(expect, 0.01)
 
 
 @pytest.mark.parametrize("solve", [davidson_lowest, dense_lowest,

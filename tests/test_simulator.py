@@ -350,11 +350,11 @@ def test_full_beta_channel_at_64_qubits_matches_flat_pairing():
 
 
 def test_repeated_excitations_reuse_their_pairings(monkeypatch):
-    # 1,008 gates from 159 distinct excitations over 28 strings per channel
+    # 1,008 gates from 155 distinct excitations over 28 strings per channel
     circuit, params = _hubbard8_usci()
     assert len(circuit.gates) == 1008
     assert len({(g.excitation.annihilated, g.excitation.created)
-                for g in circuit.gates}) == 159
+                for g in circuit.gates}) == 155
     gate_builds, channel_builds = [], []
 
     def count(calls, build):
@@ -369,7 +369,7 @@ def test_repeated_excitations_reuse_their_pairings(monkeypatch):
                         count(channel_builds, simulator._channel_pairs))
     sv = Statevector.from_determinant(circuit.reference, 8)
     apply_circuit(circuit, params, sv)
-    assert len(gate_builds) <= 159
+    assert len(gate_builds) <= 155
     per_channel = collections.Counter(id(strings)
                                       for strings, _, _ in channel_builds)
     assert len(per_channel) == 2
