@@ -109,7 +109,25 @@ def _cases():
                 ["analyze", "--in", "wf.json", "--mi-edges", "edges.csv"],
             ],
         })
+    chain = ["--fixture", "h-chain-synthetic"]
     cases.update({
+        # the second expansion reaches the whole 400-determinant sector, so
+        # the last pt2 has no external determinant
+        "h-chain-synthetic-save-wf-chain": [
+            ["qsci", *chain, "--save-wf", "wf.json", "--out", "qsci.json"],
+            ["expand", *chain, "--in", "wf.json", "--iters", "2",
+             "--save-wf", "wf2.json"],
+            ["pt2", *chain, "--in", "wf.json"],
+            ["pt2", *chain, "--in", "wf2.json"],
+        ],
+        # few shots and a cap per iteration leave a pool of a few hundred
+        "h-chain-synthetic-save-wf-chain-top-k": [
+            ["qsci", *chain, "--shots", "300", "--save-wf", "wf.json",
+             "--out", "qsci.json"],
+            ["expand", *chain, "--in", "wf.json", "--iters", "2",
+             "--top-k", "10", "--save-wf", "wf2.json"],
+            ["pt2", *chain, "--in", "wf2.json"],
+        ],
         "hubbard4-sample-csv-eps0-above-eps1": [
             ["sample", "--fixture", "hubbard4", "--csv", "counts.csv",
              "--eps0", "0.04", "--eps1", "0.01"]],
