@@ -8,28 +8,43 @@ Candidates are scored by their summed coupling weight
 ``s_mu = sum_I |H_{mu I} c_I|``; those at or above a threshold (optionally
 capped at the top k) join the set, and the enlarged projected problem is
 re-solved.  The perturbative estimate uses the same pool with
-state-specific denominators ``<mu|H|mu> - E_S``.  Each call unfolds the
-two-electron integrals once, evaluates the pool's coupling block into S
-once with the batched kernel of :mod:`qselci.hamiltonian`, and takes the
-connected set, the scores and the PT2 numerators from it.  The pool and
-candidates are (N, 2) uint64 mask rows; the public functions return
-Determinant lists.
+state-specific denominators ``<mu|H|mu> - E_S``.  The pool comes from
+per-string tables: each unique alpha and beta string of S lists its singles
+and doubles once (after Knowles & Handy, CPL 111, 315, 1984), and one sort
+of the members' substitution keys gives both the pool in ascending
+(alpha, beta) order and its (candidate, member) pairs in the order the
+kernel of :mod:`qselci.hamiltonian` evaluates them.  Each call unfolds the
+two-electron integrals once, evaluates the pool's coupling into S once,
+and takes the connected set, the scores and the PT2 numerators from it.
+The pool and candidates are (N, 2) uint64 mask rows; the public functions
+return Determinant lists.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import combinations
 
 import numpy as np
 
+from . import hamiltonian
 from .dets import det_masks, determinants, rank_order
+from .errors import TooLarge
 from .hamiltonian import (
     build_subspace,
     coupling_elements,
     davidson_lowest,
     diagonal_elements,
+    pair_elements,
 )
 
 DENOMINATOR_TOL = 1e-8
+# Generated (candidate, member) pairs at most, counted before any is built:
+# about 90 B each at the peak (tracemalloc), so a run at the cap stays under
+# 2 GiB.  Every ``key * |S| + member`` must lie below _KEY_RANGE (int64).
+MAX_PAIRS = 1 << 24
+_KEY_RANGE = 1 << 63
+# The substitution kinds as (alpha, beta) table pairs: 0 the string itself,
+# 1 its singles, 2 its doubles.
+_KINDS = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
 
 def _substitutions(mask, n_orbitals, rank):
@@ -42,30 +57,71 @@ def _substitutions(mask, n_orbitals, rank):
     return [r | a for r in removed for a in added]
 
 
-def _substitution_pool(psi, n):
-    """Mask rows of every sector-preserving single or double substitution of
-    a member of psi's set that lies outside it, in ascending (alpha, beta)
-    order."""
-    seen = set()
-    members = list(map(tuple, psi.masks.tolist()))
-    for a, b in members:
-        alpha_singles = _substitutions(a, n, 1)
-        beta_singles = _substitutions(b, n, 1)
-        seen.update(zip(alpha_singles, repeat(b)))
-        seen.update(zip(repeat(a), beta_singles))
-        seen.update(zip(_substitutions(a, n, 2), repeat(b)))
-        seen.update(zip(repeat(a), _substitutions(b, n, 2)))
-        seen.update(product(alpha_singles, beta_singles))
-    seen.difference_update(members)
-    return np.array(sorted(seen), dtype=np.uint64).reshape(-1, 2)
+def _channel_tables(strings, n):
+    """The unique strings of one spin channel (one electron count), their
+    singles and their doubles, as uint64 tables with a row per unique
+    string; and the row of each input string."""
+    unique, row = np.unique(strings, return_inverse=True)
+    return [unique[:, None]] + [
+        np.array([_substitutions(s, n, r) for s in unique.tolist()], np.uint64)
+        for r in (1, 2)], row
+
+
+def _runs(keys):
+    """np.unique(keys, return_inverse=True) of a sorted array, without its
+    sort."""
+    first = np.ones(len(keys), bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first], np.cumsum(first) - 1
+
+
+def _generated_pairs(psi, n):
+    """The pool as mask rows and its (candidate, member) index pairs.  A
+    substitution's key is ``alpha_rank * |B| + beta_rank`` in the sorted
+    sets A and B of the strings reached; TooLarge past MAX_PAIRS pairs or
+    where ``key * |S| + member`` would overflow int64."""
+    size, counts = len(psi.masks), np.bitwise_count(psi.masks).astype(int)
+    # per member and channel: 1, then the singles, then the doubles
+    moves = [np.ones_like(counts), counts * (n - counts)]
+    moves.append(moves[1] * (counts - 1) * (n - counts - 1) // 4)
+    total = int(sum(moves[p][:, 0] @ moves[q][:, 1] for p, q in _KINDS))
+    if total > MAX_PAIRS:
+        raise TooLarge(f"{total} substitutions exceed the cap of {MAX_PAIRS}")
+    groups = [np.flatnonzero((counts == sector).all(1))
+              for sector in np.unique(counts, axis=0)]
+    tables = [[_channel_tables(psi.masks[m, c], n) for c in (0, 1)]
+              for m in groups]
+    sets = [np.unique(np.concatenate([t.ravel() for channels in tables
+                                      for t in channels[c][0]]))
+            for c in (0, 1)]
+    width = len(sets[1])
+    if len(sets[0]) * width * size > _KEY_RANGE:
+        raise TooLarge(f"pool keys of {size} determinants overflow int64")
+    parts, members = [], []
+    for m, channels in zip(groups, tables):
+        a, b = ([np.searchsorted(sets[c], t)[row] for t in tab]
+                for c, (tab, row) in enumerate(channels))
+        members.append(a[0][:, 0] * width + b[0][:, 0])
+        parts += [((a[p][:, :, None] * width + b[q][:, None, :])
+                   .reshape(len(m), -1) * size + m[:, None]).ravel()
+                  for p, q in _KINDS]
+    entries = np.sort(np.concatenate(parts))  # by key, then member
+    keys = entries // size
+    outside = ~np.isin(keys, np.concatenate(members))
+    pool, rows = _runs(keys[outside])
+    return (np.column_stack([sets[0][pool // width], sets[1][pool % width]]),
+            rows, entries[outside] % size)
 
 
 def _connected_coupling(psi, h, g):
     """The connected set with its coupling into psi's set, evaluated once:
     (candidates, mu, I, value), mu indexing the returned candidates."""
-    pool = _substitution_pool(psi, len(h))
-    rows, cols, vals = coupling_elements(*pool.T, *psi.masks.T, h, g)
-    connected, mu = np.unique(rows, return_inverse=True)
+    pool, rows, cols = _generated_pairs(psi, len(h))
+    step = hamiltonian.PAIR_BLOCK
+    batches = ((rows[k:k + step], cols[k:k + step])
+               for k in range(0, len(rows), step))
+    rows, cols, vals = pair_elements(batches, *pool.T, *psi.masks.T, h, g)
+    connected, mu = _runs(rows)
     return pool[connected], mu, cols, vals
 
 

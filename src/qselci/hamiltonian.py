@@ -6,9 +6,10 @@ Hamiltonian with chemist-notation two-electron integrals,
 
     H = sum_pq h_pq E_pq + 1/2 sum_pqrs (pq|rs) [E_pq E_rs - delta_qr E_ps],
 
-evaluated directly from occupation bitmasks.  One kernel,
-``coupling_elements`` and ``diagonal_elements``, applies the rules to whole
-uint64 mask arrays and serves the subspace build, expansion and PT2;
+evaluated directly from occupation bitmasks.  One kernel serves the
+subspace build, expansion and PT2: ``diagonal_elements`` and one evaluator,
+``pair_elements``, of (i, j) index pairs into uint64 mask arrays, fed by
+the pairs ``coupling_elements`` screens or those expansion generates.
 ``slater_condon`` is that kernel on one pair.  The kernel reads ``h`` and
 the dense ``(pq|rs)`` array of ``IntegralTable.dense_g``, which each
 computation unfolds once.  It takes its signs from
@@ -226,7 +227,13 @@ def _occupied(masks):
 
 def diagonal_elements(alpha, beta, h, g):
     """<d|H|d> (no core energy) for each determinant given by its masks,
-    from the one-electron array ``h`` and the dense two-electron ``g``."""
+    from the one-electron array ``h`` and the dense two-electron ``g``;
+    PAIR_BLOCK determinants at a time, which bounds the arrays of occupied
+    orbitals held at once."""
+    if len(alpha) > PAIR_BLOCK:
+        return np.concatenate([diagonal_elements(
+            alpha[k:k + PAIR_BLOCK], beta[k:k + PAIR_BLOCK], h, g)
+            for k in range(0, len(alpha), PAIR_BLOCK)])
     occ = [(p, on, s) for s, masks in enumerate((alpha, beta))
            for p, on in _occupied(masks)]
     e = np.zeros(len(alpha))
@@ -329,6 +336,22 @@ def _near_pairs(bra_alpha, bra_beta, ket_alpha, ket_beta, upper):
             found, n_found = [], 0
 
 
+def pair_elements(pairs, bra_alpha, bra_beta, ket_alpha, ket_beta, h, g):
+    """The nonzero <bra_i|H|ket_j> over batches of (i, j) index arrays of
+    distinct same-sector pairs at most a double apart: ``(i, j, values)``
+    in batch order."""
+    none = np.zeros(0, np.intp)
+    rows, cols, vals = [none], [none], [np.zeros(0)]
+    for i, j in pairs:
+        v = _pair_values(bra_alpha[i], bra_beta[i], ket_alpha[j], ket_beta[j],
+                         h, g)
+        keep = v != 0.0
+        rows.append(i[keep])
+        cols.append(j[keep])
+        vals.append(v[keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, h, g,
                       upper=False):
     """Nonzero off-diagonal elements <bra_i|H|ket_j> between two
@@ -340,16 +363,8 @@ def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, h, g,
     equal are skipped.  ``upper`` keeps only j > i, for a list against
     itself.  Work is done in blocks of about PAIR_BLOCK pairs.
     """
-    none = np.zeros(0, np.intp)
-    rows, cols, vals = [none], [none], [np.zeros(0)]
-    for i, j in _near_pairs(bra_alpha, bra_beta, ket_alpha, ket_beta, upper):
-        v = _pair_values(bra_alpha[i], bra_beta[i], ket_alpha[j], ket_beta[j],
-                         h, g)
-        keep = v != 0.0
-        rows.append(i[keep])
-        cols.append(j[keep])
-        vals.append(v[keep])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    masks = bra_alpha, bra_beta, ket_alpha, ket_beta
+    return pair_elements(_near_pairs(*masks, upper), *masks, h, g)
 
 
 def slater_condon(d1, d2, table):

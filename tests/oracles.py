@@ -23,7 +23,10 @@ table that the one-pass ``gate_counts`` replaced, and
 ``loop_jastrow_gates`` and ``loop_illustrative_generators`` the
 element loops that the LUCJ baseline's array forms replaced.
 ``full_dense_lowest`` is the full dense eigensolve that the
-lowest-eigenpair-only ``dense_lowest`` replaced.
+lowest-eigenpair-only ``dense_lowest`` replaced, and
+``substitution_pool_loop`` with ``screened_connected_coupling`` the
+set-of-tuples expansion pool and its screened coupling that the
+per-string substitution tables replaced.
 ``distribution_cumulative`` and ``distribution_total`` are the weights of
 a ``sampling.Distribution`` that only tests read.
 """
@@ -340,6 +343,42 @@ def chain_decomposition(reference, target, n_orbitals):
         index ^= sum(1 << s for s in ann[pos:pos + 2] + cre[pos:pos + 2])
         chain.append(Determinant.from_index(index, n_orbitals))
     return [full_excitation(a, b, n_orbitals) for a, b in zip(chain, chain[1:])]
+
+
+# ------------------------------------------------ substitution pool loop
+#
+# ``expansion._generated_pairs`` lists each spin string's substitutions
+# once and orders the pool and its pairs by one sort; before that the pool
+# was this set of every substitution of every member, and its coupling the
+# screened pool x S block of ``coupling_elements``.
+
+
+def substitution_pool_loop(psi, n):
+    """Mask rows of every sector-preserving single or double substitution of
+    a member of psi's set that lies outside it, in ascending (alpha, beta)
+    order."""
+    seen = set()
+    members = list(map(tuple, psi.masks.tolist()))
+    for a, b in members:
+        alpha_singles = expansion._substitutions(a, n, 1)
+        beta_singles = expansion._substitutions(b, n, 1)
+        seen.update(zip(alpha_singles, itertools.repeat(b)))
+        seen.update(zip(itertools.repeat(a), beta_singles))
+        seen.update(zip(expansion._substitutions(a, n, 2), itertools.repeat(b)))
+        seen.update(zip(itertools.repeat(a), expansion._substitutions(b, n, 2)))
+        seen.update(itertools.product(alpha_singles, beta_singles))
+    seen.difference_update(members)
+    return np.array(sorted(seen), dtype=np.uint64).reshape(-1, 2)
+
+
+def screened_connected_coupling(psi, h, g):
+    """``expansion._connected_coupling`` as the pool loop and the screened
+    ``coupling_elements`` gave it: (candidates, mu, I, value)."""
+    pool = substitution_pool_loop(psi, len(h))
+    rows, cols, vals = hamiltonian.coupling_elements(*pool.T, *psi.masks.T,
+                                                     h, g)
+    connected, mu = np.unique(rows, return_inverse=True)
+    return pool[connected], mu, cols, vals
 
 
 # ------------------------------------------------------ PT2 sum reference

@@ -4,7 +4,9 @@
 Every path that runs on the kernel (subspace build, connected set, coupling
 scores, EN-PT2, the public per-pair ``slater_condon``) is compared with a
 loop over the oracle written the way those functions were before the
-kernel replaced it.  The last section pins the (N, 2) uint64 mask-row form
+kernel replaced it.  The generated expansion pool and its pairs are pinned
+byte for byte against the set-of-tuples pool and the screened coupling
+they replaced.  The last section pins the (N, 2) uint64 mask-row form
 of determinant sets against the Determinant-list form.
 """
 
@@ -13,8 +15,9 @@ import pytest
 import scipy.sparse
 
 import helpers
+import oracles
 from oracles import slater_condon as scalar_element
-from qselci import hamiltonian
+from qselci import expansion, hamiltonian
 from qselci.dets import (Determinant, det_masks, determinants,
                          enumerate_space, excitation_rank, sector_masks)
 from qselci.errors import DuplicateDeterminant
@@ -148,20 +151,31 @@ def test_coupling_elements_match_scalar_between_lists(case):
 
 def _kernel_bytes(table, dets):
     """The bytes of every coupling array, list against itself with
-    ``upper`` True and False, and of the subspace's CSR arrays."""
+    ``upper`` True and False, of the subspace's CSR arrays, and of
+    everything an expansion step and EN-PT2 return from a state on the
+    first 12 determinants (2 on the wide table)."""
     alpha, beta = det_masks(dets).T
     h, g = table.h, table.dense_g()
     pairs = [coupling_elements(alpha, beta, alpha, beta, h, g, upper=upper)
              for upper in (True, False)]
     m = build_subspace(dets, table).matrix
+    psi = _psi(table, dets, size=2 if table.n_orbitals == WIDE else 12)
+    step = expand_and_rediagonalize(psi, table, 0.0, top_k=5)
+    grown = step.wavefunction_after
+    pt2 = en_pt2(psi, table)
     return [a.tobytes() for trio in pairs for a in trio] + [
-        m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()]
+        m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes(),
+        det_masks(step.added).tobytes(), np.array(step.scores).tobytes(),
+        grown.masks.tobytes(), grown.coeffs.tobytes(),
+        repr((step.energy_after, pt2.delta_e, pt2.n_external,
+              pt2.n_skipped)).encode()]
 
 
 @pytest.mark.parametrize("block", [1, 7, 100, hamiltonian.PAIR_BLOCK])
 def test_pair_block_leaves_no_trace_in_the_output(case, block, monkeypatch):
-    # the screening passes and the batches of survivors both follow
-    # PAIR_BLOCK, so its value moves every batch boundary
+    # the screening passes, the evaluated batches of screened and of
+    # generated pairs, and the diagonal's blocks all follow PAIR_BLOCK, so
+    # its value moves every batch boundary
     table, dets = case
     expect = _kernel_bytes(table, dets)
     monkeypatch.setattr(hamiltonian, "PAIR_BLOCK", block)
@@ -283,6 +297,61 @@ def test_expansion_adds_the_scalar_top_scores(case):
     assert step.added == [mu for mu, _ in expect]
     assert np.allclose(step.scores, [s for _, s in expect], rtol=0,
                        atol=ELEMENT_TOL)
+
+
+# ----------------------------------------- generated pool and its pairs
+
+def _arrays(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _assert_generated_is_screened(psi, table):
+    """``expansion._connected_coupling`` equals the set-of-tuples pool with
+    its screened coupling in every byte, dtype and shape; returns it."""
+    h, g = table.h, table.dense_g()
+    got = expansion._connected_coupling(psi, h, g)
+    assert _arrays(got) == _arrays(
+        oracles.screened_connected_coupling(psi, h, g))
+    return got
+
+
+def test_generated_coupling_is_bitwise_the_screened_pool(case):
+    # one determinant, twelve, and every listed one: the whole sector on
+    # all tables but wide34, so the pool is empty there
+    table, dets = case
+    whole_sector = table.n_orbitals != WIDE
+    for size in (1, 12, len(dets)):
+        candidates = _assert_generated_is_screened(
+            _psi(table, dets, size), table)[0]
+        assert (len(candidates) == 0) == (whole_sector and size == len(dets))
+
+
+def test_generated_coupling_is_bitwise_the_screened_pool_on_refine_dense8(
+        monkeypatch):
+    monkeypatch.syspath_prepend(str(helpers.ROOT / "benchmarks"))
+    from workloads import RefineDense8
+
+    for seed in (1, 2):
+        workload = RefineDense8(helpers.ROOT, None)
+        workload.setup(seed)
+        for psi in workload.starts:
+            _assert_generated_is_screened(psi, workload.table)
+
+
+def test_generated_coupling_is_bitwise_the_screened_pool_across_sectors():
+    # three sectors of six orbitals, and the (6, 0) determinant, which has
+    # no substitution at all
+    table = helpers.random_table(6, 6, seed=5)
+    masks = np.concatenate([sector_masks(6, 3, 3)[::40],
+                            sector_masks(6, 4, 2)[::30],
+                            sector_masks(6, 2, 4)[::25],
+                            sector_masks(6, 6, 0)])
+    coeffs = np.random.default_rng(1).normal(size=len(masks))
+    psi = Wavefunction(masks=masks, coeffs=coeffs / np.linalg.norm(coeffs),
+                       energy=-1.0, n_orbitals=6)
+    candidates = _assert_generated_is_screened(psi, table)[0]
+    sectors = {tuple(s) for s in np.bitwise_count(candidates).tolist()}
+    assert sectors == {(3, 3), (4, 2), (2, 4)}
 
 
 # -------------------------------------------------------------- mask rows

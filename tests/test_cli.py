@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from helpers import BAD_INPUT_FILES, BAD_OPTION_VALUES
 import qselci.cli
+import qselci.expansion
 from qselci.bounds import gate_budget, uniform_probability
 from qselci.cli import OPTIONS, _jsonify, build_parser, cli_dispatch
 from qselci.dets import enumerate_space
@@ -271,6 +272,20 @@ def test_shots_past_the_cap_are_one_line_domain_error(capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: TooLarge: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sub", ["expand", "pt2"])
+def test_pool_past_the_pair_cap_is_one_line_domain_error(
+        capsys, monkeypatch, saved_wavefunction, sub):
+    monkeypatch.setattr(qselci.expansion, "MAX_PAIRS", 100)
+    argv = [sub, "--fixture", "hubbard4", "--in", str(saved_wavefunction)]
+    assert cli_dispatch(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: TooLarge: ")
+    assert "exceed the cap of 100" in lines[0]
     assert captured.out == ""
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import helpers
 import oracles
 from golden import regen
 from qselci.circuits import prescreen
-from qselci.dets import Determinant, enumerate_space, hartree_fock
+from qselci import expansion
+from qselci.dets import Determinant, enumerate_space, hartree_fock, sector_masks
+from qselci.errors import TooLarge
 from qselci.expansion import (
     connected_set,
     en_pt2,
@@ -255,3 +258,72 @@ def test_pt2_leaves_input_untouched(hubbard):
     before = psi.to_json()
     en_pt2(psi, table)
     assert psi.to_json() == before
+
+
+# ------------------------------------------------------------- size guard
+
+def _pair_count(psi, n):
+    """Substitutions of every member, five kinds each, listed one by one."""
+    total = 0
+    for a, b in psi.masks.tolist():
+        sa, sb, da, db = (len(expansion._substitutions(x, n, r))
+                          for r in (1, 2) for x in (a, b))
+        total += sa + sb + da + db + sa * sb
+    return total
+
+
+def test_pair_cap_counts_before_building_anything(monkeypatch):
+    table = hubbard_chain_table(6)
+    psi = davidson_lowest(build_subspace(sector_masks(6, 3, 3)[::7], table))
+    total = _pair_count(psi, 6)
+    monkeypatch.setattr(expansion, "MAX_PAIRS", total)
+    expect = en_pt2(psi, table)
+
+    def refuse(*_args):
+        raise AssertionError("a substitution table was built")
+
+    monkeypatch.setattr(expansion, "MAX_PAIRS", total - 1)
+    monkeypatch.setattr(expansion, "_channel_tables", refuse)
+    for run in (lambda: en_pt2(psi, table),
+                lambda: expand_and_rediagonalize(psi, table, 0.0),
+                lambda: connected_set(psi, table)):
+        with pytest.raises(TooLarge, match=f"{total} substitutions exceed"):
+            run()
+    assert expect.n_external > 0
+
+
+def test_pool_keys_past_int64_are_refused(monkeypatch):
+    table = hubbard_chain_table(6)
+    psi = davidson_lowest(build_subspace(sector_masks(6, 3, 3)[::9], table))
+    monkeypatch.setattr(expansion, "_KEY_RANGE", len(psi.masks))
+    with pytest.raises(TooLarge, match="overflow int64"):
+        en_pt2(psi, table)
+
+
+def test_a_run_at_the_pair_cap_fits_in_two_gib():
+    """Members far apart on a dense random table make every generated pair
+    a distinct, nonzero candidate: the most memory per pair.  Measured on
+    eight members at 20 orbitals, expansion and PT2 must keep a run at
+    MAX_PAIRS under 2 GiB."""
+    n, rng = 20, np.random.default_rng(8)
+    table = IntegralTable(n_orbitals=n, n_electrons=n, ms2=0)
+    table.h = rng.normal(size=(n, n))
+    g = rng.normal(size=(n, n, n, n))
+    table.dense_g = lambda: g
+    strings = sorted({sum(1 << int(p) for p in rng.choice(n, n // 2, False))
+                      for _ in range(8)})
+    masks = np.array(list(zip(strings, strings[::-1])), dtype=np.uint64)
+    coeffs = np.full(len(masks), len(masks) ** -0.5)
+    psi = Wavefunction(masks=masks, coeffs=coeffs, energy=0.0, n_orbitals=n)
+    total = _pair_count(psi, n)
+    for run in (lambda: en_pt2(psi, table),
+                lambda: expand_and_rediagonalize(psi, table, math.inf)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / total * expansion.MAX_PAIRS < 2 << 30
+    assert result.n_added == 0 and total > 100_000
+    assert en_pt2(psi, table).n_external == total
