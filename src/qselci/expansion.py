@@ -9,11 +9,12 @@ Candidates are scored by their summed coupling weight
 capped at the top k) join the set, and the enlarged projected problem is
 re-solved.  The perturbative estimate uses the same pool with
 state-specific denominators ``<mu|H|mu> - E_S``.  The pool comes from
-per-string tables: each unique alpha and beta string of S lists its singles
-and doubles once (after Knowles & Handy, CPL 111, 315, 1984), and one sort
-of the members' substitution keys gives both the pool in ascending
-(alpha, beta) order and its (candidate, member) pairs in the order the
-kernel of :mod:`qselci.hamiltonian` evaluates them.  Each call unfolds the
+the per-string tables of :mod:`qselci.substitutions`, which leave out every
+substitution whose element the integrals make zero, so the pool holds only
+candidates that can couple; one sort of the members' substitution keys
+gives both the pool in ascending (alpha, beta) order and its
+(candidate, member) pairs in the order the kernel of
+:mod:`qselci.hamiltonian` evaluates them.  Each call unfolds the
 two-electron integrals once, evaluates the pool's coupling into S once,
 and takes the connected set, the scores and the PT2 numerators from it.
 The pool and candidates are (N, 2) uint64 mask rows; the public functions
@@ -21,7 +22,6 @@ return Determinant lists.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -35,11 +35,13 @@ from .hamiltonian import (
     diagonal_elements,
     pair_elements,
 )
+from .substitutions import Substitutions, runs
 
 DENOMINATOR_TOL = 1e-8
-# Generated (candidate, member) pairs at most, counted before any is built:
-# about 90 B each at the peak (tracemalloc), so a run at the cap stays under
-# 2 GiB.  Every ``key * |S| + member`` must lie below _KEY_RANGE (int64).
+# Generated (candidate, member) pairs at most, counted before any is built
+# or screened: about 90 B each at the peak (tracemalloc), so a run at the cap
+# stays under 2 GiB.  Every ``key << bits | member``, ``bits`` the bit length
+# of |S| - 1, must lie below _KEY_RANGE (int64).
 MAX_PAIRS = 1 << 24
 _KEY_RANGE = 1 << 63
 # The substitution kinds as (alpha, beta) table pairs: 0 the string itself,
@@ -47,39 +49,12 @@ _KEY_RANGE = 1 << 63
 _KINDS = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
 
-def _substitutions(mask, n_orbitals, rank):
-    """Every mask reached from ``mask`` by moving ``rank`` of its electrons
-    into empty orbitals."""
-    occupied = [1 << p for p in range(n_orbitals) if (mask >> p) & 1]
-    empty = [1 << p for p in range(n_orbitals) if not (mask >> p) & 1]
-    removed = [mask ^ sum(holes) for holes in combinations(occupied, rank)]
-    added = [sum(particles) for particles in combinations(empty, rank)]
-    return [r | a for r in removed for a in added]
-
-
-def _channel_tables(strings, n):
-    """The unique strings of one spin channel (one electron count), their
-    singles and their doubles, as uint64 tables with a row per unique
-    string; and the row of each input string."""
-    unique, row = np.unique(strings, return_inverse=True)
-    return [unique[:, None]] + [
-        np.array([_substitutions(s, n, r) for s in unique.tolist()], np.uint64)
-        for r in (1, 2)], row
-
-
-def _runs(keys):
-    """np.unique(keys, return_inverse=True) of a sorted array, without its
-    sort."""
-    first = np.ones(len(keys), bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first], np.cumsum(first) - 1
-
-
-def _generated_pairs(psi, n):
+def _generated_pairs(psi, h, g):
     """The pool as mask rows and its (candidate, member) index pairs.  A
     substitution's key is ``alpha_rank * |B| + beta_rank`` in the sorted
     sets A and B of the strings reached; TooLarge past MAX_PAIRS pairs or
-    where ``key * |S| + member`` would overflow int64."""
+    where ``key << bits | member`` would overflow int64."""
+    n = len(h)
     size, counts = len(psi.masks), np.bitwise_count(psi.masks).astype(int)
     # per member and channel: 1, then the singles, then the doubles
     moves = [np.ones_like(counts), counts * (n - counts)]
@@ -87,41 +62,31 @@ def _generated_pairs(psi, n):
     total = int(sum(moves[p][:, 0] @ moves[q][:, 1] for p, q in _KINDS))
     if total > MAX_PAIRS:
         raise TooLarge(f"{total} substitutions exceed the cap of {MAX_PAIRS}")
-    groups = [np.flatnonzero((counts == sector).all(1))
-              for sector in np.unique(counts, axis=0)]
-    tables = [[_channel_tables(psi.masks[m, c], n) for c in (0, 1)]
-              for m in groups]
-    sets = [np.unique(np.concatenate([t.ravel() for channels in tables
-                                      for t in channels[c][0]]))
-            for c in (0, 1)]
-    width = len(sets[1])
-    if len(sets[0]) * width * size > _KEY_RANGE:
+    substitutions = Substitutions(psi.masks, h, g)
+    sets = [substitutions.reached()] * 2
+    width, bits = len(sets[1]), (size - 1).bit_length()
+    if len(sets[0]) * width << bits > _KEY_RANGE:
         raise TooLarge(f"pool keys of {size} determinants overflow int64")
-    parts, members = [], []
-    for m, channels in zip(groups, tables):
-        a, b = ([np.searchsorted(sets[c], t)[row] for t in tab]
-                for c, (tab, row) in enumerate(channels))
-        members.append(a[0][:, 0] * width + b[0][:, 0])
-        parts += [((a[p][:, :, None] * width + b[q][:, None, :])
-                   .reshape(len(m), -1) * size + m[:, None]).ravel()
-                  for p, q in _KINDS]
-    entries = np.sort(np.concatenate(parts))  # by key, then member
-    keys = entries // size
-    outside = ~np.isin(keys, np.concatenate(members))
-    pool, rows = _runs(keys[outside])
+    entries = np.sort(np.concatenate([  # by key, then member
+        key << bits | member for key, member in
+        substitutions.blocks(sets, hamiltonian.PAIR_BLOCK, np.arange(size))]))
+    keys = entries >> bits
+    members = [np.searchsorted(s, m) for s, m in zip(sets, psi.masks.T)]
+    outside = ~np.isin(keys, members[0] * width + members[1])
+    pool, rows = runs(keys[outside])
     return (np.column_stack([sets[0][pool // width], sets[1][pool % width]]),
-            rows, entries[outside] % size)
+            rows, entries[outside] & (1 << bits) - 1)
 
 
 def _connected_coupling(psi, h, g):
     """The connected set with its coupling into psi's set, evaluated once:
     (candidates, mu, I, value), mu indexing the returned candidates."""
-    pool, rows, cols = _generated_pairs(psi, len(h))
+    pool, rows, cols = _generated_pairs(psi, h, g)
     step = hamiltonian.PAIR_BLOCK
     batches = ((rows[k:k + step], cols[k:k + step])
                for k in range(0, len(rows), step))
     rows, cols, vals = pair_elements(batches, *pool.T, *psi.masks.T, h, g)
-    connected, mu = _runs(rows)
+    connected, mu = runs(rows)
     return pool[connected], mu, cols, vals
 
 

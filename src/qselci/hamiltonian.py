@@ -8,9 +8,13 @@ Hamiltonian with chemist-notation two-electron integrals,
 
 evaluated directly from occupation bitmasks.  One kernel serves the
 subspace build, expansion and PT2: ``diagonal_elements`` and one evaluator,
-``pair_elements``, of (i, j) index pairs into uint64 mask arrays, fed by
-the pairs ``coupling_elements`` screens or those expansion generates.
-``slater_condon`` is that kernel on one pair.  The kernel reads ``h`` and
+``pair_elements``, of (i, j) index pairs into uint64 mask arrays.  The
+subspace build and expansion feed it the pairs that
+:mod:`qselci.substitutions` generates, which leave out every substitution
+the integrals make zero; ``coupling_elements`` screens every pair of two
+lists instead, for ``slater_condon`` (the kernel on one pair),
+``score_candidates`` and a subspace build whose substitutions are estimated
+at more than a third of its pairs.  The kernel reads ``h`` and
 the dense ``(pq|rs)`` array of ``IntegralTable.dense_g``, which each
 computation unfolds once.  It takes its signs from
 :func:`qselci.dets.string_sign`, and tests pin it against a scalar per-pair
@@ -52,6 +56,7 @@ from .errors import (
     NoConvergence,
     TooLarge,
 )
+from .substitutions import Substitutions, estimate_count
 
 DENSE_CUTOFF = 2000
 SPECTRUM_CAP = 2000
@@ -305,17 +310,32 @@ def _pair_values(ya, yb, xa, xb, h, g):
     return out
 
 
-def _near_pairs(bra_alpha, bra_beta, ket_alpha, ket_beta, upper):
+def _batched(pairs):
+    """(i, j) index arrays concatenated into batches of at least
+    PAIR_BLOCK pairs (the last one may be smaller)."""
+    found, n_found = [], 0
+    for i, j in pairs:
+        found.append((i, j))
+        n_found += len(i)
+        if n_found >= PAIR_BLOCK:
+            yield tuple(map(np.concatenate, zip(*found)))
+            found, n_found = [], 0
+    if found:
+        yield tuple(map(np.concatenate, zip(*found)))
+
+
+def _near_pairs(bra_alpha, bra_beta, ket_alpha, ket_beta, upper=False):
     """(i, j) index arrays of the bra/ket pairs in the same per-spin sector
-    and one or two substitutions apart, ordered by i then j.  About
-    PAIR_BLOCK pairs are screened per pass, and the survivors are yielded
-    in batches of at least PAIR_BLOCK (the last one may be smaller)."""
+    and one or two substitutions apart, ordered by i then j.  ``upper``
+    keeps only j > i, for a list against itself.  About PAIR_BLOCK pairs
+    are screened per pass."""
     def sector(alpha, beta):  # (n_alpha, n_beta) as one integer
         return 65 * np.bitwise_count(alpha).astype(np.intp) + np.bitwise_count(beta)
 
     bra_sector, ket_sector = sector(bra_alpha, bra_beta), sector(ket_alpha, ket_beta)
+    sectors = np.concatenate([bra_sector, ket_sector])
+    mixed = sectors.min(initial=0) != sectors.max(initial=0)
     start, n_bra, n_ket = 0, len(bra_alpha), len(ket_alpha)
-    found, n_found = [], 0
     while start < n_bra:
         first = start + 1 if upper else 0
         stop = min(n_bra, start + max(1, PAIR_BLOCK // max(1, n_ket - first)))
@@ -323,17 +343,13 @@ def _near_pairs(bra_alpha, bra_beta, ket_alpha, ket_beta, upper):
         diff = np.bitwise_count(bra_alpha[r, None] ^ ket_alpha[None, c])
         diff += np.bitwise_count(bra_beta[r, None] ^ ket_beta[None, c])
         near = (diff > 0) & (diff <= 4)
-        near &= bra_sector[r, None] == ket_sector[None, c]
+        if mixed:
+            near &= bra_sector[r, None] == ket_sector[None, c]
         if upper:
             near &= np.arange(first, n_ket) > np.arange(start, stop)[:, None]
         i, j = np.nonzero(near)
-        found.append((i + start, j + first))
-        n_found += len(i)
+        yield i + start, j + first
         start = stop
-        if n_found >= PAIR_BLOCK or start == n_bra:
-            yield (np.concatenate([i for i, _ in found]),
-                   np.concatenate([j for _, j in found]))
-            found, n_found = [], 0
 
 
 def pair_elements(pairs, bra_alpha, bra_beta, ket_alpha, ket_beta, h, g):
@@ -352,19 +368,17 @@ def pair_elements(pairs, bra_alpha, bra_beta, ket_alpha, ket_beta, h, g):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, h, g,
-                      upper=False):
+def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, h, g):
     """Nonzero off-diagonal elements <bra_i|H|ket_j> between two
-    determinant lists given by their masks.
+    determinant lists given by their masks, found by screening every pair.
 
     Returns ``(i, j, values)`` arrays ordered by i, then j, read from the
     one-electron array ``h`` and the dense two-electron ``g``.  Pairs in
     different per-spin sectors, more than a double substitution apart, or
-    equal are skipped.  ``upper`` keeps only j > i, for a list against
-    itself.  Work is done in blocks of about PAIR_BLOCK pairs.
+    equal are skipped.  Work is done in blocks of about PAIR_BLOCK pairs.
     """
     masks = bra_alpha, bra_beta, ket_alpha, ket_beta
-    return pair_elements(_near_pairs(*masks, upper), *masks, h, g)
+    return pair_elements(_batched(_near_pairs(*masks)), *masks, h, g)
 
 
 def slater_condon(d1, d2, table):
@@ -383,9 +397,39 @@ def slater_condon(d1, d2, table):
     return float(value[0]) if len(value) else 0.0
 
 
+def _generate(masks, h, g):
+    """Whether a subspace build should generate its pairs rather than
+    screen every pair: when screening takes more than one pass of
+    PAIR_BLOCK pairs and the substitutions are estimated at most a third
+    of the N**2 / 2 pairs."""
+    pairs = len(masks) ** 2 / 2
+    return pairs > PAIR_BLOCK and 3 * estimate_count(masks, h, g) <= pairs
+
+
+def _generated_pairs(masks, order, h, g):
+    """(i, j) index arrays of the rows i < j of a set that are an allowed
+    substitution apart, each pair once; ``order`` sorts the rows by
+    (alpha, beta), and the members' substitutions are generated in that
+    order and found among the rows by binary search."""
+    sets, ranks = zip(*(np.unique(s, return_inverse=True) for s in masks.T))
+    keys = (ranks[0] * len(sets[1]) + ranks[1])[order]
+    substitutions = Substitutions(masks, h, g)
+    for key, member in substitutions.blocks(sets, PAIR_BLOCK, order,
+                                            upper=True):
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        found = keys[at] == key
+        row, member = order[at[found]], member[found]
+        yield np.minimum(row, member), np.maximum(row, member)
+
+
 def build_subspace(dets, table):
     """Project the Hamiltonian onto a determinant list or (N, 2) mask rows
-    (sparse symmetric)."""
+    (sparse symmetric).
+
+    Each pair of rows is evaluated once.  The pairs come from the set's own
+    allowed substitutions, or from screening every pair where that is
+    cheaper (``_generate``).
+    """
     import scipy.sparse
 
     masks = det_masks(dets)
@@ -397,8 +441,12 @@ def build_subspace(dets, table):
         raise DuplicateDeterminant(f"{twice} appears more than once")
     size = len(masks)
     h, g = table.h, table.dense_g()
-    rows, cols, vals = coupling_elements(alpha, beta, alpha, beta, h, g,
-                                         upper=True)
+    if _generate(masks, h, g):
+        pairs = _generated_pairs(masks, order, h, g)
+    else:
+        pairs = _near_pairs(alpha, beta, alpha, beta, upper=True)
+    rows, cols, vals = pair_elements(_batched(pairs), alpha, beta, alpha,
+                                     beta, h, g)
     diag = np.arange(size)
     matrix = scipy.sparse.csr_matrix(
         (

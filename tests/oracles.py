@@ -23,10 +23,11 @@ table that the one-pass ``gate_counts`` replaced, and
 ``loop_jastrow_gates`` and ``loop_illustrative_generators`` the
 element loops that the LUCJ baseline's array forms replaced.
 ``full_dense_lowest`` is the full dense eigensolve that the
-lowest-eigenpair-only ``dense_lowest`` replaced, and
+lowest-eigenpair-only ``dense_lowest`` replaced,
 ``substitution_pool_loop`` with ``screened_connected_coupling`` the
 set-of-tuples expansion pool and its screened coupling that the
-per-string substitution tables replaced.
+per-string substitution tables replaced, and ``screened_subspace`` the
+build from every screened pair that the generated pairs replaced.
 ``distribution_cumulative`` and ``distribution_total`` are the weights of
 a ``sampling.Distribution`` that only tests read.
 """
@@ -39,6 +40,7 @@ from math import comb
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from qselci import analysis, expansion, hamiltonian, sampling
 from qselci.circuits import (
@@ -347,10 +349,24 @@ def chain_decomposition(reference, target, n_orbitals):
 
 # ------------------------------------------------ substitution pool loop
 #
-# ``expansion._generated_pairs`` lists each spin string's substitutions
-# once and orders the pool and its pairs by one sort; before that the pool
-# was this set of every substitution of every member, and its coupling the
-# screened pool x S block of ``coupling_elements``.
+# ``substitutions.Substitutions`` lists each spin string's substitutions
+# once, without those the integrals make zero, and ``expansion`` orders the
+# pool and its pairs by one sort; before that the pool was this set of every
+# substitution of every member, and its coupling the screened pool x S
+# block of ``coupling_elements``.  ``build_subspace`` evaluated the pairs
+# of its set that the same screen passed.
+
+
+def string_substitutions(mask, n_orbitals, rank):
+    """Every mask reached from ``mask`` by moving ``rank`` of its electrons
+    into empty orbitals."""
+    occupied = [1 << p for p in range(n_orbitals) if (mask >> p) & 1]
+    empty = [1 << p for p in range(n_orbitals) if not (mask >> p) & 1]
+    removed = [mask ^ sum(holes)
+               for holes in itertools.combinations(occupied, rank)]
+    added = [sum(particles)
+             for particles in itertools.combinations(empty, rank)]
+    return [r | a for r in removed for a in added]
 
 
 def substitution_pool_loop(psi, n):
@@ -360,12 +376,12 @@ def substitution_pool_loop(psi, n):
     seen = set()
     members = list(map(tuple, psi.masks.tolist()))
     for a, b in members:
-        alpha_singles = expansion._substitutions(a, n, 1)
-        beta_singles = expansion._substitutions(b, n, 1)
+        alpha_singles = string_substitutions(a, n, 1)
+        beta_singles = string_substitutions(b, n, 1)
         seen.update(zip(alpha_singles, itertools.repeat(b)))
         seen.update(zip(itertools.repeat(a), beta_singles))
-        seen.update(zip(expansion._substitutions(a, n, 2), itertools.repeat(b)))
-        seen.update(zip(itertools.repeat(a), expansion._substitutions(b, n, 2)))
+        seen.update(zip(string_substitutions(a, n, 2), itertools.repeat(b)))
+        seen.update(zip(itertools.repeat(a), string_substitutions(b, n, 2)))
         seen.update(itertools.product(alpha_singles, beta_singles))
     seen.difference_update(members)
     return np.array(sorted(seen), dtype=np.uint64).reshape(-1, 2)
@@ -379,6 +395,24 @@ def screened_connected_coupling(psi, h, g):
                                                      h, g)
     connected, mu = np.unique(rows, return_inverse=True)
     return pool[connected], mu, cols, vals
+
+
+def screened_subspace(masks, table):
+    """``hamiltonian.build_subspace``'s CSR matrix from the pairs i < j of
+    the screened ``coupling_elements`` of the rows against themselves."""
+    alpha, beta = masks.T
+    h, g = table.h, table.dense_g()
+    rows, cols, vals = hamiltonian.coupling_elements(alpha, beta, alpha, beta,
+                                                     h, g)
+    upper = rows < cols
+    rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    diag = np.arange(len(masks))
+    return scipy.sparse.csr_matrix(
+        (np.concatenate([hamiltonian.diagonal_elements(alpha, beta, h, g),
+                         vals, vals]),
+         (np.concatenate([diag, rows, cols]),
+          np.concatenate([diag, cols, rows]))),
+        shape=(len(masks), len(masks)), dtype=float)
 
 
 # ------------------------------------------------------ PT2 sum reference

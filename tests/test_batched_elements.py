@@ -6,9 +6,14 @@ scores, EN-PT2, the public per-pair ``slater_condon``) is compared with a
 loop over the oracle written the way those functions were before the
 kernel replaced it.  The generated expansion pool and its pairs are pinned
 byte for byte against the set-of-tuples pool and the screened coupling
-they replaced.  The last section pins the (N, 2) uint64 mask-row form
-of determinant sets against the Determinant-list form.
+they replaced, and the generated subspace build against the build from
+every screened pair, on tables with one nonzero integral class each so
+that every term of the zero screen is exercised.  The last section pins
+the (N, 2) uint64 mask-row form of determinant sets against the
+Determinant-list form.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +22,7 @@ import scipy.sparse
 import helpers
 import oracles
 from oracles import slater_condon as scalar_element
-from qselci import expansion, hamiltonian
+from qselci import expansion, hamiltonian, substitutions
 from qselci.dets import (Determinant, det_masks, determinants,
                          enumerate_space, excitation_rank, sector_masks)
 from qselci.errors import DuplicateDeterminant
@@ -29,7 +34,7 @@ from qselci.expansion import (
     score_candidates,
 )
 from qselci.fcidump import IntegralTable
-from qselci.fixtures import hubbard_chain_table
+from qselci.fixtures import FIXTURES, h_chain_synthetic_table, hubbard_chain_table
 from qselci.hamiltonian import (
     Wavefunction,
     build_subspace,
@@ -149,22 +154,35 @@ def test_coupling_elements_match_scalar_between_lists(case):
     assert np.array_equal(order, np.arange(len(i)))
 
 
+def _built(masks, table, generate):
+    """``build_subspace`` made to take the generated pairs (``generate``
+    true) or to screen every pair."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hamiltonian, "_generate", lambda *_: generate)
+        return build_subspace(masks, table)
+
+
+def _csr_bytes(matrix):
+    return [a.tobytes() for a in (matrix.data, matrix.indices, matrix.indptr)]
+
+
 def _kernel_bytes(table, dets):
-    """The bytes of every coupling array, list against itself with
-    ``upper`` True and False, of the subspace's CSR arrays, and of
-    everything an expansion step and EN-PT2 return from a state on the
-    first 12 determinants (2 on the wide table)."""
-    alpha, beta = det_masks(dets).T
+    """The bytes of every coupling array of the list against itself, of the
+    CSR arrays of its generated and its screened build, and of everything
+    an expansion step and EN-PT2 return from a state on the first 12
+    determinants (2 on the wide table)."""
+    masks = det_masks(dets)
+    alpha, beta = masks.T
     h, g = table.h, table.dense_g()
-    pairs = [coupling_elements(alpha, beta, alpha, beta, h, g, upper=upper)
-             for upper in (True, False)]
-    m = build_subspace(dets, table).matrix
+    pairs = coupling_elements(alpha, beta, alpha, beta, h, g)
+    builds = [_built(masks, table, generate).matrix
+              for generate in (True, False)]
     psi = _psi(table, dets, size=2 if table.n_orbitals == WIDE else 12)
     step = expand_and_rediagonalize(psi, table, 0.0, top_k=5)
     grown = step.wavefunction_after
     pt2 = en_pt2(psi, table)
-    return [a.tobytes() for trio in pairs for a in trio] + [
-        m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes(),
+    return [a.tobytes() for a in pairs] + [
+        b for m in builds for b in _csr_bytes(m)] + [
         det_masks(step.added).tobytes(), np.array(step.scores).tobytes(),
         grown.masks.tobytes(), grown.coeffs.tobytes(),
         repr((step.energy_after, pt2.delta_e, pt2.n_external,
@@ -173,12 +191,15 @@ def _kernel_bytes(table, dets):
 
 @pytest.mark.parametrize("block", [1, 7, 100, hamiltonian.PAIR_BLOCK])
 def test_pair_block_leaves_no_trace_in_the_output(case, block, monkeypatch):
-    # the screening passes, the evaluated batches of screened and of
-    # generated pairs, and the diagonal's blocks all follow PAIR_BLOCK, so
-    # its value moves every batch boundary
+    # the screening passes, the runs of members whose substitutions are
+    # generated, the evaluated batches of screened and of generated pairs,
+    # and the diagonal's blocks all follow PAIR_BLOCK, and the runs of
+    # strings whose moves are screened follow MOVE_BLOCK, so setting both
+    # moves every batch boundary
     table, dets = case
     expect = _kernel_bytes(table, dets)
     monkeypatch.setattr(hamiltonian, "PAIR_BLOCK", block)
+    monkeypatch.setattr(substitutions, "MOVE_BLOCK", block)
     assert _kernel_bytes(table, dets) == expect
 
 
@@ -352,6 +373,150 @@ def test_generated_coupling_is_bitwise_the_screened_pool_across_sectors():
     candidates = _assert_generated_is_screened(psi, table)[0]
     sectors = {tuple(s) for s in np.bitwise_count(candidates).tolist()}
     assert sectors == {(3, 3), (4, 2), (2, 4)}
+
+
+# --------------------------------- generated subspace pairs, zero screen
+
+SCREEN_CLASSES = ("one-electron", "ap|ii", "ai|ip", "same-spin double",
+                  "opposite-spin double")
+
+
+def _one_class_table(kind):
+    """Six orbitals, (3, 2) sector, and one nonzero integral class: a
+    hopping h[4,1], (ap|ii) = (41|22), (ai|ip) = (42|21), a class of four
+    distinct orbitals (03|14), which also couples opposite spins, or
+    (03|03), which has no same-spin double."""
+    table = IntegralTable(n_orbitals=6, n_electrons=5, ms2=1)
+    if kind == "one-electron":
+        table.set_h(4, 1, -0.7)
+    else:
+        table.set_g(*{"ap|ii": (4, 1, 2, 2), "ai|ip": (4, 2, 2, 1),
+                      "same-spin double": (0, 3, 1, 4),
+                      "opposite-spin double": (0, 3, 0, 3)}[kind], 0.3)
+    return table
+
+
+def _assert_builds_are_screened(table, masks, seed=0, size=12):
+    """The generated and the screened build of ``masks`` both equal
+    ``oracles.screened_subspace`` in the dtype, shape and bytes of their
+    CSR arrays, and the expansion arrays of a state on the first ``size``
+    rows equal ``oracles.screened_connected_coupling``."""
+    expect = oracles.screened_subspace(masks, table)
+    for generate in (True, False):
+        got = _built(masks, table, generate).matrix
+        for name in ("data", "indices", "indptr"):
+            assert _arrays([getattr(got, name)]) == _arrays(
+                [getattr(expect, name)])
+    if len(masks) and size:
+        rows = masks[:size]
+        coeffs = np.random.default_rng(seed).normal(size=len(rows))
+        psi = Wavefunction(masks=rows, coeffs=coeffs / np.linalg.norm(coeffs),
+                           energy=-1.0, n_orbitals=table.n_orbitals)
+        _assert_generated_is_screened(psi, table)
+    return expect
+
+
+@pytest.mark.parametrize("kind", SCREEN_CLASSES)
+def test_screen_keeps_every_element_of_each_integral_class(kind):
+    table = _one_class_table(kind)
+    masks = sector_masks(6, 3, 2)
+    masks = masks[np.random.default_rng(4).permutation(len(masks))]
+    expect = _assert_builds_are_screened(table, masks, size=len(masks) // 4)
+    assert expect.nnz > 0
+
+
+def test_generated_build_is_bitwise_the_screened_build(case):
+    table, dets = case
+    _assert_builds_are_screened(table, det_masks(dets))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_generated_build_is_bitwise_the_screened_build_on_fixtures(name):
+    table = FIXTURES[name]()
+    masks = sector_masks(table.n_orbitals, table.n_alpha, table.n_beta)
+    _assert_builds_are_screened(table, masks[::-1])
+
+
+@pytest.mark.parametrize("table", [helpers.random_table(6, 6, seed=5),
+                                   hubbard_chain_table(6)],
+                         ids=["dense", "hubbard"])
+def test_generated_build_is_bitwise_the_screened_build_across_sectors(table):
+    masks = np.concatenate([sector_masks(6, 3, 3)[::7],
+                            sector_masks(6, 4, 2)[::5],
+                            sector_masks(6, 2, 4)[::6],
+                            sector_masks(6, 6, 0)])
+    masks = masks[np.random.default_rng(2).permutation(len(masks))]
+    _assert_builds_are_screened(table, masks, size=len(masks))
+
+
+def test_generated_build_is_bitwise_the_screened_build_on_refine_dense8(
+        monkeypatch):
+    # every start of seeds 1 and 2 and the set an expansion step grows it to
+    monkeypatch.syspath_prepend(str(helpers.ROOT / "benchmarks"))
+    from workloads import RefineDense8
+
+    for seed in (1, 2):
+        workload = RefineDense8(helpers.ROOT, None)
+        workload.setup(seed)
+        table = workload.table
+        for psi in workload.starts:
+            grown = expand_and_rediagonalize(psi, table, 0.0, workload.top_k)
+            for masks in (psi.masks, grown.wavefunction_after.masks):
+                _assert_builds_are_screened(table, masks, size=0)
+
+
+def test_generated_build_is_bitwise_the_screened_build_on_0_and_1_rows():
+    table = hubbard_chain_table(6)
+    for masks in (np.zeros((0, 2), np.uint64), sector_masks(6, 3, 3)[7:8]):
+        assert _assert_builds_are_screened(table, masks).shape == (
+            len(masks), len(masks))
+
+
+def test_hubbard8_build_evaluates_only_the_coupled_pairs(monkeypatch):
+    # every pair of the 784-determinant sector is one hop apart at most
+    # once in the screen's count; the integrals couple 2,352 of them
+    table = hubbard_chain_table(8, n_electrons=4)
+    evaluated = []
+    values = hamiltonian._pair_values
+
+    def counted(ya, yb, xa, xb, h, g):
+        evaluated.append(len(xa))
+        return values(ya, yb, xa, xb, h, g)
+
+    monkeypatch.setattr(hamiltonian, "_pair_values", counted)
+    matrix = build_subspace(sector_masks(8, 2, 2), table).matrix
+    assert sum(evaluated) == 2352
+    assert (matrix.nnz - matrix.shape[0]) // 2 == 2352
+
+
+def test_builds_generate_on_sparse_integrals_and_screen_small_dense_sets():
+    # the benchmark's two sides: the Hubbard-8 sector generates its pairs,
+    # and a dense 8-orbital set of 350 (an expansion step's grown set)
+    # screens them, as does a set whose screen is one PAIR_BLOCK pass
+    hubbard = hubbard_chain_table(8, n_electrons=4)
+    dense = helpers.random_table(8, 4, seed=3)
+    sector = sector_masks(8, 2, 2)
+    for table, masks, generate in ((hubbard, sector, True),
+                                   (dense, sector[::2][:350], False),
+                                   (hubbard, sector[:150], False)):
+        assert hamiltonian._generate(masks, table.h, table.dense_g()) is generate
+
+
+def test_twenty_qubit_sector_build_stays_bounded():
+    # the (5, 5) sector of the 10-site h-chain table: 63,504 determinants,
+    # 874,944 nonzeros; measured at about 50 MB traced, of which the CSR
+    # matrix and its COO inputs take about 40 MB, and 75 MB with all
+    # members generated in one run
+    table = h_chain_synthetic_table(10)
+    masks = sector_masks(10, 5, 5)
+    tracemalloc.start()
+    try:
+        matrix = build_subspace(masks, table).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.nnz == 874_944
+    assert peak < 64 << 20
 
 
 # -------------------------------------------------------------- mask rows

@@ -10,7 +10,7 @@ import helpers
 import oracles
 from golden import regen
 from qselci.circuits import prescreen
-from qselci import expansion
+from qselci import expansion, substitutions
 from qselci.dets import Determinant, enumerate_space, hartree_fock, sector_masks
 from qselci.errors import TooLarge
 from qselci.expansion import (
@@ -266,7 +266,7 @@ def _pair_count(psi, n):
     """Substitutions of every member, five kinds each, listed one by one."""
     total = 0
     for a, b in psi.masks.tolist():
-        sa, sb, da, db = (len(expansion._substitutions(x, n, r))
+        sa, sb, da, db = (len(oracles.string_substitutions(x, n, r))
                           for r in (1, 2) for x in (a, b))
         total += sa + sb + da + db + sa * sb
     return total
@@ -283,7 +283,7 @@ def test_pair_cap_counts_before_building_anything(monkeypatch):
         raise AssertionError("a substitution table was built")
 
     monkeypatch.setattr(expansion, "MAX_PAIRS", total - 1)
-    monkeypatch.setattr(expansion, "_channel_tables", refuse)
+    monkeypatch.setattr(substitutions, "_tables", refuse)
     for run in (lambda: en_pt2(psi, table),
                 lambda: expand_and_rediagonalize(psi, table, 0.0),
                 lambda: connected_set(psi, table)):
