@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dets import det_masks
+from .dets import det_masks, row_keys
 from .errors import FullDepolarization, ZeroGap
 from .sampling import _rng
 
@@ -119,10 +119,7 @@ def retained_weight(ground, subset):
     """Squared ground-state amplitude captured by a determinant subset,
     given as Determinant objects or (N, 2) mask rows; the weights add in
     ground order."""
-    row = np.dtype([("alpha", np.uint64), ("beta", np.uint64)])
-    ground_rows, wanted = (np.ascontiguousarray(m).view(row)[:, 0]
-                           for m in (ground.masks, det_masks(subset)))
-    hit = np.isin(ground_rows, wanted)
+    hit = np.isin(row_keys(ground.masks), row_keys(det_masks(subset)))
     return float(np.cumsum(np.append(0.0, ground.coeffs[hit] ** 2))[-1])
 
 

@@ -42,6 +42,7 @@ MAX_QUBITS = 64  # the width of a uint64 basis index
 MAX_ORBITALS = 64  # the width of a uint64 determinant mask
 # _BELOW[k]: the uint64 mask of the bits below bit k, for k = 0 .. 64
 _BELOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+_ROW = np.dtype([("alpha", np.uint64), ("beta", np.uint64)])
 
 
 @dataclass(frozen=True, order=True)
@@ -123,14 +124,15 @@ def hartree_fock(n_orbitals, n_alpha, n_beta):
     return Determinant(alpha=(1 << n_alpha) - 1, beta=(1 << n_beta) - 1)
 
 
-def det_masks(dets):
+def det_masks(dets, n_orbitals=MAX_ORBITALS):
     """The (N, 2) uint64 ``[alpha, beta]`` mask rows of a determinant list;
     uint64 mask rows pass through unchanged, and other integer rows are
     converted.
 
     Raises TooLarge when an occupied orbital lies past the 64 orbitals a
     uint64 mask holds, and ValueError for an array that is not (N, 2)
-    nonnegative integers.
+    nonnegative integers or naming the first determinant with an orbital
+    past ``n_orbitals`` (those of the integrals read for the rows).
     """
     if isinstance(dets, np.ndarray):
         kind = dets.dtype.kind
@@ -138,9 +140,21 @@ def det_masks(dets):
                 or kind == "i" and (dets < 0).any()):
             raise ValueError("mask rows must be an (N, 2) array of nonnegative "
                              f"integers, got {dets.dtype} of shape {dets.shape}")
-        return dets.astype(np.uint64, copy=False)
-    return np.column_stack([_uint64([d.alpha for d in dets]),
-                            _uint64([d.beta for d in dets])])
+        masks = dets.astype(np.uint64, copy=False)
+    else:
+        masks = np.column_stack([_uint64([d.alpha for d in dets]),
+                                 _uint64([d.beta for d in dets])])
+    past = np.flatnonzero(np.any(masks > _BELOW[n_orbitals], axis=1))
+    if past.size:
+        raise ValueError(f"{Determinant(*masks[past[0]].tolist())} occupies "
+                         f"an orbital past the integral table's {n_orbitals}")
+    return masks
+
+
+def row_keys(masks):
+    """One structured (alpha, beta) value per (N, 2) uint64 mask row, which
+    sorts, searches and matches as the row does."""
+    return np.ascontiguousarray(masks).view(_ROW)[:, 0]
 
 
 def _uint64(masks):

@@ -16,7 +16,9 @@ gives both the pool in ascending (alpha, beta) order and its
 (candidate, member) pairs in the order the kernel of
 :mod:`qselci.hamiltonian` evaluates them.  Each call unfolds the
 two-electron integrals once, evaluates the pool's coupling into S once,
-and takes the connected set, the scores and the PT2 numerators from it.
+and takes the connected set, the scores and the PT2 numerators from it;
+``score_candidates`` looks its candidates up in the pool, where one that
+is not found couples to nothing.
 The pool and candidates are (N, 2) uint64 mask rows; the public functions
 return Determinant lists.
 """
@@ -26,16 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hamiltonian
-from .dets import det_masks, determinants, rank_order
+from .dets import Determinant, det_masks, determinants, rank_order, row_keys
 from .errors import TooLarge
 from .hamiltonian import (
     build_subspace,
-    coupling_elements,
     davidson_lowest,
     diagonal_elements,
     pair_elements,
 )
-from .substitutions import Substitutions, runs
+from .substitutions import Substitutions, move_counts, runs
 
 DENOMINATOR_TOL = 1e-8
 # Generated (candidate, member) pairs at most, counted before any is built
@@ -44,9 +45,6 @@ DENOMINATOR_TOL = 1e-8
 # of |S| - 1, must lie below _KEY_RANGE (int64).
 MAX_PAIRS = 1 << 24
 _KEY_RANGE = 1 << 63
-# The substitution kinds as (alpha, beta) table pairs: 0 the string itself,
-# 1 its singles, 2 its doubles.
-_KINDS = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
 
 def _generated_pairs(psi, h, g):
@@ -54,12 +52,9 @@ def _generated_pairs(psi, h, g):
     substitution's key is ``alpha_rank * |B| + beta_rank`` in the sorted
     sets A and B of the strings reached; TooLarge past MAX_PAIRS pairs or
     where ``key << bits | member`` would overflow int64."""
-    n = len(h)
-    size, counts = len(psi.masks), np.bitwise_count(psi.masks).astype(int)
-    # per member and channel: 1, then the singles, then the doubles
-    moves = [np.ones_like(counts), counts * (n - counts)]
-    moves.append(moves[1] * (counts - 1) * (n - counts - 1) // 4)
-    total = int(sum(moves[p][:, 0] @ moves[q][:, 1] for p, q in _KINDS))
+    size = len(psi.masks)
+    singles, doubles = move_counts(psi.masks, len(h))
+    total = int(singles.sum() + doubles.sum() + singles[:, 0] @ singles[:, 1])
     if total > MAX_PAIRS:
         raise TooLarge(f"{total} substitutions exceed the cap of {MAX_PAIRS}")
     substitutions = Substitutions(psi.masks, h, g)
@@ -82,10 +77,8 @@ def _connected_coupling(psi, h, g):
     """The connected set with its coupling into psi's set, evaluated once:
     (candidates, mu, I, value), mu indexing the returned candidates."""
     pool, rows, cols = _generated_pairs(psi, h, g)
-    step = hamiltonian.PAIR_BLOCK
-    batches = ((rows[k:k + step], cols[k:k + step])
-               for k in range(0, len(rows), step))
-    rows, cols, vals = pair_elements(batches, *pool.T, *psi.masks.T, h, g)
+    rows, cols, vals = pair_elements([(rows, cols)], *pool.T, *psi.masks.T,
+                                     h, g)
     connected, mu = runs(rows)
     return pool[connected], mu, cols, vals
 
@@ -106,10 +99,15 @@ def _coupling_sums(rows, weights, n):
     return np.bincount(rows, weights=weights, minlength=n)
 
 
-def _ranked_scores(psi, candidates, rows, cols, vals):
+def _connected_scores(psi, table):
+    """The connected set and its candidates' summed coupling weights."""
+    pool, rows, cols, vals = _connected_coupling(psi, table.h, table.dense_g())
+    return pool, _coupling_sums(rows, np.abs(vals * psi.coeffs[cols]),
+                                len(pool))
+
+
+def _ranked_scores(candidates, scores):
     """Candidate mask rows and their scores, best first."""
-    weights = np.abs(vals * psi.coeffs[cols])
-    scores = _coupling_sums(rows, weights, len(candidates))
     order = rank_order(candidates, scores)
     return candidates[order], scores[order]
 
@@ -118,11 +116,19 @@ def score_candidates(psi, candidates, table):
     """Summed coupling weights s_mu = sum_I |H_{mu I} c_I| of determinants
     outside psi's set, as (determinant, score) pairs sorted by descending
     score rounded to 12 decimals, ascending (alpha, beta) bitmasks breaking
-    ties."""
-    masks = det_masks(candidates)
-    coupling = coupling_elements(*masks.T, *psi.masks.T, table.h,
-                                 table.dense_g())
-    ranked, scores = _ranked_scores(psi, masks, *coupling)
+    ties.  A candidate that does not couple to the set scores 0.0; one
+    inside the set raises ValueError."""
+    masks = det_masks(candidates, table.n_orbitals)
+    pool, scores = _connected_scores(psi, table)
+    wanted, members, pool_rows = map(row_keys, (masks, psi.masks, pool))
+    inside = np.flatnonzero(np.isin(wanted, members))
+    if inside.size:
+        raise ValueError(f"{Determinant(*masks[inside[0]].tolist())} lies "
+                         "in the wavefunction's set")
+    # an index past the pool's end (any, for an empty pool) reads the 0.0
+    scores = np.append(scores, 0.0)[np.searchsorted(pool_rows, wanted)]
+    scores[~np.isin(wanted, pool_rows)] = 0.0
+    ranked, scores = _ranked_scores(masks, scores)
     return list(zip(determinants(ranked), scores.tolist()))
 
 
@@ -152,8 +158,7 @@ def expand_and_rediagonalize(psi, table, tau, top_k=None):
         raise ValueError(f"threshold tau must be nonnegative, got {tau}")
     if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be nonnegative, got {top_k}")
-    coupling = _connected_coupling(psi, table.h, table.dense_g())
-    ranked, scores = _ranked_scores(psi, *coupling)
+    ranked, scores = _ranked_scores(*_connected_scores(psi, table))
     # scores descend, so the qualifying candidates lead
     n_selected = int(np.count_nonzero(scores >= tau))
     if top_k is not None:

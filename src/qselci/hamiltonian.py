@@ -7,14 +7,14 @@ Hamiltonian with chemist-notation two-electron integrals,
     H = sum_pq h_pq E_pq + 1/2 sum_pqrs (pq|rs) [E_pq E_rs - delta_qr E_ps],
 
 evaluated directly from occupation bitmasks.  One kernel serves the
-subspace build, expansion and PT2: ``diagonal_elements`` and one evaluator,
-``pair_elements``, of (i, j) index pairs into uint64 mask arrays.  The
-subspace build and expansion feed it the pairs that
-:mod:`qselci.substitutions` generates, which leave out every substitution
-the integrals make zero; ``coupling_elements`` screens every pair of two
-lists instead, for ``slater_condon`` (the kernel on one pair),
-``score_candidates`` and a subspace build whose substitutions are estimated
-at more than a third of its pairs.  The kernel reads ``h`` and
+subspace build, expansion, scoring and PT2: ``diagonal_elements`` and one
+evaluator, ``pair_elements``, which takes (i, j) index pairs into uint64
+mask arrays as a stream of blocks of any size and evaluates them
+``PAIR_BLOCK`` at a time.  The pairs come from :mod:`qselci.substitutions`,
+which leaves out every substitution the integrals make zero; only
+``slater_condon`` (the kernel on one pair) and a subspace build whose
+substitutions are estimated at more than a third of its pairs screen the
+pairs i < j of their own rows instead.  The kernel reads ``h`` and
 the dense ``(pq|rs)`` array of ``IntegralTable.dense_g``, which each
 computation unfolds once.  It takes its signs from
 :func:`qselci.dets.string_sign`, and tests pin it against a scalar per-pair
@@ -236,9 +236,8 @@ def diagonal_elements(alpha, beta, h, g):
     PAIR_BLOCK determinants at a time, which bounds the arrays of occupied
     orbitals held at once."""
     if len(alpha) > PAIR_BLOCK:
-        return np.concatenate([diagonal_elements(
-            alpha[k:k + PAIR_BLOCK], beta[k:k + PAIR_BLOCK], h, g)
-            for k in range(0, len(alpha), PAIR_BLOCK)])
+        return np.concatenate([diagonal_elements(a, b, h, g)
+                               for a, b in _blocks([(alpha, beta)])])
     occ = [(p, on, s) for s, masks in enumerate((alpha, beta))
            for p, on in _occupied(masks)]
     e = np.zeros(len(alpha))
@@ -310,55 +309,48 @@ def _pair_values(ya, yb, xa, xb, h, g):
     return out
 
 
-def _batched(pairs):
-    """(i, j) index arrays concatenated into batches of at least
-    PAIR_BLOCK pairs (the last one may be smaller)."""
-    found, n_found = [], 0
-    for i, j in pairs:
-        found.append((i, j))
-        n_found += len(i)
-        if n_found >= PAIR_BLOCK:
-            yield tuple(map(np.concatenate, zip(*found)))
-            found, n_found = [], 0
-    if found:
-        yield tuple(map(np.concatenate, zip(*found)))
-
-
-def _near_pairs(bra_alpha, bra_beta, ket_alpha, ket_beta, upper=False):
-    """(i, j) index arrays of the bra/ket pairs in the same per-spin sector
-    and one or two substitutions apart, ordered by i then j.  ``upper``
-    keeps only j > i, for a list against itself.  About PAIR_BLOCK pairs
-    are screened per pass."""
-    def sector(alpha, beta):  # (n_alpha, n_beta) as one integer
-        return 65 * np.bitwise_count(alpha).astype(np.intp) + np.bitwise_count(beta)
-
-    bra_sector, ket_sector = sector(bra_alpha, bra_beta), sector(ket_alpha, ket_beta)
-    sectors = np.concatenate([bra_sector, ket_sector])
-    mixed = sectors.min(initial=0) != sectors.max(initial=0)
-    start, n_bra, n_ket = 0, len(bra_alpha), len(ket_alpha)
-    while start < n_bra:
-        first = start + 1 if upper else 0
-        stop = min(n_bra, start + max(1, PAIR_BLOCK // max(1, n_ket - first)))
-        r, c = slice(start, stop), slice(first, n_ket)
-        diff = np.bitwise_count(bra_alpha[r, None] ^ ket_alpha[None, c])
-        diff += np.bitwise_count(bra_beta[r, None] ^ ket_beta[None, c])
-        near = (diff > 0) & (diff <= 4)
-        if mixed:
-            near &= bra_sector[r, None] == ket_sector[None, c]
-        if upper:
-            near &= np.arange(first, n_ket) > np.arange(start, stop)[:, None]
+def _near_pairs(alpha, beta):
+    """(i, j) index arrays of the rows i < j of a list of mask rows that
+    are in the same per-spin sector and one or two substitutions apart,
+    ordered by i then j.  About PAIR_BLOCK pairs are screened per pass."""
+    sector = 65 * np.bitwise_count(alpha).astype(np.intp) + np.bitwise_count(beta)
+    start, n = 0, len(alpha)
+    while start < n:
+        stop = min(n, start + max(1, PAIR_BLOCK // max(1, n - start - 1)))
+        r, c = slice(start, stop), slice(start + 1, n)
+        diff = np.bitwise_count(alpha[r, None] ^ alpha[None, c])
+        diff += np.bitwise_count(beta[r, None] ^ beta[None, c])
+        near = (diff > 0) & (diff <= 4) & (sector[r, None] == sector[None, c])
+        near &= np.arange(start + 1, n) > np.arange(start, stop)[:, None]
         i, j = np.nonzero(near)
-        yield i + start, j + first
+        yield i + start, j + start + 1
         start = stop
 
 
+def _blocks(pairs):
+    """Pairs of equal-length arrays, such as (i, j) index arrays, regrouped
+    into PAIR_BLOCK-long blocks (the last may be shorter), in order."""
+    held, n_held = [], 0
+    for block in pairs:
+        held.append(block)
+        n_held += len(block[0])
+        if n_held >= PAIR_BLOCK:  # one array is sliced, not copied
+            i, j = held[0] if len(held) == 1 else map(np.concatenate, zip(*held))
+            cut = n_held - n_held % PAIR_BLOCK
+            for k in range(0, cut, PAIR_BLOCK):
+                yield i[k:k + PAIR_BLOCK], j[k:k + PAIR_BLOCK]
+            held, n_held = [(i[cut:], j[cut:])], n_held - cut
+    if n_held:
+        yield tuple(map(np.concatenate, zip(*held)))
+
+
 def pair_elements(pairs, bra_alpha, bra_beta, ket_alpha, ket_beta, h, g):
-    """The nonzero <bra_i|H|ket_j> over batches of (i, j) index arrays of
-    distinct same-sector pairs at most a double apart: ``(i, j, values)``
-    in batch order."""
+    """The nonzero <bra_i|H|ket_j> over a stream of (i, j) index arrays of
+    any length, of distinct same-sector pairs at most a double apart,
+    evaluated PAIR_BLOCK at a time: ``(i, j, values)`` in the order given."""
     none = np.zeros(0, np.intp)
     rows, cols, vals = [none], [none], [np.zeros(0)]
-    for i, j in pairs:
+    for i, j in _blocks(pairs):
         v = _pair_values(bra_alpha[i], bra_beta[i], ket_alpha[j], ket_beta[j],
                          h, g)
         keep = v != 0.0
@@ -368,19 +360,6 @@ def pair_elements(pairs, bra_alpha, bra_beta, ket_alpha, ket_beta, h, g):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, h, g):
-    """Nonzero off-diagonal elements <bra_i|H|ket_j> between two
-    determinant lists given by their masks, found by screening every pair.
-
-    Returns ``(i, j, values)`` arrays ordered by i, then j, read from the
-    one-electron array ``h`` and the dense two-electron ``g``.  Pairs in
-    different per-spin sectors, more than a double substitution apart, or
-    equal are skipped.  Work is done in blocks of about PAIR_BLOCK pairs.
-    """
-    masks = bra_alpha, bra_beta, ket_alpha, ket_beta
-    return pair_elements(_batched(_near_pairs(*masks)), *masks, h, g)
-
-
 def slater_condon(d1, d2, table):
     """Matrix element <d1|H|d2> (electronic part, no core energy) of two
     Determinants, by the batched kernel on one pair.
@@ -388,13 +367,13 @@ def slater_condon(d1, d2, table):
     Zero when the determinants live in different per-spin particle sectors or
     differ by more than a double excitation.
     """
-    alpha, beta = det_masks([d1, d2]).T
+    alpha, beta = det_masks([d1, d2], table.n_orbitals).T
     h, g = table.h, table.dense_g()
     if d1 == d2:
         return float(diagonal_elements(alpha[:1], beta[:1], h, g)[0])
-    _, _, value = coupling_elements(alpha[:1], beta[:1], alpha[1:], beta[1:],
-                                    h, g)
-    return float(value[0]) if len(value) else 0.0
+    # the sum of no element, or of the one pair's
+    return float(pair_elements(_near_pairs(alpha, beta), alpha, beta, alpha,
+                               beta, h, g)[2].sum())
 
 
 def _generate(masks, h, g):
@@ -432,7 +411,7 @@ def build_subspace(dets, table):
     """
     import scipy.sparse
 
-    masks = det_masks(dets)
+    masks = det_masks(dets, table.n_orbitals)
     alpha, beta = masks.T
     order = np.lexsort((beta, alpha))
     same = np.flatnonzero(np.all(masks[order[1:]] == masks[order[:-1]], axis=1))
@@ -444,9 +423,8 @@ def build_subspace(dets, table):
     if _generate(masks, h, g):
         pairs = _generated_pairs(masks, order, h, g)
     else:
-        pairs = _near_pairs(alpha, beta, alpha, beta, upper=True)
-    rows, cols, vals = pair_elements(_batched(pairs), alpha, beta, alpha,
-                                     beta, h, g)
+        pairs = _near_pairs(alpha, beta)
+    rows, cols, vals = pair_elements(pairs, alpha, beta, alpha, beta, h, g)
     diag = np.arange(size)
     matrix = scipy.sparse.csr_matrix(
         (

@@ -23,9 +23,10 @@ the screen changes the work, not the results.  ``Substitutions.blocks``
 yields the substitutions as (target key, member) arrays for runs of
 members; ``build_subspace`` matches the targets with the set's own rows,
 and ``expansion`` collects those outside the set into its pool.
-``estimate_count`` prices a set's substitutions without listing them, so
-that ``build_subspace`` can screen every pair instead where that is
-cheaper.
+``move_counts`` gives each member's singles and doubles in closed form,
+before any screen: ``estimate_count`` prices a set's substitutions from
+them without listing any, so that ``build_subspace`` can screen every pair
+instead where that is cheaper, and ``expansion`` caps its pairs with them.
 """
 
 import numpy as np
@@ -134,15 +135,23 @@ def _ranked(table, strings, scale, floor):
     return _packed(u, rank[u, k] * scale, code[u, k], n_rows=len(valid))
 
 
+def move_counts(masks, n):
+    """Each member's singles k(n - k) and doubles k(n - k)(k - 1)(n - k -
+    1) / 4 per channel, k its electrons there, before any screen: (N, 2)
+    float arrays of exact integers."""
+    k = np.bitwise_count(masks).astype(float)
+    singles = k * (n - k)
+    return singles, singles * (k - 1) * (n - k - 1) / 4
+
+
 def estimate_count(masks, h, g):
     """The substitutions of the mask rows ``masks`` that the integrals
     allow, estimated without listing any: each member's count of singles,
-    doubles and alpha x beta single pairs, times the share of orbital pairs
-    (a, p) with some h[a,p] or (ap|..) nonzero, of nonzero (pq|rs), and of
-    pairs with some (ap|..) nonzero twice over."""
-    n, k = len(h), np.bitwise_count(masks).astype(float)
-    singles = k * (n - k)
-    doubles = singles * (k - 1) * (n - k - 1) / 4
+    doubles and alpha x beta single pairs (``move_counts``), times the
+    share of orbital pairs (a, p) with some h[a,p] or (ap|..) nonzero, of
+    nonzero (pq|rs), and of pairs with some (ap|..) nonzero twice over."""
+    n = len(h)
+    singles, doubles = move_counts(masks, n)
     reach = np.count_nonzero(g.reshape(n * n, -1), axis=1) > 0
     share = np.count_nonzero(reach | (h.ravel() != 0)) / n ** 2
     return float(share * singles.sum() + np.count_nonzero(g) / n ** 4

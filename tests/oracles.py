@@ -26,8 +26,11 @@ element loops that the LUCJ baseline's array forms replaced.
 lowest-eigenpair-only ``dense_lowest`` replaced,
 ``substitution_pool_loop`` with ``screened_connected_coupling`` the
 set-of-tuples expansion pool and its screened coupling that the
-per-string substitution tables replaced, and ``screened_subspace`` the
-build from every screened pair that the generated pairs replaced.
+per-string substitution tables replaced, ``screened_scores`` the coupling
+scores from the screen that the pool coupling replaced, and
+``screened_subspace`` the build from every screened pair that the
+generated pairs replaced; all three read ``coupling_elements``, the
+screen of every bra x ket pair.
 ``distribution_cumulative`` and ``distribution_total`` are the weights of
 a ``sampling.Distribution`` that only tests read.
 """
@@ -54,8 +57,11 @@ from qselci.dets import (
     ExcitationOp,
     basis_indices,
     bitstring_of_index,
+    det_masks,
+    determinants,
     excitation_rank,
     full_excitation,
+    rank_order,
     string_sign,
 )
 from qselci.errors import NoConvergence
@@ -352,9 +358,31 @@ def chain_decomposition(reference, target, n_orbitals):
 # ``substitutions.Substitutions`` lists each spin string's substitutions
 # once, without those the integrals make zero, and ``expansion`` orders the
 # pool and its pairs by one sort; before that the pool was this set of every
-# substitution of every member, and its coupling the screened pool x S
-# block of ``coupling_elements``.  ``build_subspace`` evaluated the pairs
-# of its set that the same screen passed.
+# substitution of every member, and its coupling the pool x S block of
+# ``coupling_elements``, the screen of every bra x ket pair, which
+# ``score_candidates`` also read until it looked its candidates up in the
+# pool.  ``build_subspace`` evaluated the pairs of its set that the same
+# screen passed.
+
+
+def coupling_elements(bra_alpha, bra_beta, ket_alpha, ket_beta, h, g):
+    """The nonzero <bra_i|H|ket_j> between two lists of mask rows, found
+    by screening every pair: ``(i, j, values)`` ordered by i, then j, from
+    the kernel's ``_pair_values`` in one call, so ``PAIR_BLOCK`` plays no
+    part.  Pairs in different per-spin sectors, more than a double
+    substitution apart, or equal are skipped."""
+    def sector(alpha, beta):
+        return 65 * np.bitwise_count(alpha).astype(int) + np.bitwise_count(beta)
+
+    diff = (np.bitwise_count(bra_alpha[:, None] ^ ket_alpha[None, :])
+            + np.bitwise_count(bra_beta[:, None] ^ ket_beta[None, :]))
+    near = (diff > 0) & (diff <= 4) & (
+        sector(bra_alpha, bra_beta)[:, None] == sector(ket_alpha, ket_beta))
+    i, j = np.nonzero(near)
+    v = hamiltonian._pair_values(bra_alpha[i], bra_beta[i], ket_alpha[j],
+                                 ket_beta[j], h, g)
+    keep = v != 0.0
+    return i[keep], j[keep], v[keep]
 
 
 def string_substitutions(mask, n_orbitals, rank):
@@ -391,10 +419,22 @@ def screened_connected_coupling(psi, h, g):
     """``expansion._connected_coupling`` as the pool loop and the screened
     ``coupling_elements`` gave it: (candidates, mu, I, value)."""
     pool = substitution_pool_loop(psi, len(h))
-    rows, cols, vals = hamiltonian.coupling_elements(*pool.T, *psi.masks.T,
-                                                     h, g)
+    rows, cols, vals = coupling_elements(*pool.T, *psi.masks.T, h, g)
     connected, mu = np.unique(rows, return_inverse=True)
     return pool[connected], mu, cols, vals
+
+
+def screened_scores(psi, candidates, table):
+    """``expansion.score_candidates`` as the screened ``coupling_elements``
+    of the candidates against psi's set gave it: (determinant, score)
+    pairs, best first."""
+    masks = det_masks(candidates)
+    rows, cols, vals = coupling_elements(*masks.T, *psi.masks.T, table.h,
+                                         table.dense_g())
+    scores = np.bincount(rows, weights=np.abs(vals * psi.coeffs[cols]),
+                         minlength=len(masks))
+    order = rank_order(masks, scores)
+    return list(zip(determinants(masks[order]), scores[order].tolist()))
 
 
 def screened_subspace(masks, table):
@@ -402,8 +442,7 @@ def screened_subspace(masks, table):
     the screened ``coupling_elements`` of the rows against themselves."""
     alpha, beta = masks.T
     h, g = table.h, table.dense_g()
-    rows, cols, vals = hamiltonian.coupling_elements(alpha, beta, alpha, beta,
-                                                     h, g)
+    rows, cols, vals = coupling_elements(alpha, beta, alpha, beta, h, g)
     upper = rows < cols
     rows, cols, vals = rows[upper], cols[upper], vals[upper]
     diag = np.arange(len(masks))

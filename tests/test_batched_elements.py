@@ -6,13 +6,15 @@ scores, EN-PT2, the public per-pair ``slater_condon``) is compared with a
 loop over the oracle written the way those functions were before the
 kernel replaced it.  The generated expansion pool and its pairs are pinned
 byte for byte against the set-of-tuples pool and the screened coupling
-they replaced, and the generated subspace build against the build from
-every screened pair, on tables with one nonzero integral class each so
-that every term of the zero screen is exercised.  The last section pins
-the (N, 2) uint64 mask-row form of determinant sets against the
-Determinant-list form.
+they replaced, the coupling scores against the scores from the screen,
+and the generated subspace build against the build from every screened
+pair, on tables with one nonzero integral class each so that every term
+of the zero screen is exercised.  The last section pins the (N, 2) uint64
+mask-row form of determinant sets against the Determinant-list form, and
+refuses rows past a table's orbitals.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,7 +40,6 @@ from qselci.fixtures import FIXTURES, h_chain_synthetic_table, hubbard_chain_tab
 from qselci.hamiltonian import (
     Wavefunction,
     build_subspace,
-    coupling_elements,
     davidson_lowest,
     dense_lowest,
     diagonal_elements,
@@ -138,8 +139,9 @@ def test_subspace_matches_scalar_elements(case):
 def test_coupling_elements_match_scalar_between_lists(case):
     table, dets = case
     bras, kets = dets[: len(dets) // 2], dets[len(dets) // 2:]
-    i, j, v = coupling_elements(*det_masks(bras).T, *det_masks(kets).T,
-                                table.h, table.dense_g())
+    i, j, v = oracles.coupling_elements(*det_masks(bras).T,
+                                        *det_masks(kets).T, table.h,
+                                        table.dense_g())
     got = {(int(a), int(b)): float(x) for a, b, x in zip(i, j, v)}
     expect = {
         (a, b): scalar_element(bra, ket, table)
@@ -174,7 +176,7 @@ def _kernel_bytes(table, dets):
     masks = det_masks(dets)
     alpha, beta = masks.T
     h, g = table.h, table.dense_g()
-    pairs = coupling_elements(alpha, beta, alpha, beta, h, g)
+    pairs = oracles.coupling_elements(alpha, beta, alpha, beta, h, g)
     builds = [_built(masks, table, generate).matrix
               for generate in (True, False)]
     psi = _psi(table, dets, size=2 if table.n_orbitals == WIDE else 12)
@@ -201,6 +203,45 @@ def test_pair_block_leaves_no_trace_in_the_output(case, block, monkeypatch):
     monkeypatch.setattr(hamiltonian, "PAIR_BLOCK", block)
     monkeypatch.setattr(substitutions, "MOVE_BLOCK", block)
     assert _kernel_bytes(table, dets) == expect
+
+
+def test_pair_elements_streams_blocks_of_pair_block(monkeypatch):
+    # blocks of 30, 30, 250, 5, 0 and 120 pairs are evaluated as 100, 100,
+    # 100, 100 and 35, each as soon as its pairs have arrived, and the
+    # output is that of one block
+    table, dets = CASES["hubbard6"]()
+    alpha, beta = det_masks(dets).T
+    i, j = np.nonzero(np.triu(np.ones((len(dets),) * 2, bool), 1))
+    near = np.bitwise_count(alpha[i] ^ alpha[j]) + np.bitwise_count(
+        beta[i] ^ beta[j]) <= 4
+    i, j = i[near][:435], j[near][:435]
+    assert len(i) == 435
+    cuts = np.cumsum([0, 30, 30, 250, 5, 0, 120])
+    events = []
+
+    def stream():
+        for lo, hi in zip(cuts, cuts[1:]):
+            events.append(("block", int(hi - lo)))
+            yield i[lo:hi], j[lo:hi]
+
+    values = hamiltonian._pair_values
+
+    def counted(ya, yb, xa, xb, h, g):
+        events.append(("evaluated", len(xa)))
+        return values(ya, yb, xa, xb, h, g)
+
+    h, g = table.h, table.dense_g()
+    expect = hamiltonian.pair_elements([(i, j)], alpha, beta, alpha, beta, h, g)
+    monkeypatch.setattr(hamiltonian, "PAIR_BLOCK", 100)
+    monkeypatch.setattr(hamiltonian, "_pair_values", counted)
+    got = hamiltonian.pair_elements(stream(), alpha, beta, alpha, beta, h, g)
+    assert events == [("block", 30), ("block", 30), ("block", 250),
+                      ("evaluated", 100), ("evaluated", 100),
+                      ("evaluated", 100), ("block", 5), ("block", 0),
+                      ("block", 120), ("evaluated", 100), ("evaluated", 35)]
+    assert _arrays(got) == _arrays(expect)
+    # a lone long block is sliced, not copied
+    assert np.shares_memory(next(hamiltonian._blocks([(i, j)]))[0], i)
 
 
 def test_diagonal_elements_match_scalar(case):
@@ -318,6 +359,64 @@ def test_expansion_adds_the_scalar_top_scores(case):
     assert step.added == [mu for mu, _ in expect]
     assert np.allclose(step.scores, [s for _, s in expect], rtol=0,
                        atol=ELEMENT_TOL)
+
+
+# ------------------------------------------ coupling scores, the screen
+
+def _scored_bytes(scored):
+    return (det_masks([mu for mu, _ in scored]).tobytes(),
+            np.array([score for _, score in scored], dtype=float).tobytes())
+
+
+def _assert_scores_are_screened(psi, candidates, table):
+    """``score_candidates`` equals ``oracles.screened_scores`` in the
+    bytes of its determinants and its scores; returns it."""
+    got = score_candidates(psi, candidates, table)
+    assert _scored_bytes(got) == _scored_bytes(
+        oracles.screened_scores(psi, candidates, table))
+    return got
+
+
+def _other_sector(dets):
+    """Each determinant with beta orbital 0 flipped: one beta electron more
+    or fewer."""
+    return [Determinant(d.alpha, d.beta ^ 1) for d in dets]
+
+
+def test_scores_are_bitwise_the_screen(case):
+    # the connected set, with the listed determinants that do not couple,
+    # and those alone; then five in another sector and an empty list
+    table, dets = case
+    for size in (3, 9, 20):
+        psi = _psi(table, dets, size)
+        connected = connected_set(psi, table)
+        outside = set(psi.dets) | set(connected)
+        silent = [d for d in dets if d not in outside][:5]
+        for candidates in (connected, connected + silent, silent,
+                           _other_sector(connected[:5]), []):
+            scored = _assert_scores_are_screened(
+                psi, _shuffled(candidates, size), table)
+            assert all(score == 0.0 for mu, score in scored
+                       if mu not in connected)
+
+
+def test_scores_with_an_empty_pool_are_the_screen():
+    # psi over the whole hubbard4 sector: nothing in its sector lies outside
+    table = hubbard_chain_table(4)
+    psi = dense_lowest(build_subspace(sector_masks(4, 2, 2), table))
+    assert connected_set(psi, table) == []
+    for candidates in ([], _other_sector(psi.dets[:5])):
+        scored = _assert_scores_are_screened(psi, candidates, table)
+        assert [score for _, score in scored] == [0.0] * len(candidates)
+
+
+def test_scoring_a_member_of_the_set_is_refused(case):
+    table, dets = case
+    psi = _psi(table, dets, size=9)
+    inside = psi.dets[4]
+    candidates = connected_set(psi, table)[:3] + [inside]
+    with pytest.raises(ValueError, match=re.escape(f"{inside} lies in")):
+        score_candidates(psi, candidates, table)
 
 
 # ----------------------------------------- generated pool and its pairs
@@ -542,6 +641,29 @@ def test_repeated_mask_rows_are_duplicates():
     masks = np.array([[3, 5], [5, 3], [3, 6], [5, 3]], dtype=np.uint64)
     with pytest.raises(DuplicateDeterminant, match="alpha=5, beta=3"):
         build_subspace(masks, helpers.random_table(4, 4, seed=23))
+
+
+PAST = Determinant(0b110000, 0b11)  # alpha in orbitals 4 and 5
+WITHIN = Determinant(0b11, 0b11)
+PAST_THE_TABLE = {
+    "build_subspace": lambda table, psi: build_subspace(
+        det_masks([WITHIN, PAST]), table),
+    "slater_condon": lambda table, psi: slater_condon(WITHIN, PAST, table),
+    "slater_condon-diagonal": lambda table, psi: slater_condon(PAST, PAST,
+                                                               table),
+    "score_candidates": lambda table, psi: score_candidates(psi, [PAST],
+                                                            table),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PAST_THE_TABLE))
+def test_rows_past_the_table_are_refused_by_name(entry):
+    # once numpy's IndexError from the integral arrays
+    table = hubbard_chain_table(4)
+    psi = dense_lowest(build_subspace(sector_masks(4, 2, 2)[:5], table))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{PAST} occupies an orbital past the integral table's 4")):
+        PAST_THE_TABLE[entry](table, psi)
 
 
 def test_json_round_trip_keeps_mask_rows():

@@ -2,10 +2,11 @@
 
 A fresh interpreter runs every case below once with
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` at 1 and once at 2: the
-FCI pilot's prescreened selection, and the reports and written files of
-``fci``, ``usci-build``, ``qsci`` (noiseless and noisy), ``sample --csv``
-and ``demo``.  Each interpreter runs all the cases, so the check costs two
-start-ups.  Discrete values (ints, strings, switches, keys, lengths) and
+FCI pilot's prescreened selection (the 4,900-determinant 8-site h-chain's
+pilot is a Davidson solve, above ``DENSE_CUTOFF``), and the reports and
+written files of ``fci``, ``usci-build``, ``qsci`` (noiseless and noisy),
+``sample --csv`` and ``demo``.  Each interpreter runs all the cases, so
+the check costs two start-ups.  Discrete values (ints, strings, switches, keys, lengths) and
 written files must be equal; the floats, FCI energies among them, must
 agree to ``FLOAT_TOL``.  A run's timings are left out.
 """
@@ -41,11 +42,13 @@ import contextlib, io, json, os, sys
 from qselci.circuits import prescreen
 from qselci.cli import cli_dispatch
 from qselci.dets import det_masks
-from qselci.fixtures import fixture_table, hubbard_chain_table
+from qselci.fixtures import (fixture_table, h_chain_synthetic_table,
+                             hubbard_chain_table)
 from qselci.hamiltonian import fci_oracle
 
 tables = {name: fixture_table(name) for name in json.loads(sys.argv[2])}
 tables["hubbard8-4e"] = hubbard_chain_table(8, n_electrons=4)
+tables["h-chain8"] = h_chain_synthetic_table(8)  # Davidson pilot
 out = {"selections": {}, "runs": {}}
 for name, table in tables.items():
     pilot = fci_oracle(table)
@@ -102,7 +105,7 @@ def assert_same(one, two, where):
         assert one == two, f"{where}: {one!r} at 1 thread, {two!r} at 2"
 
 
-@pytest.mark.parametrize("name", [*FIXTURES, "hubbard8-4e"])
+@pytest.mark.parametrize("name", [*FIXTURES, "hubbard8-4e", "h-chain8"])
 def test_pilot_selection_is_thread_independent(outputs, name):
     one, two = (outputs[t]["selections"][name] for t in ("1", "2"))
     assert one["masks"] == two["masks"]
