@@ -38,40 +38,6 @@ def _occupations(psi):
     return occ, weights, p, -(_xlogx(p) + _xlogx(1.0 - p))
 
 
-def orbital_entropies(psi):
-    """Occupation probabilities and entropies per spin orbital.
-
-    Returns (p, s) with p[i] the probability that spin orbital i is
-    occupied under the c^2 distribution and s[i] its binary entropy in
-    nats; 0*ln(0) counts as 0.
-    """
-    return _occupations(psi)[2:]
-
-
-def mutual_information(psi):
-    """Pairwise mutual information matrix over spin orbitals, in nats.
-
-    For each pair the joint occupation distribution over the four sectors
-    (00, 01, 10, 11) is tallied from the determinant weights; I = s_i + s_j
-    - s_ij, the diagonal is defined as 0, and negative rounding residue
-    within 1e-12 is clipped to 0.  The sector terms are formed and added
-    from 00 to 11 only for the pairs i < j, and the lower triangle mirrors
-    the upper one.
-    """
-    occ, weights, p, s = _occupations(psi)
-    i, j = np.triu_indices(len(p), 1)
-    # joint probability that both members of a pair are occupied
-    p11 = (occ.T @ (occ * weights[:, None]))[i, j]
-    joint = np.clip([1.0 - p[i] - p[j] + p11, p[j] - p11, p[i] - p11, p11],
-                    0.0, 1.0)
-    x00, x01, x10, x11 = _xlogx(joint)
-    s_ij = -((((0.0 + x00) + x01) + x10) + x11)
-    mi = np.zeros((len(p), len(p)))
-    mi[i, j] = s[i] + s[j] - s_ij
-    mi[(-1e-12 < mi) & (mi < 0.0)] = 0.0
-    return mi + mi.T
-
-
 def rank_histogram(psi, reference):
     """Weight c^2 per excitation rank relative to a reference determinant.
 
@@ -110,15 +76,36 @@ class AnalysisReport:
 
 
 def analyze(psi, reference=None):
-    """Full diagnostic pass; the reference for the rank histogram defaults
-    to the first determinant of ``dets.rank_order`` by weight."""
+    """Full diagnostic pass over one occupation matrix; the reference for
+    the rank histogram defaults to the first determinant of
+    ``dets.rank_order`` by weight.
+
+    ``occupations[i]`` is the probability that spin orbital i is occupied
+    under the c^2 distribution and ``entropies[i]`` its binary entropy.
+    ``mi`` is the pairwise mutual information: for each pair i < j the
+    joint occupation distribution over the four sectors (00, 01, 10, 11)
+    is tallied from the determinant weights, its terms are added from 00
+    to 11, and I = s_i + s_j - s_ij, with negative rounding residue within
+    1e-12 clipped to 0; the lower triangle mirrors the upper one and the
+    diagonal is 0.
+    """
     if reference is None:
         top = rank_order(psi.masks, psi.coeffs ** 2)[0]
         reference = Determinant(*psi.masks[top].tolist())
-    p, s = orbital_entropies(psi)
+    occ, weights, p, s = _occupations(psi)
+    i, j = np.triu_indices(len(p), 1)
+    # joint probability that both members of a pair are occupied
+    p11 = (occ.T @ (occ * weights[:, None]))[i, j]
+    joint = np.clip([1.0 - p[i] - p[j] + p11, p[j] - p11, p[i] - p11, p11],
+                    0.0, 1.0)
+    x00, x01, x10, x11 = _xlogx(joint)
+    s_ij = -((((0.0 + x00) + x01) + x10) + x11)
+    mi = np.zeros((len(p), len(p)))
+    mi[i, j] = s[i] + s[j] - s_ij
+    mi[(-1e-12 < mi) & (mi < 0.0)] = 0.0
     return AnalysisReport(
         occupations=p,
         entropies=s,
-        mi=mutual_information(psi),
+        mi=mi + mi.T,
         rank_histogram=rank_histogram(psi, reference),
     )

@@ -126,24 +126,30 @@ def hartree_fock(n_orbitals, n_alpha, n_beta):
 
 def det_masks(dets, n_orbitals=MAX_ORBITALS):
     """The (N, 2) uint64 ``[alpha, beta]`` mask rows of a determinant list;
-    uint64 mask rows pass through unchanged, and other integer rows are
-    converted.
+    uint64 mask rows pass through unchanged, and other integer rows, an
+    array or a list (whose values must then fit int64), are converted.
 
-    Raises TooLarge when an occupied orbital lies past the 64 orbitals a
-    uint64 mask holds, and ValueError for an array that is not (N, 2)
-    nonnegative integers or naming the first determinant with an orbital
-    past ``n_orbitals`` (those of the integrals read for the rows).
+    Raises TooLarge when ``n_orbitals`` or an occupied orbital lies past
+    the 64 orbitals a uint64 mask holds, and ValueError for rows that are
+    not (N, 2) nonnegative integers or naming the first determinant with
+    an orbital past ``n_orbitals`` (those of the integrals read for the
+    rows).
     """
-    if isinstance(dets, np.ndarray):
+    if n_orbitals > MAX_ORBITALS:
+        raise TooLarge(f"{n_orbitals} orbitals is past the {MAX_ORBITALS}-"
+                       "orbital limit of uint64 determinant masks")
+    if not isinstance(dets, np.ndarray) and all(
+            isinstance(d, Determinant) for d in dets):
+        masks = np.column_stack([_uint64([d.alpha for d in dets]),
+                                 _uint64([d.beta for d in dets])])
+    else:
+        dets = np.asarray(dets)
         kind = dets.dtype.kind
         if (dets.shape[1:] != (2,) or kind not in "iu"
                 or kind == "i" and (dets < 0).any()):
             raise ValueError("mask rows must be an (N, 2) array of nonnegative "
                              f"integers, got {dets.dtype} of shape {dets.shape}")
         masks = dets.astype(np.uint64, copy=False)
-    else:
-        masks = np.column_stack([_uint64([d.alpha for d in dets]),
-                                 _uint64([d.beta for d in dets])])
     past = np.flatnonzero(np.any(masks > _BELOW[n_orbitals], axis=1))
     if past.size:
         raise ValueError(f"{Determinant(*masks[past[0]].tolist())} occupies "

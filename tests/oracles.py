@@ -17,6 +17,9 @@ excitation decomposition that the sliced one replaced,
 ``pt2_sum_loop`` the per-term PT2 sum that the array one replaced,
 ``pair_loop_mutual_information`` and ``pair_loop_edge_list`` the
 per-pair mutual information and edge walk that the pair tables replaced,
+``orbital_entropies`` and ``mutual_information`` the two functions, each
+building its own occupation matrix, that the one pass of
+``analysis.analyze`` replaced,
 ``set_retained_weight`` the ``Determinant``-set retained weight that
 the mask-row match replaced, ``loop_gate_counts`` the three-pass resource
 table that the one-pass ``gate_counts`` replaced, and
@@ -481,10 +484,33 @@ def pt2_sum_loop(psi, table):
 
 # --------------------------------------------- diagnostics references
 #
-# ``analysis.mutual_information`` and ``AnalysisReport.mi_edge_list`` as
-# one Python step per spin-orbital pair, and ``bounds.retained_weight``
-# over a set of Determinant objects: the array forms must give the same
-# bits.
+# The occupations, entropies and mutual information of ``analysis.analyze``
+# as two functions that each build the occupation matrix, the mutual
+# information and ``AnalysisReport.mi_edge_list`` as one Python step per
+# spin-orbital pair, and ``bounds.retained_weight`` over a set of
+# Determinant objects: the package's forms must give the same bits.
+
+
+def orbital_entropies(psi):
+    """(p, s): per spin orbital the occupation probability under the c^2
+    distribution and its binary entropy in nats."""
+    return analysis._occupations(psi)[2:]
+
+
+def mutual_information(psi):
+    """The mutual information matrix over spin orbitals, from the pair
+    tables of its own occupation matrix."""
+    occ, weights, p, s = analysis._occupations(psi)
+    i, j = np.triu_indices(len(p), 1)
+    p11 = (occ.T @ (occ * weights[:, None]))[i, j]
+    joint = np.clip([1.0 - p[i] - p[j] + p11, p[j] - p11, p[i] - p11, p11],
+                    0.0, 1.0)
+    x00, x01, x10, x11 = analysis._xlogx(joint)
+    s_ij = -((((0.0 + x00) + x01) + x10) + x11)
+    mi = np.zeros((len(p), len(p)))
+    mi[i, j] = s[i] + s[j] - s_ij
+    mi[(-1e-12 < mi) & (mi < 0.0)] = 0.0
+    return mi + mi.T
 
 
 def _binary_entropy(p):

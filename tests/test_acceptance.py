@@ -10,11 +10,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from qselci.analysis import (
-    mutual_information,
-    orbital_entropies,
-    rank_histogram,
-)
+from qselci.analysis import analyze, rank_histogram
 from qselci.bounds import (
     gate_budget,
     log_binomial,
@@ -258,14 +254,14 @@ def test_11_end_to_end_recovery(hubbard):
 
 def test_12_wavefunction_analysis(hubbard):
     table, oracle = hubbard
-    _, entropies = orbital_entropies(oracle)
-    assert np.all(entropies <= math.log(2.0) + 1e-12)
-    mi = mutual_information(oracle)
+    report = analyze(oracle)
+    assert np.all(report.entropies <= math.log(2.0) + 1e-12)
+    mi = report.mi
     assert np.allclose(mi, mi.T)
     assert np.all(mi >= 0.0)
 
     single = davidson_lowest(build_subspace([hartree_fock(4, 2, 2)], table))
-    assert np.allclose(mutual_information(single), 0.0)
+    assert np.allclose(analyze(single).mi, 0.0)
 
     hf = hartree_fock(4, 2, 2)
     sector = enumerate_space(4, 2, 2)

@@ -9,12 +9,7 @@ import helpers
 import oracles
 from golden import regen
 from qselci import analysis
-from qselci.analysis import (
-    analyze,
-    mutual_information,
-    orbital_entropies,
-    rank_histogram,
-)
+from qselci.analysis import analyze, rank_histogram
 from qselci.dets import Determinant, det_masks, excitation_rank, hartree_fock
 from qselci.expansion import connected_set, expand_and_rediagonalize
 from qselci.fixtures import FIXTURES, hubbard_chain_table
@@ -47,10 +42,10 @@ def test_single_determinant_carries_no_entropy():
         masks=det_masks([Determinant(0b0011, 0b0011)]), coeffs=[1.0],
         energy=0.0, n_orbitals=4,
     )
-    occupations, entropies = orbital_entropies(psi)
-    assert np.allclose(entropies, 0.0)
-    assert np.allclose(occupations, [1, 1, 0, 0, 1, 1, 0, 0])
-    assert np.allclose(mutual_information(psi), 0.0)
+    report = analyze(psi)
+    assert np.allclose(report.entropies, 0.0)
+    assert np.allclose(report.occupations, [1, 1, 0, 0, 1, 1, 0, 0])
+    assert np.allclose(report.mi, 0.0)
 
 
 def test_shared_particle_pair_is_maximally_correlated():
@@ -59,14 +54,14 @@ def test_shared_particle_pair_is_maximally_correlated():
         masks=det_masks([Determinant(0b01, 0), Determinant(0b10, 0)]),
         coeffs=[inv, inv], energy=0.0, n_orbitals=2,
     )
-    occupations, entropies = orbital_entropies(psi)
+    report = analyze(psi)
+    occupations, entropies = report.occupations, report.entropies
     assert abs(occupations[0] - 0.5) < 1e-12
     assert abs(occupations[1] - 0.5) < 1e-12
     assert abs(entropies[0] - LN2) < 1e-12
     assert abs(entropies[1] - LN2) < 1e-12
     assert np.allclose(entropies[2:], 0.0)
-    mi = mutual_information(psi)
-    assert abs(mi[0, 1] - LN2) < 1e-12
+    assert abs(report.mi[0, 1] - LN2) < 1e-12
 
 
 def test_independent_spin_channels_share_no_information():
@@ -79,18 +74,20 @@ def test_independent_spin_channels_share_no_information():
             coeffs.append(math.sqrt(wa * wb))
     psi = Wavefunction(masks=det_masks(dets), coeffs=coeffs, energy=0.0,
                        n_orbitals=2)
-    mi = mutual_information(psi)
+    report = analyze(psi)
+    mi = report.mi
     for i in range(2):          # alpha spin orbitals
         for j in range(2, 4):   # beta spin orbitals
             assert abs(mi[i, j]) < 1e-10
-    _, entropies = orbital_entropies(psi)
+    entropies = report.entropies
     assert abs(entropies[0] - _binary_entropy(p_a)) < 1e-12
     assert abs(entropies[3] - _binary_entropy(p_b)) < 1e-12
 
 
 def test_entropies_match_direct_tally(hubbard_state):
     psi = hubbard_state
-    occupations, entropies = orbital_entropies(psi)
+    report = analyze(psi)
+    occupations, entropies = report.occupations, report.entropies
     weights = np.asarray(psi.coeffs) ** 2
     for s in range(8):
         p = sum(
@@ -107,7 +104,7 @@ def test_entropies_match_direct_tally(hubbard_state):
 
 def test_mutual_information_matches_direct_tally(hubbard_state):
     psi = hubbard_state
-    mi = mutual_information(psi)
+    mi = analyze(psi).mi
     weights = np.asarray(psi.coeffs) ** 2
 
     def occ_bit(det, s):
@@ -135,8 +132,8 @@ def test_mutual_information_matches_direct_tally(hubbard_state):
 
 def test_mutual_information_structure(hubbard_state):
     psi = hubbard_state
-    mi = mutual_information(psi)
-    _, entropies = orbital_entropies(psi)
+    report = analyze(psi)
+    mi, entropies = report.mi, report.entropies
     assert np.allclose(mi, mi.T)
     assert np.all(mi >= 0.0)
     assert np.allclose(np.diag(mi), 0.0)
@@ -188,8 +185,31 @@ def test_oracle_states_cover_the_listed_inputs(oracle_states):
             "h-chain-8", "hubbard4-save-wf-chain/1/wf2.json",
             "random-64-1"} <= set(oracle_states)
     assert (oracle_states["random-64-0"].masks >> np.uint64(63)).any()
-    entropies = orbital_entropies(oracle_states["single"])[1]
+    entropies = analyze(oracle_states["single"]).entropies
     assert np.signbit(entropies).all() and not entropies.any()  # all -0.0
+
+
+def test_analyze_builds_the_occupation_matrix_once(monkeypatch,
+                                                   hubbard_state):
+    calls, occupations = [], analysis._occupations
+
+    def counted(psi):
+        calls.append(psi)
+        return occupations(psi)
+
+    monkeypatch.setattr(analysis, "_occupations", counted)
+    analyze(hubbard_state)
+    assert len(calls) == 1
+
+
+def test_one_pass_matches_the_two_functions_bit_for_bit(oracle_states):
+    for name, psi in oracle_states.items():
+        report = analyze(psi)
+        p, s = oracles.orbital_entropies(psi)
+        assert report.occupations.tobytes() == p.tobytes(), name
+        assert report.entropies.tobytes() == s.tobytes(), name
+        assert report.mi.tobytes() == (
+            oracles.mutual_information(psi).tobytes()), name
 
 
 def test_pair_tables_match_the_pair_loop_bit_for_bit(oracle_states):

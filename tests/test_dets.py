@@ -68,6 +68,17 @@ def test_det_masks_converts_integer_rows(dtype):
     assert np.array_equal(got, det_masks([Determinant(3, 5), Determinant(6, 3)]))
 
 
+def test_det_masks_converts_a_list_of_integer_rows():
+    got = det_masks([[3, 5], [6, 3]])
+    assert got.dtype == np.uint64
+    assert got.tolist() == [[3, 5], [6, 3]]
+    assert det_masks([]).shape == (0, 2)
+    with pytest.raises(ValueError, match=r"\(N, 2\) array of nonnegative"):
+        det_masks([[1, -1]])
+    with pytest.raises(ValueError, match=r"\(N, 2\) array of nonnegative"):
+        det_masks([[3, 5, 6]])
+
+
 @pytest.mark.parametrize("rows", [
     np.array([[3, -5]]),
     np.array([[3.0, 5.0]]),

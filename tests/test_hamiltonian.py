@@ -398,6 +398,17 @@ def test_build_subspace_past_64_orbitals_is_too_large():
         build_subspace(dets, table)
 
 
+def test_build_subspace_takes_a_list_of_integer_rows():
+    table = hubbard_chain_table(4)
+    rows = [[3, 5], [5, 3], [3, 6], [6, 3]]
+    got = build_subspace(rows, table).matrix
+    want = build_subspace(np.array(rows, np.uint64), table).matrix
+    for field in ("data", "indices", "indptr"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    with pytest.raises(ValueError, match=r"\(N, 2\) array of nonnegative"):
+        build_subspace([[1, -1]], table)
+
+
 def test_spectral_halfwidth(monkeypatch):
     table = hubbard_chain_table()
     dets = enumerate_space(4, 2, 2)
@@ -426,6 +437,18 @@ def test_wavefunction_rejects_non_finite_coefficients(bad):
     with pytest.raises(ValueError, match="not normalized"):
         Wavefunction(masks=det_masks(enumerate_space(2, 1, 1)[:2]), coeffs=[1.0, bad],
                      energy=0.0, n_orbitals=2)
+
+
+@pytest.mark.parametrize("masks", [
+    np.array([[0b110000, 0b11]], np.uint64), [[48, 3]],
+], ids=["uint64-array", "list"])
+def test_wavefunction_refuses_rows_past_its_orbitals(masks):
+    # once accepted, then a reshape ValueError inside en_pt2's substitutions
+    with pytest.raises(ValueError, match=r"Determinant\(alpha=48, beta=3\) "
+                       "occupies an orbital past"):
+        Wavefunction(masks=masks, coeffs=[1.0], energy=0.0, n_orbitals=4)
+    with pytest.raises(TooLarge, match="64-orbital"):
+        Wavefunction(masks=masks, coeffs=[1.0], energy=0.0, n_orbitals=65)
 
 
 def test_wavefunction_json_roundtrip():
