@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dets import (Determinant, ExcitationOp, determinants, full_excitation,
-                   rank_order, string_sign)
+from .dets import (Determinant, ExcitationOp, _bits, determinants, rank_order,
+                   string_sign)
 from .errors import EmptySelection, ShapeMismatch, TooLarge, ZeroRank
 
 GATE_EXCITATION = "ExcitationRotation"
@@ -158,13 +158,13 @@ def decompose_excitation(reference, target, n_orbitals):
     """
     if (target.n_alpha, target.n_beta) != (reference.n_alpha, reference.n_beta):
         raise ValueError("target is not in the reference's (n_alpha, n_beta) sector")
-    whole = full_excitation(reference, target, n_orbitals)
-    if not whole.annihilated:
+    index, goal = reference.to_index(n_orbitals), target.to_index(n_orbitals)
+    if index == goal:
         raise ZeroRank("reference and target are identical")
-    index = reference.to_index(n_orbitals)
+    holes, particles = _bits(index & ~goal), _bits(goal & ~index)
     steps = []
-    for pos in range(0, len(whole.annihilated), 2):
-        ann, cre = whole.annihilated[pos:pos + 2], whole.created[pos:pos + 2]
+    for pos in range(0, len(holes), 2):
+        ann, cre = tuple(holes[pos:pos + 2]), tuple(particles[pos:pos + 2])
         steps.append(ExcitationOp(n_orbitals, ann, cre,
                                   string_sign(index, ann, cre)))
         index ^= sum(1 << s for s in ann + cre)

@@ -127,33 +127,33 @@ def hartree_fock(n_orbitals, n_alpha, n_beta):
 def det_masks(dets, n_orbitals=MAX_ORBITALS):
     """The (N, 2) uint64 ``[alpha, beta]`` mask rows of a determinant list;
     uint64 mask rows pass through unchanged, and other integer rows, an
-    array or a list (whose values must then fit int64), are converted.
+    array or a list of exact integers of any size, are converted.
 
     Raises TooLarge when ``n_orbitals`` or an occupied orbital lies past
     the 64 orbitals a uint64 mask holds, and ValueError for rows that are
     not (N, 2) nonnegative integers or naming the first determinant with
-    an orbital past ``n_orbitals`` (those of the integrals read for the
-    rows).
+    an orbital past ``n_orbitals`` (those of the integrals or the
+    wavefunction that holds the rows).
     """
     if n_orbitals > MAX_ORBITALS:
         raise TooLarge(f"{n_orbitals} orbitals is past the {MAX_ORBITALS}-"
                        "orbital limit of uint64 determinant masks")
-    if not isinstance(dets, np.ndarray) and all(
-            isinstance(d, Determinant) for d in dets):
-        masks = np.column_stack([_uint64([d.alpha for d in dets]),
-                                 _uint64([d.beta for d in dets])])
-    else:
-        dets = np.asarray(dets)
-        kind = dets.dtype.kind
-        if (dets.shape[1:] != (2,) or kind not in "iu"
-                or kind == "i" and (dets < 0).any()):
-            raise ValueError("mask rows must be an (N, 2) array of nonnegative "
-                             f"integers, got {dets.dtype} of shape {dets.shape}")
-        masks = dets.astype(np.uint64, copy=False)
+    if not isinstance(dets, np.ndarray):
+        dets = np.array([(d.alpha, d.beta) if isinstance(d, Determinant)
+                         else d for d in dets] or np.empty((0, 2)), object)
+    kind = dets.dtype.kind
+    exact = kind in "iu" or kind == "O" and all(
+        issubclass(t, (int, np.integer)) and t is not bool
+        for t in set(map(type, dets.flat)))
+    if dets.shape[1:] != (2,) or not exact or kind != "u" and (dets < 0).any():
+        raise ValueError("mask rows must be an (N, 2) array of nonnegative "
+                         f"integers, got {dets.dtype} of shape {dets.shape}")
+    masks = (np.column_stack([_uint64(c) for c in dets.T]) if kind == "O"
+             else dets.astype(np.uint64, copy=False))
     past = np.flatnonzero(np.any(masks > _BELOW[n_orbitals], axis=1))
     if past.size:
         raise ValueError(f"{Determinant(*masks[past[0]].tolist())} occupies "
-                         f"an orbital past the integral table's {n_orbitals}")
+                         f"an orbital past n_orbitals = {n_orbitals}")
     return masks
 
 
@@ -287,15 +287,3 @@ class ExcitationOp:
             )
         if len(self.annihilated) != len(self.created):
             raise ValueError("annihilated and created counts must be equal")
-
-
-def full_excitation(source, target, n_orbitals):
-    """The ExcitationOp of any rank mapping ``source`` onto ``target``, two
-    determinants of one sector."""
-    ann = _bits(source.alpha & ~target.alpha)
-    ann += [n_orbitals + p for p in _bits(source.beta & ~target.beta)]
-    cre = _bits(target.alpha & ~source.alpha)
-    cre += [n_orbitals + p for p in _bits(target.beta & ~source.beta)]
-    phase = string_sign(source.to_index(n_orbitals), ann, cre)
-    return ExcitationOp(n_orbitals, tuple(ann), tuple(cre), phase=phase)
-

@@ -35,7 +35,10 @@ scores from the screen that the pool coupling replaced, and
 generated pairs replaced; all three read ``coupling_elements``, the
 screen of every bra x ket pair.
 ``distribution_cumulative`` and ``distribution_total`` are the weights of
-a ``sampling.Distribution`` that only tests read.
+a ``sampling.Distribution`` that only tests read, and ``full_excitation``
+the whole-rank excitation between two determinants that
+``circuits.decompose_excitation`` no longer builds; the Slater-Condon
+rules and ``chain_decomposition`` take their phases from it.
 """
 
 import functools
@@ -58,12 +61,12 @@ from qselci.circuits import (
 from qselci.dets import (
     Determinant,
     ExcitationOp,
+    _bits,
     basis_indices,
     bitstring_of_index,
     det_masks,
     determinants,
     excitation_rank,
-    full_excitation,
     rank_order,
     string_sign,
 )
@@ -229,6 +232,17 @@ def sector_count(n_orbitals, n_alpha, n_beta):
 # The Slater-Condon rules as scalar Python over one determinant pair, with
 # phases from ``full_excitation``.  The batched kernel in qselci.hamiltonian
 # accumulates each element in the same order, so the two give equal floats.
+
+
+def full_excitation(source, target, n_orbitals):
+    """The ExcitationOp of any rank mapping ``source`` onto ``target``, two
+    determinants of one sector."""
+    ann = _bits(source.alpha & ~target.alpha)
+    ann += [n_orbitals + p for p in _bits(source.beta & ~target.beta)]
+    cre = _bits(target.alpha & ~source.alpha)
+    cre += [n_orbitals + p for p in _bits(target.beta & ~source.beta)]
+    phase = string_sign(source.to_index(n_orbitals), ann, cre)
+    return ExcitationOp(n_orbitals, tuple(ann), tuple(cre), phase=phase)
 
 
 def _occupied_spin_orbitals(d, n):

@@ -653,6 +653,9 @@ PAST_THE_TABLE = {
                                                                table),
     "score_candidates": lambda table, psi: score_candidates(psi, [PAST],
                                                             table),
+    "Wavefunction": lambda table, psi: Wavefunction(
+        masks=[[PAST.alpha, PAST.beta]], coeffs=[1.0], energy=0.0,
+        n_orbitals=4),
 }
 
 
@@ -662,7 +665,7 @@ def test_rows_past_the_table_are_refused_by_name(entry):
     table = hubbard_chain_table(4)
     psi = dense_lowest(build_subspace(sector_masks(4, 2, 2)[:5], table))
     with pytest.raises(ValueError, match=re.escape(
-            f"{PAST} occupies an orbital past the integral table's 4")):
+            f"{PAST} occupies an orbital past n_orbitals = 4")):
         PAST_THE_TABLE[entry](table, psi)
 
 

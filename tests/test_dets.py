@@ -10,7 +10,6 @@ from qselci.dets import (
     det_masks,
     enumerate_space,
     excitation_rank,
-    full_excitation,
     hartree_fock,
     rank_order,
     sector_masks,
@@ -19,6 +18,7 @@ from qselci.dets import (
 from qselci.errors import TooLarge
 
 import oracles
+from oracles import full_excitation
 
 
 def test_enumerate_counts_small():
@@ -73,10 +73,16 @@ def test_det_masks_converts_a_list_of_integer_rows():
     assert got.dtype == np.uint64
     assert got.tolist() == [[3, 5], [6, 3]]
     assert det_masks([]).shape == (0, 2)
-    with pytest.raises(ValueError, match=r"\(N, 2\) array of nonnegative"):
-        det_masks([[1, -1]])
-    with pytest.raises(ValueError, match=r"\(N, 2\) array of nonnegative"):
-        det_masks([[3, 5, 6]])
+    # exact integers: np.asarray once made [[2**63, 3]] float64 and
+    # [[2**64, 3]] object
+    got = det_masks([[2**63, 3]])
+    assert got.dtype == np.uint64 and got.tolist() == [[2**63, 3]]
+    with pytest.raises(TooLarge, match="64-orbital"):
+        det_masks([[2**64, 3]])
+    for rows in ([[1, -1]], [[3, 5, 6]], [[1.5, 2]], [[2.0, 3]],
+                 [[True, False]]):
+        with pytest.raises(ValueError, match=r"\(N, 2\) array of nonnegative"):
+            det_masks(rows)
 
 
 @pytest.mark.parametrize("rows", [
