@@ -23,13 +23,15 @@ reference and a dense operator-matrix construction.
 The subspace eigenproblem is an ordinary symmetric one (determinants are
 orthonormal).  ``davidson_lowest`` is a Davidson solver with a diagonal
 preconditioner and thick restarts.  It writes each basis vector and its
-image ``A @ v`` once, into two preallocated ``(dim, DAVIDSON_MAX_BASIS)``
-buffers, and reads the basis as their column views; the projected matrix
-goes straight to the LAPACK ``syevr`` call that ``scipy.linalg.eigh`` makes
-by default, so results are those of the stacked-list loop with ``eigh``
-that tests/oracles.py keeps as its reference.  ``fci_oracle`` enumerates a
-full sector and diagonalizes it: below ``DENSE_CUTOFF`` determinants
-``dense_lowest`` asks LAPACK for the lowest eigenpair only.
+image ``A @ v`` once, as rows of two preallocated ``(DAVIDSON_MAX_BASIS,
+dim)`` buffers, and fills one row and column of the projected matrix per
+mat-vec; new directions are orthonormalized against the basis as one
+matrix, twice, and LAPACK ``syevr`` returns only the lowest eigenpairs the
+loop reads.  Each iteration is O(k N) for a basis of k vectors; results
+agree to rounding with the stacked-list loop that tests/oracles.py keeps
+as its reference.  ``fci_oracle`` enumerates a full sector and
+diagonalizes it: below ``DENSE_CUTOFF`` determinants ``dense_lowest`` asks
+LAPACK for the lowest eigenpair only.
 """
 
 import json
@@ -484,60 +486,53 @@ def davidson_lowest(subspace):
     diag = A.diagonal()
     order = np.argsort(diag, kind="stable")
     max_basis = min(DAVIDSON_MAX_BASIS, dim)
-    # Basis vector k and its image A @ v_k are column k of these buffers,
-    # each written once; V keeps the contiguous vectors, in order, for
-    # _orthonormalize.
-    V_cols, W_cols = np.empty((dim, max_basis)), np.empty((dim, max_basis))
-    V = []
+    # Row k of V is basis vector k, row k of W its image A @ v_k, and
+    # T[:n, :n] the projected matrix of the first n; extend writes each once.
+    V, W = np.empty((max_basis, dim)), np.empty((max_basis, dim))
+    T = np.empty((max_basis, max_basis))
 
-    def extend(vec):
-        V_cols[:, len(V)] = vec
-        W_cols[:, len(V)] = A @ vec
-        V.append(vec)
+    def extend(vec, n):
+        V[n] = vec
+        W[n] = A @ vec
+        T[n, :n + 1] = T[:n + 1, n] = (V[:n + 1] @ W[n] + W[:n + 1] @ V[n]) / 2
+        return n + 1
 
     v0 = np.zeros(dim)
     v0[order[0]] = 1.0
-    extend(v0)
+    n = extend(v0, 0)
     theta, x = float(diag[order[0]]), v0
 
     for _ in range(DAVIDSON_MAX_ITER):
-        Vm, Wm = V_cols[:, :len(V)], W_cols[:, :len(V)]
-        T = Vm.T @ Wm
-        T = (T + T.T) / 2
-        evals, evecs = _symmetric_eigh(T)
+        evals, evecs = _lowest_eigh(T[:n, :n], min(DAVIDSON_RESTART_KEEP, n))
         theta = float(evals[0])
         s = evecs[:, 0]
-        x = Vm @ s
-        r = Wm @ s - theta * x
+        x = s @ V[:n]
+        r = s @ W[:n] - theta * x
         # converged, or the basis spans the whole space and the Ritz pair
         # is the eigenpair
-        if np.linalg.norm(r) < DAVIDSON_TOL or len(V) == dim:
+        if np.linalg.norm(r) < DAVIDSON_TOL or n == dim:
             return Wavefunction(
                 masks=subspace.masks,
                 coeffs=_canonical_sign(x / np.linalg.norm(x)),
                 energy=theta + subspace.core_energy,
                 n_orbitals=subspace.n_orbitals,
             )
-        if len(V) >= max_basis:
-            # the kept Ritz vectors are computed before extend overwrites
-            # the columns Vm views
-            kept = [Vm @ evecs[:, k]
-                    for k in range(min(DAVIDSON_RESTART_KEEP, len(V)))]
-            V.clear()
+        if n >= max_basis:
+            # the kept Ritz vectors are new arrays, so extend can overwrite
+            # the rows they were made from
+            kept, n = evecs.T @ V[:n], 0
             for vec in kept:
-                vec = _orthonormalize(vec, V)
+                vec = _orthonormalize(vec, V[:n])
                 if vec is not None:
-                    extend(vec)
+                    n = extend(vec, n)
         denom = theta - diag
         shift = DAVIDSON_LEVEL_SHIFT
         denom = np.where(np.abs(denom) < shift,
                          np.where(denom >= 0, shift, -shift), denom)
-        z = _orthonormalize(r / denom, V)
+        z = _orthonormalize(r / denom, V[:n])
         if z is None:
-            z = _fallback_direction(V, order)
-            if z is None:
-                break
-        extend(z)
+            z = _fallback_direction(V[:n], order)
+        n = extend(z, n)
 
     raise NoConvergence(
         f"Davidson did not reach |r| < {DAVIDSON_TOL} in {DAVIDSON_MAX_ITER} "
@@ -548,27 +543,30 @@ def davidson_lowest(subspace):
     )
 
 
-def _symmetric_eigh(T):
-    """All eigenpairs of a symmetric matrix of order up to
+def _lowest_eigh(T, count):
+    """The lowest ``count`` eigenpairs of a symmetric matrix of order up to
     ``DAVIDSON_MAX_BASIS``, eigenvalues ascending: the LAPACK ``syevr`` call
-    on the lower triangle that ``scipy.linalg.eigh`` makes by default,
-    without its wrapper.  f2py's default workspace replaces eigh's queried
-    one; at this order LAPACK takes the same unblocked paths with either, so
-    the results are eigh's bit for bit."""
+    (range "I", lower triangle) that ``scipy.linalg.eigh`` makes for
+    ``subset_by_index=[0, count - 1]``, without its wrapper.  f2py's default
+    workspace replaces eigh's queried one; at this order LAPACK takes the
+    same unblocked paths with either, so the results are eigh's bit for
+    bit."""
     from scipy.linalg import LinAlgError, get_lapack_funcs
 
     T = np.asarray_chkfinite(T)
     syevr = get_lapack_funcs("syevr", (T,))
-    evals, evecs, _, _, info = syevr(T, compute_v=1, lower=1)
+    evals, evecs, _, _, info = syevr(T, compute_v=1, lower=1, range="I",
+                                     iu=count)
     if info:
         raise LinAlgError(f"syevr failed with info {info}")
-    return evals, evecs
+    return evals[:count], evecs
 
 
 def _orthonormalize(vec, basis, threshold=1e-10):
+    """``vec`` orthogonalized against the rows of ``basis`` by classical
+    Gram-Schmidt, twice, and normalized; None below ``threshold``."""
     for _ in range(2):
-        for b in basis:
-            vec = vec - (b @ vec) * b
+        vec = vec - (basis @ vec) @ basis
     norm = np.linalg.norm(vec)
     if norm < threshold:
         return None
@@ -576,13 +574,15 @@ def _orthonormalize(vec, basis, threshold=1e-10):
 
 
 def _fallback_direction(basis, order):
+    """The first unit vector, in ``order``, that keeps a norm of 1e-6
+    against the rows of ``basis``.  With n < dim orthonormal rows the unit
+    vectors' squared residuals sum to dim - n >= 1, so one always does."""
     for k in order:
         e = np.zeros(len(order))
         e[k] = 1.0
         z = _orthonormalize(e, basis, threshold=1e-6)
         if z is not None:
             return z
-    return None
 
 
 def fci_oracle(table, cap=ENUMERATION_CAP):

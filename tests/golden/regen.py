@@ -28,7 +28,9 @@ Rewrite the outputs after an intended change with
     PYTHONPATH=src python tests/golden/regen.py
 
 and review the change as a git diff; it prints the names of the cases it
-added, removed or changed.
+added, removed or changed, and then those of the changed cases that also
+differ by more than ``REL_TOL`` (``_close``), which moved by more than
+their last bits.
 """
 
 import hashlib
@@ -458,11 +460,13 @@ def main():
     OUTPUTS.write_text(text + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {OUTPUTS}")
     cases = json.loads(text)["cases"]
+    changed = {k for k in cases.keys() & old.keys() if cases[k] != old[k]}
     for label, names in (
             ("added", cases.keys() - old.keys()),
             ("removed", old.keys() - cases.keys()),
-            ("changed", {k for k in cases.keys() & old.keys()
-                         if cases[k] != old[k]})):
+            ("changed", changed),
+            (f"changed past {REL_TOL:g}",
+             {k for k in changed if not _close(old[k], cases[k])})):
         print(f"{label} ({len(names)}):", *sorted(names))
 
 

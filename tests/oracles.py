@@ -976,11 +976,14 @@ def _basis_rotation(amps, index, kappa, n_orbitals, rotate):
 # ------------------------------------------------ Davidson reference
 #
 # ``hamiltonian.davidson_lowest`` as it was before its basis moved into
-# preallocated buffers and its small solve into a direct LAPACK call: the
-# basis and its images are stacked afresh with ``np.column_stack`` on every
-# iteration and the projected matrix goes through ``scipy.linalg.eigh``.
-# The constants are read from the package at call time, so a test that
-# patches them patches both solvers.
+# preallocated row buffers: the basis and its images are stacked afresh
+# with ``np.column_stack`` on every iteration, the whole projected matrix
+# is rebuilt from them and goes through ``scipy.linalg.eigh`` for all its
+# eigenpairs, and new directions are orthogonalized one basis vector at a
+# time (modified Gram-Schmidt, twice).  The package's loop sums in another
+# order, so the two agree to rounding and take the same number of
+# mat-vecs.  The constants are read from the package at call time, so a
+# test that patches them patches both solvers.
 
 
 def davidson_reference(subspace):

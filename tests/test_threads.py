@@ -8,7 +8,8 @@ written files of ``fci``, ``usci-build``, ``qsci`` (noiseless and noisy),
 ``sample --csv`` and ``demo``.  Each interpreter runs all the cases, so
 the check costs two start-ups.  Discrete values (ints, strings, switches, keys, lengths) and
 written files must be equal; the floats, FCI energies among them, must
-agree to ``FLOAT_TOL``.  A run's timings are left out.
+agree to ``FLOAT_TOL``, except the Davidson pilot's energy and coefficients,
+which must be the same bytes.  A run's timings are left out.
 """
 
 import json
@@ -34,11 +35,13 @@ RUNS = {
     }.items()
 }
 
-# Prints {"selections": {table: mask rows}, "runs": {case: {"code",
-# "report", "files"}}} as JSON on the last line of stdout.  Each CLI case
-# runs in a directory of its own, which then holds only what it wrote.
+# Prints {"selections": {table: {"energy", "masks", "bytes"}}, "runs":
+# {case: {"code", "report", "files"}}} as JSON on the last line of stdout;
+# "bytes" is the pilot energy's hex and the sha256 of its coefficients.
+# Each CLI case runs in a directory of its own, which then holds only what
+# it wrote.
 PROBE = """
-import contextlib, io, json, os, sys
+import contextlib, hashlib, io, json, os, sys
 from qselci.circuits import prescreen
 from qselci.cli import cli_dispatch
 from qselci.dets import det_masks
@@ -54,6 +57,8 @@ for name, table in tables.items():
     pilot = fci_oracle(table)
     out["selections"][name] = {
         "energy": pilot.energy,
+        "bytes": [pilot.energy.hex(),
+                  hashlib.sha256(pilot.coeffs.tobytes()).hexdigest()],
         "masks": det_masks(prescreen(pilot, 0.01)).tolist()}
 for case, argv in json.loads(sys.argv[1]).items():
     os.mkdir(case)
@@ -110,6 +115,12 @@ def test_pilot_selection_is_thread_independent(outputs, name):
     one, two = (outputs[t]["selections"][name] for t in ("1", "2"))
     assert one["masks"] == two["masks"]
     assert_same(one["energy"], two["energy"], name)
+
+
+def test_davidson_pilot_bytes_are_thread_independent(outputs):
+    one, two = (outputs[t]["selections"]["h-chain8"]["bytes"]
+                for t in ("1", "2"))
+    assert one == two
 
 
 @pytest.mark.parametrize("case", sorted(RUNS))
