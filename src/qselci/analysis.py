@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dets import Determinant, rank_order
+from .dets import rank_order
 
 
 def _xlogx(x):
@@ -39,12 +39,10 @@ def _occupations(psi):
 
 
 def rank_histogram(psi, reference):
-    """Weight c^2 per excitation rank relative to a reference determinant.
-
-    Returns an array indexed by rank, covering 0 through the highest rank
-    present.
-    """
-    ref = np.array([reference.alpha, reference.beta], dtype=np.uint64)
+    """Weight c^2 per excitation rank relative to a reference, a
+    ``Determinant`` or an ``[alpha, beta]`` mask row: an array indexed by
+    rank, covering 0 through the highest rank present."""
+    ref = np.asarray(reference, dtype=np.uint64)
     ranks = np.bitwise_count(psi.masks ^ ref).sum(axis=1) // 2
     # bincount adds each rank's weights in determinant order, as a loop would
     return np.bincount(ranks, weights=np.asarray(psi.coeffs, dtype=float) ** 2)
@@ -90,8 +88,7 @@ def analyze(psi, reference=None):
     diagonal is 0.
     """
     if reference is None:
-        top = rank_order(psi.masks, psi.coeffs ** 2)[0]
-        reference = Determinant(*psi.masks[top].tolist())
+        reference = psi.masks[rank_order(psi.masks, psi.coeffs ** 2)[0]]
     occ, weights, p, s = _occupations(psi)
     i, j = np.triu_indices(len(p), 1)
     # joint probability that both members of a pair are occupied

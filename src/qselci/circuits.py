@@ -134,8 +134,8 @@ def prescreen(seed, cutoff, top_m=None):
     kept.  The first determinant is the reference of any circuit built from
     the selection.
     """
-    if top_m is not None and top_m < 0:
-        raise ValueError(f"top_m must be nonnegative, got {top_m}")
+    if top_m is not None and top_m < 1:
+        raise ValueError(f"top_m must be positive, got {top_m}")
     masks, size = seed.masks, np.abs(seed.coeffs)
     ranked = rank_order(masks, size)
     kept = ranked[size[ranked] >= cutoff][:top_m]

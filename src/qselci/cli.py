@@ -416,19 +416,12 @@ def _sample_once(circuit, table, opts, manifest):
         return noisy_counts(state, opts["shots"], noise, opts["seed"])
 
 
-def _in_sector(counts, table):
-    """The raw counts that lie in the table's sector."""
-    from .sampling import symmetry_filter
-
-    return symmetry_filter(counts, table.n_alpha, table.n_beta)[0]
-
-
-def _shot_summary(counts, kept):
-    """Distinct strings of raw counts and the share of their shots in
-    ``kept``, their in-sector part."""
+def _shot_summary(counts, rejected):
+    """Distinct strings of raw counts and the share of their shots left
+    once the sector filter has ``rejected`` of them."""
     return {
         "n_unique_bitstrings": counts.index.size,
-        "valid_fraction": kept.total_shots / counts.total_shots,
+        "valid_fraction": (counts.total_shots - rejected) / counts.total_shots,
     }
 
 
@@ -558,6 +551,8 @@ def _handle_qsci(opts, manifest):
 
 
 def _handle_sample(opts, manifest):
+    from .sampling import symmetry_filter
+
     table = _load_table(opts)
     if opts["ansatz"] not in ("usci", "lucj"):
         raise _UsageError("--ansatz must be usci or lucj")
@@ -567,7 +562,8 @@ def _handle_sample(opts, manifest):
     result = {
         "ansatz": opts["ansatz"],
         "shots": counts.total_shots,
-        **_shot_summary(counts, _in_sector(counts, table)),
+        **_shot_summary(counts, symmetry_filter(
+            counts, table.n_alpha, table.n_beta)[1]),
         "top": [
             {"bitstring": s, "count": c} for s, c in counts.top(opts["top"])
         ],
@@ -686,6 +682,7 @@ def _handle_analyze(opts, manifest):
 def _handle_demo(opts, manifest):
     from .fixtures import fixture_table
     from .pipeline import solve_counts
+    from .sampling import symmetry_filter
 
     table = fixture_table(opts["fixture"])
     oracle, selected = _pilot_selection(table, opts, manifest)
@@ -701,13 +698,14 @@ def _handle_demo(opts, manifest):
     # and its sector filter gives their valid fraction
     with manifest.stage("qsci"):
         qsci_res = solve_counts(counts["usci"], table)
-    kept = {"usci": qsci_res.counts, "lucj": _in_sector(counts["lucj"], table)}
+    rejected = {"usci": qsci_res.n_rejected, "lucj": symmetry_filter(
+        counts["lucj"], table.n_alpha, table.n_beta)[1]}
     comparison = {}
     for name, drawn in counts.items():
         top10 = [s for s, _c in drawn.top(10)]
         comparison[name] = {
             "ansatz": name,
-            **_shot_summary(drawn, kept[name]),
+            **_shot_summary(drawn, rejected[name]),
             "dominant_in_top10": dominant in top10,
             "top10": top10,
         }

@@ -5,10 +5,10 @@ Conventions used throughout the package:
 
 * A determinant stores one integer bitmask per spin channel; bit ``p`` of
   ``alpha`` (``beta``) set means spatial orbital ``p`` holds an alpha (beta)
-  electron.  ``Determinant`` holds one as plain Python ints of any width.
-  A set of determinants is an (N, 2) uint64 array of ``[alpha, beta]``
-  mask rows, so it takes at most 64 orbitals; ``det_masks`` and
-  ``determinants`` convert between the two forms, and ``bitstrings``
+  electron.  ``Determinant`` is a named ``(alpha, beta)`` tuple of Python
+  ints of any width: one mask row.  A set of determinants is an (N, 2)
+  uint64 array of such rows, so it takes at most 64 orbitals; ``det_masks``
+  and ``determinants`` convert between the two forms, and ``bitstrings``
   gives the rows' text form.  ``rank_order`` is the one rule that ranks
   rows by a float weight: descending weight rounded to 12 decimals, then
   ascending (alpha, beta).
@@ -32,6 +32,7 @@ Conventions used throughout the package:
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,7 @@ _BELOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
 _ROW = np.dtype([("alpha", np.uint64), ("beta", np.uint64)])
 
 
-@dataclass(frozen=True, order=True)
-class Determinant:
+class Determinant(NamedTuple):
     """Occupation bitmasks per spin channel (bit p = spatial orbital p)."""
 
     alpha: int
@@ -139,8 +139,7 @@ def det_masks(dets, n_orbitals=MAX_ORBITALS):
         raise TooLarge(f"{n_orbitals} orbitals is past the {MAX_ORBITALS}-"
                        "orbital limit of uint64 determinant masks")
     if not isinstance(dets, np.ndarray):
-        dets = np.array([(d.alpha, d.beta) if isinstance(d, Determinant)
-                         else d for d in dets] or np.empty((0, 2)), object)
+        dets = np.array(list(dets) or np.empty((0, 2)), object)
     kind = dets.dtype.kind
     exact = kind in "iu" or kind == "O" and all(
         issubclass(t, (int, np.integer)) and t is not bool

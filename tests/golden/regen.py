@@ -1,4 +1,5 @@
-"""Checked-in CLI outputs: the cases, the runner, and the comparison rule.
+"""Checked-in CLI and demo outputs: the cases, the runner, and the
+comparison rule.
 
 Each case is a list of ``qselci`` invocations run in one fresh directory,
 so a ``--save-wf`` file written by one step can feed the next.  Every
@@ -15,7 +16,9 @@ each Python warning shown once per message and place, as a fresh
 interpreter shows a ``UserWarning`` (``cli_dispatch`` writes each one to
 stderr as a ``warning: <message>`` line), except the few marked
 ``SUBPROCESS``, which run a fresh interpreter and so also pin the
-exit-code and traceback contract and the real stderr.
+exit-code and traceback contract and the real stderr.  The ``SCRIPT``
+steps run one of the ``DEMOS`` scripts in a fresh interpreter, so the
+demos' printed numbers are pinned like the CLI's.
 
 Comparison (``matches``): when the numpy, SciPy and Python versions
 recorded with the outputs are the running ones, a record must equal its
@@ -65,6 +68,8 @@ SEED_WF = ["qsci", "--fixture", "hubbard4", "--shots", "20000", "--seed",
            "7", "--save-wf", "in.json", "--out", "in.report.json"]
 NOISE = ["--depol-p", "0.05", "--eps0", "0.02", "--eps1", "0.03"]
 SUBPROCESS = "subprocess"
+SCRIPT = "script"
+DEMOS = sorted((helpers.ROOT / "demos").glob("[0-9][0-9]_*.py"))
 CONFLICTING_FCIDUMP = ("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
                        " 0.6746 1 1 1 1\n 0.1813 2 1 2 1\n"
                        " 0.6636 2 2 1 1\n 0.6975 2 2 2 2\n"
@@ -77,10 +82,16 @@ def _slug(argv):
     return re.sub(r"[^A-Za-z0-9.]+", "-", " ".join(argv)).strip("-")
 
 
+def demo_case(path):
+    """The name of the case that runs the demo script at ``path``."""
+    return f"demos-{path.stem}"
+
+
 def _cases():
     """{name: [step, ...]}; a step is an argv list, or a dict with the argv,
     input files to write first (text or bytes), whether to run it in a
-    subprocess, and the report path when a config file sets ``out``."""
+    subprocess or as a script of the repository, and the report path when
+    a config file sets ``out``."""
     cases = {}
     for f in ("hubbard4", "two-orbital"):
         fx = ["--fixture", f]
@@ -297,6 +308,9 @@ def _cases():
     for name, (argv, content, _) in helpers.BAD_INPUT_FILES.items():
         cases["bad-input-" + name] = [{"argv": [*argv, "input"],
                                        "files": {"input": content}}]
+    for path in DEMOS:
+        cases[demo_case(path)] = [
+            {"argv": [path.relative_to(helpers.ROOT).as_posix()], SCRIPT: True}]
     return cases
 
 
@@ -326,11 +340,14 @@ def _in_directory(path):
             os.environ["COLUMNS"] = old_columns
 
 
-def _invoke(argv, in_subprocess):
-    """(exit code, stdout, stderr) of one qselci run in the current
-    directory."""
-    if in_subprocess:
-        proc = helpers.run_python(["-m", "qselci.cli", *argv], cwd=os.getcwd())
+def _invoke(step):
+    """(exit code, stdout, stderr) of one qselci run, or one script run, in
+    the current directory."""
+    argv = step["argv"]
+    if step.get(SUBPROCESS) or step.get(SCRIPT):
+        args = ([str(helpers.ROOT / argv[0]), *argv[1:]] if step.get(SCRIPT)
+                else ["-m", "qselci.cli", *argv])
+        proc = helpers.run_python(args, cwd=os.getcwd())
         return proc.returncode, proc.stdout, proc.stderr
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
@@ -368,7 +385,7 @@ def run_step(step, directory):
         (directory / name).write_bytes(content)
     before = _snapshot(directory)
     with _in_directory(directory):
-        code, out, err = _invoke(argv, step.get(SUBPROCESS, False))
+        code, out, err = _invoke(step)
     written = {k: v for k, v in _snapshot(directory).items()
                if before.get(k) != v}
     report = None

@@ -103,6 +103,8 @@ BAD_OPTION_VALUES = [
     ["sample", "--fixture", "hubbard4", "--pg", "0.001"],  # no --n2q
     ["qsci", "--fixture", "hubbard4", "--eps0", "2"],
     ["qsci", "--fixture", "hubbard4", "--shots", "0"],
+    # a prescreen cap that can select nothing, once blamed on the cutoff
+    ["qsci", "--fixture", "hubbard4", "--top-m", "0"],
     ["bounds", "--n", "10", "--m", "9", "--f2q", "0.99"],  # odd, closed shell
     # more electrons than spin orbitals: an empty sector, whose infinite
     # log-probability once overflowed the gate budget

@@ -251,6 +251,13 @@ def test_rank_histogram_single_and_double_space():
     assert abs(hist.sum() - 1.0) < 1e-10
 
 
+def test_rank_histogram_takes_a_mask_row_as_reference(hubbard_state):
+    for row in hubbard_state.masks[[0, 7, -1]]:
+        assert np.array_equal(
+            rank_histogram(hubbard_state, row),
+            rank_histogram(hubbard_state, Determinant(*row.tolist())))
+
+
 def test_excitation_rank_examples():
     ref = Determinant(0b0011, 0b0011)
     assert excitation_rank(ref, ref) == 0
@@ -271,6 +278,20 @@ def test_analyze_defaults_to_dominant_reference(hubbard_state):
                        rank_histogram(psi, dominant))
     assert report.occupations.shape == (8,)
     assert report.mi.shape == (8, 8)
+
+
+def test_analyze_builds_no_determinant(monkeypatch, hubbard_state):
+    expected = analyze(hubbard_state)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a Determinant was built")
+
+    monkeypatch.setattr(Determinant, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        Determinant(1, 1)
+    report = analyze(hubbard_state)
+    assert report.rank_histogram.tobytes() == (
+        expected.rank_histogram.tobytes())
 
 
 def test_default_reference_does_not_depend_on_storage_order():

@@ -58,6 +58,16 @@ def test_prescreen_empty_selection():
         prescreen(psi, 1.5)
 
 
+@pytest.mark.parametrize("top_m", [0, -1])
+def test_prescreen_refuses_a_size_cap_below_one(top_m):
+    # a cap of 0 selects nothing at any cutoff, so the cap is named, not
+    # the cutoff
+    psi = _wf([Determinant(0b01, 0b01)], [1.0], 2)
+    with pytest.raises(ValueError,
+                       match=f"^top_m must be positive, got {top_m}$"):
+        prescreen(psi, 0.01, top_m=top_m)
+
+
 def test_prescreen_tie_break_ascending_bitmask():
     dets = [Determinant(0b10, 0b01), Determinant(0b01, 0b01),
             Determinant(0b01, 0b10)]

@@ -85,6 +85,22 @@ def test_det_masks_converts_a_list_of_integer_rows():
             det_masks(rows)
 
 
+def test_determinant_compares_hashes_and_sorts_as_its_pair():
+    pairs = [(6, 3), (1, 5), (3, 3), (1, 3), (6, 3)]
+    dets = [Determinant(a, b) for a, b in pairs]
+    assert dets == pairs and sorted(dets) == sorted(pairs)
+    assert list(map(hash, dets)) == list(map(hash, pairs))
+    assert len(set(dets)) == len(set(pairs)) == 4
+    assert repr(Determinant(1, 3)) == "Determinant(alpha=1, beta=3)"
+
+
+def test_det_masks_takes_a_determinant_as_its_integer_row():
+    assert np.array_equal(det_masks([Determinant(2**63, 3)]),
+                          det_masks([[2**63, 3]]))
+    with pytest.raises(TooLarge, match="64-orbital"):
+        det_masks([Determinant(2**64, 0)])
+
+
 @pytest.mark.parametrize("rows", [
     np.array([[3, -5]]),
     np.array([[3.0, 5.0]]),
