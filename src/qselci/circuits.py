@@ -38,7 +38,7 @@ GATE_BASIS = "BasisRotationLayer"
 MAX_GATES = 10**5
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Gate:
     kind: str
     qubits: tuple
@@ -50,16 +50,19 @@ class Gate:
     layer: int = 0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Circuit:
+    """Frozen, so that what ``simulator.apply_circuit`` compiles stays valid."""
+
     n_qubits: int
-    gates: list
+    gates: tuple
     n_params: int
     layers: int
     reference: Determinant
     n_orbitals: int
 
     def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(q >= self.n_qubits or q < 0 for q in g.qubits):
                 raise ValueError(f"gate touches qubit outside register: {g.qubits}")
@@ -248,7 +251,8 @@ def build_lucj(K, J, reference):
     order, so the e^{-K} basis rotation comes first.  All angles are baked
     in: n_params = 0.
     """
-    K = np.asarray(K, dtype=float)
+    K = np.array(K, dtype=float)  # the basis gates keep K: a read-only copy
+    K.setflags(write=False)
     J = np.asarray(J, dtype=float)
     n = K.shape[0]
     if not (np.isfinite(K).all() and np.isfinite(J).all()):

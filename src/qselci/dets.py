@@ -234,14 +234,14 @@ def string_sign(x, annihilated, created):
     """Sign an operator string picks up on occupation ``x``: annihilate
     the ``annihilated`` spin orbitals, then create the ``created`` ones,
     each in the order given, every operator crossing the occupied spin
-    orbitals below it.  Valid wherever the string does not destroy ``x``.
+    orbitals below it, wherever the string does not destroy ``x``.
 
-    Closed form (-1)**(popcount(x & mask) + const): ``mask`` XORs the
-    operators' below-masks, and ``const`` counts, for each operator, the
-    earlier operators below it.  Each of those has flipped one bit under
-    it by the time it acts, which shifts its count by one either way, so
-    mod 2 the correction does not depend on ``x``; only its parity,
-    ``odd``, is kept.
+    Closed form (-1)**(popcount(x & mask) + const), given for any ``x``:
+    ``mask`` XORs the operators' below-masks, and ``const`` counts, for
+    each operator, the earlier operators below it.  Each of those has
+    flipped one bit under it by the time it acts, which shifts its count
+    by one either way, so mod 2 it does not depend on ``x``; only its
+    parity, ``odd``, is kept.
 
     ``x`` is either a Python int of any width with int orbitals, giving +1
     or -1, or a uint64 array with int orbitals or arrays of per-element

@@ -21,17 +21,17 @@ Pairs are found per spin channel: the gate's alpha part splits the alpha
 strings into mask classes, sources holding its annihilated orbitals and
 not its created ones and partners the reverse, the k-th source pairing
 with the k-th partner; the beta part does the same on the beta strings,
-and a gate's pairs are the products of the two channels' pairs.  Channel
-pairings are kept for the whole call and a gate's pairing for as long as
-a later gate repeats its excitation, so a gate costs O(its pairs) after
-O(strings) to pair each channel part once.  A gate whose source or partner
-is not listed raises ValueError.
+and a gate's pairs are the products of the two channels' pairs, each sign
+the XOR of one parity per channel.  A circuit is compiled once per listing
+and the program kept with the circuit, so a call costs O(pairs) per gate.
+A gate whose source or partner is not listed raises ValueError at its
+first rotation by a nonzero angle.
 Single-particle basis rotations are compiled to a chain of adjacent Givens
 rotations plus number phases via QR elimination of the orthogonal rotation
 matrix.
 """
 
-from collections import Counter
+import weakref
 from dataclasses import dataclass
 from math import comb
 
@@ -105,7 +105,9 @@ class Statevector:
 def apply_circuit(circuit, params, state):
     """Apply a circuit's gates in order to a statevector (returns a copy
     listed on the same basis states).  The listing must be a product of
-    alpha and beta strings (ValueError otherwise)."""
+    alpha and beta strings (ValueError otherwise).  The circuit is compiled
+    once per listing; the program is kept until the circuit is dropped or
+    applied to another listing, so a repeat call only reads ``params``."""
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.n_params,):
         raise ParamCountMismatch(
@@ -113,111 +115,119 @@ def apply_circuit(circuit, params, state):
         )
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("statevector register size differs from circuit")
-    steps = _steps(circuit, params)
-    pairings = _Pairings(state.index, circuit.n_orbitals, steps)
-    amps = state.amps.copy()
     index = state.index
-    for op, arg in steps:
-        if isinstance(op, ExcitationOp):
-            _rotate(amps, pairings, op, arg)
-        else:
-            amps[(index & op) == op] *= arg
+    program = _PROGRAMS.get(circuit)
+    if program is None or not np.array_equal(program.index, index):
+        program = _PROGRAMS[circuit] = _Program(circuit, index)
+    thetas = params.tolist() + program.angles
+    amps = state.amps.copy()
+    flat = {}  # key -> (src_at, tgt_at, sign), kept until the key's last use
+    for at, (key, slot, phase) in enumerate(program.steps):
+        if key is None:  # a phase step: ``slot`` is a mask, ``phase`` a factor
+            amps[(index & slot) == slot] *= phase
+            continue
+        if (theta := thetas[slot]) != 0.0:
+            src_at, tgt_at, sign = pairs = flat.get(key) or program.pairs(key)
+            c, s = np.cos(theta), np.sin(theta)
+            a_src = amps[src_at]
+            a_tgt = amps[tgt_at]
+            sign_s = sign * (s if phase == 1 else -s)
+            amps[tgt_at] = c * a_tgt + sign_s * a_src
+            amps[src_at] = c * a_src - sign_s * a_tgt
+            flat[key] = pairs
+        if program.last[key] == at:
+            flat.pop(key, None)
     return Statevector(amps=amps, n_qubits=circuit.n_qubits, index=index)
 
 
-def _steps(circuit, params):
-    """The circuit as primitive steps in order: ``(op, theta)`` applies
-    exp(theta (tau - tau^dag)) for the ExcitationOp ``op``; ``(mask,
-    factor)`` multiplies the amplitudes of the basis states holding every
-    bit of ``mask`` by ``factor``."""
-    n = circuit.n_orbitals
-    steps = []
-    for gate in circuit.gates:
-        if gate.kind == GATE_EXCITATION:
-            steps.append((gate.excitation, float(params[gate.param_slot])))
-        elif gate.kind == GATE_ORBITAL:
-            theta = float(params[gate.param_slot])
-            q, p = gate.qubits[0], gate.qubits[1]  # spatial pair (q < p)
-            steps += [(ExcitationOp(n, (q + off,), (p + off,), phase=1), theta)
-                      for off in (0, n)]
-        elif gate.kind == GATE_JASTROW:
-            mask = np.uint64(sum(1 << q for q in set(gate.qubits)))
-            steps.append((mask, np.exp(1j * gate.angle)))
-        elif gate.kind == GATE_BASIS:
-            sign = -1.0 if gate.inverse else 1.0
-            steps += _basis_rotation(sign * gate.kappa, n)
-        else:
-            raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return steps
+_PROGRAMS = weakref.WeakKeyDictionary()  # Circuit -> _Program, last listing
 
 
-def _rotate(amps, pairings, op, theta):
-    """In-place exp(theta (tau - tau^dag)) via paired-amplitude Givens."""
-    if theta == 0.0:
-        return
-    src_at, tgt_at, sign = pairings.take(op)
-    c, s = np.cos(theta), np.sin(theta)
-    a_src = amps[src_at]
-    a_tgt = amps[tgt_at]
-    sign_s = sign * s
-    amps[tgt_at] = c * a_tgt + sign_s * a_src
-    amps[src_at] = c * a_src - sign_s * a_tgt
-
-
-class _Pairings:
-    """Gate pairs on a listing ``index = B << n | A`` (beta-major), found
-    per spin channel among the strings A and B.
-
-    A channel pairing is kept for the whole call; a gate's pairing only
-    while a later rotation of ``steps`` (by a nonzero angle) repeats its
-    ``(annihilated, created)`` key.
+class _Program:
+    """A circuit compiled for one listing ``index = B << n | A`` over the
+    sorted alpha and beta strings A, B.  ``steps`` holds rotations ``(key,
+    slot, phase)`` by angle ``thetas[slot]`` (the parameters, then the
+    fixed ``angles``) and phase steps ``(None, mask, factor)``; ``last``
+    maps a key to its last step.  ``keys[key]`` is the channel pairs ``(sa,
+    ta, sb, tb)`` of one ``(annihilated, created)`` key and the int8
+    parities ``pa`` of ``A[sa]`` and ``pb`` of ``B[sb]``, so that the pair
+    of ``A[sa[i]]`` and ``B[sb[j]]`` has sign ``1 - 2 * (pb[j] ^ pa[i])``;
+    or None where a pair leaves the listing, which raises ValueError only
+    at the key's first rotation by a nonzero angle.
     """
 
-    def __init__(self, index, n_orbitals, steps):
-        self.n = n_orbitals
-        self.alpha, self.beta = _factor(index, n_orbitals)
-        self.uses = Counter((op.annihilated, op.created) for op, theta in steps
-                            if isinstance(op, ExcitationOp) and theta != 0.0)
-        self.kept = {}
-        self.channels = {}
+    def __init__(self, circuit, index):
+        n = self.n = circuit.n_orbitals
+        self.index = index
+        self.alpha, self.beta = _factor(index, n)
+        self.keys, self.steps, self.angles = [], [], []
+        self.last, self.ids, self.channels = {}, {}, {}
+        for gate in circuit.gates:
+            if gate.kind == GATE_EXCITATION:
+                self._rotation(gate.excitation, gate.param_slot)
+            elif gate.kind == GATE_ORBITAL:
+                q, p = gate.qubits[0], gate.qubits[1]  # spatial pair (q < p)
+                for off in (0, n):
+                    op = ExcitationOp(n, (q + off,), (p + off,), phase=1)
+                    self._rotation(op, gate.param_slot)
+            elif gate.kind == GATE_JASTROW:
+                mask = np.uint64(sum(1 << q for q in set(gate.qubits)))
+                self.steps.append((None, mask, np.exp(1j * gate.angle)))
+            elif gate.kind == GATE_BASIS:
+                sign = -1.0 if gate.inverse else 1.0
+                for op, arg in _basis_rotation(sign * gate.kappa, n):
+                    if isinstance(op, ExcitationOp):
+                        self._rotation(op, circuit.n_params + len(self.angles))
+                        self.angles.append(arg)
+                    else:
+                        self.steps.append((None, op, arg))
+            else:
+                raise ValueError(f"unknown gate kind {gate.kind!r}")
 
-    def take(self, op):
-        """``(src_at, tgt_at, sign)`` of ``op`` in the flat listing."""
-        key = (op.annihilated, op.created)
-        pairs = self.kept.pop(key, None)
-        if pairs is None:
-            pairs = self._pair(*key)
-        self.uses[key] -= 1
-        if self.uses[key]:
-            self.kept[key] = pairs
-        src_at, tgt_at, sign = pairs
-        return src_at, tgt_at, sign if op.phase == 1 else -sign
+    def _rotation(self, op, slot):
+        key = self.ids.setdefault((op.annihilated, op.created), len(self.keys))
+        if key == len(self.keys):
+            self.keys.append(self._key(op.annihilated, op.created))
+        self.last[key] = len(self.steps)
+        self.steps.append((key, slot, op.phase))
 
-    def _channel(self, which, strings, ann, cre):
-        key = (which, ann, cre)
-        if key not in self.channels:
-            self.channels[key] = _channel_pairs(strings, ann, cre)
-        return self.channels[key]
+    def _channel(self, strings, ann, cre):
+        at = (strings is self.beta, ann, cre)
+        if at not in self.channels:
+            self.channels[at] = _channel_pairs(strings, ann, cre)
+        return self.channels[at]
 
-    def _pair(self, annihilated, created):
-        """The pairs and string signs (before ``phase``) of one key."""
+    def _key(self, annihilated, created):
+        """A key's channel pairs and parities (None off the listing)."""
         n, alpha, beta = self.n, self.alpha, self.beta
         ann = sum(1 << s for s in annihilated)
         cre = sum(1 << s for s in created)
         low = (1 << n) - 1
-        sa, ta, ok_a = self._channel(0, alpha, ann & low, cre & low)
-        sb, tb, ok_b = self._channel(1, beta, ann >> n, cre >> n)
+        sa, ta, ok_a = self._channel(alpha, ann & low, cre & low)
+        sb, tb, ok_b = self._channel(beta, ann >> n, cre >> n)
         # A channel check may fail where its partner channel lists no
         # source and no target; then the gate has no pairs at all.
         if not (ok_a and ok_b) and (sa.size * sb.size or ta.size * tb.size):
+            return None
+        # string_sign's closed form splits over B << n | A; each channel's
+        # call adds the constant parity, which the alpha one takes back out.
+        odd = string_sign(0, annihilated, created) < 0
+        pa = (string_sign(alpha[sa], annihilated, created) < 0) ^ odd
+        pb = string_sign(beta[sb] << np.uint64(n), annihilated, created) < 0
+        return sa, ta, sb, tb, pa.view(np.int8), pb.view(np.int8)
+
+    def pairs(self, key):
+        """``(src_at, tgt_at, sign)`` of one key in the flat listing, the
+        sign before the rotation's ``phase``."""
+        if self.keys[key] is None:
             raise ValueError(
                 "excitation leaves the statevector's listed basis states"
             )
-        sources = ((beta[sb] << np.uint64(n))[:, None] | alpha[sa]).ravel()
-        sign = string_sign(sources, annihilated, created)
-        src_at = ((sb * alpha.size)[:, None] + sa).ravel()
-        tgt_at = ((tb * alpha.size)[:, None] + ta).ravel()
-        return src_at, tgt_at, sign
+        sa, ta, sb, tb, pa, pb = self.keys[key]
+        width = self.alpha.size
+        return (((sb * width)[:, None] + sa).ravel(),
+                ((tb * width)[:, None] + ta).ravel(),
+                (1 - 2 * (pb[:, None] ^ pa)).ravel())
 
 
 def _factor(index, n_orbitals):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 from types import SimpleNamespace
@@ -228,6 +229,26 @@ def test_parameter_slots_must_be_zero_to_n_params():
                             ([0], 0)):
         with pytest.raises(ValueError, match="slots used are not 0.."):
             circuit(slots, n_params)
+
+
+def test_gates_and_circuits_are_frozen():
+    # the simulator keeps what it compiles from a circuit while it lives
+    selected = enumerate_space(3, 1, 1)[:3]
+    circuit = build_usci(selected[0], selected, 3)
+    K = np.zeros((3, 3))
+    lucj = build_lucj(K, np.eye(6), selected[0])
+    assert isinstance(circuit.gates, tuple)
+    for obj, field, value in [(circuit, "gates", []), (circuit, "n_params", 0),
+                              (circuit.gates[0], "param_slot", 1),
+                              (circuit.gates[0], "excitation", None),
+                              (lucj.gates[1], "angle", 0.0)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, value)
+    # the basis gates hold a read-only copy of K
+    K[0, 1], K[1, 0] = 1.0, -1.0
+    assert not lucj.gates[0].kappa.any()
+    with pytest.raises(ValueError, match="read-only"):
+        lucj.gates[-1].kappa[0, 1] = 1.0
 
 
 def test_usci_degree_cap_reduces_gates():

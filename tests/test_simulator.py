@@ -1,7 +1,9 @@
 import collections
 import functools
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from qselci.circuits import (
     build_usci,
     prescreen,
 )
-from qselci.dets import Determinant, ExcitationOp, enumerate_space, hartree_fock
+from qselci.dets import (
+    Determinant,
+    ExcitationOp,
+    enumerate_space,
+    hartree_fock,
+    string_sign,
+)
 from qselci.errors import ParamCountMismatch, TooManyQubits
 from qselci.fixtures import hubbard_chain_table
 from qselci.hamiltonian import Wavefunction, build_subspace, fci_oracle
@@ -149,8 +157,12 @@ def test_gate_partner_missing_from_the_listing_is_rejected(listed):
     # a0 -> a1 pairs 0b0001 with 0b0010; only one of the two is listed
     op = ExcitationOp(n_orbitals=2, annihilated=(0,), created=(1,), phase=1)
     sv = Statevector(amps=[1.0], n_qubits=4, index=[listed])
+    circuit = _excitation_circuit(op, 4)
+    # a zero angle moves nothing, so the gate takes no pairs
+    out = apply_circuit(circuit, [0.0], sv)
+    assert out.amps.tobytes() == sv.amps.tobytes()
     with pytest.raises(ValueError, match="listed basis states"):
-        apply_circuit(_excitation_circuit(op, 4), [0.3], sv)
+        apply_circuit(circuit, [0.3], sv)
 
 
 def test_gate_with_no_listed_source_or_target_is_a_no_op():
@@ -326,9 +338,22 @@ def test_channel_pairing_matches_flat_mask_pairing_bitwise(name, listing,
                                                            angles):
     circuit, sv, params, ref = _flat_pairing_by_angles(name, listing)
     row = ANGLE_SETS.index(angles)
-    out = apply_circuit(circuit, params[row], sv)
-    assert np.array_equal(out.index, sv.index)
-    assert out.amps.tobytes() == ref[row].tobytes()
+    for _ in range(2):  # the second call runs from the kept program
+        out = apply_circuit(circuit, params[row], sv)
+        assert np.array_equal(out.index, sv.index)
+        assert out.amps.tobytes() == ref[row].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CIRCUITS))
+def test_one_circuit_across_listings_matches_flat_pairing_bitwise(name):
+    # sector, then the full register, then the sector again: each listing
+    # change compiles the circuit again
+    circuit, sector, params, in_sector = _flat_pairing_by_angles(name, "sector")
+    _, register, _, in_register = _flat_pairing_by_angles(name, "register")
+    for sv, ref in ((sector, in_sector), (register, in_register),
+                    (sector, in_sector)):
+        out = apply_circuit(circuit, params[1], sv)
+        assert out.amps.tobytes() == ref[1].tobytes()
 
 
 def test_full_beta_channel_at_64_qubits_matches_flat_pairing():
@@ -355,7 +380,7 @@ def test_repeated_excitations_reuse_their_pairings(monkeypatch):
     assert len(circuit.gates) == 1008
     assert len({(g.excitation.annihilated, g.excitation.created)
                 for g in circuit.gates}) == 155
-    gate_builds, channel_builds = [], []
+    key_builds, channel_builds = [], []
 
     def count(calls, build):
         def counted(*args):
@@ -363,17 +388,24 @@ def test_repeated_excitations_reuse_their_pairings(monkeypatch):
             return build(*args)
         return counted
 
-    monkeypatch.setattr(simulator._Pairings, "_pair",
-                        count(gate_builds, simulator._Pairings._pair))
+    monkeypatch.setattr(simulator._Program, "_key",
+                        count(key_builds, simulator._Program._key))
     monkeypatch.setattr(simulator, "_channel_pairs",
                         count(channel_builds, simulator._channel_pairs))
-    sv = Statevector.from_determinant(circuit.reference, 8)
-    apply_circuit(circuit, params, sv)
-    assert len(gate_builds) <= 155
-    per_channel = collections.Counter(id(strings)
-                                      for strings, _, _ in channel_builds)
-    assert len(per_channel) == 2
-    assert max(per_channel.values()) <= 26
+    # the same circuit twice, then a new circuit of the same selection
+    for run, circuit in enumerate([circuit, circuit, _hubbard8_usci()[0]]):
+        key_builds.clear()
+        channel_builds.clear()
+        sv = Statevector.from_determinant(circuit.reference, 8)
+        apply_circuit(circuit, params, sv)
+        per_channel = collections.Counter(id(strings)
+                                          for strings, _, _ in channel_builds)
+        if run == 1:
+            assert key_builds == [] and channel_builds == []
+        else:
+            assert 0 < len(key_builds) <= 155
+            assert len(per_channel) == 2
+            assert max(per_channel.values()) <= 26
 
 
 def test_pairings_are_dropped_after_their_last_use():
@@ -381,11 +413,65 @@ def test_pairings_are_dropped_after_their_last_use():
     sv = Statevector.from_determinant(circuit.reference, circuit.n_orbitals)
     tracemalloc.start()
     try:
-        apply_circuit(circuit, params, sv)
+        out = apply_circuit(circuit, params, sv)
         _, peak = tracemalloc.get_traced_memory()
+        del out
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+    assert kept < 1 << 20  # the compiled program, kept with the circuit
+
+
+def test_a_dropped_circuits_program_is_freed():
+    circuit, params = _hubbard8_usci()
+    sv = Statevector.from_determinant(circuit.reference, 8)
+    apply_circuit(circuit, params, sv)
+    program = weakref.ref(simulator._PROGRAMS[circuit])
+    del circuit
+    gc.collect()
+    assert program() is None
+
+
+def _spin_excitation(rng, n_orbitals, spins):
+    """An excitation with one (annihilated, created) pair per entry of
+    ``spins`` (0 alpha, 1 beta), orbitals drawn without repeats."""
+    ann, cre = [], []
+    for spin in spins:
+        free = [p for p in range(n_orbitals)
+                if spin * n_orbitals + p not in ann + cre]
+        a, c = rng.choice(free, size=2, replace=False)
+        ann.append(spin * n_orbitals + int(a))
+        cre.append(spin * n_orbitals + int(c))
+    return ExcitationOp(n_orbitals=n_orbitals, annihilated=tuple(sorted(ann)),
+                        created=tuple(sorted(cre)), phase=1)
+
+
+SPIN_PARTS = {"alpha": (0,), "beta": (1,), "alpha-alpha": (0, 0),
+              "beta-beta": (1, 1), "mixed": (0, 1)}
+
+
+@pytest.mark.parametrize("spins", SPIN_PARTS)
+@pytest.mark.parametrize("listing", ["sector-6-3-2", "register-4",
+                                     "full-beta-64"])
+def test_channel_parities_give_the_string_sign(listing, spins):
+    if listing == "sector-6-3-2":
+        sv = Statevector.from_determinant(hartree_fock(6, 3, 2), 6)
+    elif listing == "register-4":
+        sv = Statevector(np.zeros(256), 8)
+    else:  # as in test_full_beta_channel_at_64_qubits_matches_flat_pairing
+        sv = Statevector.from_determinant(Determinant(0b11, (1 << 32) - 1), 32)
+    n, parts = sv.n_qubits // 2, SPIN_PARTS[spins]
+    rng = np.random.default_rng(10 * len(parts) + sum(parts))
+    for _ in range(8):
+        op = _spin_excitation(rng, n, parts)
+        program = simulator._Program(_excitation_circuit(op, 2 * n), sv.index)
+        src_at, tgt_at, sign = program.pairs(0)
+        want = string_sign(sv.index[src_at], op.annihilated, op.created)
+        assert sign.dtype == want.dtype == np.int8
+        assert sign.tobytes() == want.tobytes()
+        assert listing == "full-beta-64" or src_at.size
 
 
 # ------------------------------------------------------ property invariants
