@@ -49,6 +49,11 @@ class Gate:
     inverse: bool = False
     layer: int = 0
 
+    def __post_init__(self):
+        if self.kappa is not None:  # copied read-only: compiled programs keep it
+            object.__setattr__(self, "kappa", np.array(self.kappa, dtype=float))
+            self.kappa.setflags(write=False)
+
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
@@ -251,8 +256,7 @@ def build_lucj(K, J, reference):
     order, so the e^{-K} basis rotation comes first.  All angles are baked
     in: n_params = 0.
     """
-    K = np.array(K, dtype=float)  # the basis gates keep K: a read-only copy
-    K.setflags(write=False)
+    K = np.asarray(K, dtype=float)
     J = np.asarray(J, dtype=float)
     n = K.shape[0]
     if not (np.isfinite(K).all() and np.isfinite(J).all()):

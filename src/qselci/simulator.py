@@ -23,9 +23,9 @@ not its created ones and partners the reverse, the k-th source pairing
 with the k-th partner; the beta part does the same on the beta strings,
 and a gate's pairs are the products of the two channels' pairs, each sign
 the XOR of one parity per channel.  A circuit is compiled once per listing
-and the program kept with the circuit, so a call costs O(pairs) per gate.
-A gate whose source or partner is not listed raises ValueError at its
-first rotation by a nonzero angle.
+and kept with the circuit, with the flat pairs of each excitation it uses
+twice or more, so a call costs O(pairs) per gate; a gate whose source or
+partner is not listed raises ValueError at its first nonzero-angle rotation.
 Single-particle basis rotations are compiled to a chain of adjacent Givens
 rotations plus number phases via QR elimination of the orthogonal rotation
 matrix.
@@ -104,10 +104,11 @@ class Statevector:
 
 def apply_circuit(circuit, params, state):
     """Apply a circuit's gates in order to a statevector (returns a copy
-    listed on the same basis states).  The listing must be a product of
-    alpha and beta strings (ValueError otherwise).  The circuit is compiled
-    once per listing; the program is kept until the circuit is dropped or
-    applied to another listing, so a repeat call only reads ``params``."""
+    listed on the same basis states) whose listing is a product of alpha
+    and beta strings (ValueError otherwise).  The compiled program is kept
+    until the circuit is dropped or applied to another listing, holding the
+    flat pairs of each reused excitation (about 0.3 MB on the 8-site Hubbard
+    circuit, none when each is used once), so a repeat call reads ``params``."""
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.n_params,):
         raise ParamCountMismatch(
@@ -121,22 +122,17 @@ def apply_circuit(circuit, params, state):
         program = _PROGRAMS[circuit] = _Program(circuit, index)
     thetas = params.tolist() + program.angles
     amps = state.amps.copy()
-    flat = {}  # key -> (src_at, tgt_at, sign), kept until the key's last use
-    for at, (key, slot, phase) in enumerate(program.steps):
+    for key, slot, phase in program.steps:
         if key is None:  # a phase step: ``slot`` is a mask, ``phase`` a factor
             amps[(index & slot) == slot] *= phase
-            continue
-        if (theta := thetas[slot]) != 0.0:
-            src_at, tgt_at, sign = pairs = flat.get(key) or program.pairs(key)
+        elif (theta := thetas[slot]) != 0.0:
+            src_at, tgt_at, sign = program.flat.get(key) or program.pairs(key)
             c, s = np.cos(theta), np.sin(theta)
             a_src = amps[src_at]
             a_tgt = amps[tgt_at]
             sign_s = sign * (s if phase == 1 else -s)
             amps[tgt_at] = c * a_tgt + sign_s * a_src
             amps[src_at] = c * a_src - sign_s * a_tgt
-            flat[key] = pairs
-        if program.last[key] == at:
-            flat.pop(key, None)
     return Statevector(amps=amps, n_qubits=circuit.n_qubits, index=index)
 
 
@@ -147,13 +143,13 @@ class _Program:
     """A circuit compiled for one listing ``index = B << n | A`` over the
     sorted alpha and beta strings A, B.  ``steps`` holds rotations ``(key,
     slot, phase)`` by angle ``thetas[slot]`` (the parameters, then the
-    fixed ``angles``) and phase steps ``(None, mask, factor)``; ``last``
-    maps a key to its last step.  ``keys[key]`` is the channel pairs ``(sa,
-    ta, sb, tb)`` of one ``(annihilated, created)`` key and the int8
-    parities ``pa`` of ``A[sa]`` and ``pb`` of ``B[sb]``, so that the pair
-    of ``A[sa[i]]`` and ``B[sb[j]]`` has sign ``1 - 2 * (pb[j] ^ pa[i])``;
-    or None where a pair leaves the listing, which raises ValueError only
-    at the key's first rotation by a nonzero angle.
+    fixed ``angles``) and phase steps ``(None, mask, factor)``; ``flat``
+    keeps ``pairs(key)`` of each listed key that serves two or more.
+    ``keys[key]`` is the channel pairs ``(sa, ta, sb, tb)`` of one
+    ``(annihilated, created)`` key and the int8 parities ``pa`` of ``A[sa]``
+    and ``pb`` of ``B[sb]``, so the pair of ``A[sa[i]]`` and ``B[sb[j]]``
+    has sign ``1 - 2 * (pb[j] ^ pa[i])``; or None where a pair leaves the
+    listing, which raises ValueError at the first nonzero-angle rotation.
     """
 
     def __init__(self, circuit, index):
@@ -161,7 +157,7 @@ class _Program:
         self.index = index
         self.alpha, self.beta = _factor(index, n)
         self.keys, self.steps, self.angles = [], [], []
-        self.last, self.ids, self.channels = {}, {}, {}
+        self.ids, self.channels, self.flat = {}, {}, {}
         for gate in circuit.gates:
             if gate.kind == GATE_EXCITATION:
                 self._rotation(gate.excitation, gate.param_slot)
@@ -188,7 +184,8 @@ class _Program:
         key = self.ids.setdefault((op.annihilated, op.created), len(self.keys))
         if key == len(self.keys):
             self.keys.append(self._key(op.annihilated, op.created))
-        self.last[key] = len(self.steps)
+        elif key not in self.flat and self.keys[key] is not None:
+            self.flat[key] = self.pairs(key)  # a reused key keeps its pairs
         self.steps.append((key, slot, op.phase))
 
     def _channel(self, strings, ann, cre):

@@ -10,7 +10,9 @@ import pytest
 
 from qselci import simulator
 from qselci.circuits import (
+    GATE_BASIS,
     GATE_EXCITATION,
+    GATE_JASTROW,
     Circuit,
     Gate,
     build_lucj,
@@ -152,17 +154,28 @@ def test_gate_leaving_the_sector_is_rejected():
         apply_circuit(_excitation_circuit(op, 2), [np.pi / 2], sv)
 
 
-@pytest.mark.parametrize("listed", [0b0010, 0b0001], ids=["target", "source"])
-def test_gate_partner_missing_from_the_listing_is_rejected(listed):
+@pytest.mark.parametrize("listed, steps", [(0b0010, 1), (0b0001, 1),
+                                           (0b0010, 3), (0b0001, 3)],
+                         ids=["target", "source", "target-reused",
+                              "source-reused"])
+def test_gate_partner_missing_from_the_listing_is_rejected(listed, steps):
     # a0 -> a1 pairs 0b0001 with 0b0010; only one of the two is listed
     op = ExcitationOp(n_orbitals=2, annihilated=(0,), created=(1,), phase=1)
     sv = Statevector(amps=[1.0], n_qubits=4, index=[listed])
-    circuit = _excitation_circuit(op, 4)
-    # a zero angle moves nothing, so the gate takes no pairs
-    out = apply_circuit(circuit, [0.0], sv)
+    gates = [Gate(kind=GATE_EXCITATION, qubits=(0, 1), param_slot=slot,
+                  excitation=op) for slot in range(steps)]
+    circuit = Circuit(n_qubits=4, gates=gates, n_params=steps, layers=steps,
+                      reference=Determinant(0, 0), n_orbitals=2)
+    # a zero angle moves nothing, so the gate takes no pairs; a reused gate
+    # keeps none either
+    out = apply_circuit(circuit, np.zeros(steps), sv)
     assert out.amps.tobytes() == sv.amps.tobytes()
-    with pytest.raises(ValueError, match="listed basis states"):
-        apply_circuit(circuit, [0.3], sv)
+    assert simulator._PROGRAMS[circuit].flat == {}
+    for at in {0, steps - 1}:
+        params = np.zeros(steps)
+        params[at] = 0.3
+        with pytest.raises(ValueError, match="listed basis states"):
+            apply_circuit(circuit, params, sv)
 
 
 def test_gate_with_no_listed_source_or_target_is_a_no_op():
@@ -380,7 +393,7 @@ def test_repeated_excitations_reuse_their_pairings(monkeypatch):
     assert len(circuit.gates) == 1008
     assert len({(g.excitation.annihilated, g.excitation.created)
                 for g in circuit.gates}) == 155
-    key_builds, channel_builds = [], []
+    key_builds, channel_builds, expansions = [], [], []
 
     def count(calls, build):
         def counted(*args):
@@ -392,20 +405,28 @@ def test_repeated_excitations_reuse_their_pairings(monkeypatch):
                         count(key_builds, simulator._Program._key))
     monkeypatch.setattr(simulator, "_channel_pairs",
                         count(channel_builds, simulator._channel_pairs))
+    monkeypatch.setattr(simulator._Program, "pairs",
+                        count(expansions, simulator._Program.pairs))
     # the same circuit twice, then a new circuit of the same selection
     for run, circuit in enumerate([circuit, circuit, _hubbard8_usci()[0]]):
         key_builds.clear()
         channel_builds.clear()
+        expansions.clear()
         sv = Statevector.from_determinant(circuit.reference, 8)
         apply_circuit(circuit, params, sv)
         per_channel = collections.Counter(id(strings)
                                           for strings, _, _ in channel_builds)
+        # 86 keys serve 939 steps and keep their pairs from the compile;
+        # each of the other 69 is expanded at its one step
+        assert len(simulator._PROGRAMS[circuit].flat) == 86
         if run == 1:
             assert key_builds == [] and channel_builds == []
+            assert len(expansions) == 69
         else:
             assert 0 < len(key_builds) <= 155
             assert len(per_channel) == 2
             assert max(per_channel.values()) <= 26
+            assert len(expansions) == 155
 
 
 def test_pairings_are_dropped_after_their_last_use():
@@ -422,6 +443,19 @@ def test_pairings_are_dropped_after_their_last_use():
         tracemalloc.stop()
     assert peak < 8 << 20
     assert kept < 1 << 20  # the compiled program, kept with the circuit
+
+
+def test_kept_program_with_reused_pairs_stays_small():
+    circuit, params = _hubbard8_usci()
+    sv = Statevector.from_determinant(circuit.reference, 8)
+    tracemalloc.start()
+    try:
+        apply_circuit(circuit, params, sv)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 19  # about 0.3 MB, most of it the reused keys' pairs
 
 
 def test_a_dropped_circuits_program_is_freed():
@@ -572,6 +606,37 @@ def test_lucj_jastrow_phase_on_occupied_pair():
     sv2 = Statevector.from_determinant(other, n)
     out2 = apply_circuit(circuit, [], sv2)
     assert abs(helpers.full_register(out2)[other.to_index(n)] - 1.0) < 1e-12
+
+
+def test_basis_gate_built_from_a_writable_kappa_keeps_its_values():
+    # a circuit compiles once, so a gate must not follow later writes to
+    # the array it was given
+    rng = np.random.default_rng(8)
+    n = 3
+    kappa = rng.normal(size=(n, n))
+    kappa -= kappa.T
+    ref = hartree_fock(n, 1, 1)
+
+    def lucj_like(k):
+        gates = [Gate(kind=GATE_BASIS, qubits=tuple(range(2 * n)), kappa=k,
+                      inverse=True),
+                 Gate(kind=GATE_JASTROW, qubits=(0, n), angle=0.7),
+                 Gate(kind=GATE_BASIS, qubits=tuple(range(2 * n)), kappa=k)]
+        return Circuit(n_qubits=2 * n, gates=gates, n_params=0, layers=1,
+                       reference=ref, n_orbitals=n)
+
+    sv = Statevector.from_determinant(ref, n)
+    circuit = lucj_like(kappa)
+    before = apply_circuit(circuit, [], sv).amps.tobytes()
+    kappa *= 2
+    doubled = apply_circuit(lucj_like(kappa), [], sv).amps.tobytes()
+    assert doubled != before
+    for gate in (circuit.gates[0], circuit.gates[-1]):
+        assert np.array_equal(gate.kappa, kappa / 2)
+        assert not gate.kappa.flags.writeable
+    assert apply_circuit(circuit, [], sv).amps.tobytes() == before
+    fresh = lucj_like(circuit.gates[0].kappa)
+    assert apply_circuit(fresh, [], sv).amps.tobytes() == before
 
 
 def test_basis_rotation_matches_dense_orbital_rotation():
