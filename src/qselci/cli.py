@@ -411,7 +411,7 @@ def _sample_once(circuit, table, opts, manifest):
     noise = _noise_from(opts)
     params = np.full(circuit.n_params, opts["init_angle"])
     with manifest.stage("simulate"):
-        state = prepared_state(circuit, params, table.n_orbitals)
+        state = prepared_state(circuit, params)
     with manifest.stage("sample"):
         return noisy_counts(state, opts["shots"], noise, opts["seed"])
 

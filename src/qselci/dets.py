@@ -8,10 +8,10 @@ Conventions used throughout the package:
   electron.  ``Determinant`` is a named ``(alpha, beta)`` tuple of Python
   ints of any width: one mask row.  A set of determinants is an (N, 2)
   uint64 array of such rows, so it takes at most 64 orbitals; ``det_masks``
-  and ``determinants`` convert between the two forms, and ``bitstrings``
-  gives the rows' text form.  ``rank_order`` is the one rule that ranks
-  rows by a float weight: descending weight rounded to 12 decimals, then
-  ascending (alpha, beta).
+  and ``determinants`` convert between the two forms, ``bitstrings`` writes
+  the rows' text form and ``bitstring_masks`` reads it.  ``rank_order`` is
+  the one rule that ranks rows by a float weight: descending weight rounded
+  to 12 decimals, then ascending (alpha, beta).
 * Spin orbitals are indexed in blocked order: alpha orbitals occupy indices
   ``0 .. n-1`` and beta orbitals ``n .. 2n-1`` for ``n`` spatial orbitals.
   This same index is the qubit index after the fermion-to-qubit mapping and
@@ -64,20 +64,9 @@ class Determinant(NamedTuple):
         """Basis index: bit s of the index = occupation of spin orbital s."""
         return self.alpha | (self.beta << n_orbitals)
 
-    @classmethod
-    def from_index(cls, index, n_orbitals):
-        mask = (1 << n_orbitals) - 1
-        return cls(alpha=index & mask, beta=(index >> n_orbitals) & mask)
-
     def to_bitstring(self, n_orbitals):
         """Text form: 2n chars, alpha block then beta block, orbital 0 first."""
         return bitstring_of_index(self.to_index(n_orbitals), 2 * n_orbitals)
-
-    @classmethod
-    def from_bitstring(cls, s):
-        if len(s) % 2 or set(s) - {"0", "1"}:
-            raise ValueError(f"not a spin-blocked occupation string: {s!r}")
-        return cls.from_index(index_of_bitstring(s), len(s) // 2)
 
 
 def bitstring_of_index(index, n_qubits):
@@ -85,8 +74,10 @@ def bitstring_of_index(index, n_qubits):
     return format(index, f"0{n_qubits}b")[::-1]
 
 
-def index_of_bitstring(s):
-    return int(s[::-1], 2)
+def _check_orbital_count(n_orbitals):
+    if n_orbitals > MAX_ORBITALS:
+        raise TooLarge(f"{n_orbitals} orbitals is past the {MAX_ORBITALS}-"
+                       "orbital limit of uint64 determinant masks")
 
 
 def check_qubit_count(n_qubits):
@@ -135,9 +126,7 @@ def det_masks(dets, n_orbitals=MAX_ORBITALS):
     an orbital past ``n_orbitals`` (those of the integrals or the
     wavefunction that holds the rows).
     """
-    if n_orbitals > MAX_ORBITALS:
-        raise TooLarge(f"{n_orbitals} orbitals is past the {MAX_ORBITALS}-"
-                       "orbital limit of uint64 determinant masks")
+    _check_orbital_count(n_orbitals)
     if not isinstance(dets, np.ndarray):
         dets = np.array(list(dets) or np.empty((0, 2)), object)
     kind = dets.dtype.kind
@@ -182,6 +171,16 @@ def bitstrings(masks, n_orbitals):
     rows."""
     return [bitstring_of_index(a | b << n_orbitals, 2 * n_orbitals)
             for a, b in masks.tolist()]
+
+
+def bitstring_masks(strings, n_orbitals):
+    """The (N, 2) uint64 mask rows of occupation strings that the caller
+    has checked to be ``2 * n_orbitals`` characters ``0`` and ``1``: the
+    inverse of ``bitstrings``.  TooLarge past 64 orbitals."""
+    _check_orbital_count(n_orbitals)
+    text = np.frombuffer("".join(strings).encode("ascii"), np.uint8)
+    bits = text.reshape(len(strings), 2, n_orbitals) == ord("1")
+    return bits @ (np.uint64(1) << np.arange(n_orbitals, dtype=np.uint64))
 
 
 def rank_order(masks, weight):

@@ -44,6 +44,7 @@ import numpy as np
 from .dets import (
     ENUMERATION_CAP,
     Determinant,
+    bitstring_masks,
     bitstrings,
     det_masks,
     determinants,
@@ -133,8 +134,8 @@ class Wavefunction:
 
     @classmethod
     def from_json(cls, text):
-        """Parse the ``to_json`` form (str or bytes); any other content
-        raises MalformedWavefunction."""
+        """Parse the ``to_json`` form (str or bytes) straight into mask
+        rows; any other content raises MalformedWavefunction."""
         try:
             data = json.loads(text)
         except ValueError as exc:
@@ -163,8 +164,7 @@ class Wavefunction:
         items = sorted(coefficients.items())
         try:
             return cls(
-                masks=det_masks(
-                    [Determinant.from_bitstring(s) for s, _ in items]),
+                masks=bitstring_masks([s for s, _ in items], n),
                 coeffs=[c for _, c in items],
                 energy=float(data["energy"]),
                 n_orbitals=n,

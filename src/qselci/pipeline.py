@@ -1,11 +1,11 @@
 """The hybrid sample-select-diagonalize loop and its parameter optimization.
 
 One pass (:func:`run_qsci_once`) is three steps: :func:`prepared_state`
-applies the circuit; :func:`noisy_counts` forms the ideal outcome
-distribution, mixes in global depolarizing noise, draws shots and applies
-readout flips; :func:`solve_counts` filters by the particle-number sector,
-takes the distinct surviving outcomes as determinant mask rows, projects
-the Hamiltonian onto them, and solves for the lowest eigenpair.
+applies the circuit on its own register; :func:`noisy_counts` forms the
+ideal outcome distribution, mixes in global depolarizing noise, draws shots
+and applies readout flips; :func:`solve_counts` keeps the particle-number
+sector, takes its distinct outcomes as determinant mask rows, projects the
+Hamiltonian onto them, and solves for the lowest eigenpair.
 
 All randomness derives from the config's single seed: stage seeds are drawn
 from numpy's SeedSequence(seed) in a fixed order
@@ -38,10 +38,10 @@ OPTIMIZER_METHOD = "COBYLA"
 OPTIMIZER_INITIAL_STEP = 0.3
 
 
-def prepared_state(circuit, params, n_orbitals):
-    """The circuit applied to its reference determinant, listed on the
-    reference's particle-number sector."""
-    state = Statevector.from_determinant(circuit.reference, n_orbitals)
+def prepared_state(circuit, params):
+    """The circuit applied to its reference determinant in the circuit's
+    own ``n_orbitals``, listed on the reference's particle-number sector."""
+    state = Statevector.from_determinant(circuit.reference, circuit.n_orbitals)
     return apply_circuit(circuit, params, state)
 
 
@@ -112,7 +112,7 @@ def solve_counts(counts, table):
 
 def run_qsci_once(circuit, params, table, cfg):
     """One sampling + diagonalization pass; see module docstring for stages."""
-    state = prepared_state(circuit, params, table.n_orbitals)
+    state = prepared_state(circuit, params)
     counts = noisy_counts(state, cfg.shots, cfg.noise, cfg.seed)
     return solve_counts(counts, table)
 

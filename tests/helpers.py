@@ -11,7 +11,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from qselci import hamiltonian
 from qselci.circuits import build_usci
 from qselci.dets import Determinant, hartree_fock, sector_masks
 from qselci.fcidump import IntegralTable
@@ -68,6 +70,18 @@ def fci_states():
     tables["hubbard8"] = hubbard_chain_table(8)
     tables["h-chain-8"] = h_chain_synthetic_table(8)
     return {name: fci_oracle(table) for name, table in tables.items()}
+
+
+def built_subspace(masks, table, generate):
+    """``build_subspace`` made to take the generated pairs (``generate``
+    true) or to screen every pair."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hamiltonian, "_generate", lambda *_: generate)
+        return hamiltonian.build_subspace(masks, table)
+
+
+def csr_bytes(matrix):
+    return [a.tobytes() for a in (matrix.data, matrix.indices, matrix.indptr)]
 
 
 def full_register(state):

@@ -34,6 +34,11 @@ scores from the screen that the pool coupling replaced, and
 ``screened_subspace`` the build from every screened pair that the
 generated pairs replaced; all three read ``coupling_elements``, the
 screen of every bra x ket pair.
+``wavefunction_from_json`` is the file read path that built one
+``Determinant`` per string, which ``dets.bitstring_masks`` replaced, and
+``determinant_of_bitstring``, ``determinant_of_index`` and
+``index_of_bitstring`` the text and index conversions that left the
+package with it.
 ``distribution_cumulative`` and ``distribution_total`` are the weights of
 a ``sampling.Distribution`` that only tests read, and ``full_excitation``
 the whole-rank excitation between two determinants that
@@ -43,6 +48,7 @@ rules and ``chain_decomposition`` take their phases from it.
 
 import functools
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -70,7 +76,7 @@ from qselci.dets import (
     rank_order,
     string_sign,
 )
-from qselci.errors import NoConvergence
+from qselci.errors import MalformedWavefunction, NoConvergence
 from qselci.fcidump import IntegralTable
 from qselci.sampling import READOUT_BLOCK
 from qselci.simulator import _givens_decompose
@@ -325,6 +331,71 @@ def _double_element(src, tgt, table):
     return op.phase * (direct - cross)
 
 
+# ------------------------------------------------ text read path reference
+#
+# The wavefunction file's read path as it was: each occupation string
+# checked, then one Determinant per string (the ``from_bitstring``,
+# ``from_index`` and ``index_of_bitstring`` that have left the package),
+# then the object rows through ``det_masks``.  ``Wavefunction.from_json``
+# reads the strings straight into mask rows with ``dets.bitstring_masks``
+# and must give the same rows, coefficients, energy and messages.
+
+
+def index_of_bitstring(s):
+    """The basis index of a text bitstring: character k is bit k."""
+    return int(s[::-1], 2)
+
+
+def determinant_of_index(index, n_orbitals):
+    """The Determinant of a basis index (bit s = spin orbital s)."""
+    mask = (1 << n_orbitals) - 1
+    return Determinant(alpha=index & mask, beta=(index >> n_orbitals) & mask)
+
+
+def determinant_of_bitstring(s):
+    """The Determinant of a 2n-character occupation string."""
+    if len(s) % 2 or set(s) - {"0", "1"}:
+        raise ValueError(f"not a spin-blocked occupation string: {s!r}")
+    return determinant_of_index(index_of_bitstring(s), len(s) // 2)
+
+
+def wavefunction_from_json(text):
+    """``Wavefunction.from_json`` with each string read as a Determinant."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise MalformedWavefunction(f"not JSON: {exc}") from None
+    keys = hamiltonian._WF_KEYS
+    if not isinstance(data, dict) or not keys <= data.keys():
+        raise MalformedWavefunction(
+            "expected an object with keys " + ", ".join(sorted(keys)))
+    n, coefficients = data["n_orbitals"], data["coefficients"]
+    if type(n) is not int or n < 1:
+        raise MalformedWavefunction(
+            f"n_orbitals must be a positive integer, got {n!r}")
+    if not isinstance(coefficients, dict) or not all(
+        map(hamiltonian._is_finite_number,
+            [data["energy"], *coefficients.values()])
+    ):
+        raise MalformedWavefunction(
+            "energy and coefficients must be finite numbers, the "
+            "coefficients keyed by occupation string")
+    for s in coefficients:
+        if len(s) != 2 * n or set(s) - {"0", "1"}:
+            raise MalformedWavefunction(
+                f"{s!r} is not a {2 * n}-character occupation string")
+    items = sorted(coefficients.items())
+    try:
+        return hamiltonian.Wavefunction(
+            masks=det_masks([determinant_of_bitstring(s) for s, _ in items]),
+            coeffs=[c for _, c in items],
+            energy=float(data["energy"]),
+            n_orbitals=n,
+        )
+    except ValueError as exc:
+        raise MalformedWavefunction(str(exc)) from None
+
+
 # ----------------------------------------- excitation-string application
 #
 # An ExcitationOp applied to one determinant, by a mask check and the sign
@@ -350,7 +421,7 @@ def apply_excitation(op, det):
     if x & (holes | particles) != holes:
         return None
     sign = op.phase * string_sign(x, op.annihilated, op.created)
-    return Determinant.from_index(x ^ holes ^ particles, n), sign
+    return determinant_of_index(x ^ holes ^ particles, n), sign
 
 
 def chain_decomposition(reference, target, n_orbitals):
@@ -366,7 +437,7 @@ def chain_decomposition(reference, target, n_orbitals):
     chain = [reference]
     for pos in range(0, rank, 2):
         index ^= sum(1 << s for s in ann[pos:pos + 2] + cre[pos:pos + 2])
-        chain.append(Determinant.from_index(index, n_orbitals))
+        chain.append(determinant_of_index(index, n_orbitals))
     return [full_excitation(a, b, n_orbitals) for a, b in zip(chain, chain[1:])]
 
 
@@ -809,7 +880,7 @@ def symmetry_filter(sc, n_alpha, n_beta):
 
 def counts_to_determinants(sc, n_orbitals):
     items = sorted(sc.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [Determinant.from_bitstring(s) for s, _ in items]
+    return [determinant_of_bitstring(s) for s, _ in items]
 
 
 # ------------------------------------------ replaced array-path references

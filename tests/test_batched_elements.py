@@ -156,18 +156,6 @@ def test_coupling_elements_match_scalar_between_lists(case):
     assert np.array_equal(order, np.arange(len(i)))
 
 
-def _built(masks, table, generate):
-    """``build_subspace`` made to take the generated pairs (``generate``
-    true) or to screen every pair."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hamiltonian, "_generate", lambda *_: generate)
-        return build_subspace(masks, table)
-
-
-def _csr_bytes(matrix):
-    return [a.tobytes() for a in (matrix.data, matrix.indices, matrix.indptr)]
-
-
 def _kernel_bytes(table, dets):
     """The bytes of every coupling array of the list against itself, of the
     CSR arrays of its generated and its screened build, and of everything
@@ -177,14 +165,14 @@ def _kernel_bytes(table, dets):
     alpha, beta = masks.T
     h, g = table.h, table.dense_g()
     pairs = oracles.coupling_elements(alpha, beta, alpha, beta, h, g)
-    builds = [_built(masks, table, generate).matrix
+    builds = [helpers.built_subspace(masks, table, generate).matrix
               for generate in (True, False)]
     psi = _psi(table, dets, size=2 if table.n_orbitals == WIDE else 12)
     step = expand_and_rediagonalize(psi, table, 0.0, top_k=5)
     grown = step.wavefunction_after
     pt2 = en_pt2(psi, table)
     return [a.tobytes() for a in pairs] + [
-        b for m in builds for b in _csr_bytes(m)] + [
+        b for m in builds for b in helpers.csr_bytes(m)] + [
         det_masks(step.added).tobytes(), np.array(step.scores).tobytes(),
         grown.masks.tobytes(), grown.coeffs.tobytes(),
         repr((step.energy_after, pt2.delta_e, pt2.n_external,
@@ -502,7 +490,7 @@ def _assert_builds_are_screened(table, masks, seed=0, size=12):
     rows equal ``oracles.screened_connected_coupling``."""
     expect = oracles.screened_subspace(masks, table)
     for generate in (True, False):
-        got = _built(masks, table, generate).matrix
+        got = helpers.built_subspace(masks, table, generate).matrix
         for name in ("data", "indices", "indptr"):
             assert _arrays([getattr(got, name)]) == _arrays(
                 [getattr(expect, name)])

@@ -1,21 +1,42 @@
-"""Generated circuits against the flat-listing oracle.
+"""Generated inputs against the oracles.
 
-``apply_circuit`` keeps one compiled program per circuit and listing; these
-properties drive it through repeat calls and listing changes on generated
-USCI and LUCJ circuits and compare every output byte with
+Each property draws its inputs with ``hypothesis`` and compares the
+package with an independent reference: the Hamiltonian projection and
+EN-PT2 with the dense operator matrices of ``oracles``, the two pair
+sources of the subspace build with each other, the noisy sampling stage
+with its shot-count and sector laws, the wavefunction file's text with
+the read path that built one ``Determinant`` per string
+(``oracles.wavefunction_from_json``), and ``apply_circuit``, which keeps
+one compiled program per circuit and listing, with
 ``oracles.flat_apply_circuit``, which finds each gate's pairs by scanning
-the whole listing.  The examples are derandomized, so a run always tests
-the same inputs.
+the whole listing, byte for byte across repeat calls and listing changes.
+The examples are derandomized, so a run always tests the same inputs.
 """
 
+import itertools
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qselci.circuits import build_lucj, build_usci
-from qselci.dets import Determinant, sector_masks
+from qselci.dets import (
+    Determinant,
+    bitstring_masks,
+    bitstrings,
+    determinants,
+    sector_masks,
+)
+from qselci.errors import MalformedWavefunction
+from qselci.expansion import DENOMINATOR_TOL, en_pt2
+from qselci.fcidump import IntegralTable, _canonical
+from qselci.fixtures import hubbard_chain_table
+from qselci.hamiltonian import Wavefunction, fci_oracle
+from qselci.pipeline import noisy_counts, prepared_state
+from qselci.sampling import READOUT_BLOCK, NoiseModel, symmetry_filter
 from qselci.simulator import Statevector, apply_circuit
 
 import helpers
@@ -23,6 +44,8 @@ import oracles
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None,
                     database=None)
+# a four-orbital dense oracle takes about 0.3 s to build
+ORACLE_PROPERTY = settings(PROPERTY, max_examples=20)
 
 # zero skips a rotation; past pi/2 the cosine is negative, which can turn
 # a zero amplitude into -0.0
@@ -37,6 +60,48 @@ ANGLES = st.one_of(
 def sectors(draw):
     n = draw(st.integers(1, 4))
     return n, draw(st.integers(0, n)), draw(st.integers(0, n))
+
+
+# every (n, n_alpha, n_beta) of 1-4 orbitals, drawn uniformly: ``sectors``
+# keeps most counts near 0, where a sector is one determinant
+SECTORS = st.sampled_from([(n, a, b) for n in (4, 3, 2, 1)
+                           for a in range(n + 1) for b in range(n + 1)])
+
+
+@st.composite
+def tables(draw):
+    """An integral table of 1-4 orbitals in any (n_alpha, n_beta) sector:
+    dense, sparse (each entry of h and each (pq|rs) class kept with
+    probability 1/2) or with h zero, with or without a core energy."""
+    n, n_alpha, n_beta = draw(SECTORS)
+    kind = draw(st.sampled_from(["dense", "sparse", "zero-h"]))
+    core = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = IntegralTable(n_orbitals=n, n_electrons=n_alpha + n_beta,
+                          ms2=n_alpha - n_beta,
+                          core_energy=float(rng.normal()) if core else 0.0)
+    h = rng.normal(size=(n, n)) * (kind != "zero-h")
+    if kind == "sparse":
+        h *= rng.random((n, n)) < 0.5
+    table.h = h + h.T
+    classes = sorted({_canonical(*i)
+                      for i in itertools.product(range(n), repeat=4)})
+    for key in classes:
+        if kind != "sparse" or rng.random() < 0.5:
+            table.set_g(*key, float(rng.normal()) * 0.5)
+    return table
+
+
+@st.composite
+def table_rows(draw, min_size=0):
+    """A table and a subset of its sector's mask rows, in drawn order, of
+    ``min_size`` rows up to the whole sector."""
+    table = draw(tables())
+    masks = sector_masks(table.n_orbitals, table.n_alpha, table.n_beta)
+    # numpy draws the size, which hypothesis would keep near the minimum
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = rng.integers(min_size, len(masks), endpoint=True)
+    return table, masks[rng.permutation(len(masks))[:size]]
 
 
 @st.composite
@@ -116,3 +181,176 @@ def test_a_product_sub_listing_raises_where_the_oracle_does(drawn, data):
         assert (out is None) == (want is None)
         if want is not None:
             assert out.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------ Hamiltonian kernel
+
+@ORACLE_PROPERTY
+@given(table_rows())
+def test_build_subspace_is_the_dense_projection_from_either_pair_source(
+        drawn):
+    table, masks = drawn
+    screened, generated = (helpers.built_subspace(masks, table, g)
+                           for g in (False, True))
+    assert helpers.csr_bytes(screened.matrix) == (
+        helpers.csr_bytes(generated.matrix))
+    want = oracles.project_hamiltonian(table, determinants(masks))
+    assert screened.matrix.shape == want.shape
+    assert np.abs(screened.matrix.toarray() - want).max(initial=0.0) <= 1e-12
+    assert screened.core_energy == table.core_energy
+
+
+@ORACLE_PROPERTY
+@given(table_rows(min_size=1), st.integers(0, 2**32 - 1))
+def test_en_pt2_is_the_dense_sum_over_the_complement(drawn, seed):
+    table, masks = drawn
+    n = table.n_orbitals
+    sector = sector_masks(n, table.n_alpha, table.n_beta)
+    H = oracles.project_hamiltonian(table, determinants(sector))
+    at = [np.flatnonzero((sector == row).all(axis=1))[0] for row in masks]
+    outside = np.setdiff1d(np.arange(len(sector)), at)
+    coeffs = np.random.default_rng(seed).normal(size=len(masks))
+    coeffs /= np.linalg.norm(coeffs)
+    energy = float(coeffs @ H[np.ix_(at, at)] @ coeffs) + table.core_energy
+    psi = Wavefunction(masks=masks, coeffs=coeffs, energy=energy,
+                       n_orbitals=n)
+    numerators = H[np.ix_(outside, at)] @ coeffs
+    denominators = np.diag(H)[outside] + table.core_energy - energy
+    kept = np.abs(denominators) >= DENOMINATOR_TOL
+    want = -np.sum(numerators[kept] ** 2 / denominators[kept])
+    got = en_pt2(psi, table)
+    assert abs(got.delta_e - want) <= 1e-10 * max(1.0, abs(want))
+    assert got.n_external <= len(outside)
+
+
+# -------------------------------------------------------- noisy sampling
+
+NOISE_MODELS = st.builds(
+    NoiseModel,
+    depolarizing_p=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    readout_eps0=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    readout_eps1=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+)
+
+
+@PROPERTY
+@given(usci_circuits(), NOISE_MODELS,
+       st.one_of(st.integers(1, 50), st.integers(READOUT_BLOCK - 2,
+                                                 READOUT_BLOCK + 2)),
+       st.integers(0, 2**32 - 1))
+def test_noisy_counts_keep_every_shot_and_filter_to_the_sector(
+        drawn, noise, shots, seed):
+    circuit, params = drawn
+    reference = circuit.reference
+    counts = noisy_counts(prepared_state(circuit, params), shots, noise, seed)
+    assert counts.total_shots == shots
+    kept, rejected = symmetry_filter(counts, reference.n_alpha,
+                                     reference.n_beta)
+    assert kept.total_shots + rejected == shots
+    low = np.uint64((1 << circuit.n_orbitals) - 1)
+    n_alpha = np.bitwise_count(kept.index & low)
+    n_beta = np.bitwise_count(kept.index >> np.uint64(circuit.n_orbitals))
+    assert (n_alpha == reference.n_alpha).all()
+    assert (n_beta == reference.n_beta).all()
+
+
+# ------------------------------------------------- wavefunction file text
+
+@st.composite
+def mask_rows(draw, n):
+    """(N, 2) uint64 rows of ``n``-orbital masks, the top orbital's bit
+    and the all-ones mask among the drawn values."""
+    top = (1 << n) - 1
+    value = st.one_of(st.integers(0, top),
+                      st.sampled_from([top, 1 << (n - 1)]))
+    rows = draw(st.lists(st.tuples(value, value), max_size=8))
+    return np.array(rows, dtype=np.uint64).reshape(-1, 2)
+
+
+@PROPERTY
+@given(st.one_of(st.just(64), st.integers(1, 64)).flatmap(
+    lambda n: st.tuples(st.just(n), mask_rows(n))))
+def test_bitstring_masks_reads_back_what_bitstrings_writes(drawn):
+    n, rows = drawn
+    back = bitstring_masks(bitstrings(rows, n), n)
+    assert back.dtype == np.uint64 and back.shape == rows.shape
+    assert back.tobytes() == rows.tobytes()
+
+
+@st.composite
+def wavefunctions(draw):
+    """A wavefunction of 1-64 orbitals over 1-8 distinct mask rows with
+    random normalized coefficients and energy."""
+    n = draw(st.one_of(st.just(64), st.integers(1, 64)))
+    rows = np.unique(draw(mask_rows(n)), axis=0)
+    if not len(rows):
+        rows = np.zeros((1, 2), np.uint64)
+    rows = rows[draw(st.permutations(range(len(rows))))]
+    coeffs = np.array(draw(st.lists(
+        st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 1e-3),
+        min_size=len(rows), max_size=len(rows))))
+    return Wavefunction(masks=rows, coeffs=coeffs / np.linalg.norm(coeffs),
+                        energy=draw(st.floats(-100.0, 100.0)), n_orbitals=n)
+
+
+@PROPERTY
+@given(wavefunctions())
+def test_from_json_reads_the_rows_the_determinant_path_read(psi):
+    text = psi.to_json()
+    got = Wavefunction.from_json(text)
+    want = oracles.wavefunction_from_json(text)
+    assert got.masks.dtype == np.uint64
+    assert got.masks.tobytes() == want.masks.tobytes()
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert repr(got.energy) == repr(want.energy)
+    assert got.n_orbitals == want.n_orbitals == psi.n_orbitals
+
+
+def _corrupted(key, kind):
+    if kind == "empty":
+        return ""
+    if kind == "long":
+        return key + "0"
+    if kind == "short":
+        return key[:-1]
+    return key[:-1] + {"two": "2", "non-ascii": "\u00e9"}[kind]
+
+
+@PROPERTY
+@given(wavefunctions(), st.data())
+def test_from_json_names_the_first_bad_key_in_file_order(psi, data):
+    doc = json.loads(psi.to_json())
+    items = list(doc["coefficients"].items())
+    kinds = ["empty", "long", "short", "two", "non-ascii"]
+    bad = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2))
+    for kind in bad:  # each inserted at a drawn place among the keys
+        at = data.draw(st.integers(0, len(items)))
+        key = items[min(at, len(items) - 1)][0]
+        items.insert(at, (_corrupted(key, kind), 1.0))
+    doc["coefficients"] = dict(items)
+    text = json.dumps(doc)
+    first = next(k for k in doc["coefficients"]
+                 if len(k) != 2 * psi.n_orbitals or set(k) - {"0", "1"})
+    messages = []
+    for read in (Wavefunction.from_json, oracles.wavefunction_from_json):
+        with pytest.raises(MalformedWavefunction) as caught:
+            read(text)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] == (
+        f"{first!r} is not a {2 * psi.n_orbitals}-character occupation string")
+
+
+def test_from_json_builds_no_determinant(monkeypatch):
+    psi = fci_oracle(hubbard_chain_table())
+    text = psi.to_json()
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a Determinant was built")
+
+    monkeypatch.setattr(Determinant, "__new__", refuse)
+    with pytest.raises(AssertionError):
+        Determinant(1, 1)
+    back = Wavefunction.from_json(text)
+    monkeypatch.undo()
+    assert back.masks.tobytes() == (
+        oracles.wavefunction_from_json(text).masks.tobytes())
