@@ -141,6 +141,15 @@ def _cases():
              "--top-k", "10", "--save-wf", "wf2.json"],
             ["pt2", *chain, "--in", "wf2.json"],
         ],
+        # the per-gate strength needs a gate count and lies in [0, 1], and
+        # when given it replaces --depol-p (result as hubbard4-qsci-pg)
+        "hubbard4-qsci-pg-without-n2q": [
+            ["qsci", "--fixture", "hubbard4", "--pg", "0.002"]],
+        "hubbard4-qsci-pg-above-one": [
+            ["qsci", "--fixture", "hubbard4", "--pg", "1.5", "--n2q", "12"]],
+        "hubbard4-qsci-pg-over-depol-p": [
+            ["qsci", "--fixture", "hubbard4", "--depol-p", "0.9", "--pg",
+             "0.002", "--n2q", "12"]],
         "hubbard4-sample-csv-eps0-above-eps1": [
             ["sample", "--fixture", "hubbard4", "--csv", "counts.csv",
              "--eps0", "0.04", "--eps1", "0.01"]],
