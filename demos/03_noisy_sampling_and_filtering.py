@@ -20,6 +20,7 @@ from qselci.sampling import (
     counts_to_determinants,
     depolarize_distribution,
     ideal_distribution,
+    per_gate_depolarizing,
     sample,
     symmetry_filter,
 )
@@ -33,9 +34,9 @@ state = apply_circuit(circuit, np.full(circuit.n_params, 0.15),
                       Statevector.from_determinant(selected[0], 4))
 ideal = ideal_distribution(state)
 
-# A noise model can be given the global strength directly, or derived
+# A noise model takes the global depolarizing strength, here derived
 # from a per-gate error rate and a gate count: p = 1 - (1 - p_g)^N.
-model = NoiseModel(per_gate_pg=0.001, n_2q=30,
+model = NoiseModel(depolarizing_p=per_gate_depolarizing(0.001, 30),
                    readout_eps0=0.01, readout_eps1=0.01)
 print("aggregate depolarizing strength:", round(model.depolarizing_p, 5))
 

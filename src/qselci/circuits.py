@@ -18,7 +18,7 @@ order (the first gate acts on the reference first).
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,14 +57,18 @@ class Gate:
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """Frozen, so that what ``simulator.apply_circuit`` compiles stays valid."""
+    """Gates on the 2 * n_orbitals qubits of ``reference``'s register.
 
-    n_qubits: int
+    ``n_params`` counts the parameter slots, which must be 0 .. n_params - 1
+    (a slot may serve several gates).  Frozen, so that what
+    ``simulator.apply_circuit`` compiles stays valid.
+    """
+
     gates: tuple
-    n_params: int
     layers: int
     reference: Determinant
     n_orbitals: int
+    n_params: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -72,9 +76,14 @@ class Circuit:
             if any(q >= self.n_qubits or q < 0 for q in g.qubits):
                 raise ValueError(f"gate touches qubit outside register: {g.qubits}")
         slots = {g.param_slot for g in self.gates if g.param_slot is not None}
+        object.__setattr__(self, "n_params", len(slots))
         if slots != set(range(self.n_params)):
             raise ValueError(f"n_params={self.n_params} but the slots used "
                              f"are not 0..{self.n_params - 1}")
+
+    @property
+    def n_qubits(self):
+        return 2 * self.n_orbitals
 
     def to_json(self):
         gates = []
@@ -209,12 +218,11 @@ def build_usci(
         raise EmptySelection("empty determinant selection")
     if selected[0] != reference:
         raise ValueError("reference must be the first selected determinant")
-    n_qubits = 2 * n_orbitals
     block = []  # (kind, qubits, excitation) rows
     if with_orbital_rotation:
         block += [(GATE_ORBITAL, (q, p, n_orbitals + q, n_orbitals + p), None)
                   for p in range(1, n_orbitals) for q in range(p)]
-    partners = {q: set() for q in range(n_qubits)}
+    partners = {q: set() for q in range(2 * n_orbitals)}
     for target in selected[1:]:
         for op in decompose_excitation(reference, target, n_orbitals):
             qubits = tuple(sorted(op.annihilated + op.created))
@@ -232,14 +240,8 @@ def build_usci(
                   excitation=excitation, layer=layer)
              for layer in range(layers)
              for k, (kind, qubits, excitation) in enumerate(block)]
-    return Circuit(
-        n_qubits=n_qubits,
-        gates=gates,
-        n_params=len(gates),
-        layers=layers,
-        reference=reference,
-        n_orbitals=n_orbitals,
-    )
+    return Circuit(gates=gates, layers=layers, reference=reference,
+                   n_orbitals=n_orbitals)
 
 
 def _exceeds_cap(qubits, partners, cap):
@@ -270,14 +272,7 @@ def build_lucj(K, J, reference):
     gates += [Gate(kind=GATE_JASTROW, qubits=(p, q), angle=float(J[p, q]))
               for p, q in np.argwhere(np.triu(J)).tolist()]
     gates.append(Gate(kind=GATE_BASIS, qubits=all_qubits, kappa=K, inverse=False))
-    return Circuit(
-        n_qubits=2 * n,
-        gates=gates,
-        n_params=0,
-        layers=1,
-        reference=reference,
-        n_orbitals=n,
-    )
+    return Circuit(gates=gates, layers=1, reference=reference, n_orbitals=n)
 
 
 # ------------------------------------------------------------ qubit mapping

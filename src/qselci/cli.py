@@ -339,15 +339,15 @@ def _load_table(opts):
 
 
 def _noise_from(opts):
-    from .sampling import NoiseModel
+    """The noise model of the options; ``--pg`` with ``--n2q`` gives the
+    depolarizing strength in place of ``--depol-p``."""
+    from .sampling import NoiseModel, per_gate_depolarizing
 
-    return NoiseModel(
-        depolarizing_p=opts["depol_p"],
-        per_gate_pg=opts.get("pg"),
-        n_2q=opts.get("n2q"),
-        readout_eps0=opts["eps0"],
-        readout_eps1=opts["eps1"],
-    )
+    p, n_2q = opts["depol_p"], opts.get("n2q")
+    if opts.get("pg") is not None:
+        p = per_gate_depolarizing(opts["pg"], n_2q)
+    return NoiseModel(depolarizing_p=p, readout_eps0=opts["eps0"],
+                      readout_eps1=opts["eps1"])
 
 
 def _load_wavefunction(opts, table=None):
@@ -403,7 +403,7 @@ def _ansatz(name, table, selected, opts):
                       with_orbital_rotation=bool(opts.get("orbital_rotation")))
 
 
-def _sample_once(circuit, table, opts, manifest):
+def _sample_once(circuit, opts, manifest):
     """Raw (unfiltered) counts of one noisy sampling pass, with every
     parameter at ``--init-angle``."""
     from .pipeline import noisy_counts, prepared_state
@@ -558,7 +558,7 @@ def _handle_sample(opts, manifest):
         raise _UsageError("--ansatz must be usci or lucj")
     _oracle, selected = _pilot_selection(table, opts, manifest)
     circuit = _ansatz(opts["ansatz"], table, selected, opts)
-    counts = _sample_once(circuit, table, opts, manifest)
+    counts = _sample_once(circuit, opts, manifest)
     result = {
         "ansatz": opts["ansatz"],
         "shots": counts.total_shots,
@@ -692,7 +692,7 @@ def _handle_demo(opts, manifest):
         for name in ("usci", "lucj"):
             circuit = _ansatz(name, table, selected, opts)
             with manifest.stage(name):
-                counts[name] = _sample_once(circuit, table, opts, manifest)
+                counts[name] = _sample_once(circuit, opts, manifest)
 
     # the QSCI pass diagonalizes the USCI shots drawn for the comparison,
     # and its sector filter gives their valid fraction

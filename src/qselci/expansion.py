@@ -134,25 +134,28 @@ def score_candidates(psi, candidates, table):
 
 @dataclass
 class ExpansionResult:
-    added: list
-    scores: list
+    """One expansion step: the last ``n_added`` rows of
+    ``wavefunction_after.masks`` are the determinants it added, best
+    first."""
+
+    n_added: int
     energy_before: float
-    energy_after: float
     wavefunction_after: object
 
     @property
-    def n_added(self):
-        return len(self.added)
+    def energy_after(self):
+        return self.wavefunction_after.energy
 
 
 def expand_and_rediagonalize(psi, table, tau, top_k=None):
     """Grow the determinant set by coupling weight and re-solve.
 
     Candidates scoring at or above ``tau`` are added (all of them when
-    ``tau`` is 0), optionally truncated to the ``top_k`` best.  When no
-    candidate qualifies the input wavefunction is returned unchanged with
-    an empty ``added`` list.  The re-solved energy can only stay equal or
-    go down, because the old set is a subset of the new one.
+    ``tau`` is 0), optionally truncated to the ``top_k`` best, and follow
+    psi's rows in the grown wavefunction, best first.  When no candidate
+    qualifies the input wavefunction is returned unchanged with
+    ``n_added`` 0.  The re-solved energy can only stay equal or go down,
+    because the old set is a subset of the new one.
     """
     if not tau >= 0:
         raise ValueError(f"threshold tau must be nonnegative, got {tau}")
@@ -163,17 +166,12 @@ def expand_and_rediagonalize(psi, table, tau, top_k=None):
     n_selected = int(np.count_nonzero(scores >= tau))
     if top_k is not None:
         n_selected = min(n_selected, int(top_k))
-    added = ranked[:n_selected]
     wf = psi
     if n_selected:
-        wf = davidson_lowest(build_subspace(np.concatenate([psi.masks, added]), table))
-    return ExpansionResult(
-        added=determinants(added),
-        scores=scores[:n_selected].tolist(),
-        energy_before=psi.energy,
-        energy_after=wf.energy,
-        wavefunction_after=wf,
-    )
+        grown = np.concatenate([psi.masks, ranked[:n_selected]])
+        wf = davidson_lowest(build_subspace(grown, table))
+    return ExpansionResult(n_added=n_selected, energy_before=psi.energy,
+                           wavefunction_after=wf)
 
 
 @dataclass

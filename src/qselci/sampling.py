@@ -34,29 +34,15 @@ MAX_SHOTS = 1 << 24
 
 @dataclass
 class NoiseModel:
-    """Global depolarizing strength plus per-qubit readout flip rates.
-
-    If ``per_gate_pg`` is given, the aggregate strength is derived from the
-    two-qubit gate count, which must then be given too:
-    p = 1 - (1 - p_g)^n_2q.
-    """
+    """Global depolarizing strength plus per-qubit readout flip rates; a
+    per-gate error rate gives the strength through
+    :func:`per_gate_depolarizing`."""
 
     depolarizing_p: float = 0.0
-    per_gate_pg: float = None
-    n_2q: int = None
     readout_eps0: float = 0.0
     readout_eps1: float = 0.0
 
     def __post_init__(self):
-        if self.per_gate_pg is not None:
-            if not 0.0 <= self.per_gate_pg <= 1.0:
-                raise ValueError("per-gate strength outside [0, 1]")
-            if self.n_2q is None or self.n_2q < 0:
-                raise ValueError(
-                    "a per-gate strength needs a nonnegative two-qubit gate "
-                    f"count n_2q, got {self.n_2q}"
-                )
-            self.depolarizing_p = 1.0 - (1.0 - self.per_gate_pg) ** self.n_2q
         for name in ("depolarizing_p", "readout_eps0", "readout_eps1"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -174,6 +160,17 @@ def _lex_order(index, n_qubits, *first):
     for key in first:
         order = order[np.argsort(key[order], kind="stable")]
     return order
+
+
+def per_gate_depolarizing(per_gate_pg, n_2q):
+    """The global depolarizing strength of ``n_2q`` two-qubit gates that
+    each depolarize at ``per_gate_pg``: p = 1 - (1 - p_g)^n_2q."""
+    if not 0.0 <= per_gate_pg <= 1.0:
+        raise ValueError("per-gate strength outside [0, 1]")
+    if n_2q is None or n_2q < 0:
+        raise ValueError("a per-gate strength needs a nonnegative two-qubit "
+                         f"gate count n_2q, got {n_2q}")
+    return 1.0 - (1.0 - per_gate_pg) ** n_2q
 
 
 def ideal_distribution(state):

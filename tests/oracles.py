@@ -122,17 +122,21 @@ def _dense_hamiltonian(n, h_bytes, g_items):
     for p in range(n):
         for q in range(n):
             E[p, q] = cre[p] @ ann[q] + cre[n + p] @ ann[n + q]
+    # H = sum_pq h_pq E_pq + 1/2 sum_pqrs (pq|rs) (E_pq E_rs - d_qr E_ps),
+    # with the inner sum over rs taken before the product: n^2 products
     H = np.zeros((dim, dim))
-    for p in range(n):
-        for q in range(n):
-            if table.h[p, q]:
-                H += table.h[p, q] * E[p, q]
-    for p, q, r, s in itertools.product(range(n), repeat=4):
-        v = table.get_g(p, q, r, s)
-        if v:
-            H += 0.5 * v * (E[p, q] @ E[r, s])
-            if q == r:
-                H -= 0.5 * v * E[p, s]
+    for p, q in itertools.product(range(n), repeat=2):
+        if table.h[p, q]:
+            H += table.h[p, q] * E[p, q]
+        inner = np.zeros((dim, dim))
+        for r, s in itertools.product(range(n), repeat=2):
+            v = table.get_g(p, q, r, s)
+            if v:
+                inner += v * E[r, s]
+                if q == r:
+                    H -= 0.5 * v * E[p, s]
+        if inner.any():
+            H += 0.5 * (E[p, q] @ inner)
     H.setflags(write=False)
     return H
 

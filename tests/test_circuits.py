@@ -218,17 +218,17 @@ def test_parameter_slots_must_be_zero_to_n_params():
     ref = hartree_fock(2, 1, 1)
     op = ExcitationOp(n_orbitals=2, annihilated=(0,), created=(1,), phase=1)
 
-    def circuit(slots, n_params):
+    def circuit(slots):
         gates = [Gate(kind=GATE_EXCITATION, qubits=(0, 1), param_slot=k,
                       excitation=op) for k in slots]
-        return Circuit(n_qubits=4, gates=gates, n_params=n_params, layers=1,
-                       reference=ref, n_orbitals=2)
+        return Circuit(gates=gates, layers=1, reference=ref, n_orbitals=2)
 
-    assert circuit([1, 0, 1], 2).n_params == 2  # a slot may repeat
-    for slots, n_params in (([1], 1), ([0, 2], 2), ([-1], 1), ([0], 2),
-                            ([0], 0)):
+    # n_params counts the slots; a slot may repeat
+    assert circuit([1, 0, 1]).n_params == 2
+    assert circuit([]).n_params == 0
+    for slots in ([1], [0, 2], [-1]):
         with pytest.raises(ValueError, match="slots used are not 0.."):
-            circuit(slots, n_params)
+            circuit(slots)
 
 
 def test_gates_and_circuits_are_frozen():

@@ -11,7 +11,8 @@ import oracles
 from golden import regen
 from qselci.circuits import prescreen
 from qselci import expansion, substitutions
-from qselci.dets import Determinant, enumerate_space, hartree_fock, sector_masks
+from qselci.dets import (Determinant, determinants, enumerate_space,
+                         hartree_fock, sector_masks)
 from qselci.errors import TooLarge
 from qselci.expansion import (
     connected_set,
@@ -136,7 +137,8 @@ def test_one_iteration_matches_connected_space_diagonalization(hubbard):
     expected = scipy.linalg.eigh(block, eigvals_only=True)[0] + table.core_energy
     result = expand_and_rediagonalize(psi, table, 0.0)
     assert abs(result.energy_after - expected) < 1e-9
-    assert set(result.added) | {hf} == set(space)
+    assert result.n_added == len(space) - 1
+    assert set(result.wavefunction_after.dets) == set(space)
 
 
 def test_iterated_expansion_converges_to_oracle(hubbard):
@@ -162,8 +164,11 @@ def test_top_k_truncates_to_best_scores(hubbard):
     full = expand_and_rediagonalize(psi, table, 0.0)
     capped = expand_and_rediagonalize(psi, table, 0.0, top_k=3)
     assert capped.n_added == 3
-    assert capped.added == full.added[:3]
-    assert capped.scores == full.scores[:3]
+    added = capped.wavefunction_after.masks[len(psi.masks):]
+    assert added.tobytes() == full.wavefunction_after.masks[
+        len(psi.masks):][:3].tobytes()
+    best = score_candidates(psi, connected_set(psi, table), table)[:3]
+    assert determinants(added) == [mu for mu, _ in best]
     assert capped.energy_after >= full.energy_after - 1e-12
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -44,6 +45,33 @@ def test_elements_match_dense_operator_oracle(n, na, nb, seed):
             expect = H[d1.to_index(n), d2.to_index(n)]
             got = slater_condon(d1, d2, table)
             assert got == pytest.approx(expect, abs=1e-10)
+
+
+def _literal_dense_hamiltonian(table):
+    """The Fock-space Hamiltonian as the literal sum over (p, q, r, s) of
+    (pq|rs) E_pq E_rs products, one product per nonzero integral."""
+    n = table.n_orbitals
+    cre = [oracles.creation_matrix(s, 2 * n) for s in range(2 * n)]
+    E = {(p, q): cre[p] @ cre[q].T + cre[n + p] @ cre[n + q].T
+         for p in range(n) for q in range(n)}
+    H = sum(table.h[p, q] * E[p, q] for p in range(n) for q in range(n))
+    for p, q, r, s in itertools.product(range(n), repeat=4):
+        v = table.get_g(p, q, r, s)
+        if v:
+            H += 0.5 * v * (E[p, q] @ E[r, s])
+            if q == r:
+                H -= 0.5 * v * E[p, s]
+    return H
+
+
+@pytest.mark.parametrize("table", [
+    hubbard_chain_table(),
+    helpers.random_table(3, 3, ms2=1, seed=5, with_core=False),
+], ids=["hubbard4", "random3"])
+def test_dense_oracle_is_the_literal_operator_sum(table):
+    # the oracle sums (pq|rs) E_rs over (r, s) before it multiplies by E_pq
+    got = oracles.dense_hamiltonian(table)
+    assert np.abs(got - _literal_dense_hamiltonian(table)).max() <= 1e-12
 
 
 def test_diagonal_one_orbital_two_electrons():

@@ -8,9 +8,12 @@ test keeps a module-level submodule import from coming back.  A second AST
 walk fails on a module-level private helper that nothing in the package
 reads, a third on a module-level public function, class or constant that
 only tests read, a fourth on a public method or property whose name no
-attribute access outside the tests reads, and another on an error class
-that nothing in the package raises.  One more reads the benchmark tracer's table of wrapped functions, so
-removing a name it binds fails here rather than in a traced bench run.
+attribute access outside the tests reads, two more on a dataclass field
+that nothing reads outside its own ``__post_init__`` and on a function
+parameter that its body never reads, and another on an error class that
+nothing in the package raises.  One more reads the benchmark tracer's
+table of wrapped functions, so removing a name it binds fails here rather
+than in a traced bench run.
 The last parses the package and the demos with the grammar of the oldest
 Python that ``pyproject.toml`` declares.
 """
@@ -225,6 +228,17 @@ def test_guard_sees_public_names_only_tests_read():
                                                          "a.alone"]
 
 
+def _attribute_loads(trees):
+    """``{name: [each attribute load of that name]}`` over ``trees``."""
+    readers = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                readers.setdefault(node.attr, []).append(node)
+    return readers
+
+
 def _test_only_public_methods(sources, outside):
     """Public methods and properties of the module-level classes of the
     ``{module name: source}`` map whose name no attribute access reads
@@ -233,11 +247,7 @@ def _test_only_public_methods(sources, outside):
     counts, so a method shares its readers with every attribute of that
     name."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    readers = {}
-    for tree in [*trees.values(), *map(ast.parse, outside)]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                readers.setdefault(node.attr, []).append(node)
+    readers = _attribute_loads([*trees.values(), *map(ast.parse, outside)])
     found = []
     for module, tree in trees.items():
         for cls in tree.body:
@@ -273,6 +283,128 @@ def test_guard_sees_methods_only_tests_read():
     outside = ["import a\nprint(a.Box().shown)\n"]
     assert _test_only_public_methods(sources, outside) == ["a.Box.again",
                                                            "a.Box.called"]
+
+
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in cls.decorator_list)
+
+
+def _unread_fields(sources, outside):
+    """Fields of the dataclasses of the ``{module name: source}`` map whose
+    name no attribute load reads outside their class's own
+    ``__post_init__``, in the package or in ``outside``, as sorted
+    ``module.Class.field`` strings.  A read of the name on any object
+    counts, and a class whose body calls ``asdict(self)`` reads every
+    field."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    readers = _attribute_loads([*trees.values(), *map(ast.parse, outside)])
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            if any(isinstance(n, ast.Call)
+                   and getattr(n.func, "id", None) == "asdict"
+                   and [getattr(a, "id", None) for a in n.args] == ["self"]
+                   for n in ast.walk(cls)):
+                continue
+            own = {id(n) for stmt in cls.body
+                   if isinstance(stmt, ast.FunctionDef)
+                   and stmt.name == "__post_init__" for n in ast.walk(stmt)}
+            found += [f"{module}.{cls.name}.{stmt.target.id}"
+                      for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                      and all(id(n) in own
+                              for n in readers.get(stmt.target.id, []))]
+    return sorted(found)
+
+
+def test_every_dataclass_field_has_a_reader():
+    assert _unread_fields(*_package_and_outside_sources()) == []
+
+
+def test_guard_sees_fields_only_their_post_init_reads():
+    sources = {
+        "a": "from dataclasses import asdict, dataclass\n"
+             "@dataclass\nclass Model:\n"
+             "    used: float = 0.0\n    checked: float = 0.0\n"
+             "    alone: int = None\n    shown: int = 0\n"
+             "    def __post_init__(self):\n"
+             "        self.used = self.checked + self.used\n"
+             "    def total(self):\n        return self.used\n"
+             "@dataclass(frozen=True)\nclass Frozen:\n    kept: int\n"
+             "    lost: int\n"
+             "@dataclass\nclass Report:\n    anything: int = 0\n"
+             "    def to_dict(self):\n        return asdict(self)\n"
+             "class Plain:\n    skipped: int = 0\n"
+             "Frozen(1, 2).kept\n",
+    }
+    outside = ["import a\nprint(a.Model().shown)\n"]
+    assert _unread_fields(sources, outside) == [
+        "a.Frozen.lost", "a.Model.alone", "a.Model.checked"]
+
+
+# ``sampling.sample`` accepts ``noise`` without reading it, because the
+# bench's ``sample-20q`` op passes it; it leaves with that benchmark change
+# (ROADMAP D1 slice 1b).
+UNREAD_PARAMETERS = ["sampling.sample.noise"]
+
+
+def _unread_parameters(sources):
+    """Parameters of every function, method and lambda of the ``{module
+    name: source}`` map that no name load in its body reads, other than
+    ``self``, ``cls`` and ``_``-prefixed ones, as sorted
+    ``module.function.parameter`` strings (``module.Class.method.parameter``
+    for a method, ``<lambda>`` for a lambda's name)."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                body = child.body if isinstance(child.body, list) else [
+                    child.body]
+                loads = {n.id for stmt in body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Load)}
+                a = child.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                          *filter(None, (a.vararg, a.kwarg))]
+                found.extend(f"{prefix}{name}.{p.arg}" for p in params
+                             if p.arg not in loads | {"self", "cls"}
+                             and not p.arg.startswith("_"))
+                visit(child, f"{prefix}{name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), f"{module}.")
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    sources, _outside = _package_and_outside_sources()
+    assert _unread_parameters(sources) == UNREAD_PARAMETERS
+
+
+def test_guard_sees_unread_parameters():
+    sources = {
+        "a": "def f(x, y, *args, z=1, _w=2, **kw):\n"
+             "    return x, kw, [args for _ in ()]\n"
+             "class Box:\n"
+             "    def m(self, used, unused):\n"
+             "        def inner(v):\n            return used\n"
+             "        return inner\n"
+             "    @classmethod\n    def make(cls, n):\n        n = 1\n"
+             "        return cls\n"
+             "key = lambda item, _rest: 0\n",
+    }
+    assert _unread_parameters(sources) == [
+        "a.<lambda>.item", "a.Box.m.inner.v", "a.Box.m.unused",
+        "a.Box.make.n", "a.f.y", "a.f.z"]
 
 
 def _unraised_error_classes(errors_text, sources):

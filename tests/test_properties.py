@@ -6,10 +6,12 @@ EN-PT2 with the dense operator matrices of ``oracles``, the two pair
 sources of the subspace build with each other, the noisy sampling stage
 with its shot-count and sector laws, the wavefunction file's text with
 the read path that built one ``Determinant`` per string
-(``oracles.wavefunction_from_json``), and ``apply_circuit``, which keeps
-one compiled program per circuit and listing, with
-``oracles.flat_apply_circuit``, which finds each gate's pairs by scanning
-the whole listing, byte for byte across repeat calls and listing changes.
+(``oracles.wavefunction_from_json``), ``det_masks`` with the
+``Determinant`` list it reads back and the inputs it refuses, and
+``apply_circuit``, which keeps one compiled program per circuit and
+listing, with ``oracles.flat_apply_circuit``, which finds each gate's
+pairs by scanning the whole listing, byte for byte across repeat calls
+and listing changes.
 The examples are derandomized, so a run always tests the same inputs.
 """
 
@@ -27,10 +29,11 @@ from qselci.dets import (
     Determinant,
     bitstring_masks,
     bitstrings,
+    det_masks,
     determinants,
     sector_masks,
 )
-from qselci.errors import MalformedWavefunction
+from qselci.errors import MalformedWavefunction, TooLarge
 from qselci.expansion import DENOMINATOR_TOL, en_pt2
 from qselci.fcidump import IntegralTable, _canonical
 from qselci.fixtures import hubbard_chain_table
@@ -44,8 +47,6 @@ import oracles
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None,
                     database=None)
-# a four-orbital dense oracle takes about 0.3 s to build
-ORACLE_PROPERTY = settings(PROPERTY, max_examples=20)
 
 # zero skips a rotation; past pi/2 the cosine is negative, which can turn
 # a zero amplitude into -0.0
@@ -58,12 +59,16 @@ ANGLES = st.one_of(
 
 @st.composite
 def sectors(draw):
-    n = draw(st.integers(1, 4))
-    return n, draw(st.integers(0, n)), draw(st.integers(0, n))
+    """(n, n_alpha, n_beta) of 2-4 orbitals, each count binomial(n, 1/2).
+    Hypothesis keeps its integers at the ends of their range, where a
+    sector of 0 or n electrons per spin is one determinant, so numpy draws
+    the sector."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2, 5))
+    return n, *rng.binomial(n, 0.5, size=2).tolist()
 
 
-# every (n, n_alpha, n_beta) of 1-4 orbitals, drawn uniformly: ``sectors``
-# keeps most counts near 0, where a sector is one determinant
+# every (n, n_alpha, n_beta) of 1-4 orbitals, drawn uniformly
 SECTORS = st.sampled_from([(n, a, b) for n in (4, 3, 2, 1)
                            for a in range(n + 1) for b in range(n + 1)])
 
@@ -185,7 +190,7 @@ def test_a_product_sub_listing_raises_where_the_oracle_does(drawn, data):
 
 # ------------------------------------------------------ Hamiltonian kernel
 
-@ORACLE_PROPERTY
+@PROPERTY
 @given(table_rows())
 def test_build_subspace_is_the_dense_projection_from_either_pair_source(
         drawn):
@@ -200,7 +205,7 @@ def test_build_subspace_is_the_dense_projection_from_either_pair_source(
     assert screened.core_energy == table.core_energy
 
 
-@ORACLE_PROPERTY
+@PROPERTY
 @given(table_rows(min_size=1), st.integers(0, 2**32 - 1))
 def test_en_pt2_is_the_dense_sum_over_the_complement(drawn, seed):
     table, masks = drawn
@@ -275,6 +280,80 @@ def test_bitstring_masks_reads_back_what_bitstrings_writes(drawn):
     back = bitstring_masks(bitstrings(rows, n), n)
     assert back.dtype == np.uint64 and back.shape == rows.shape
     assert back.tobytes() == rows.tobytes()
+
+
+@PROPERTY
+@given(st.one_of(st.just(64), st.integers(1, 64)).flatmap(
+    lambda n: st.tuples(st.just(n), mask_rows(n))))
+def test_det_masks_reads_back_what_determinants_writes(drawn):
+    n, rows = drawn
+    back = det_masks(determinants(rows), n)
+    assert back.dtype == np.uint64 and back.shape == rows.shape
+    assert back.tobytes() == rows.tobytes()
+    # Python-int lists and int64 arrays give the same rows (int64 holds
+    # the rows below orbital 63)
+    low = rows[(rows >> np.uint64(63) == 0).all(axis=1)]
+    for given_rows in (low.tolist(), low.astype(np.int64)):
+        got = det_masks(given_rows, n)
+        assert got.dtype == np.uint64 and got.shape == low.shape
+        assert got.tobytes() == low.tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 63).flatmap(lambda n: st.tuples(
+    st.just(n), mask_rows(n),
+    st.lists(st.tuples(st.integers(0, 1), st.one_of(
+        st.just(n), st.just(63), st.integers(n, 63))), min_size=1, max_size=3),
+    st.randoms(use_true_random=False))))
+def test_det_masks_names_the_first_row_past_its_orbitals(drawn):
+    n, rows, planted, rng = drawn
+    rows = [list(row) for row in rows.tolist()]
+    for channel, orbital in planted:
+        row = [0, 0]
+        row[channel] = 1 << orbital | rng.getrandbits(n)
+        rows.insert(rng.randint(0, len(rows)), row)
+    first = next(r for r in rows if max(r) >> n)
+    message = f"{Determinant(*first)} occupies an orbital past n_orbitals = {n}"
+    for given_rows in (rows, np.array(rows, dtype=np.uint64),
+                       determinants(np.array(rows, dtype=np.uint64))):
+        with pytest.raises(ValueError) as caught:
+            det_masks(given_rows, n)
+        assert str(caught.value) == message
+
+
+@PROPERTY
+@given(st.integers(65, 200), mask_rows(8))
+def test_det_masks_past_64_orbitals_is_too_large(n, rows):
+    for given_rows in (rows, determinants(rows)):
+        with pytest.raises(TooLarge, match=f"{n} orbitals is past the 64"):
+            det_masks(given_rows, n)
+    with pytest.raises(TooLarge, match="past the 64-orbital limit"):
+        det_masks([*rows.tolist(), [1 << 64, 0]])
+
+
+BAD_ROWS = {
+    "negative-int": lambda rows: [*rows.tolist(), [-1, 0]],
+    "negative-int64": lambda rows: np.vstack(
+        [rows.astype(np.int64) >> 1, [[0, -1]]]),
+    "bool": lambda rows: [*rows.tolist(), [True, False]],
+    "bool-array": lambda rows: np.vstack([rows, [[1, 0]]]) != 0,
+    "float": lambda rows: [*rows.tolist(), [1.0, 0]],
+    "float-array": lambda rows: np.vstack([rows, [[1, 0]]]).astype(float),
+    "one-column": lambda rows: np.vstack([rows, [[1, 0]]])[:, :1],
+    "three-columns": lambda rows: np.hstack(
+        [np.vstack([rows, [[1, 0]]]), np.zeros((len(rows) + 1, 1), int)]),
+    "flat": lambda rows: np.vstack([rows, [[1, 0]]]).ravel(),
+    "ragged": lambda rows: [*rows.tolist(), [1]],
+}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(BAD_ROWS)), mask_rows(8))
+def test_det_masks_rejects_rows_that_are_not_nonnegative_integer_pairs(
+        kind, rows):
+    with pytest.raises(ValueError, match="mask rows must be an .N, 2. array "
+                                         "of nonnegative integers"):
+        det_masks(BAD_ROWS[kind](rows), 8)
 
 
 @st.composite

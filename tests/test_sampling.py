@@ -18,6 +18,7 @@ from qselci.sampling import (
     counts_to_determinants,
     depolarize_distribution,
     ideal_distribution,
+    per_gate_depolarizing,
     sample,
     symmetry_filter,
 )
@@ -45,9 +46,9 @@ def _ranking(dist):
 # -------------------------------------------------------------- noise model
 
 def test_noise_model_aggregates_per_gate_strength():
-    model = NoiseModel(per_gate_pg=0.001, n_2q=300)
-    assert abs(model.depolarizing_p - (1.0 - 0.999 ** 300)) < 1e-15
-    assert NoiseModel(per_gate_pg=0.0, n_2q=100).depolarizing_p == 0.0
+    assert abs(per_gate_depolarizing(0.001, 300) - (1.0 - 0.999 ** 300)) < 1e-15
+    assert per_gate_depolarizing(0.0, 100) == 0.0
+    assert per_gate_depolarizing(0.5, 0) == 0.0
 
 
 def test_noise_model_range_validation():
@@ -55,10 +56,11 @@ def test_noise_model_range_validation():
         NoiseModel(depolarizing_p=1.5)
     with pytest.raises(ValueError):
         NoiseModel(readout_eps0=-0.1)
-    with pytest.raises(ValueError):
-        NoiseModel(per_gate_pg=2.0, n_2q=10)
-    with pytest.raises(ValueError, match="n_2q"):
-        NoiseModel(per_gate_pg=0.001)
+    with pytest.raises(ValueError, match=r"per-gate strength outside \[0, 1\]"):
+        per_gate_depolarizing(2.0, 10)
+    for n_2q in (None, -1):
+        with pytest.raises(ValueError, match=f"count n_2q, got {n_2q}"):
+            per_gate_depolarizing(0.001, n_2q)
 
 
 # ------------------------------------------------------- ideal distribution

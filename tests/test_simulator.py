@@ -44,8 +44,8 @@ def _excitation_circuit(op, n_qubits):
     gate = Gate(kind=GATE_EXCITATION, qubits=tuple(op.annihilated)
                 + tuple(op.created), param_slot=0, excitation=op)
     ref = Determinant(0, 0)
-    return Circuit(n_qubits=n_qubits, gates=[gate], n_params=1, layers=1,
-                   reference=ref, n_orbitals=n_qubits // 2)
+    return Circuit(gates=[gate], layers=1, reference=ref,
+                   n_orbitals=n_qubits // 2)
 
 
 def _random_excitation(rng, n_orbitals):
@@ -164,8 +164,8 @@ def test_gate_partner_missing_from_the_listing_is_rejected(listed, steps):
     sv = Statevector(amps=[1.0], n_qubits=4, index=[listed])
     gates = [Gate(kind=GATE_EXCITATION, qubits=(0, 1), param_slot=slot,
                   excitation=op) for slot in range(steps)]
-    circuit = Circuit(n_qubits=4, gates=gates, n_params=steps, layers=steps,
-                      reference=Determinant(0, 0), n_orbitals=2)
+    circuit = Circuit(gates=gates, layers=steps, reference=Determinant(0, 0),
+                      n_orbitals=2)
     # a zero angle moves nothing, so the gate takes no pairs; a reused gate
     # keeps none either
     out = apply_circuit(circuit, np.zeros(steps), sv)
@@ -555,9 +555,7 @@ def test_negative_angle_inverts():
     forward = apply_circuit(circuit, params, sv)
     # undo by applying the reversed gate list with negated angles
     reversed_circuit = Circuit(
-        n_qubits=circuit.n_qubits,
         gates=list(reversed(circuit.gates)),
-        n_params=circuit.n_params,
         layers=circuit.layers,
         reference=circuit.reference,
         n_orbitals=circuit.n_orbitals,
@@ -622,8 +620,7 @@ def test_basis_gate_built_from_a_writable_kappa_keeps_its_values():
                       inverse=True),
                  Gate(kind=GATE_JASTROW, qubits=(0, n), angle=0.7),
                  Gate(kind=GATE_BASIS, qubits=tuple(range(2 * n)), kappa=k)]
-        return Circuit(n_qubits=2 * n, gates=gates, n_params=0, layers=1,
-                       reference=ref, n_orbitals=n)
+        return Circuit(gates=gates, layers=1, reference=ref, n_orbitals=n)
 
     sv = Statevector.from_determinant(ref, n)
     circuit = lucj_like(kappa)
@@ -647,14 +644,8 @@ def test_basis_rotation_matches_dense_orbital_rotation():
     ref = hartree_fock(n, 2, 1)
     circuit = build_lucj(K, np.zeros((2 * n, 2 * n)), ref)
     # isolate the trailing (non-inverse) layer: e^{K}
-    forward_only = Circuit(
-        n_qubits=circuit.n_qubits,
-        gates=[circuit.gates[-1]],
-        n_params=0,
-        layers=1,
-        reference=ref,
-        n_orbitals=n,
-    )
+    forward_only = Circuit(gates=[circuit.gates[-1]], layers=1,
+                           reference=ref, n_orbitals=n)
     amps = rng.normal(size=1 << (2 * n))
     amps /= np.linalg.norm(amps)
     sv = Statevector(amps=amps.astype(complex), n_qubits=2 * n)
